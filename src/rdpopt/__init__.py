@@ -13,7 +13,6 @@ The package is organized bottom-up:
 from .conversion import (
     ConversionResult,
     ZeroEpsilonRegion,
-    ZetaAlpha,
     balle_epsilon,
     baseline_delta,
     baseline_epsilon,
@@ -29,8 +28,6 @@ from .conversion import (
 )
 from .divergences import (
     BernoulliPair,
-    DpGuarantee,
-    RenyiGuarantee,
     chi_alpha_binary,
     chi_of_gamma,
     gamma_of_chi,
@@ -40,7 +37,6 @@ from .divergences import (
 from .errors import AccountingError, BracketRangeError, DomainError, InfeasibleError
 from .gaussian import (
     AccountedEpsilon,
-    CompositionQuery,
     CurvePoint,
     GaussianConfig,
     RequiredVariance,
@@ -66,19 +62,15 @@ __all__ = [
     "AccountingError",
     "BernoulliPair",
     "BracketRangeError",
-    "CompositionQuery",
     "ConversionResult",
     "CurvePoint",
     "DomainError",
-    "DpGuarantee",
     "GaussianConfig",
     "GridSpec",
     "InfeasibleError",
-    "RenyiGuarantee",
     "RequiredVariance",
     "ScalarSearchConfig",
     "ZeroEpsilonRegion",
-    "ZetaAlpha",
     "acct_epsilon",
     "balle_epsilon",
     "baseline_delta",

@@ -8,10 +8,10 @@ Subcommands:
   curve         CSV/JSON sweeps, including figure presets
   oracle-check  brute-force validation of the conversion frontier
 
-Exit codes: 0 success, 2 usage, 3 infeasible domain, 4 I/O failure,
-5 validation failure.  Output is a single JSON record per invocation
-(curve emits a CSV or JSON table instead), deterministic for fixed flags
-and seed apart from the wall-time field.
+Exit codes: 0 success, 2 usage, 3 infeasible query or domain error,
+4 I/O failure, 5 validation failure.  Output is a single JSON record per
+invocation (curve emits a CSV or JSON table instead), deterministic for
+fixed flags and seed apart from the wall-time field.
 """
 
 from __future__ import annotations
@@ -180,10 +180,8 @@ def cmd_compose(args: argparse.Namespace) -> int:
         "eps_ma": eps_ma,
         "eps_ours": {
             "epsilon": ours.epsilon,
-            "eps0": ours.eps0,
-            "eps1": ours.eps1,
-            "eps_third": ours.eps_third,
             "argmin_alpha": ours.argmin_alpha,
+            "active_branch": ours.active_branch,
             "mode": ours.mode,
         },
         "gap": eps_ma - ours.epsilon,
@@ -546,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationFailure as exc:
         print(f"{TOOL_NAME}: validation failure: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
+    except DomainError as exc:
+        print(f"{TOOL_NAME}: domain error: {exc}", file=sys.stderr)
+        return _EXIT_INFEASIBLE
     except AccountingError as exc:
         print(f"{TOOL_NAME}: infeasible: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE

@@ -25,7 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import BracketRangeError, DomainError, InfeasibleError
+from .errors import (
+    BracketRangeError,
+    DomainError,
+    InfeasibleError,
+    _check_alpha,
+    _check_nonnegative,
+    _check_unit,
+)
 from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
 
 Method = Literal["exact_numeric", "closed_form_bound", "baseline", "balle"]
@@ -47,49 +54,18 @@ class ConversionResult:
     active_branch: Optional[Branch] = None
 
 
-@dataclass(frozen=True)
-class ZetaAlpha:
-    """The constant zeta(alpha) = (1/alpha) * (1 - 1/alpha)^(alpha - 1).
-
-    It decreases from 1 at alpha -> 1 toward 1/(e*alpha), and always lies
-    in (1/(e*alpha), 1/alpha).
-    """
-
-    alpha: float
-    zeta: float
-
-    @classmethod
-    def for_order(cls, alpha: float) -> "ZetaAlpha":
-        _check_alpha(alpha)
-        return cls(alpha=alpha, zeta=math.exp(log_zeta(alpha)))
-
-
 def log_zeta(alpha: float) -> float:
-    """log zeta(alpha), assembled from log1p for stability at large alpha."""
+    """log zeta(alpha), assembled from log1p for stability at large alpha.
+
+    zeta(alpha) = (1/alpha) * (1 - 1/alpha)^(alpha - 1) lies in
+    (1/(e*alpha), 1/alpha).
+    """
     _check_alpha(alpha)
+    return _log_zeta(alpha)
+
+
+def _log_zeta(alpha: float) -> float:
     return (alpha - 1.0) * math.log1p(-1.0 / alpha) - math.log(alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise DomainError(f"order alpha must be finite and > 1, got {alpha!r}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
-
-
-def _check_delta(delta: float, *, positive: bool = False) -> None:
-    lo_ok = delta > 0.0 if positive else delta >= 0.0
-    if not (lo_ok and delta < 1.0):
-        lo = "(0, 1)" if positive else "[0, 1)"
-        raise DomainError(f"delta must lie in {lo}, got {delta!r}")
 
 
 def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> float:
@@ -98,8 +74,8 @@ def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> 
     Computed entirely in log domain; requires delta < p < 1.
     """
     _check_alpha(alpha)
-    _check_epsilon(epsilon)
-    _check_delta(delta)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_unit(delta, "delta", allow_zero=True)
     if not (delta < p < 1.0):
         raise DomainError(f"p must lie in (delta, 1) = ({delta!r}, 1), got {p!r}")
     head = alpha * math.log(p) + (1.0 - alpha) * math.log(p - delta)
@@ -122,8 +98,8 @@ def gamma_exact(
     whenever alpha * delta >= 1.
     """
     _check_alpha(alpha)
-    _check_epsilon(epsilon)
-    _check_delta(delta)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_unit(delta, "delta", allow_zero=True)
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     argmin_p, m_interior = minimize_unimodal(
@@ -158,8 +134,8 @@ def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     g = eps - (1/(alpha-1)) log(zeta(alpha)/delta) and the tangent piece f.
     """
     _check_alpha(alpha)
-    _check_epsilon(epsilon)
-    _check_delta(delta)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_unit(delta, "delta", allow_zero=True)
     if delta == 0.0:
         return ConversionResult(0.0, "closed_form_bound")
     if alpha * delta >= 1.0:
@@ -183,8 +159,8 @@ def delta_exact(
     Inverts the frontier, which is continuous and increasing in delta.
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_epsilon(epsilon)
+    _check_nonnegative(gamma, "gamma")
+    _check_nonnegative(epsilon, "epsilon")
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     hi = 1.0 - 1e-12
@@ -218,8 +194,8 @@ def delta_bound(
     the tangent piece is inverted numerically on [0, 1/alpha).
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_epsilon(epsilon)
+    _check_nonnegative(gamma, "gamma")
+    _check_nonnegative(epsilon, "epsilon")
     d_closed = -math.expm1(epsilon - gamma)  # 1 - e^(eps - gamma)
     if d_closed >= 1.0 / alpha:
         return ConversionResult(d_closed, "closed_form_bound", active_branch="alpha_delta_ge_1")
@@ -258,13 +234,13 @@ def epsilon_exact(
     otherwise bisects eps between 0 and the closed-form upper bound.
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_delta(delta, positive=True)
+    _check_nonnegative(gamma, "gamma")
+    _check_unit(delta, "delta")
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     if gamma_exact(alpha, 0.0, delta, cfg).value >= gamma:
         return ConversionResult(0.0, "exact_numeric")
-    hi = max(epsilon_bound(alpha, gamma, delta).value, 1e-9) * (1.0 + 1e-9) + 1e-12
+    hi = max(_epsilon_bound(alpha, gamma, delta)[0], 1e-9) * (1.0 + 1e-9) + 1e-12
     guard = 0
     while gamma_exact(alpha, hi, delta, cfg).value < gamma:
         hi *= 2.0
@@ -290,18 +266,24 @@ def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:
     piece (1/(alpha-1)) log(1 + (alpha-1) chi(gamma)/(alpha delta)).
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_delta(delta, positive=True)
+    _check_nonnegative(gamma, "gamma")
+    _check_unit(delta, "delta")
+    value, branch = _epsilon_bound(alpha, gamma, delta)
+    return ConversionResult(value, "closed_form_bound", active_branch=branch)
+
+
+def _epsilon_bound(alpha: float, gamma: float, delta: float) -> tuple[float, Optional[Branch]]:
+    # epsilon_bound's value and winning branch, for arguments already checked;
+    # the accountant scans it over orders without re-validating each one
     if gamma == 0.0:
-        return ConversionResult(0.0, "closed_form_bound")
+        return 0.0, None
     if alpha * delta >= 1.0:
-        value = max(gamma + math.log1p(-delta), 0.0)
-        return ConversionResult(value, "closed_form_bound", active_branch="alpha_delta_ge_1")
-    piece_g = max(gamma + (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), 0.0)
+        return max(gamma + math.log1p(-delta), 0.0), "alpha_delta_ge_1"
+    piece_g = max(gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), 0.0)
     piece_chi = _chi_epsilon_piece(alpha, gamma, delta)
     if piece_g <= piece_chi:
-        return ConversionResult(piece_g, "closed_form_bound", active_branch="g_bound")
-    return ConversionResult(piece_chi, "closed_form_bound", active_branch="chi_bound")
+        return piece_g, "g_bound"
+    return piece_chi, "chi_bound"
 
 
 def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
@@ -319,16 +301,17 @@ def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
 def baseline_delta(alpha: float, gamma: float, epsilon: float) -> float:
     """Markov-style conversion delta = e^{-(alpha-1)(eps-gamma)}, capped at 1."""
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_epsilon(epsilon)
-    return min(math.exp(-(alpha - 1.0) * (epsilon - gamma)), 1.0)
+    _check_nonnegative(gamma, "gamma")
+    _check_nonnegative(epsilon, "epsilon")
+    # cap the exponent rather than the result: for eps < gamma it can exceed 709
+    return math.exp(min(-(alpha - 1.0) * (epsilon - gamma), 0.0))
 
 
 def baseline_epsilon(alpha: float, gamma: float, delta: float) -> float:
     """Markov-style conversion eps = gamma + log(1/delta)/(alpha-1)."""
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_delta(delta, positive=True)
+    _check_nonnegative(gamma, "gamma")
+    _check_unit(delta, "delta")
     return gamma - math.log(delta) / (alpha - 1.0)
 
 
@@ -340,8 +323,8 @@ def balle_epsilon(alpha: float, gamma: float, delta: float) -> float:
     clamp at zero.
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
-    _check_delta(delta, positive=True)
+    _check_nonnegative(gamma, "gamma")
+    _check_unit(delta, "delta")
     return gamma + (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
 
 
@@ -366,7 +349,7 @@ def zero_epsilon_region(alpha: float, gamma: float) -> ZeroEpsilonRegion:
     that, eps = 0 for every delta > max(1 - e^{-gamma}, 1/alpha).
     """
     _check_alpha(alpha)
-    _check_gamma(gamma)
+    _check_nonnegative(gamma, "gamma")
     tail = -math.expm1(-gamma)  # 1 - e^-gamma
     delta_free = max(tail, 1.0 / alpha)
     if tail < 1.0 / alpha:

@@ -13,20 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _check_alpha, _check_nonnegative, _check_unit
 from .optimize import log_add
 
 _LOG_MAX = 709.0  # math.exp overflows just above this
-
-
-def _check_open_unit(x: float, name: str) -> None:
-    if not (0.0 < x < 1.0) or not math.isfinite(x):
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
-
-
-def _check_order(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise DomainError(f"order alpha must be finite and > 1, got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -37,35 +27,8 @@ class BernoulliPair:
     q: float
 
     def __post_init__(self):
-        _check_open_unit(self.p, "p")
-        _check_open_unit(self.q, "q")
-
-
-@dataclass(frozen=True)
-class RenyiGuarantee:
-    """A bound gamma on the order-alpha Renyi divergence between outputs."""
-
-    alpha: float
-    gamma: float
-
-    def __post_init__(self):
-        _check_order(self.alpha)
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-
-
-@dataclass(frozen=True)
-class DpGuarantee:
-    """An (epsilon, delta) approximate-DP guarantee."""
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not (0.0 <= self.delta < 1.0):
-            raise DomainError(f"delta must lie in [0, 1), got {self.delta!r}")
+        _check_unit(self.p, "p")
+        _check_unit(self.q, "q")
 
 
 def hockey_stick_binary(pair: BernoulliPair, lam: float) -> float:
@@ -86,7 +49,7 @@ def _log_moment(pair: BernoulliPair, alpha: float) -> float:
 
 def chi_alpha_binary(pair: BernoulliPair, alpha: float) -> float:
     """Power divergence (E[(dP/dQ)^alpha] - 1)/(alpha - 1); +inf on overflow."""
-    _check_order(alpha)
+    _check_alpha(alpha)
     m = _log_moment(pair, alpha)
     if m > _LOG_MAX:
         return math.inf
@@ -96,7 +59,7 @@ def chi_alpha_binary(pair: BernoulliPair, alpha: float) -> float:
 
 def renyi_binary(pair: BernoulliPair, alpha: float) -> float:
     """Renyi divergence (1/(alpha-1)) * log E[(dP/dQ)^alpha]."""
-    _check_order(alpha)
+    _check_alpha(alpha)
     return max(_log_moment(pair, alpha) / (alpha - 1.0), 0.0)
 
 
@@ -106,9 +69,8 @@ def chi_of_gamma(gamma: float, alpha: float) -> float:
     chi(gamma) = (e^((alpha-1)*gamma) - 1)/(alpha - 1); returns +inf when
     the exponential overflows.
     """
-    _check_order(alpha)
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+    _check_alpha(alpha)
+    _check_nonnegative(gamma, "gamma")
     x = (alpha - 1.0) * gamma
     if x > _LOG_MAX:
         return math.inf
@@ -117,7 +79,7 @@ def chi_of_gamma(gamma: float, alpha: float) -> float:
 
 def gamma_of_chi(t: float, alpha: float) -> float:
     """Inverse of chi_of_gamma: (1/(alpha-1)) * log(1 + (alpha-1)*t)."""
-    _check_order(alpha)
+    _check_alpha(alpha)
     if math.isnan(t) or t < 0.0:
         raise DomainError(f"divergence value must be >= 0, got {t!r}")
     return math.log1p((alpha - 1.0) * t) / (alpha - 1.0)

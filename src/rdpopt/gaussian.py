@@ -11,10 +11,10 @@ alpha rho T)}, whose optimized closed form is
 
     eps_ma = rho T + sqrt(4 rho T log(1/delta)).
 
-The accountant here instead converts through the exact frontier of
-conversion.gamma_exact, either via its closed-form upper-bound pieces
-(mode "closed_form") or by minimizing the numeric inversion itself
-(mode "exact").
+The accountant here applies the conversion of the conversion module at
+every order instead: epsilon = min over alpha in (1, 1/delta] of
+convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
+"closed_form" and the numeric inversion epsilon_exact in mode "exact".
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .conversion import epsilon_exact, log_zeta
-from .errors import DomainError, InfeasibleError
+from .conversion import Branch, _epsilon_bound, epsilon_exact, log_zeta
+from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
 from .optimize import ScalarSearchConfig, minimize_unimodal
 
 MODES = ("closed_form", "exact")
@@ -32,10 +32,8 @@ MODES = ("closed_form", "exact")
 
 def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:
     """Renyi rate Delta^2 / (2 sigma^2) of a single Gaussian mechanism."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-    if not (math.isfinite(sensitivity) and sensitivity > 0.0):
-        raise DomainError(f"sensitivity must be finite and > 0, got {sensitivity!r}")
+    _check_positive(sigma, "sigma")
+    _check_positive(sensitivity, "sensitivity")
     return (sensitivity * sensitivity) / (2.0 * sigma * sigma)
 
 
@@ -45,10 +43,8 @@ def rho_subsampled(sigma: float, q: float) -> float:
     Valid in the small-q, moderate-alpha regime where the subsampled
     mechanism's Renyi curve is linear in alpha.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be finite and > 0, got {sigma!r}")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"sampling rate q must lie in (0, 1), got {q!r}")
+    _check_positive(sigma, "sigma")
+    _check_unit(q, "sampling rate q")
     return (q * q) / ((1.0 - q) * sigma * sigma)
 
 
@@ -61,43 +57,15 @@ class GaussianConfig:
     subsampling_q: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if not (math.isfinite(self.sensitivity) and self.sensitivity > 0.0):
-            raise DomainError(f"sensitivity must be finite and > 0, got {self.sensitivity!r}")
-        if self.subsampling_q is not None:
-            if not (0.0 < self.subsampling_q < 1.0):
-                raise DomainError(f"sampling rate q must lie in (0, 1), got {self.subsampling_q!r}")
-            if self.sensitivity != 1.0:
-                raise DomainError("subsampled accounting assumes unit sensitivity")
+        self.rho  # rho_gaussian or rho_subsampled validates sigma, sensitivity and q
+        if self.subsampling_q is not None and self.sensitivity != 1.0:
+            raise DomainError("subsampled accounting assumes unit sensitivity")
 
     @property
     def rho(self) -> float:
         if self.subsampling_q is not None:
             return rho_subsampled(self.sigma, self.subsampling_q)
         return rho_gaussian(self.sigma, self.sensitivity)
-
-
-@dataclass(frozen=True)
-class CompositionQuery:
-    """One budget question: either epsilon after T steps, or max T under epsilon."""
-
-    delta: float
-    T: Optional[float] = None
-    epsilon: Optional[float] = None
-    mode: str = "closed_form"
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if (self.T is None) == (self.epsilon is None):
-            raise DomainError("exactly one of T and epsilon must be given")
-        if self.T is not None and not (math.isfinite(self.T) and self.T >= 1):
-            raise DomainError(f"T must be >= 1, got {self.T!r}")
-        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def epochs_from_iterations(q: float, T: float) -> float:
@@ -116,16 +84,11 @@ def ma_epsilon(rho: float, T: float, delta: float) -> float:
     This is the closed form of min over alpha > 1 of
     alpha*rho*T - log(delta)/(alpha - 1).
     """
-    _check_rate(rho)
+    _check_positive(rho, "rho")
     _check_steps(T)
-    _check_delta_open(delta)
+    _check_unit(delta, "delta")
     s = rho * T
     return s + math.sqrt(4.0 * s * math.log(1.0 / delta))
-
-
-def _check_rate(rho: float) -> None:
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise DomainError(f"rho must be finite and > 0, got {rho!r}")
 
 
 def _check_steps(T: float) -> None:
@@ -133,37 +96,18 @@ def _check_steps(T: float) -> None:
         raise DomainError(f"T must be >= 1, got {T!r}")
 
 
-def _check_delta_open(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 @dataclass(frozen=True)
 class AccountedEpsilon:
-    """Composed epsilon with its branch breakdown and minimizing order."""
+    """Composed epsilon with its minimizing order.
+
+    active_branch is the epsilon_bound branch that wins at argmin_alpha in
+    closed-form mode, and None in exact mode.
+    """
 
     epsilon: float
-    eps0: float
-    eps1: float
-    eps_third: float
     argmin_alpha: float
+    active_branch: Optional[Branch]
     mode: str
-
-
-def _eps0_inner(alpha: float, rho_T: float, log_delta: float) -> float:
-    # alpha*rho*T + log(zeta(alpha)/delta)/(alpha-1), before the clamp at 0
-    return rho_T * alpha + (log_zeta(alpha) - log_delta) / (alpha - 1.0)
-
-
-def _eps1_inner(alpha: float, rho: float, T: float, delta: float) -> float:
-    # (1/(alpha-1)) log(1 + (e^{rho alpha (alpha-1) T} - 1)/(alpha delta))
-    x = rho * alpha * (alpha - 1.0) * T
-    c = alpha * delta
-    if x < 30.0:
-        return (math.log(math.expm1(x) + c) - math.log(c)) / (alpha - 1.0)
-    if x > 709.0:
-        return (x - math.log(c)) / (alpha - 1.0)
-    return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)
 
 
 def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig) -> tuple[float, float]:
@@ -188,46 +132,41 @@ def acct_epsilon(
 ) -> AccountedEpsilon:
     """Epsilon after T compositions at rate rho, via the conversion frontier.
 
-    Closed-form mode takes the best of three upper-bound branches, each
-    optimized over the order alpha in (1, 1/delta]:
+    The T-fold composition satisfies (alpha, rho T alpha)-Renyi DP at every
+    order, so epsilon is the minimum over alpha in (1, 1/delta] of the
+    conversion of that guarantee:
 
-      eps0      = (alpha rho T + log(zeta(alpha)/delta)/(alpha-1))_+
-      eps1      = (1/(alpha-1)) log(1 + (e^{rho alpha (alpha-1) T} - 1)/(alpha delta))
-      eps_third = (rho T / delta + log(1 - delta))_+   (the alpha = 1/delta endpoint)
+      closed_form   epsilon_bound(alpha, rho T alpha, delta)
+      exact         epsilon_exact(alpha, rho T alpha, delta)
 
-    Exact mode minimizes epsilon_exact(alpha, rho*alpha*T, delta) over the
-    same range (orders above 1/delta reduce to eps_third) and is never
-    worse than closed-form mode up to search tolerance.
+    Exact mode also tries the closed-form argmin, so it is never worse than
+    closed-form mode up to search tolerance.
     """
-    _check_rate(rho)
+    _check_positive(rho, "rho")
     _check_steps(T)
-    _check_delta_open(delta)
+    _check_unit(delta, "delta")
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     if cfg is None:
         cfg = ScalarSearchConfig()
-    ld = math.log(delta)
     rho_T = rho * T
-    a0, v0 = _min_over_orders(lambda a: _eps0_inner(a, rho_T, ld), delta, cfg)
-    eps0 = max(v0, 0.0)
-    a1, eps1 = _min_over_orders(lambda a: _eps1_inner(a, rho, T, delta), delta, cfg)
-    eps_third = max(rho_T / delta + math.log1p(-delta), 0.0)
-    closed = min((eps0, a0), (eps1, a1), (eps_third, 1.0 / delta))
+    a_closed, _ = _min_over_orders(lambda a: _epsilon_bound(a, rho_T * a, delta)[0], delta, cfg)
+    eps_closed, branch = _epsilon_bound(a_closed, rho_T * a_closed, delta)
     if mode == "closed_form":
-        return AccountedEpsilon(closed[0], eps0, eps1, eps_third, closed[1], mode)
+        return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
     inner_cfg = ScalarSearchConfig(abs_tol=1e-9, max_iters=cfg.max_iters, coarse_grid=32)
     order_cfg = ScalarSearchConfig(abs_tol=1e-6, max_iters=cfg.max_iters, coarse_grid=min(cfg.coarse_grid, 64))
 
     def exact_at(alpha: float) -> float:
-        return epsilon_exact(alpha, rho * alpha * T, delta, inner_cfg).value
+        return epsilon_exact(alpha, rho_T * alpha, delta, inner_cfg).value
 
+    # _min_over_orders already compares the alpha = 1/delta endpoint
     a_best, v_best = _min_over_orders(exact_at, delta, order_cfg)
-    for seed in (a0, a1, 1.0 / delta):
-        v_seed = exact_at(seed)
-        if v_seed < v_best:
-            a_best, v_best = seed, v_seed
-    return AccountedEpsilon(v_best, eps0, eps1, eps_third, a_best, mode)
+    v_seed = exact_at(a_closed)
+    if v_seed < v_best:
+        a_best, v_best = a_closed, v_seed
+    return AccountedEpsilon(v_best, a_best, None, mode)
 
 
 def max_iterations(
@@ -238,19 +177,14 @@ def max_iterations(
     cfg: ScalarSearchConfig | None = None,
 ) -> int:
     """Largest integer T whose accounted epsilon stays within the budget."""
-    _check_budget(epsilon)
+    _check_positive(epsilon, "epsilon budget")
     return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode, cfg).epsilon, epsilon)
 
 
 def ma_max_iterations(rho: float, epsilon: float, delta: float) -> int:
     """Largest integer T whose moments-accountant epsilon stays within the budget."""
-    _check_budget(epsilon)
+    _check_positive(epsilon, "epsilon budget")
     return _largest_T(lambda T: ma_epsilon(rho, T, delta), epsilon)
-
-
-def _check_budget(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon budget must be finite and > 0, got {epsilon!r}")
 
 
 def _largest_T(eps_at, budget: float) -> int:
@@ -280,8 +214,8 @@ def ma_required_variance(T: float, epsilon: float, delta: float) -> float:
     sigma^2 = T / (2 x).
     """
     _check_steps(T)
-    _check_budget(epsilon)
-    _check_delta_open(delta)
+    _check_positive(epsilon, "epsilon budget")
+    _check_unit(delta, "delta")
     big_l = math.log(1.0 / delta)
     x = (math.sqrt(epsilon + big_l) - math.sqrt(big_l)) ** 2
     if not x > 0.0:
@@ -317,8 +251,8 @@ def required_variance(
     eps > 2 delta log(1/delta) so that some order is feasible.
     """
     _check_steps(T)
-    _check_budget(epsilon)
-    _check_delta_open(delta)
+    _check_positive(epsilon, "epsilon budget")
+    _check_unit(delta, "delta")
     if cfg is None:
         cfg = ScalarSearchConfig()
     threshold = 2.0 * delta * math.log(1.0 / delta)
@@ -373,7 +307,7 @@ def privacy_curve(
     The closed-form column is always produced; an exact column is added
     when "exact" is among the requested modes.  gap = eps_ma - eps_ours.
     """
-    _check_delta_open(delta)
+    _check_unit(delta, "delta")
     t_list = list(T_values)
     if not t_list:
         raise DomainError("T_values must be non-empty")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketRangeError, DomainError, InfeasibleError
+from .errors import BracketRangeError, DomainError, InfeasibleError, _check_positive
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -30,8 +30,7 @@ class ScalarSearchConfig:
     coarse_grid: int = 256
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        _check_positive(self.abs_tol, "abs_tol")
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if self.coarse_grid < 8:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .conversion import gamma_exact
 from .divergences import BernoulliPair, renyi_binary
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
 from .optimize import ScalarSearchConfig
 
 _P_EDGE = 1e-9
@@ -175,12 +175,9 @@ def brute_force_gamma(
 
 
 def _check_inputs(alpha: float, epsilon: float, delta: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise DomainError(f"order alpha must be finite and > 1, got {alpha!r}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    if not (0.0 <= delta < 1.0):
-        raise DomainError(f"delta must lie in [0, 1), got {delta!r}")
+    _check_alpha(alpha)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_unit(delta, "delta", allow_zero=True)
 
 
 def verify_q_star(
@@ -266,10 +263,8 @@ def joint_range_containment(
     above the curve delta -> gamma_exact(alpha, eps, delta); the comparison
     is made on the Renyi scale, where both sides stay finite for any order.
     """
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise DomainError(f"order alpha must be finite and > 1, got {alpha!r}")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    _check_alpha(alpha)
+    _check_nonnegative(epsilon, "epsilon")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     if cfg is None:

@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 from rdpopt import cli
-from rdpopt.conversion import balle_epsilon, baseline_delta, gamma_exact
+from rdpopt.conversion import balle_epsilon, baseline_delta, epsilon_bound, gamma_exact
 from rdpopt.gaussian import (
     acct_epsilon,
     ma_epsilon,
@@ -102,6 +103,18 @@ def test_convert_infeasible_exit_code(capsys):
     assert "infeasible" in err
 
 
+def test_convert_domain_error_label(capsys):
+    code, _, err = run_cli(capsys, "convert", "--alpha", "0.5", "--eps", "1", "--delta", "0.1")
+    assert code == 3
+    assert "domain error" in err and "infeasible" not in err
+
+
+def test_convert_baseline_delta_overflow(capsys):
+    code, out, _ = run_cli(capsys, "convert", "--alpha", "1000", "--gamma", "5", "--eps", "0.5", "--method", "all")
+    assert code == 0
+    assert json.loads(out)["results"]["baseline"]["value"] == 1.0
+
+
 def test_compose_record(capsys):
     code, out, _ = run_cli(capsys, "compose", "--sigma", "20", "--T", "1000", "--delta", "1e-5")
     assert code == 0
@@ -111,7 +124,10 @@ def test_compose_record(capsys):
     assert results["rho"] == 0.00125
     assert results["eps_ma"] == ma_epsilon(0.00125, 1000.0, 1e-5)
     ours = results["eps_ours"]
-    assert ours["epsilon"] == min(ours["eps0"], ours["eps1"], ours["eps_third"])
+    alpha = ours["argmin_alpha"]
+    at_argmin = epsilon_bound(alpha, 0.00125 * 1000 * alpha, 1e-5)
+    assert ours["epsilon"] == at_argmin.value
+    assert ours["active_branch"] == at_argmin.active_branch
     assert math.isclose(ours["epsilon"], 8.078359548144448, rel_tol=1e-10)
     assert results["gap"] > 0.7
 
@@ -327,8 +343,11 @@ def test_config_errors(capsys, tmp_path):
 
 
 def test_version_via_module_entry():
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "rdpopt", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "rdpopt", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "rdpopt 0.1.0"

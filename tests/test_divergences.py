@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from rdpopt.divergences import (
     BernoulliPair,
-    DpGuarantee,
-    RenyiGuarantee,
     chi_alpha_binary,
     chi_of_gamma,
     gamma_of_chi,
@@ -136,17 +134,6 @@ def test_dataclass_validation():
             BernoulliPair(bad, 0.5)
         with pytest.raises(DomainError):
             BernoulliPair(0.5, bad)
-    with pytest.raises(DomainError):
-        RenyiGuarantee(1.0, 0.5)
-    with pytest.raises(DomainError):
-        RenyiGuarantee(2.0, -0.1)
-    with pytest.raises(DomainError):
-        RenyiGuarantee(2.0, math.inf)
-    with pytest.raises(DomainError):
-        DpGuarantee(-1e-9, 0.1)
-    with pytest.raises(DomainError):
-        DpGuarantee(0.5, 1.0)
-    assert DpGuarantee(0.0, 0.0).delta == 0.0
 
 
 def test_operation_domain_errors():

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rdpopt.conversion import balle_epsilon, epsilon_bound
 from rdpopt.errors import DomainError
 from rdpopt.gaussian import (
     AccountedEpsilon,
-    CompositionQuery,
     GaussianConfig,
     acct_epsilon,
     epochs_from_iterations,
@@ -59,21 +59,6 @@ def test_gaussian_config():
         GaussianConfig(sigma=1.0, subsampling_q=1.5)
 
 
-def test_composition_query_validation():
-    CompositionQuery(delta=1e-5, T=100)
-    CompositionQuery(delta=1e-5, epsilon=2.0)
-    with pytest.raises(DomainError):
-        CompositionQuery(delta=1e-5, T=100, epsilon=2.0)
-    with pytest.raises(DomainError):
-        CompositionQuery(delta=1e-5)
-    with pytest.raises(DomainError):
-        CompositionQuery(delta=0.0, T=100)
-    with pytest.raises(DomainError):
-        CompositionQuery(delta=1e-5, T=0)
-    with pytest.raises(DomainError):
-        CompositionQuery(delta=1e-5, T=100, mode="fast")
-
-
 def test_epoch_helpers():
     assert epochs_from_iterations(0.001, 10000) == 10.0
     assert iterations_from_epochs(0.001, 10.0) == 10000.0
@@ -115,10 +100,31 @@ def test_acct_epsilon_structure():
     r = acct_epsilon(1.0 / 800.0, 1000.0, 1e-5)
     assert isinstance(r, AccountedEpsilon)
     assert r.mode == "closed_form"
-    assert r.epsilon == min(r.eps0, r.eps1, r.eps_third)
+    at_argmin = epsilon_bound(r.argmin_alpha, (1.0 / 800.0) * 1000.0 * r.argmin_alpha, 1e-5)
+    assert r.epsilon == at_argmin.value
+    assert r.active_branch == at_argmin.active_branch
     assert 1.0 < r.argmin_alpha <= 1e5
     assert math.isclose(r.epsilon, 8.078359548144448, rel_tol=1e-10)
     assert math.isclose(r.argmin_alpha, 3.851587677837917, rel_tol=1e-6)
+
+
+# closed-form epsilon at the four reference points, frozen from the
+# two-scan implementation this single order scan replaced
+ACCOUNTANT_POINTS = [
+    (rho_gaussian(20.0), 1000.0, 1e-5, 8.078359548144448),
+    (rho_gaussian(20.0), 1000.0, 1e-2, 5.037034355372364),
+    (rho_subsampled(4.0, 1e-3), 1000.0, 1e-5, 0.03485214131951003),
+    (rho_gaussian(1.0), 10.0, 1e-5, 19.047259552325183),
+]
+
+
+@pytest.mark.parametrize("rho, T, delta, frozen", ACCOUNTANT_POINTS)
+def test_acct_epsilon_is_the_order_minimum_of_epsilon_bound(rho, T, delta, frozen):
+    r = acct_epsilon(rho, T, delta)
+    assert r.epsilon == frozen
+    for alpha in np.geomspace(1.0 + 1e-6, 1.0 / delta, 200):
+        alpha = float(alpha)
+        assert r.epsilon <= epsilon_bound(alpha, rho * T * alpha, delta).value
 
 
 def test_acct_epsilon_beats_ma_baseline():
@@ -201,8 +207,15 @@ def test_required_variance_scales_linearly_in_T():
 def test_required_variance_feeds_back_to_budget():
     for T, eps, delta in [(100.0, 1.0, 1e-6), (1.0, 0.5, 1e-4), (2000.0, 4.0, 1e-8)]:
         r = required_variance(T, eps, delta)
-        acct = acct_epsilon(1.0 / (2.0 * r.sigma_sq), T, delta)
-        assert math.isclose(acct.eps0, eps, rel_tol=1e-6)
+        rho = 1.0 / (2.0 * r.sigma_sq)
+        acct = acct_epsilon(rho, T, delta)
+        # the variance is certified by the moment piece, so its minimum over orders is the budget
+        _, moment_min = minimize_unimodal(
+            lambda u: balle_epsilon(1.0 + math.exp(u), (1.0 + math.exp(u)) * rho * T, delta),
+            -15.0,
+            math.log(1.0 / delta - 1.0),
+        )
+        assert math.isclose(moment_min, eps, rel_tol=1e-6)
         assert acct.epsilon <= eps * (1.0 + 1e-6)
 
 
