@@ -41,8 +41,6 @@ from .gaussian import (
     GaussianConfig,
     RequiredVariance,
     acct_epsilon,
-    epochs_from_iterations,
-    iterations_from_epochs,
     ma_epsilon,
     ma_max_iterations,
     ma_required_variance,
@@ -81,7 +79,6 @@ __all__ = [
     "chi_of_gamma",
     "delta_bound",
     "delta_exact",
-    "epochs_from_iterations",
     "epsilon_bound",
     "epsilon_exact",
     "gamma_bound",
@@ -89,7 +86,6 @@ __all__ = [
     "gamma_of_chi",
     "hockey_stick_binary",
     "invert_monotone",
-    "iterations_from_epochs",
     "joint_range_containment",
     "log_add",
     "log_zeta",

@@ -101,6 +101,27 @@ def _conversion_payload(result: ConversionResult) -> dict:
     }
 
 
+# target -> method -> call. The lambdas look each library function up by name
+# when called, so a wrapper installed on this module after import sees the call.
+_CONVERSIONS = {
+    "gamma": {
+        "exact": lambda a, cfg: gamma_exact(a.alpha, a.eps, a.delta, cfg),
+        "bound": lambda a, cfg: gamma_bound(a.alpha, a.eps, a.delta),
+    },
+    "eps": {
+        "exact": lambda a, cfg: epsilon_exact(a.alpha, a.gamma, a.delta, cfg),
+        "bound": lambda a, cfg: epsilon_bound(a.alpha, a.gamma, a.delta),
+        "baseline": lambda a, cfg: baseline_epsilon(a.alpha, a.gamma, a.delta),
+        "balle": lambda a, cfg: balle_epsilon(a.alpha, a.gamma, a.delta),
+    },
+    "delta": {
+        "exact": lambda a, cfg: delta_exact(a.alpha, a.gamma, a.eps, cfg),
+        "bound": lambda a, cfg: delta_bound(a.alpha, a.gamma, a.eps, cfg),
+        "baseline": lambda a, cfg: baseline_delta(a.alpha, a.gamma, a.eps),
+    },
+}
+
+
 def cmd_convert(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     given = {"gamma": args.gamma, "eps": args.eps, "delta": args.delta}
@@ -109,36 +130,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
         raise UsageError("exactly two of --gamma, --eps, --delta must be supplied")
     target = missing[0]
     cfg = _search_config(args.tol)
-    applicable = {
-        "gamma": ("exact", "bound"),
-        "eps": ("exact", "bound", "baseline", "balle"),
-        "delta": ("exact", "bound", "baseline"),
-    }[target]
-    methods = list(applicable) if args.method == "all" else [args.method]
-    if args.method != "all" and args.method not in applicable:
-        raise UsageError(f"method {args.method!r} cannot produce {target}; choose from {applicable}")
+    calls = _CONVERSIONS[target]
+    if args.method != "all" and args.method not in calls:
+        raise UsageError(f"method {args.method!r} cannot produce {target}; choose from {tuple(calls)}")
+    methods = list(calls) if args.method == "all" else [args.method]
     results: dict = {}
     for method in methods:
-        if target == "gamma":
-            fn = {"exact": gamma_exact, "bound": gamma_bound}[method]
-            value = fn(args.alpha, args.eps, args.delta, cfg) if method == "exact" else fn(args.alpha, args.eps, args.delta)
-            results[method] = _conversion_payload(value)
-        elif target == "eps":
-            if method == "exact":
-                results[method] = _conversion_payload(epsilon_exact(args.alpha, args.gamma, args.delta, cfg))
-            elif method == "bound":
-                results[method] = _conversion_payload(epsilon_bound(args.alpha, args.gamma, args.delta))
-            elif method == "baseline":
-                results[method] = {"value": baseline_epsilon(args.alpha, args.gamma, args.delta)}
-            else:
-                results[method] = {"value": balle_epsilon(args.alpha, args.gamma, args.delta)}
-        else:
-            if method == "exact":
-                results[method] = _conversion_payload(delta_exact(args.alpha, args.gamma, args.eps, cfg))
-            elif method == "bound":
-                results[method] = _conversion_payload(delta_bound(args.alpha, args.gamma, args.eps, cfg))
-            else:
-                results[method] = {"value": baseline_delta(args.alpha, args.gamma, args.eps)}
+        value = calls[method](args, cfg)
+        results[method] = _conversion_payload(value) if isinstance(value, ConversionResult) else {"value": value}
     query = {
         "alpha": args.alpha,
         "gamma": args.gamma,
@@ -244,6 +243,15 @@ def _parse_float_list(text: str | None) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
+# flag values behind each epsilon-versus-T sweep, the generic one and the
+# paper's --fig 2 and --fig 3; flags from the command line or a config file win
+_SWEEPS = {
+    None: {"t_step": 1},
+    2: {"sigma": 20.0, "delta": 1e-5, "t_from": 1, "t_to": 1000, "t_step": 1},
+    3: {"sigma": 4.0, "q": 0.001, "delta": 1e-5, "t_from": 1000, "t_to": 400000, "t_step": 1000},
+}
+
+
 def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
     modes = ("closed_form", "exact") if args.mode == "both" else (args.mode,)
     cfg = _search_config(args.tol)
@@ -266,38 +274,29 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         query = {"fig": 1, "alphas": alphas, "epss": epss, "delta_from": lo, "delta_to": hi, "delta_points": n}
         return header, rows, query
 
-    if args.fig == 2:
-        mechanism = GaussianConfig(sigma=20.0)
-        delta = 1e-5
-        t_values = list(range(1, 1001))
-        query = {"fig": 2, "sigma": 20.0, "q": None, "delta": delta, "t_from": 1, "t_to": 1000, "t_step": 1}
-    elif args.fig == 3:
-        mechanism = GaussianConfig(sigma=4.0, subsampling_q=0.001)
-        delta = 1e-5
-        t_values = list(range(1000, 400001, 1000))
-        query = {"fig": 3, "sigma": 4.0, "q": 0.001, "delta": delta, "t_from": 1000, "t_to": 400000, "t_step": 1000}
-    else:
-        for name in ("sigma", "delta", "t_from", "t_to"):
-            if getattr(args, name) is None:
-                raise UsageError(f"--{name.replace('_', '-')} is required without --fig")
-        if args.t_from > args.t_to:
-            raise UsageError(f"empty sweep: --t-from {args.t_from} > --t-to {args.t_to}")
-        if args.t_from < 1 or args.t_step < 1:
-            raise UsageError("--t-from and --t-step must be >= 1")
-        mechanism = _mechanism(args)
-        delta = args.delta
-        t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
-        query = {
-            "fig": None,
-            "sigma": args.sigma,
-            "q": args.q,
-            "delta": delta,
-            "t_from": args.t_from,
-            "t_to": args.t_to,
-            "t_step": args.t_step,
-        }
-    query["mode"] = args.mode
-    points = privacy_curve(mechanism, delta, t_values, modes=modes, cfg=cfg)
+    for name, value in _SWEEPS[args.fig].items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    for name in ("sigma", "delta", "t_from", "t_to"):
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name.replace('_', '-')} is required without --fig")
+    if args.t_from > args.t_to:
+        raise UsageError(f"empty sweep: --t-from {args.t_from} > --t-to {args.t_to}")
+    if args.t_from < 1 or args.t_step < 1:
+        raise UsageError("--t-from and --t-step must be >= 1")
+    mechanism = _mechanism(args)
+    t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
+    query = {
+        "fig": args.fig,
+        "sigma": args.sigma,
+        "q": args.q,
+        "delta": args.delta,
+        "t_from": args.t_from,
+        "t_to": args.t_to,
+        "t_step": args.t_step,
+        "mode": args.mode,
+    }
+    points = privacy_curve(mechanism, args.delta, t_values, modes=modes, cfg=cfg)
     q = mechanism.subsampling_q
     header = ["T"]
     if q is not None:
@@ -319,41 +318,25 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
     return header, rows, query
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     header, rows, query = _curve_rows(args)
-    if args.format == "csv":
-        text_rows = [[_format_cell(v) for v in row] for row in rows]
-        if args.out is None:
-            writer = csv.writer(sys.stdout, lineterminator="\n")
+
+    def write(out) -> None:
+        if args.format == "csv":
+            # csv writes floats with repr and None as an empty cell
+            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(text_rows)
+            writer.writerows(rows)
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(text_rows)
+            results = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
+            _emit(_record("curve", query, results, None, started), out)
+
+    if args.out is None:
+        write(sys.stdout)
     else:
-        record = _record(
-            "curve",
-            query,
-            {"columns": header, "rows": [dict(zip(header, row)) for row in rows]},
-            None,
-            started,
-        )
-        if args.out is None:
-            _emit(record)
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                _emit(record, handle)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
     return 0
 
 
@@ -464,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--delta", type=float, default=None)
     curve.add_argument("--t-from", dest="t_from", type=int, default=None)
     curve.add_argument("--t-to", dest="t_to", type=int, default=None)
-    curve.add_argument("--t-step", dest="t_step", type=int, default=1)
+    curve.add_argument("--t-step", dest="t_step", type=int, default=None)
     curve.add_argument("--alpha", default=None, help="comma-separated orders for --fig 1")
     curve.add_argument("--eps", default=None, help="comma-separated epsilons for --fig 1")
     curve.add_argument("--delta-from", dest="delta_from", type=float, default=0.0)
@@ -491,53 +474,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = ("convert", "compose", "max-t", "variance", "curve", "oracle-check")
-
-
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file key=value pairs in as flags; explicit flags override."""
-    if "--config" not in argv:
+    """Splice config-file key=value pairs in as flags; later files and explicit flags override."""
+    # declares only --config, so argparse's own spellings (--config=PATH, --conf)
+    # match here exactly as they would in the subcommand's parser
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config", action="append", default=[])
+    try:
+        known, rest = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        raise UsageError("--config needs a file path") from None
+    if not known.config:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
-    if not rest or rest[0] not in _COMMANDS:
+    if not rest or rest[0].startswith("-"):
         raise UsageError("--config is only valid after a subcommand")
-    with open(path, "r", encoding="utf-8") as handle:
-        pairs = []
-        for line_no, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            pairs += [flag, value.strip()]
+    pairs = []
+    for path in known.config:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
+                key, value = line.split("=", 1)
+                pairs += ["--" + key.strip().replace("_", "-"), value.strip()]
     return [rest[0]] + pairs + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        full_argv = _apply_config(raw_argv)
-    except UsageError as exc:
-        print(f"{TOOL_NAME}: usage error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OSError as exc:
-        print(f"{TOOL_NAME}: I/O error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(full_argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-
-    try:
+        args = _build_parser().parse_args(_apply_config(list(sys.argv[1:] if argv is None else argv)))
         return args.func(args)
+    except SystemExit as exc:  # argparse exits after --help, --version or a usage message
+        return int(exc.code) if exc.code is not None else 0
     except UsageError as exc:
         print(f"{TOOL_NAME}: usage error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -34,7 +34,7 @@ def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:
     """Renyi rate Delta^2 / (2 sigma^2) of a single Gaussian mechanism."""
     _check_positive(sigma, "sigma")
     _check_positive(sensitivity, "sensitivity")
-    return (sensitivity * sensitivity) / (2.0 * sigma * sigma)
+    return _rate(sensitivity * sensitivity, 2.0 * sigma * sigma, sigma)
 
 
 def rho_subsampled(sigma: float, q: float) -> float:
@@ -45,7 +45,15 @@ def rho_subsampled(sigma: float, q: float) -> float:
     """
     _check_positive(sigma, "sigma")
     _check_unit(q, "sampling rate q")
-    return (q * q) / ((1.0 - q) * sigma * sigma)
+    return _rate(q * q, (1.0 - q) * sigma * sigma, sigma)
+
+
+def _rate(numerator: float, denominator: float, sigma: float) -> float:
+    # a tiny finite sigma squares to 0.0, or to a subnormal whose reciprocal overflows
+    rate = numerator / denominator if denominator > 0.0 else math.inf
+    if math.isinf(rate):
+        raise DomainError(f"Renyi rate is not finite at sigma = {sigma!r}: {numerator!r} / {denominator!r}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -66,16 +74,6 @@ class GaussianConfig:
         if self.subsampling_q is not None:
             return rho_subsampled(self.sigma, self.subsampling_q)
         return rho_gaussian(self.sigma, self.sensitivity)
-
-
-def epochs_from_iterations(q: float, T: float) -> float:
-    """Passes over the data after T subsampled steps: epochs = q * T."""
-    return q * T
-
-
-def iterations_from_epochs(q: float, epochs: float) -> float:
-    """Subsampled steps needed for the given number of passes: T = epochs / q."""
-    return epochs / q
 
 
 def ma_epsilon(rho: float, T: float, delta: float) -> float:

@@ -121,8 +121,7 @@ def _polish_rows(
     for start in range(0, len(idx), block):
         rows = idx[start : start + block]
         u_q = np.clip(center_uq[rows][:, None] + offsets[None, :], -_U_MAX, _U_MAX)
-        lq = -np.log1p(np.exp(-u_q))
-        l1q = -np.log1p(np.exp(u_q))
+        lq, l1q = _log_probs(u_q)
         q = np.exp(lq)
         one_m_q = np.exp(l1q)
         lp, l1p = _log_probs(u_p[rows])

@@ -1,9 +1,13 @@
 """Command-line interface: flags, record shape, determinism, exit codes."""
 
+import csv
 import importlib.resources
+import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -145,6 +149,17 @@ def test_compose_bad_T(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_tiny_sigma_domain_error(capsys):
+    # sigma^2 underflows to 0.0
+    for argv in (
+        ["compose", "--sigma", "1e-200", "--T", "1", "--delta", "1e-5"],
+        ["max-t", "--sigma", "1e-200", "--eps", "1", "--delta", "1e-5"],
+        ["curve", "--sigma", "1e-200", "--delta", "1e-5", "--t-from", "1", "--t-to", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and "domain error" in err and out == ""
+
+
 def test_max_t_matches_library(capsys):
     code, out, _ = run_cli(capsys, "max-t", "--sigma", "20", "--eps", "6", "--delta", "1e-5")
     assert code == 0
@@ -218,6 +233,18 @@ def test_curve_out_file_matches_stdout(capsys, tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.decode("utf-8") == out
+
+
+def test_curve_preset_flag_override(capsys):
+    code, out, _ = run_cli(capsys, "curve", "--fig", "2", "--t-to", "3", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["query"]["fig"] == 2 and record["query"]["t_to"] == 3
+    assert [row["T"] for row in record["results"]["rows"]] == [1, 2, 3]
+    # the preset is the generic sweep with its flags filled in
+    _, preset, _ = run_cli(capsys, "curve", "--fig", "2", "--t-to", "3")
+    _, generic, _ = run_cli(capsys, "curve", "--sigma", "20", "--delta", "1e-5", "--t-from", "1", "--t-to", "3")
+    assert preset == generic
 
 
 def test_curve_fig1_preset(capsys):
@@ -329,6 +356,25 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert record["query"]["delta"] == 1e-5
 
 
+def test_config_spellings_and_repeated_files(capsys, tmp_path):
+    first = tmp_path / "first.cfg"
+    first.write_text("q=0.01\nsigma=8\n", encoding="utf-8")
+    later = tmp_path / "later.cfg"
+    later.write_text("q=0.02\nsigma=16\n", encoding="utf-8")
+    argv = ["compose", "--sigma", "4", "--T", "100", "--delta", "1e-5"]
+    for spelling in (["--config=" + str(first)], ["--conf", str(first)]):
+        code, out, _ = run_cli(capsys, *argv, *spelling)
+        assert code == 0
+        record = json.loads(out)
+        assert record["query"]["q"] == 0.01 and record["query"]["sigma"] == 4.0
+        assert record["results"]["rho"] == rho_subsampled(4.0, 0.01)
+    code, out, _ = run_cli(capsys, *argv, "--config", str(first), "--config", str(later))
+    assert code == 0
+    query = json.loads(out)["query"]
+    assert query["q"] == 0.02  # the later file wins
+    assert query["sigma"] == 4.0  # explicit flags beat both files
+
+
 def test_config_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compose", "--config")
     assert code == 2 and "--config needs a file path" in err
@@ -361,3 +407,40 @@ def test_wall_time_metadata(capsys):
     assert meta["version"] == "0.1.0"
     assert meta["seed"] is None
     assert meta["wall_time_s"] >= 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _check_output(text: str) -> None:
+    if text.startswith("{"):
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+    for row in rows[1:]:
+        for cell in row:
+            assert cell == "" or math.isfinite(float(cell))
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("rdpopt ")]
+
+
+def test_readme_commands(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        outputs = [out] if out else []
+        if "--out" in argv:
+            outputs.append((tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8"))
+        assert outputs, argv
+        for text in outputs:
+            _check_output(text)

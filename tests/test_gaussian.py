@@ -11,8 +11,6 @@ from rdpopt.gaussian import (
     AccountedEpsilon,
     GaussianConfig,
     acct_epsilon,
-    epochs_from_iterations,
-    iterations_from_epochs,
     ma_epsilon,
     ma_max_iterations,
     ma_required_variance,
@@ -33,6 +31,9 @@ def test_rho_gaussian():
         rho_gaussian(0.0)
     with pytest.raises(DomainError):
         rho_gaussian(1.0, -1.0)
+    for sigma in (1e-200, 1e-160):  # sigma^2 underflows to 0, or to a subnormal with no finite reciprocal
+        with pytest.raises(DomainError):
+            rho_gaussian(sigma)
 
 
 def test_rho_subsampled():
@@ -44,6 +45,8 @@ def test_rho_subsampled():
         rho_subsampled(4.0, 1.0)
     with pytest.raises(DomainError):
         rho_subsampled(-1.0, 0.5)
+    with pytest.raises(DomainError):
+        rho_subsampled(1e-200, 0.01)
 
 
 def test_gaussian_config():
@@ -57,14 +60,8 @@ def test_gaussian_config():
         GaussianConfig(sigma=0.0)
     with pytest.raises(DomainError):
         GaussianConfig(sigma=1.0, subsampling_q=1.5)
-
-
-def test_epoch_helpers():
-    assert epochs_from_iterations(0.001, 10000) == 10.0
-    assert iterations_from_epochs(0.001, 10.0) == 10000.0
-    assert math.isclose(
-        iterations_from_epochs(0.01, epochs_from_iterations(0.01, 2345.0)), 2345.0, rel_tol=1e-12
-    )
+    with pytest.raises(DomainError):
+        GaussianConfig(sigma=1e-170)
 
 
 def test_ma_epsilon_frozen_values():
