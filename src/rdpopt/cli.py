@@ -243,17 +243,33 @@ def _parse_float_list(text: str | None) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-# flag values behind each epsilon-versus-T sweep, the generic one and the
-# paper's --fig 2 and --fig 3; flags from the command line or a config file win
+# the flags each kind of sweep reads; a flag of one kind given to the other is
+# a usage error, which is why these flags default to None in the parser
+_T_SWEEP_FLAGS = ("sigma", "q", "delta", "t_from", "t_to", "t_step", "mode")
+_FIG1_FLAGS = ("alpha", "eps", "delta_from", "delta_to", "delta_points")
+
+# flag values behind each sweep: the frontier sweep --fig 1, the generic
+# epsilon-versus-T sweep and the paper's --fig 2 and --fig 3; flags from the
+# command line or a config file win
+_T_SWEEP = {"t_step": 1, "mode": "closed_form"}
 _SWEEPS = {
-    None: {"t_step": 1},
-    2: {"sigma": 20.0, "delta": 1e-5, "t_from": 1, "t_to": 1000, "t_step": 1},
-    3: {"sigma": 4.0, "q": 0.001, "delta": 1e-5, "t_from": 1000, "t_to": 400000, "t_step": 1000},
+    1: {"delta_from": 0.0, "delta_to": 0.5, "delta_points": 51},
+    None: _T_SWEEP,
+    2: {**_T_SWEEP, "sigma": 20.0, "delta": 1e-5, "t_from": 1, "t_to": 1000},
+    3: {**_T_SWEEP, "sigma": 4.0, "q": 0.001, "delta": 1e-5, "t_from": 1000, "t_to": 400000, "t_step": 1000},
 }
 
 
 def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
-    modes = ("closed_form", "exact") if args.mode == "both" else (args.mode,)
+    foreign = _T_SWEEP_FLAGS if args.fig == 1 else _FIG1_FLAGS
+    given = ["--" + name.replace("_", "-") for name in foreign if getattr(args, name) is not None]
+    if given and args.fig == 1:
+        raise UsageError(f"--fig 1 does not take {', '.join(given)}")
+    if given:
+        raise UsageError(f"only --fig 1 takes {', '.join(given)}")
+    for name, value in _SWEEPS[args.fig].items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     cfg = _search_config(args.tol)
     if args.fig == 1:
         alphas = _parse_float_list(args.alpha)
@@ -274,9 +290,6 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         query = {"fig": 1, "alphas": alphas, "epss": epss, "delta_from": lo, "delta_to": hi, "delta_points": n}
         return header, rows, query
 
-    for name, value in _SWEEPS[args.fig].items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
     for name in ("sigma", "delta", "t_from", "t_to"):
         if getattr(args, name) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required without --fig")
@@ -284,6 +297,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         raise UsageError(f"empty sweep: --t-from {args.t_from} > --t-to {args.t_to}")
     if args.t_from < 1 or args.t_step < 1:
         raise UsageError("--t-from and --t-step must be >= 1")
+    modes = ("closed_form", "exact") if args.mode == "both" else (args.mode,)
     mechanism = _mechanism(args)
     t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
     query = {
@@ -450,10 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--t-step", dest="t_step", type=int, default=None)
     curve.add_argument("--alpha", default=None, help="comma-separated orders for --fig 1")
     curve.add_argument("--eps", default=None, help="comma-separated epsilons for --fig 1")
-    curve.add_argument("--delta-from", dest="delta_from", type=float, default=0.0)
-    curve.add_argument("--delta-to", dest="delta_to", type=float, default=0.5)
-    curve.add_argument("--delta-points", dest="delta_points", type=int, default=51)
-    curve.add_argument("--mode", choices=("closed_form", "exact", "both"), default="closed_form")
+    curve.add_argument("--delta-from", dest="delta_from", type=float, default=None)
+    curve.add_argument("--delta-to", dest="delta_to", type=float, default=None)
+    curve.add_argument("--delta-points", dest="delta_points", type=int, default=None)
+    curve.add_argument("--mode", choices=("closed_form", "exact", "both"), default=None)
     curve.add_argument("--tol", type=float, default=None)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from .errors import (
     BracketRangeError,
@@ -78,11 +78,23 @@ def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> 
     _check_unit(delta, "delta", allow_zero=True)
     if not (delta < p < 1.0):
         raise DomainError(f"p must lie in (delta, 1) = ({delta!r}, 1), got {p!r}")
-    head = alpha * math.log(p) + (1.0 - alpha) * math.log(p - delta)
-    # log(e^eps - p + delta) = eps + log1p((delta - p) e^{-eps}), always finite here
-    log_rest = epsilon + math.log1p((delta - p) * math.exp(-epsilon))
-    tail = alpha * math.log1p(-p) + (1.0 - alpha) * log_rest
-    return log_add(head, tail)
+    return _objective(alpha, epsilon, delta)(p)
+
+
+def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], float]:
+    # boundary_objective as a function of p alone, for arguments already
+    # checked: a search builds it once and evaluates it hundreds of times
+    one_minus_alpha = 1.0 - alpha
+    exp_neg_eps = math.exp(-epsilon)
+
+    def objective(p: float) -> float:
+        head = alpha * math.log(p) + one_minus_alpha * math.log(p - delta)
+        # log(e^eps - p + delta) = eps + log1p((delta - p) e^{-eps}), always finite here
+        log_rest = epsilon + math.log1p((delta - p) * exp_neg_eps)
+        tail = alpha * math.log1p(-p) + one_minus_alpha * log_rest
+        return log_add(head, tail)
+
+    return objective
 
 
 def gamma_exact(
@@ -102,9 +114,7 @@ def gamma_exact(
     _check_unit(delta, "delta", allow_zero=True)
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
-    argmin_p, m_interior = minimize_unimodal(
-        lambda p: boundary_objective(p, alpha, epsilon, delta), delta, 1.0, cfg
-    )
+    argmin_p, m_interior = minimize_unimodal(_objective(alpha, epsilon, delta), delta, 1.0, cfg)
     m_edge = (1.0 - alpha) * math.log1p(-delta)
     if m_edge <= m_interior:
         return ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
@@ -156,15 +166,21 @@ def delta_exact(
 ) -> ConversionResult:
     """Smallest delta such that (alpha, gamma) implies (epsilon, delta)-DP.
 
-    Inverts the frontier, which is continuous and increasing in delta.
+    Inverts the frontier, which is continuous and increasing in delta, by
+    secant steps between 0 and the closed-form upper bound delta_bound
+    (or 1 - 1e-12 when the frontier does not reach gamma at that bound).
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
     _check_nonnegative(epsilon, "epsilon")
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
-    hi = 1.0 - 1e-12
+    top = 1.0 - 1e-12
+    hi = min(delta_bound(alpha, gamma, epsilon, cfg).value * (1.0 + 1e-9) + 1e-15, top)
     gamma_hi = gamma_exact(alpha, epsilon, hi, cfg).value
+    if gamma_hi < gamma and hi < top:
+        hi = top
+        gamma_hi = gamma_exact(alpha, epsilon, hi, cfg).value
     if gamma > gamma_hi:
         raise InfeasibleError(
             f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
@@ -177,6 +193,8 @@ def delta_exact(
         hi,
         increasing=True,
         cfg=cfg,
+        f_lo=0.0,  # gamma_exact at delta = 0
+        f_hi=gamma_hi,
     )
     return ConversionResult(min(max(d, 0.0), hi), "exact_numeric")
 
@@ -231,22 +249,26 @@ def epsilon_exact(
     """Smallest epsilon such that (alpha, gamma) implies (epsilon, delta)-DP.
 
     Returns 0 when the frontier at eps = 0 already dominates gamma;
-    otherwise bisects eps between 0 and the closed-form upper bound.
+    otherwise inverts the frontier by secant steps between 0 and the
+    closed-form upper bound (doubled until the frontier reaches gamma).
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
     _check_unit(delta, "delta")
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
-    if gamma_exact(alpha, 0.0, delta, cfg).value >= gamma:
+    gamma_lo = gamma_exact(alpha, 0.0, delta, cfg).value
+    if gamma_lo >= gamma:
         return ConversionResult(0.0, "exact_numeric")
     hi = max(_epsilon_bound(alpha, gamma, delta)[0], 1e-9) * (1.0 + 1e-9) + 1e-12
+    gamma_hi = gamma_exact(alpha, hi, delta, cfg).value
     guard = 0
-    while gamma_exact(alpha, hi, delta, cfg).value < gamma:
+    while gamma_hi < gamma:
         hi *= 2.0
         guard += 1
         if guard > 200:
             raise InfeasibleError(f"no epsilon reaches gamma={gamma!r} at delta={delta!r}")
+        gamma_hi = gamma_exact(alpha, hi, delta, cfg).value
     eps = invert_monotone(
         lambda e: gamma_exact(alpha, e, delta, cfg).value,
         gamma,
@@ -254,6 +276,8 @@ def epsilon_exact(
         hi,
         increasing=True,
         cfg=cfg,
+        f_lo=gamma_lo,
+        f_hi=gamma_hi,
     )
     return ConversionResult(max(eps, 0.0), "exact_numeric")
 

@@ -265,6 +265,19 @@ def test_curve_fig1_needs_lists(capsys):
     assert code == 2
 
 
+def test_curve_rejects_flags_of_the_other_sweep(capsys):
+    code, out, err = run_cli(
+        capsys, "curve", "--fig", "1", "--alpha", "2", "--eps", "1", "--sigma", "20", "--mode", "exact", "--delta-points", "2"
+    )
+    assert code == 2 and out == ""
+    assert "usage error: --fig 1 does not take --sigma, --mode" in err
+    code, out, err = run_cli(capsys, "curve", "--fig", "2", "--t-to", "2", "--alpha", "5", "--delta-points", "3")
+    assert code == 2 and out == ""
+    assert "usage error: only --fig 1 takes --alpha, --delta-points" in err
+    code, _, err = run_cli(capsys, "curve", "--sigma", "20", "--delta", "1e-5", "--t-from", "1", "--t-to", "2", "--delta-from", "0.1")
+    assert code == 2 and "--delta-from" in err
+
+
 def test_curve_json_record(capsys):
     code, out, _ = run_cli(
         capsys,

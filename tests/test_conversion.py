@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from rdpopt import conversion
 from rdpopt.conversion import (
+    _objective,
     balle_epsilon,
     baseline_delta,
     baseline_epsilon,
@@ -25,8 +27,9 @@ from rdpopt.conversion import (
 )
 from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
+from rdpopt.optimize import log_add
 
-from conftest import sample_triples
+from conftest import sample_small_delta_triples, sample_triples
 
 
 def test_zeta_alpha():
@@ -49,6 +52,52 @@ def test_boundary_objective_domain():
         boundary_objective(1.0, 2.0, 1.0, 0.1)
     with pytest.raises(DomainError):
         boundary_objective(0.5, 1.0, 1.0, 0.1)
+
+
+def _objective_reference(p, alpha, epsilon, delta):
+    # the objective written out in full at each evaluation, the reference for _objective
+    head = alpha * math.log(p) + (1.0 - alpha) * math.log(p - delta)
+    log_rest = epsilon + math.log1p((delta - p) * math.exp(-epsilon))
+    tail = alpha * math.log1p(-p) + (1.0 - alpha) * log_rest
+    return log_add(head, tail)
+
+
+def test_hoisted_objective_is_bit_identical():
+    for alpha, eps, delta in [(2.0, 1.0, 0.1), (1.5, 0.0, 0.3), (5.0, 0.5, 1e-6), (30.0, 2.0, 0.02), (49.0, 4.8, 0.49)]:
+        objective = _objective(alpha, eps, delta)
+        for p in np.linspace(delta, 1.0, 257)[1:-1].tolist():
+            want = _objective_reference(p, alpha, eps, delta)
+            assert objective(p) == want
+            assert boundary_objective(p, alpha, eps, delta) == want
+    assert gamma_exact(2.0, 1.0, 0.1).value == 0.5465668663746011
+
+
+def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
+    # each inversion brackets from a closed form and takes secant steps; a
+    # bisection to the same tolerance costs about 38 frontier solves an answer
+    solves = 0
+
+    def counted(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return gamma_exact(*args, **kwargs)
+
+    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    eps_solves, delta_solves = [], []
+    for alpha, gamma, delta in sample_small_delta_triples(rng, 40):
+        solves = 0
+        epsilon_exact(alpha, gamma, delta)
+        eps_solves.append(solves)
+    for alpha, eps, delta in sample_triples(rng, 40):
+        gamma = gamma_exact(alpha, eps, delta).value
+        solves = 0
+        epsilon_exact(alpha, gamma, delta)
+        eps_solves.append(solves)
+        solves = 0
+        delta_exact(alpha, gamma, eps)
+        delta_solves.append(solves)
+    assert sum(eps_solves) / len(eps_solves) <= 8.0
+    assert sum(delta_solves) / len(delta_solves) <= 8.0
 
 
 def test_objective_convexity_inside_log():

@@ -102,6 +102,87 @@ def test_invert_flat_segment_leftmost_crossing():
     assert fn(x) >= 1.0
 
 
+def _bisect_reference(fn, target, lo, hi, increasing=True, abs_tol=1e-10, max_iters=200):
+    # plain bisection to the same tolerance, the reference for invert_monotone
+    left, right = lo, hi
+    iters = 0
+    while (right - left) > abs_tol and iters < max_iters:
+        mid = 0.5 * (left + right)
+        if (fn(mid) >= target) == increasing:
+            right = mid
+        else:
+            left = mid
+        iters += 1
+    return right
+
+
+def test_invert_flat_segment_worst_case_steps():
+    evals = 0
+
+    def fn(x):
+        nonlocal evals
+        evals += 1
+        return 0.0 if x < 0.5 else 1.0
+
+    # endpoint values passed in, so every evaluation is one step
+    x = invert_monotone(fn, 1.0, 0.0, 1.0, f_lo=0.0, f_hi=1.0)
+    assert evals <= 2 * 34 + 1  # 2 * ceil(log2(1 / abs_tol)) + 1
+    assert abs(x - _bisect_reference(fn, 1.0, 0.0, 1.0)) <= 1e-10
+    assert fn(x) >= 1.0
+
+
+def test_invert_stops_at_adjacent_floats():
+    # near 1.2e7 floats are 1.9e-9 apart, so a bracket cannot shrink to abs_tol = 1e-9
+    cfg = ScalarSearchConfig(abs_tol=1e-9)
+    x0 = 12060724.1
+    evals = 0
+
+    def fn(x):
+        nonlocal evals
+        evals += 1
+        return 0.0 if x < x0 else 1.0
+
+    x = invert_monotone(fn, 1.0, 12060724.0, 12060725.0, cfg=cfg)
+    assert x == x0
+    assert evals <= 2 + 2 * 30 + 1  # endpoints, then 2 * ceil(log2(1 / 1e-9)) + 1 steps
+
+
+def test_invert_does_not_reevaluate_endpoint_values_passed_in():
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return x**3
+
+    x = invert_monotone(fn, 8.0, 0.0, 10.0, f_lo=0.0, f_hi=1000.0)
+    assert abs(x - 2.0) <= 1e-9
+    assert 0.0 not in seen and 10.0 not in seen
+    seen.clear()
+    x = invert_monotone(fn, 8.0, 0.0, 10.0, f_hi=1000.0)
+    assert abs(x - 2.0) <= 1e-9
+    assert seen.count(0.0) == 1 and 10.0 not in seen
+
+    def never(x):
+        raise AssertionError("fn evaluated")
+
+    with pytest.raises(BracketRangeError) as info:
+        invert_monotone(never, 5.0, 0.0, 1.0, f_lo=0.0, f_hi=1.0)
+    assert info.value.lo_value == 0.0 and info.value.hi_value == 1.0
+
+
+def test_invert_matches_bisection_reference_on_frontier_round_trips():
+    for alpha, eps, target in [(2.0, 1.0, 0.3), (2.0, 1.0, 0.05), (10.0, 0.5, 1.2), (40.0, 3.0, 3.5)]:
+        fn = lambda t: gamma_exact(alpha, eps, t).value
+        d = invert_monotone(fn, target, 0.0, 1.0 - 1e-12)
+        assert abs(d - _bisect_reference(fn, target, 0.0, 1.0 - 1e-12)) <= 1e-10
+        assert fn(d) >= target
+    for alpha, delta, target in [(2.0, 0.1, 0.5), (5.0, 1e-5, 1.0), (30.0, 0.02, 2.5)]:
+        fn = lambda e: gamma_exact(alpha, e, delta).value
+        e = invert_monotone(fn, target, 0.0, 20.0)
+        assert abs(e - _bisect_reference(fn, target, 0.0, 20.0)) <= 1e-10
+        assert fn(e) >= target
+
+
 def test_invert_out_of_range_carries_endpoints():
     with pytest.raises(BracketRangeError) as info:
         invert_monotone(math.exp, -1.0, -5.0, 5.0)
@@ -141,3 +222,19 @@ def test_invert_monotone_round_trip_cubics(c, frac):
     x = invert_monotone(fn, target, lo, hi)
     # derivative is at most 3*hi^2 + c, so the argument tolerance bounds the value gap
     assert abs(fn(x) - target) <= (3.0 * hi * hi + c) * 1e-9
+
+
+@given(
+    c=st.floats(min_value=0.1, max_value=5.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    increasing=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_invert_monotone_matches_bisection_reference_cubics(c, frac, increasing):
+    sign = 1.0 if increasing else -1.0
+    fn = lambda x: sign * (x**3 + c * x)
+    lo, hi = -4.0, 4.0
+    target = fn(lo) + frac * (fn(hi) - fn(lo))
+    x = invert_monotone(fn, target, lo, hi, increasing=increasing)
+    assert abs(x - _bisect_reference(fn, target, lo, hi, increasing=increasing)) <= 1e-10
+    assert (fn(x) >= target) if increasing else (fn(x) <= target)
