@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .conversion import (
@@ -36,7 +38,7 @@ from .conversion import (
     gamma_bound,
     gamma_exact,
 )
-from .errors import AccountingError, DomainError
+from .errors import AccountingError, DomainError, InfeasibleError
 from .gaussian import (
     GaussianConfig,
     acct_epsilon,
@@ -47,7 +49,7 @@ from .gaussian import (
     privacy_curve,
     required_variance,
 )
-from .optimize import ScalarSearchConfig
+from .optimize import DEFAULT_SEARCH
 from .oracle import DEFAULT_SEED, GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
 
 TOOL_NAME = "rdpopt"
@@ -66,12 +68,6 @@ class ValidationFailure(Exception):
     """An oracle check exceeded its tolerance; maps to exit code 5."""
 
 
-def _search_config(tol: float | None) -> ScalarSearchConfig:
-    if tol is None:
-        return ScalarSearchConfig()
-    return ScalarSearchConfig(abs_tol=tol)
-
-
 def _record(command: str, query: dict, results: dict, seed: int | None, started: float) -> dict:
     return {
         "command": command,
@@ -86,38 +82,35 @@ def _record(command: str, query: dict, results: dict, seed: int | None, started:
     }
 
 
-def _emit(record: dict, stream=None) -> None:
-    out = stream if stream is not None else sys.stdout
-    json.dump(record, out, indent=2)
-    out.write("\n")
+def _json_text(record: dict) -> str:
+    # callers serialise before writing, so a non-finite value writes nothing
+    try:
+        return json.dumps(record, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InfeasibleError(f"result is not finite and has no JSON form: {exc}") from None
 
 
-def _conversion_payload(result: ConversionResult) -> dict:
-    return {
-        "value": result.value,
-        "method": result.method,
-        "argmin_p": result.argmin_p,
-        "active_branch": result.active_branch,
-    }
+def _emit(record: dict) -> None:
+    sys.stdout.write(_json_text(record))
 
 
 # target -> method -> call. The lambdas look each library function up by name
 # when called, so a wrapper installed on this module after import sees the call.
 _CONVERSIONS = {
     "gamma": {
-        "exact": lambda a, cfg: gamma_exact(a.alpha, a.eps, a.delta, cfg),
-        "bound": lambda a, cfg: gamma_bound(a.alpha, a.eps, a.delta),
+        "exact": lambda a: gamma_exact(a.alpha, a.eps, a.delta),
+        "bound": lambda a: gamma_bound(a.alpha, a.eps, a.delta),
     },
     "eps": {
-        "exact": lambda a, cfg: epsilon_exact(a.alpha, a.gamma, a.delta, cfg),
-        "bound": lambda a, cfg: epsilon_bound(a.alpha, a.gamma, a.delta),
-        "baseline": lambda a, cfg: baseline_epsilon(a.alpha, a.gamma, a.delta),
-        "balle": lambda a, cfg: balle_epsilon(a.alpha, a.gamma, a.delta),
+        "exact": lambda a: epsilon_exact(a.alpha, a.gamma, a.delta),
+        "bound": lambda a: epsilon_bound(a.alpha, a.gamma, a.delta),
+        "baseline": lambda a: baseline_epsilon(a.alpha, a.gamma, a.delta),
+        "balle": lambda a: balle_epsilon(a.alpha, a.gamma, a.delta),
     },
     "delta": {
-        "exact": lambda a, cfg: delta_exact(a.alpha, a.gamma, a.eps, cfg),
-        "bound": lambda a, cfg: delta_bound(a.alpha, a.gamma, a.eps, cfg),
-        "baseline": lambda a, cfg: baseline_delta(a.alpha, a.gamma, a.eps),
+        "exact": lambda a: delta_exact(a.alpha, a.gamma, a.eps),
+        "bound": lambda a: delta_bound(a.alpha, a.gamma, a.eps),
+        "baseline": lambda a: baseline_delta(a.alpha, a.gamma, a.eps),
     },
 }
 
@@ -129,15 +122,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if len(missing) != 1:
         raise UsageError("exactly two of --gamma, --eps, --delta must be supplied")
     target = missing[0]
-    cfg = _search_config(args.tol)
     calls = _CONVERSIONS[target]
     if args.method != "all" and args.method not in calls:
         raise UsageError(f"method {args.method!r} cannot produce {target}; choose from {tuple(calls)}")
     methods = list(calls) if args.method == "all" else [args.method]
     results: dict = {}
     for method in methods:
-        value = calls[method](args, cfg)
-        results[method] = _conversion_payload(value) if isinstance(value, ConversionResult) else {"value": value}
+        value = calls[method](args)
+        results[method] = asdict(value) if isinstance(value, ConversionResult) else {"value": value}
     query = {
         "alpha": args.alpha,
         "gamma": args.gamma,
@@ -145,9 +137,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
         "delta": args.delta,
         "target": target,
         "method": args.method,
-        "abs_tol": cfg.abs_tol,
-        "max_iters": cfg.max_iters,
-        "coarse_grid": cfg.coarse_grid,
+        "abs_tol": DEFAULT_SEARCH.abs_tol,
+        "max_iters": DEFAULT_SEARCH.max_iters,
+        "coarse_grid": DEFAULT_SEARCH.coarse_grid,
     }
     _emit(_record("convert", query, results, None, started))
     return 0
@@ -163,8 +155,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     mechanism = _mechanism(args)
     rho = mechanism.rho
-    cfg = _search_config(args.tol)
-    ours = acct_epsilon(rho, args.T, args.delta, args.mode, cfg)
+    ours = acct_epsilon(rho, args.T, args.delta, args.mode)
     eps_ma = ma_epsilon(rho, args.T, args.delta)
     query = {
         "sigma": args.sigma,
@@ -172,17 +163,12 @@ def cmd_compose(args: argparse.Namespace) -> int:
         "T": args.T,
         "delta": args.delta,
         "mode": args.mode,
-        "abs_tol": cfg.abs_tol,
+        "abs_tol": DEFAULT_SEARCH.abs_tol,
     }
     results = {
         "rho": rho,
         "eps_ma": eps_ma,
-        "eps_ours": {
-            "epsilon": ours.epsilon,
-            "argmin_alpha": ours.argmin_alpha,
-            "active_branch": ours.active_branch,
-            "mode": ours.mode,
-        },
+        "eps_ours": asdict(ours),
         "gap": eps_ma - ours.epsilon,
     }
     _emit(_record("compose", query, results, None, started))
@@ -193,8 +179,7 @@ def cmd_max_t(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     mechanism = _mechanism(args)
     rho = mechanism.rho
-    cfg = _search_config(args.tol)
-    t_ours = max_iterations(rho, args.eps, args.delta, args.mode, cfg)
+    t_ours = max_iterations(rho, args.eps, args.delta, args.mode)
     t_ma = ma_max_iterations(rho, args.eps, args.delta)
     query = {
         "sigma": args.sigma,
@@ -202,7 +187,7 @@ def cmd_max_t(args: argparse.Namespace) -> int:
         "eps": args.eps,
         "delta": args.delta,
         "mode": args.mode,
-        "abs_tol": cfg.abs_tol,
+        "abs_tol": DEFAULT_SEARCH.abs_tol,
     }
     results = {
         "rho": rho,
@@ -221,18 +206,10 @@ def cmd_variance(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
-    cfg = _search_config(args.tol)
-    ours = required_variance(args.T, args.eps, args.delta, cfg)
+    ours = required_variance(args.T, args.eps, args.delta)
     ma_value = ma_required_variance(args.T, args.eps, args.delta)
-    query = {"T": args.T, "eps": args.eps, "delta": args.delta, "abs_tol": cfg.abs_tol}
-    results = {
-        "sigma_sq": ours.sigma_sq,
-        "argmin_alpha": ours.argmin_alpha,
-        "alpha_star": ours.alpha_star,
-        "sigma_sq_at_alpha_star": ours.sigma_sq_at_alpha_star,
-        "ma_sigma_sq": ma_value,
-        "reduction": ma_value - ours.sigma_sq,
-    }
+    query = {"T": args.T, "eps": args.eps, "delta": args.delta, "abs_tol": DEFAULT_SEARCH.abs_tol}
+    results = {**asdict(ours), "ma_sigma_sq": ma_value, "reduction": ma_value - ours.sigma_sq}
     _emit(_record("variance", query, results, None, started))
     return 0
 
@@ -270,7 +247,6 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
     for name, value in _SWEEPS[args.fig].items():
         if getattr(args, name) is None:
             setattr(args, name, value)
-    cfg = _search_config(args.tol)
     if args.fig == 1:
         alphas = _parse_float_list(args.alpha)
         epss = _parse_float_list(args.eps)
@@ -286,7 +262,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         for alpha, eps in zip(alphas, epss):
             for i in range(n):
                 d = lo + (hi - lo) * i / (n - 1)
-                rows.append([alpha, eps, d, gamma_exact(alpha, eps, d, cfg).value, gamma_bound(alpha, eps, d).value])
+                rows.append([alpha, eps, d, gamma_exact(alpha, eps, d).value, gamma_bound(alpha, eps, d).value])
         query = {"fig": 1, "alphas": alphas, "epss": epss, "delta_from": lo, "delta_to": hi, "delta_points": n}
         return header, rows, query
 
@@ -297,7 +273,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         raise UsageError(f"empty sweep: --t-from {args.t_from} > --t-to {args.t_to}")
     if args.t_from < 1 or args.t_step < 1:
         raise UsageError("--t-from and --t-step must be >= 1")
-    modes = ("closed_form", "exact") if args.mode == "both" else (args.mode,)
+    exact = args.mode != "closed_form"  # exact or both
     mechanism = _mechanism(args)
     t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
     query = {
@@ -310,13 +286,13 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         "t_step": args.t_step,
         "mode": args.mode,
     }
-    points = privacy_curve(mechanism, args.delta, t_values, modes=modes, cfg=cfg)
+    points = privacy_curve(mechanism, args.delta, t_values, exact=exact)
     q = mechanism.subsampling_q
     header = ["T"]
     if q is not None:
         header.append("epochs")
     header += ["eps_ma", "eps_ours"]
-    if "exact" in modes:
+    if exact:
         header.append("eps_ours_exact")
     header.append("gap")
     rows = []
@@ -325,7 +301,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         if q is not None:
             row.append(q * point.T)
         row += [point.eps_ma, point.eps_ours]
-        if "exact" in modes:
+        if exact:
             row.append(point.eps_ours_exact)
         row.append(point.gap)
         rows.append(row)
@@ -335,22 +311,19 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
 def cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     header, rows, query = _curve_rows(args)
-
-    def write(out) -> None:
-        if args.format == "csv":
-            # csv writes floats with repr and None as an empty cell
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            results = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
-            _emit(_record("curve", query, results, None, started), out)
-
+    if args.format == "csv":
+        # csv writes floats with repr and None as an empty cell
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        text = buffer.getvalue()
+    else:
+        results = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
+        text = _json_text(_record("curve", query, results, None, started))
     if args.out is None:
-        write(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write(handle)
+            handle.write(text)
     return 0
 
 
@@ -422,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--eps", type=float, default=None)
     convert.add_argument("--delta", type=float, default=None)
     convert.add_argument("--method", choices=("exact", "bound", "baseline", "balle", "all"), default="exact")
-    convert.add_argument("--tol", type=float, default=None, help="absolute search tolerance")
     convert.set_defaults(func=cmd_convert)
 
     compose = sub.add_parser("compose", help="epsilon after T compositions")
@@ -432,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compose.add_argument("--T", type=int, required=True)
     compose.add_argument("--delta", type=float, required=True)
     compose.add_argument("--mode", choices=("closed_form", "exact"), default="closed_form")
-    compose.add_argument("--tol", type=float, default=None)
     compose.set_defaults(func=cmd_compose)
 
     max_t = sub.add_parser("max-t", help="largest T within an epsilon budget")
@@ -442,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     max_t.add_argument("--eps", type=float, required=True)
     max_t.add_argument("--delta", type=float, required=True)
     max_t.add_argument("--mode", choices=("closed_form", "exact"), default="closed_form")
-    max_t.add_argument("--tol", type=float, default=None)
     max_t.set_defaults(func=cmd_max_t)
 
     variance = sub.add_parser("variance", help="noise variance needed for a target budget")
@@ -450,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     variance.add_argument("--T", type=int, required=True)
     variance.add_argument("--eps", type=float, required=True)
     variance.add_argument("--delta", type=float, required=True)
-    variance.add_argument("--tol", type=float, default=None)
     variance.set_defaults(func=cmd_variance)
 
     curve = sub.add_parser("curve", help="emit an epsilon-versus-T or frontier sweep")
@@ -468,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--delta-to", dest="delta_to", type=float, default=None)
     curve.add_argument("--delta-points", dest="delta_points", type=int, default=None)
     curve.add_argument("--mode", choices=("closed_form", "exact", "both"), default=None)
-    curve.add_argument("--tol", type=float, default=None)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", choices=("csv", "json"), default="csv")
     curve.set_defaults(func=cmd_curve)

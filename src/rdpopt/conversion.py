@@ -25,17 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .errors import (
-    BracketRangeError,
-    DomainError,
-    InfeasibleError,
-    _check_alpha,
-    _check_nonnegative,
-    _check_unit,
-)
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
 from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
 
-Method = Literal["exact_numeric", "closed_form_bound", "baseline", "balle"]
+Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
 
 
@@ -114,6 +107,10 @@ def gamma_exact(
     _check_unit(delta, "delta", allow_zero=True)
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
+    if math.nextafter(delta, 1.0) == 1.0:
+        # no float lies inside (delta, 1) to search; alpha * delta >= 1 holds
+        # there for every float alpha > 1, so the boundary value is exact
+        return ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
     argmin_p, m_interior = minimize_unimodal(_objective(alpha, epsilon, delta), delta, 1.0, cfg)
     m_edge = (1.0 - alpha) * math.log1p(-delta)
     if m_edge <= m_interior:
@@ -158,17 +155,13 @@ def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     return ConversionResult(f, "closed_form_bound", active_branch="f_bound")
 
 
-def delta_exact(
-    alpha: float,
-    gamma: float,
-    epsilon: float,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
-) -> ConversionResult:
+def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     """Smallest delta such that (alpha, gamma) implies (epsilon, delta)-DP.
 
     Inverts the frontier, which is continuous and increasing in delta, by
     secant steps between 0 and the closed-form upper bound delta_bound
     (or 1 - 1e-12 when the frontier does not reach gamma at that bound).
+    Every search runs at DEFAULT_SEARCH.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -176,61 +169,59 @@ def delta_exact(
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
-    hi = min(delta_bound(alpha, gamma, epsilon, cfg).value * (1.0 + 1e-9) + 1e-15, top)
-    gamma_hi = gamma_exact(alpha, epsilon, hi, cfg).value
+    hi = min(delta_bound(alpha, gamma, epsilon).value * (1.0 + 1e-9) + 1e-15, top)
+    gamma_hi = gamma_exact(alpha, epsilon, hi).value
     if gamma_hi < gamma and hi < top:
         hi = top
-        gamma_hi = gamma_exact(alpha, epsilon, hi, cfg).value
+        gamma_hi = gamma_exact(alpha, epsilon, hi).value
     if gamma > gamma_hi:
         raise InfeasibleError(
             f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
             f"(frontier tops out near {gamma_hi!r})"
         )
     d = invert_monotone(
-        lambda t: gamma_exact(alpha, epsilon, t, cfg).value,
+        lambda t: gamma_exact(alpha, epsilon, t).value,
         gamma,
         0.0,
         hi,
         increasing=True,
-        cfg=cfg,
         f_lo=0.0,  # gamma_exact at delta = 0
         f_hi=gamma_hi,
     )
     return ConversionResult(min(max(d, 0.0), hi), "exact_numeric")
 
 
-def delta_bound(
-    alpha: float,
-    gamma: float,
-    epsilon: float,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
-) -> ConversionResult:
+def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     """Closed-form upper bound on the optimal delta; exact when it is >= 1/alpha.
 
     Inverts each closed-form frontier piece separately and takes the best:
     the moment piece inverts to zeta(alpha) * e^{-(alpha-1)(eps-gamma)},
-    the tangent piece is inverted numerically on [0, 1/alpha).
+    the tangent piece is inverted numerically on [0, 1/alpha) at
+    DEFAULT_SEARCH.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
     _check_nonnegative(epsilon, "epsilon")
-    d_closed = -math.expm1(epsilon - gamma)  # 1 - e^(eps - gamma)
+    # 1 - e^(eps - gamma), which can reach 1/alpha only when eps < gamma; the
+    # exponent is capped at 0 so that a large eps - gamma does not overflow
+    d_closed = -math.expm1(min(epsilon - gamma, 0.0))
     if d_closed >= 1.0 / alpha:
         return ConversionResult(d_closed, "closed_form_bound", active_branch="alpha_delta_ge_1")
     d_g = math.exp(log_zeta(alpha) - (alpha - 1.0) * (epsilon - gamma))
     cap = (1.0 / alpha) * (1.0 - 1e-12)
-    if gamma <= _f_lower_bound(alpha, epsilon, cap):
-        try:
-            d_f = invert_monotone(
-                lambda t: _f_lower_bound(alpha, epsilon, t),
-                gamma,
-                0.0,
-                cap,
-                increasing=True,
-                cfg=cfg,
-            )
-        except BracketRangeError:
-            d_f = cap
+    f_cap = _f_lower_bound(alpha, epsilon, cap)
+    if gamma <= f_cap:
+        # the tangent piece is 0 at delta = 0 and gamma >= 0, so gamma lies
+        # in the range the piece attains on [0, cap]
+        d_f = invert_monotone(
+            lambda t: _f_lower_bound(alpha, epsilon, t),
+            gamma,
+            0.0,
+            cap,
+            increasing=True,
+            f_lo=0.0,
+            f_hi=f_cap,
+        )
     else:
         # the tangent piece stays below gamma on its whole domain; it only
         # certifies delta <= 1/alpha, which the moment piece already beats

@@ -25,9 +25,15 @@ from typing import Iterable, Optional, Sequence
 
 from .conversion import Branch, _epsilon_bound, epsilon_exact, log_zeta
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
-from .optimize import ScalarSearchConfig, minimize_unimodal
+from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, minimize_unimodal
 
 MODES = ("closed_form", "exact")
+
+# exact mode's order scan and the epsilon_exact inversion at each order it
+# visits: every order costs a nested search, so both run coarser than
+# DEFAULT_SEARCH
+_EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
+_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32)
 
 
 def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:
@@ -84,7 +90,7 @@ def ma_epsilon(rho: float, T: float, delta: float) -> float:
     """
     _check_positive(rho, "rho")
     _check_steps(T)
-    _check_unit(delta, "delta")
+    _check_delta(delta)
     s = rho * T
     return s + math.sqrt(4.0 * s * math.log(1.0 / delta))
 
@@ -92,6 +98,13 @@ def ma_epsilon(rho: float, T: float, delta: float) -> float:
 def _check_steps(T: float) -> None:
     if not (math.isfinite(T) and T >= 1):
         raise DomainError(f"T must be >= 1, got {T!r}")
+
+
+def _check_delta(delta: float) -> None:
+    # the accountants take log(1/delta), which is infinite below 1/DBL_MAX
+    _check_unit(delta, "delta")
+    if 1.0 / delta == math.inf:
+        raise DomainError(f"delta must be at least 1/DBL_MAX so that log(1/delta) is finite, got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,7 @@ class AccountedEpsilon:
     mode: str
 
 
-def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig) -> tuple[float, float]:
+def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig = DEFAULT_SEARCH) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta], searching log(alpha - 1) so that
     # orders near 1 and near 1/delta get comparable resolution
     u_hi = math.log(1.0 / delta - 1.0)
@@ -121,13 +134,7 @@ def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig) -> tuple[
     return 1.0 + math.exp(u), value
 
 
-def acct_epsilon(
-    rho: float,
-    T: float,
-    delta: float,
-    mode: str = "closed_form",
-    cfg: ScalarSearchConfig | None = None,
-) -> AccountedEpsilon:
+def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
     """Epsilon after T compositions at rate rho, via the conversion frontier.
 
     The T-fold composition satisfies (alpha, rho T alpha)-Renyi DP at every
@@ -138,45 +145,39 @@ def acct_epsilon(
       exact         epsilon_exact(alpha, rho T alpha, delta)
 
     Exact mode also tries the closed-form argmin, so it is never worse than
-    closed-form mode up to search tolerance.
+    closed-form mode up to search tolerance.  The closed-form order scan
+    runs at DEFAULT_SEARCH; exact mode scans orders to 1e-6 and inverts at
+    each one to 1e-9.
     """
     _check_positive(rho, "rho")
     _check_steps(T)
-    _check_unit(delta, "delta")
+    _check_delta(delta)
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    if cfg is None:
-        cfg = ScalarSearchConfig()
     rho_T = rho * T
-    a_closed, _ = _min_over_orders(lambda a: _epsilon_bound(a, rho_T * a, delta)[0], delta, cfg)
+    a_closed, _ = _min_over_orders(lambda a: _epsilon_bound(a, rho_T * a, delta)[0], delta)
     eps_closed, branch = _epsilon_bound(a_closed, rho_T * a_closed, delta)
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
-    inner_cfg = ScalarSearchConfig(abs_tol=1e-9, max_iters=cfg.max_iters, coarse_grid=32)
-    order_cfg = ScalarSearchConfig(abs_tol=1e-6, max_iters=cfg.max_iters, coarse_grid=min(cfg.coarse_grid, 64))
-
     def exact_at(alpha: float) -> float:
-        return epsilon_exact(alpha, rho_T * alpha, delta, inner_cfg).value
+        return epsilon_exact(alpha, rho_T * alpha, delta, _EXACT_INNER).value
 
     # _min_over_orders already compares the alpha = 1/delta endpoint
-    a_best, v_best = _min_over_orders(exact_at, delta, order_cfg)
+    a_best, v_best = _min_over_orders(exact_at, delta, _EXACT_ORDERS)
     v_seed = exact_at(a_closed)
     if v_seed < v_best:
         a_best, v_best = a_closed, v_seed
     return AccountedEpsilon(v_best, a_best, None, mode)
 
 
-def max_iterations(
-    rho: float,
-    epsilon: float,
-    delta: float,
-    mode: str = "closed_form",
-    cfg: ScalarSearchConfig | None = None,
-) -> int:
-    """Largest integer T whose accounted epsilon stays within the budget."""
+def max_iterations(rho: float, epsilon: float, delta: float, mode: str = "closed_form") -> int:
+    """Largest integer T whose accounted epsilon stays within the budget.
+
+    Each candidate T is accounted by acct_epsilon in the given mode.
+    """
     _check_positive(epsilon, "epsilon budget")
-    return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode, cfg).epsilon, epsilon)
+    return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode).epsilon, epsilon)
 
 
 def ma_max_iterations(rho: float, epsilon: float, delta: float) -> int:
@@ -213,7 +214,7 @@ def ma_required_variance(T: float, epsilon: float, delta: float) -> float:
     """
     _check_steps(T)
     _check_positive(epsilon, "epsilon budget")
-    _check_unit(delta, "delta")
+    _check_delta(delta)
     big_l = math.log(1.0 / delta)
     x = (math.sqrt(epsilon + big_l) - math.sqrt(big_l)) ** 2
     if not x > 0.0:
@@ -236,23 +237,17 @@ class RequiredVariance:
     sigma_sq_at_alpha_star: Optional[float]
 
 
-def required_variance(
-    T: float,
-    epsilon: float,
-    delta: float,
-    cfg: ScalarSearchConfig | None = None,
-) -> RequiredVariance:
+def required_variance(T: float, epsilon: float, delta: float) -> RequiredVariance:
     """Smallest unit-sensitivity variance whose accounted epsilon meets the budget.
 
     Minimizes sigma^2(alpha) = alpha T / (2 eps + (2/(alpha-1)) log(delta/zeta(alpha)))
-    over the orders where the denominator is positive.  Requires
-    eps > 2 delta log(1/delta) so that some order is feasible.
+    over the orders where the denominator is positive, searching at
+    DEFAULT_SEARCH.  Requires eps > 2 delta log(1/delta) so that some order
+    is feasible.
     """
     _check_steps(T)
     _check_positive(epsilon, "epsilon budget")
-    _check_unit(delta, "delta")
-    if cfg is None:
-        cfg = ScalarSearchConfig()
+    _check_delta(delta)
     threshold = 2.0 * delta * math.log(1.0 / delta)
     if not epsilon > threshold:
         raise DomainError(
@@ -267,7 +262,7 @@ def required_variance(
         d = denom(alpha)
         return alpha * T / d if d > 0.0 else math.inf
 
-    argmin_alpha, sigma_sq = _min_over_orders(objective, delta, cfg)
+    argmin_alpha, sigma_sq = _min_over_orders(objective, delta)
     alpha_star = 2.0 * math.log(1.0 / delta) / epsilon
     plug = None
     if 1.0 < alpha_star <= 1.0 / delta:
@@ -297,26 +292,23 @@ def privacy_curve(
     config: GaussianConfig,
     delta: float,
     T_values: Sequence[float] | Iterable[float],
-    modes: Sequence[str] = ("closed_form",),
-    cfg: ScalarSearchConfig | None = None,
+    exact: bool = False,
 ) -> list[CurvePoint]:
     """Sweep epsilon over T for the baseline and this accountant.
 
-    The closed-form column is always produced; an exact column is added
-    when "exact" is among the requested modes.  gap = eps_ma - eps_ours.
+    The closed-form column is always produced; exact=True adds the
+    exact-mode column eps_ours_exact, which is None otherwise.
+    gap = eps_ma - eps_ours.
     """
-    _check_unit(delta, "delta")
+    _check_delta(delta)
     t_list = list(T_values)
     if not t_list:
         raise DomainError("T_values must be non-empty")
-    if not modes or any(m not in MODES for m in modes):
-        raise DomainError(f"modes must be a non-empty subset of {MODES}, got {modes!r}")
     rho = config.rho
-    want_exact = "exact" in modes
     rows = []
     for T in t_list:
         ma = ma_epsilon(rho, T, delta)
-        ours = acct_epsilon(rho, T, delta, "closed_form", cfg).epsilon
-        exact_value = acct_epsilon(rho, T, delta, "exact", cfg).epsilon if want_exact else None
+        ours = acct_epsilon(rho, T, delta, "closed_form").epsilon
+        exact_value = acct_epsilon(rho, T, delta, "exact").epsilon if exact else None
         rows.append(CurvePoint(T=T, eps_ma=ma, eps_ours=ours, eps_ours_exact=exact_value, gap=ma - ours))
     return rows

@@ -1,5 +1,6 @@
 """Command-line interface: flags, record shape, determinism, exit codes."""
 
+import contextlib
 import csv
 import importlib.resources
 import io
@@ -13,10 +14,13 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdpopt import cli
 from rdpopt.conversion import balle_epsilon, baseline_delta, epsilon_bound, gamma_exact
 from rdpopt.gaussian import (
+    CurvePoint,
     acct_epsilon,
     ma_epsilon,
     ma_max_iterations,
@@ -117,6 +121,84 @@ def test_convert_baseline_delta_overflow(capsys):
     code, out, _ = run_cli(capsys, "convert", "--alpha", "1000", "--gamma", "5", "--eps", "0.5", "--method", "all")
     assert code == 0
     assert json.loads(out)["results"]["baseline"]["value"] == 1.0
+
+
+def test_convert_delta_bound_large_eps_minus_gamma(capsys):
+    # e^(eps - gamma) overflows a double once eps - gamma > 709.78
+    code, out, err = run_cli(capsys, "convert", "--alpha", "2", "--gamma", "1", "--eps", "1000")
+    assert code == 0, err
+    assert json.loads(out)["results"]["exact"]["value"] >= 0.0
+    code, out, _ = run_cli(capsys, "convert", "--alpha", "2", "--gamma", "1", "--eps", "1000", "--method", "bound")
+    assert code == 0 and json.loads(out)["results"]["bound"]["value"] == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.floats(1.0, 1e4, exclude_min=True),
+    gamma=st.floats(0.0, 2000.0),
+    eps=st.floats(0.0, 2000.0),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    target=st.sampled_from(("gamma", "eps", "delta")),
+    method=st.sampled_from(("exact", "bound", "baseline", "balle", "all")),
+)
+@example(alpha=2.0, gamma=0.0, eps=0.0, delta=0.9999999999999999, target="gamma", method="exact")
+@example(alpha=2.0, gamma=1.0, eps=0.0, delta=0.9999999999999999, target="eps", method="exact")
+def test_convert_finite_inputs_give_strict_json_or_typed_errors(alpha, gamma, eps, delta, target, method):
+    given_flags = {"gamma": gamma, "eps": eps, "delta": delta}
+    del given_flags[target]
+    argv = ["convert", "--alpha", repr(alpha), "--method", method]
+    for name, value in given_flags.items():
+        argv += ["--" + name, repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("rdpopt: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--alpha", "2", "--eps", "1", "--delta", "0.1"],
+        ["compose", "--sigma", "20", "--T", "10", "--delta", "1e-5"],
+        ["max-t", "--sigma", "20", "--eps", "1", "--delta", "1e-5"],
+        ["variance", "--T", "10", "--eps", "1", "--delta", "1e-5"],
+        ["curve", "--fig", "2", "--t-to", "2"],
+    ],
+)
+def test_search_tolerance_is_not_a_flag(capsys, argv):
+    # the searches run at fixed tolerances; only oracle-check takes --tol
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-6")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol" in err
+
+
+def test_delta_too_small_to_invert(capsys):
+    for argv in (
+        ["compose", "--sigma", "20", "--T", "1000", "--delta", "1e-310"],
+        ["max-t", "--sigma", "20", "--eps", "6", "--delta", "1e-310"],
+        ["variance", "--T", "100", "--eps", "1", "--delta", "1e-310"],
+        ["curve", "--sigma", "20", "--delta", "1e-310", "--t-from", "1", "--t-to", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("rdpopt: domain error: delta must be at least 1/DBL_MAX"), (argv, err)
+
+
+def test_non_finite_result_is_a_typed_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "ma_epsilon", lambda rho, T, delta: math.inf)
+    code, out, err = run_cli(capsys, "compose", "--sigma", "20", "--T", "1000", "--delta", "1e-5")
+    assert code == 3 and out == ""
+    assert err.startswith("rdpopt: infeasible: result is not finite")
+    # a JSON sweep is serialised before its --out file is opened
+    monkeypatch.setattr(cli, "privacy_curve", lambda *args, **kwargs: [CurvePoint(1, math.inf, 1.0, None, math.inf)])
+    path = tmp_path / "sweep.json"
+    code, out, err = run_cli(capsys, "curve", "--fig", "2", "--format", "json", "--out", str(path))
+    assert code == 3 and out == "" and not path.exists()
+    assert err.startswith("rdpopt: infeasible: result is not finite")
 
 
 def test_compose_record(capsys):

@@ -126,6 +126,9 @@ def test_gamma_exact_examples():
     assert r.argmin_p is not None and 0.1 < r.argmin_p < 1.0
     g = gamma_bound(2.0, 1.0, 0.1)
     assert r.value >= g.value
+    top = math.nextafter(1.0, 0.0)  # no float lies inside (top, 1) to search
+    r = gamma_exact(2.0, 0.0, top)
+    assert r.value == -math.log1p(-top) and r.argmin_p is None
 
 
 def test_gamma_exact_witness_is_on_the_constraint():

@@ -72,6 +72,8 @@ def test_ma_epsilon_frozen_values():
 def test_ma_epsilon_limits():
     # as delta -> 1 the tail term vanishes and eps -> rho*T
     assert math.isclose(ma_epsilon(0.00125, 1000.0, 1.0 - 1e-12), 1.25, rel_tol=1e-5)
+    # just above 1/DBL_MAX, log(1/delta) is still finite
+    assert math.isfinite(ma_epsilon(0.00125, 1000.0, 1e-308))
     with pytest.raises(DomainError):
         ma_epsilon(0.0, 10.0, 1e-5)
     with pytest.raises(DomainError):
@@ -245,7 +247,7 @@ def test_privacy_curve():
 
 def test_privacy_curve_exact_column():
     config = GaussianConfig(sigma=20.0)
-    rows = privacy_curve(config, 1e-5, [10.0], modes=("closed_form", "exact"))
+    rows = privacy_curve(config, 1e-5, [10.0], exact=True)
     assert rows[0].eps_ours_exact is not None
     assert rows[0].eps_ours_exact <= rows[0].eps_ours + 1e-6
 
@@ -255,6 +257,38 @@ def test_privacy_curve_validation():
     with pytest.raises(DomainError):
         privacy_curve(config, 1e-5, [])
     with pytest.raises(DomainError):
-        privacy_curve(config, 1e-5, [10.0], modes=("bogus",))
-    with pytest.raises(DomainError):
         privacy_curve(config, 0.0, [10.0])
+
+
+_RHO = 0.00125  # sigma = 20
+_TINY = 1e-310  # below 1/DBL_MAX, where log(1/delta) is infinite
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ma_epsilon(_RHO, 1000, _TINY),
+        lambda: acct_epsilon(_RHO, 1000, _TINY),
+        lambda: acct_epsilon(_RHO, 1000, _TINY, "exact"),
+        lambda: ma_max_iterations(_RHO, 6.0, _TINY),
+        lambda: max_iterations(_RHO, 6.0, _TINY),
+        lambda: ma_required_variance(100, 1.0, _TINY),
+        lambda: required_variance(100, 1.0, _TINY),
+        lambda: privacy_curve(GaussianConfig(sigma=20.0), _TINY, [10.0]),
+    ],
+    ids=[
+        "ma_epsilon",
+        "acct_epsilon",
+        "acct_epsilon_exact",
+        "ma_max_iterations",
+        "max_iterations",
+        "ma_required_variance",
+        "required_variance",
+        "privacy_curve",
+    ],
+)
+def test_delta_too_small_to_invert(call):
+    # log(1/delta) is infinite here: no entry point may answer inf or 0, or
+    # fail on a derived quantity without naming delta
+    with pytest.raises(DomainError, match=r"delta must be at least 1/DBL_MAX.*1e-310"):
+        call()
