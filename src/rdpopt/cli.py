@@ -49,7 +49,6 @@ from .gaussian import (
     privacy_curve,
     required_variance,
 )
-from .optimize import DEFAULT_SEARCH
 from .oracle import DEFAULT_SEED, GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
 
 TOOL_NAME = "rdpopt"
@@ -88,6 +87,11 @@ def _json_text(record: dict) -> str:
         return json.dumps(record, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise InfeasibleError(f"result is not finite and has no JSON form: {exc}") from None
+
+
+def _flags(args: argparse.Namespace, *names: str) -> dict:
+    # the query a record echoes: the named flags, in order
+    return {name: getattr(args, name) for name in names}
 
 
 def _emit(record: dict) -> None:
@@ -130,17 +134,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     for method in methods:
         value = calls[method](args)
         results[method] = asdict(value) if isinstance(value, ConversionResult) else {"value": value}
-    query = {
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "eps": args.eps,
-        "delta": args.delta,
-        "target": target,
-        "method": args.method,
-        "abs_tol": DEFAULT_SEARCH.abs_tol,
-        "max_iters": DEFAULT_SEARCH.max_iters,
-        "coarse_grid": DEFAULT_SEARCH.coarse_grid,
-    }
+    query = {**_flags(args, "alpha", "gamma", "eps", "delta"), "target": target, "method": args.method}
     _emit(_record("convert", query, results, None, started))
     return 0
 
@@ -153,18 +147,10 @@ def cmd_compose(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
-    mechanism = _mechanism(args)
-    rho = mechanism.rho
+    rho = _mechanism(args).rho
     ours = acct_epsilon(rho, args.T, args.delta, args.mode)
     eps_ma = ma_epsilon(rho, args.T, args.delta)
-    query = {
-        "sigma": args.sigma,
-        "q": args.q,
-        "T": args.T,
-        "delta": args.delta,
-        "mode": args.mode,
-        "abs_tol": DEFAULT_SEARCH.abs_tol,
-    }
+    query = _flags(args, "sigma", "q", "T", "delta", "mode")
     results = {
         "rho": rho,
         "eps_ma": eps_ma,
@@ -177,18 +163,10 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_max_t(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    mechanism = _mechanism(args)
-    rho = mechanism.rho
+    rho = _mechanism(args).rho
     t_ours = max_iterations(rho, args.eps, args.delta, args.mode)
     t_ma = ma_max_iterations(rho, args.eps, args.delta)
-    query = {
-        "sigma": args.sigma,
-        "q": args.q,
-        "eps": args.eps,
-        "delta": args.delta,
-        "mode": args.mode,
-        "abs_tol": DEFAULT_SEARCH.abs_tol,
-    }
+    query = _flags(args, "sigma", "q", "eps", "delta", "mode")
     results = {
         "rho": rho,
         "T_ours": t_ours,
@@ -208,7 +186,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     ours = required_variance(args.T, args.eps, args.delta)
     ma_value = ma_required_variance(args.T, args.eps, args.delta)
-    query = {"T": args.T, "eps": args.eps, "delta": args.delta, "abs_tol": DEFAULT_SEARCH.abs_tol}
+    query = _flags(args, "T", "eps", "delta")
     results = {**asdict(ours), "ma_sigma_sq": ma_value, "reduction": ma_value - ours.sigma_sq}
     _emit(_record("variance", query, results, None, started))
     return 0
@@ -276,16 +254,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
     exact = args.mode != "closed_form"  # exact or both
     mechanism = _mechanism(args)
     t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
-    query = {
-        "fig": args.fig,
-        "sigma": args.sigma,
-        "q": args.q,
-        "delta": args.delta,
-        "t_from": args.t_from,
-        "t_to": args.t_to,
-        "t_step": args.t_step,
-        "mode": args.mode,
-    }
+    query = _flags(args, "fig", "sigma", "q", "delta", "t_from", "t_to", "t_step", "mode")
     points = privacy_curve(mechanism, args.delta, t_values, exact=exact)
     q = mechanism.subsampling_q
     header = ["T"]
@@ -365,15 +334,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    query = {
-        "alpha": args.alpha,
-        "eps": args.eps,
-        "delta": args.delta,
-        "grid_n": args.grid_n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    query = _flags(args, "alpha", "eps", "delta", "grid_n", "samples", "seed", "tol")
     _emit(_record("oracle-check", query, report, args.seed, started))
     if failures:
         raise ValidationFailure("; ".join(failures))

@@ -313,6 +313,19 @@ def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)
 
 
+def _gamma_of_epsilon_bound(alpha: float, epsilon: float, delta: float) -> float:
+    # the largest gamma with _epsilon_bound(alpha, gamma, delta) <= epsilon > 0:
+    # each piece inverted in gamma; below alpha*delta = 1 the bound is the
+    # smaller piece, so the larger inverse wins.  The chi piece inverts to
+    # log(1 + c expm1(x))/(alpha-1), x = (alpha-1) eps, c = alpha delta, which
+    # past x = 700 is the log of c e^x + (1 - c)
+    if alpha * delta >= 1.0:
+        return epsilon - math.log1p(-delta)
+    x, c = (alpha - 1.0) * epsilon, alpha * delta
+    log_chi = math.log1p(c * math.expm1(x)) if x < 700.0 else log_add(math.log(c) + x, math.log1p(-c))
+    return max(epsilon - (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), log_chi / (alpha - 1.0))
+
+
 def baseline_delta(alpha: float, gamma: float, epsilon: float) -> float:
     """Markov-style conversion delta = e^{-(alpha-1)(eps-gamma)}, capped at 1."""
     _check_alpha(alpha)

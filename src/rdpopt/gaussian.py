@@ -19,11 +19,12 @@ convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .conversion import Branch, _epsilon_bound, epsilon_exact, log_zeta
+from .conversion import Branch, _epsilon_bound, _gamma_of_epsilon_bound, epsilon_exact, gamma_exact
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
 from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, minimize_unimodal
 
@@ -92,12 +93,30 @@ def ma_epsilon(rho: float, T: float, delta: float) -> float:
     _check_steps(T)
     _check_delta(delta)
     s = rho * T
-    return s + math.sqrt(4.0 * s * math.log(1.0 / delta))
+    return _check_finite(s + math.sqrt(4.0 * s * math.log(1.0 / delta)), s)
 
 
 def _check_steps(T: float) -> None:
     if not (math.isfinite(T) and T >= 1):
         raise DomainError(f"T must be >= 1, got {T!r}")
+
+
+def _check_finite(value: float, rho_T: float) -> float:
+    # a total rate or an answer that overflowed; rho_T is the total rate behind it.
+    # acct_epsilon checks rho_T alone: its order scan keeps only finite values
+    if not math.isfinite(value):
+        raise DomainError(f"the accounting is not finite at rho*T = {rho_T!r}")
+    return value
+
+
+def _check_budget(epsilon: float, delta: float) -> None:
+    _check_positive(epsilon, "epsilon budget")
+    _check_delta(delta)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def _check_delta(delta: float) -> None:
@@ -125,7 +144,9 @@ def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig = DEFAULT_
     # minimize over alpha in (1, 1/delta], searching log(alpha - 1) so that
     # orders near 1 and near 1/delta get comparable resolution
     u_hi = math.log(1.0 / delta - 1.0)
-    u_lo = min(math.log(1e-6), u_hi - 1.0)
+    # 1 + e^u rounds to 1 below u = log(2^-53) = -36.7, which the scan would
+    # reach within a few ulps of delta = 1, where u_hi >= log(2^-52) = -36.04
+    u_lo = max(min(math.log(1e-6), u_hi - 1.0), -36.5)
     u, value = minimize_unimodal(lambda t: objective(1.0 + math.exp(t)), u_lo, u_hi, cfg)
     alpha_end = 1.0 / delta
     v_end = objective(alpha_end)
@@ -152,9 +173,9 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     _check_positive(rho, "rho")
     _check_steps(T)
     _check_delta(delta)
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     rho_T = rho * T
+    _check_finite(rho_T, rho_T)
     a_closed, _ = _min_over_orders(lambda a: _epsilon_bound(a, rho_T * a, delta)[0], delta)
     eps_closed, branch = _epsilon_bound(a_closed, rho_T * a_closed, delta)
     if mode == "closed_form":
@@ -171,110 +192,105 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     return AccountedEpsilon(v_best, a_best, None, mode)
 
 
+def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float]:
+    # the largest rho*T whose accounted epsilon meets the budget, and the order
+    # attaining it.  Each conversion increases with gamma, so the budget is met
+    # exactly when rho*T*alpha <= gamma_alpha(eps) at some order, where
+    # gamma_alpha inverts the conversion at that order
+    if mode == "closed_form":
+        alpha, value = _min_over_orders(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, delta)
+    else:
+        alpha, value = _min_over_orders(
+            lambda a: -gamma_exact(a, epsilon, delta, _EXACT_INNER).value / a, delta, _EXACT_ORDERS
+        )
+    return -value, alpha
+
+
 def max_iterations(rho: float, epsilon: float, delta: float, mode: str = "closed_form") -> int:
     """Largest integer T whose accounted epsilon stays within the budget.
 
-    Each candidate T is accounted by acct_epsilon in the given mode.
+    The largest total rate rho*T that meets the budget, a maximum over orders
+    of the inverse conversion, estimates T.  acct_epsilon in the given mode
+    then checks the integers around the estimate, so the answer satisfies
+    acct_epsilon(T) <= epsilon < acct_epsilon(T + 1).
     """
-    _check_positive(epsilon, "epsilon budget")
-    return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode).epsilon, epsilon)
+    _check_budget(epsilon, delta)
+    _check_positive(rho, "rho")
+    _check_mode(mode)
+    rho_T, _ = _largest_rate(epsilon, delta, mode)
+    return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode).epsilon, epsilon, rho_T / rho)
 
 
 def ma_max_iterations(rho: float, epsilon: float, delta: float) -> int:
-    """Largest integer T whose moments-accountant epsilon stays within the budget."""
-    _check_positive(epsilon, "epsilon budget")
-    return _largest_T(lambda T: ma_epsilon(rho, T, delta), epsilon)
+    """Largest integer T whose moments-accountant epsilon stays within the budget.
+
+    Estimated from the root of ma_epsilon in rho*T, then checked like max_iterations.
+    """
+    _check_budget(epsilon, delta)
+    _check_positive(rho, "rho")
+    return _largest_T(lambda T: ma_epsilon(rho, T, delta), epsilon, _ma_rate(epsilon, delta) / rho)
 
 
-def _largest_T(eps_at, budget: float) -> int:
-    # eps_at is nondecreasing in T; exponential bracket then integer bisection
-    if eps_at(1) > budget:
-        return 0
-    lo, hi = 1, 2
-    while eps_at(hi) <= budget:
-        lo = hi
-        hi *= 2
-        if hi > 2**62:
-            raise InfeasibleError("iteration budget exceeds 2^62; rate is effectively zero")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= budget:
-            lo = mid
+def _largest_T(eps_at, budget: float, estimate: float) -> int:
+    # eps_at is nondecreasing in T.  Gallops outwards from the estimate in
+    # doubling steps until the budget is crossed, keeping eps_at(lo) <= budget
+    # < eps_at(hi) as if T = 0 always met it and 2^62 + 1 never did, then bisects
+    lo, hi = 0, 2**62 + 1
+    probe, step = int(min(max(estimate, 1.0), 2**62)), 1
+    while hi - lo > 1 and (lo == 0 or hi > 2**62):
+        if eps_at(probe) <= budget:
+            lo, probe = probe, min(probe + step, 2**62)
         else:
-            hi = mid
-    return lo
+            hi, probe = probe, max(probe - step, 1)
+        step *= 2
+    if lo == 2**62:
+        raise InfeasibleError("iteration budget exceeds 2^62; rate is effectively zero")
+    return lo + bisect.bisect_right(range(lo + 1, hi), budget, key=eps_at)
+
+
+def _ma_rate(epsilon: float, delta: float) -> float:
+    # the root x = rho*T of x + sqrt(4 x log(1/delta)) = eps, which rounds to 0
+    # when eps is below log(1/delta) by about 16 orders of magnitude
+    big_l = math.log(1.0 / delta)
+    return (math.sqrt(epsilon + big_l) - math.sqrt(big_l)) ** 2
 
 
 def ma_required_variance(T: float, epsilon: float, delta: float) -> float:
     """Noise variance making the moments-accountant epsilon equal the budget.
 
-    Inverts eps = x + sqrt(4 x log(1/delta)) at x = rho*T, using the stable
-    root x = (sqrt(eps + log(1/delta)) - sqrt(log(1/delta)))^2, then
-    sigma^2 = T / (2 x).
+    sigma^2 = T / (2 x) at x = (sqrt(eps + log(1/delta)) - sqrt(log(1/delta)))^2,
+    the root in x = rho*T of eps = x + sqrt(4 x log(1/delta)); the same root
+    estimates ma_max_iterations.
     """
     _check_steps(T)
-    _check_positive(epsilon, "epsilon budget")
-    _check_delta(delta)
-    big_l = math.log(1.0 / delta)
-    x = (math.sqrt(epsilon + big_l) - math.sqrt(big_l)) ** 2
+    _check_budget(epsilon, delta)
+    x = _ma_rate(epsilon, delta)
     if not x > 0.0:
         raise InfeasibleError(f"budget epsilon={epsilon!r} admits no positive rate at delta={delta!r}")
-    return T / (2.0 * x)
+    return _check_finite(T / (2.0 * x), x)
 
 
 @dataclass(frozen=True)
 class RequiredVariance:
-    """Noise variance certified by the frontier's moment piece.
-
-    sigma_sq is the numeric infimum over feasible orders (the primary
-    answer); sigma_sq_at_alpha_star is the plug-in evaluation at
-    alpha_star = 2 log(1/delta)/eps, or None when that order is infeasible.
-    """
+    """Noise variance and the order alpha whose closed-form conversion certifies it."""
 
     sigma_sq: float
     argmin_alpha: float
-    alpha_star: float
-    sigma_sq_at_alpha_star: Optional[float]
 
 
 def required_variance(T: float, epsilon: float, delta: float) -> RequiredVariance:
     """Smallest unit-sensitivity variance whose accounted epsilon meets the budget.
 
-    Minimizes sigma^2(alpha) = alpha T / (2 eps + (2/(alpha-1)) log(delta/zeta(alpha)))
-    over the orders where the denominator is positive, searching at
-    DEFAULT_SEARCH.  Requires eps > 2 delta log(1/delta) so that some order
-    is feasible.
+    sigma^2 = T / (2 rho_T), where rho_T is the largest total rate whose
+    closed-form accounted epsilon meets the budget: the maximum over orders
+    alpha in (1, 1/delta] of gamma_alpha(eps) / alpha, where gamma_alpha
+    inverts epsilon_bound in gamma.  Every positive budget is feasible.
     """
     _check_steps(T)
-    _check_positive(epsilon, "epsilon budget")
-    _check_delta(delta)
-    threshold = 2.0 * delta * math.log(1.0 / delta)
-    if not epsilon > threshold:
-        raise DomainError(
-            f"epsilon must exceed 2*delta*log(1/delta) = {threshold!r}, got {epsilon!r}"
-        )
-    ld = math.log(delta)
-
-    def denom(alpha: float) -> float:
-        return 2.0 * epsilon + 2.0 * (ld - log_zeta(alpha)) / (alpha - 1.0)
-
-    def objective(alpha: float) -> float:
-        d = denom(alpha)
-        return alpha * T / d if d > 0.0 else math.inf
-
-    argmin_alpha, sigma_sq = _min_over_orders(objective, delta)
-    alpha_star = 2.0 * math.log(1.0 / delta) / epsilon
-    plug = None
-    if 1.0 < alpha_star <= 1.0 / delta:
-        d_star = denom(alpha_star)
-        if d_star > 0.0:
-            plug = alpha_star * T / d_star
-    return RequiredVariance(
-        sigma_sq=sigma_sq,
-        argmin_alpha=argmin_alpha,
-        alpha_star=alpha_star,
-        sigma_sq_at_alpha_star=plug,
-    )
+    _check_budget(epsilon, delta)
+    rho_T, alpha = _largest_rate(epsilon, delta, "closed_form")
+    # unit sensitivity: T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2)
+    return RequiredVariance(_check_finite(T / (2.0 * rho_T) if rho_T > 0.0 else math.inf, rho_T), alpha)
 
 
 @dataclass(frozen=True)

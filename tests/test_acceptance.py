@@ -217,7 +217,7 @@ def test_criterion_11_property_families_and_cli_contract(rng, capsys, tmp_path):
     codes = {
         0: cli.main(["convert", "--alpha", "2", "--eps", "1", "--delta", "0.1", "--method", "bound"]),
         2: cli.main(["convert", "--alpha", "2", "--gamma", "1", "--eps", "2", "--delta", "0.1"]),
-        3: cli.main(["variance", "--T", "10", "--eps", "0.1", "--delta", "0.4"]),
+        3: cli.main(["compose", "--sigma", "1e-200", "--T", "10", "--delta", "1e-5"]),
         4: cli.main(["curve", "--sigma", "20", "--delta", "1e-5", "--t-from", "1", "--t-to", "2",
                      "--out", str(tmp_path / "no_such_dir" / "x.csv")]),
         5: cli.main(["oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",

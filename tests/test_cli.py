@@ -159,6 +159,57 @@ def test_convert_finite_inputs_give_strict_json_or_typed_errors(alpha, gamma, ep
         assert out.getvalue() == "" and err.getvalue().startswith("rdpopt: ")
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _value(draw, typical):
+    # mostly a value in the typical range, sometimes any finite float
+    return repr(draw(st.one_of(typical, typical, _finite)))
+
+
+@st.composite
+def _accounting_argv(draw) -> list[str]:
+    # --flag=value, so that argparse takes a negative value as a value
+    command = draw(st.sampled_from(("compose", "max-t", "variance", "curve", "curve-json")))
+    argv = [command.removesuffix("-json")]
+    if command != "variance":
+        argv.append(f"--sigma={_value(draw, st.floats(1e-160, 1e6))}")
+        if draw(st.booleans()):
+            argv.append(f"--q={_value(draw, _unit)}")
+    if command in ("compose", "variance"):
+        argv.append(f"--T={draw(st.one_of(st.integers(1, 10**6), st.integers(-2, 2**63)))}")
+    if command in ("max-t", "variance"):
+        argv.append(f"--eps={_value(draw, st.floats(0.0, 1e3))}")
+    argv.append(f"--delta={_value(draw, _unit)}")
+    if command.startswith("curve"):
+        t_from = draw(st.one_of(st.integers(1, 10**6), st.integers(-1, 2**62)))
+        argv += [f"--t-from={t_from}", f"--t-to={t_from + draw(st.integers(-1, 3))}"]
+        if command == "curve-json":
+            argv.append("--format=json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_accounting_argv())
+@example(argv=["curve", "--sigma", "1e-154", "--delta", "1e-5", "--t-from", "1", "--t-to", "2"])
+@example(argv=["compose", "--sigma", "1e-154", "--T", "1000", "--delta", "1e-5"])
+def test_accounting_finite_inputs_give_clean_output_or_typed_errors(argv):
+    # closed-form compose, max-t, variance and curve (CSV and JSON): exit 0
+    # with strict, schema-valid JSON or a rectangular CSV of finite cells, or
+    # a labelled usage (2) or infeasible/domain (3) error with nothing on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == "" and err.getvalue().startswith("rdpopt: ")
+        return
+    _check_output(out.getvalue())
+    if out.getvalue().startswith("{"):
+        jsonschema.validate(json.loads(out.getvalue()), output_schema())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -278,10 +329,16 @@ def test_variance_record(capsys):
     assert results["reduction"] > 0.0
 
 
-def test_variance_infeasible_budget(capsys):
-    code, _, err = run_cli(capsys, "variance", "--T", "10", "--eps", "0.1", "--delta", "0.4")
-    assert code == 3
-    assert "2*delta" in err
+def test_variance_budget_below_two_delta_log_one_over_delta(capsys):
+    # eps = 0.1 is below 2 delta log(1/delta) = 0.733; compose at the answer spends the budget
+    code, out, err = run_cli(capsys, "variance", "--T", "10", "--eps", "0.1", "--delta", "0.4")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert list(results) == ["sigma_sq", "argmin_alpha", "ma_sigma_sq", "reduction"]
+    sigma = repr(math.sqrt(results["sigma_sq"]))
+    code, out, err = run_cli(capsys, "compose", "--sigma", sigma, "--T", "10", "--delta", "0.4")
+    assert code == 0, err
+    assert math.isclose(json.loads(out)["results"]["eps_ours"]["epsilon"], 0.1, rel_tol=1e-6)
 
 
 def _parse_csv(text: str) -> tuple[list[str], list[list[str]]]:

@@ -268,6 +268,25 @@ def test_epsilon_bound_huge_gamma_stays_finite():
     assert math.isfinite(v) and v > 0.0
 
 
+def test_gamma_of_epsilon_bound_inverts_epsilon_bound(rng):
+    # the largest gamma whose closed-form epsilon meets eps, on every branch
+    # and past (alpha - 1) eps = 700, where expm1 would overflow
+    cases = [(2.0, 1.0, 0.6), (2.0, 0.5, 0.01), (1.000001, 3.0, 1e-9), (1e4, 0.5, 1e-12), (800.0, 2.0, 1e-5)]
+    for _ in range(200):
+        alpha = 1.0 + math.exp(rng.uniform(math.log(1e-5), math.log(1e4)))
+        cases.append((alpha, math.exp(rng.uniform(math.log(1e-3), math.log(50.0))), math.exp(rng.uniform(math.log(1e-12), 0.0))))
+    branches = set()
+    for alpha, eps, delta in cases:
+        gamma = conversion._gamma_of_epsilon_bound(alpha, eps, delta)
+        at = epsilon_bound(alpha, gamma, delta)
+        branches.add(at.active_branch)
+        # near alpha = 1 the forward chi piece is log(c + expm1(x)) - log(c) with
+        # expm1(x) << c, good to about 1e-8 relative
+        assert math.isclose(at.value, eps, rel_tol=1e-7), (alpha, eps, delta)
+        assert epsilon_bound(alpha, gamma * (1.0 + 1e-6), delta).value > eps, (alpha, eps, delta)
+    assert branches == {"alpha_delta_ge_1", "g_bound", "chi_bound"}
+
+
 def test_baseline_pair():
     assert math.isclose(baseline_delta(2.0, 1.0, 2.0), math.exp(-1.0), rel_tol=1e-14)
     assert math.isclose(baseline_epsilon(2.0, 1.0, math.exp(-1.0)), 2.0, rel_tol=1e-14)

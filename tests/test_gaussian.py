@@ -1,12 +1,15 @@
 """Gaussian-mechanism composition accounting."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+from rdpopt import gaussian
 from rdpopt.conversion import balle_epsilon, epsilon_bound
-from rdpopt.errors import DomainError
+from rdpopt.errors import DomainError, InfeasibleError
 from rdpopt.gaussian import (
     AccountedEpsilon,
     GaussianConfig,
@@ -178,6 +181,100 @@ def test_max_iterations_edge_cases():
         max_iterations(0.001, 0.0, 1e-5)
 
 
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _doubling_largest_T(eps_at, budget: float) -> int:
+    # reference search: double T from 1 until the budget is crossed, then bisect
+    if eps_at(1) > budget:
+        return 0
+    lo, hi = 1, 2
+    while eps_at(hi) <= budget:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if eps_at(mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _solve_for_inputs(n: int) -> list[tuple[float, float, float]]:
+    """(rho, eps, delta) over the benchmark's max_t ranges: plain sigma in [0.5, 30], or subsampled."""
+    rng = random.Random(6)
+    out = []
+    for i in range(n):
+        eps, delta = _log_uniform(rng, 0.5, 10.0), _log_uniform(rng, 1e-9, 1e-3)
+        if i % 2:
+            rho = rho_subsampled(_log_uniform(rng, 1.0, 8.0), _log_uniform(rng, 1e-4, 3e-2))
+        else:
+            rho = rho_gaussian(_log_uniform(rng, 0.5, 30.0))
+        out.append((rho, eps, delta))
+    return out
+
+
+def test_max_iterations_match_the_doubling_search():
+    for rho, eps, delta in _solve_for_inputs(200):
+        want = _doubling_largest_T(lambda T: acct_epsilon(rho, T, delta).epsilon, eps)
+        assert max_iterations(rho, eps, delta) == want, (rho, eps, delta)
+        want_ma = _doubling_largest_T(lambda T: ma_epsilon(rho, T, delta), eps)
+        assert ma_max_iterations(rho, eps, delta) == want_ma, (rho, eps, delta)
+
+
+def _count_acct_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    real = gaussian.acct_epsilon
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "acct_epsilon", counted)
+    return calls
+
+
+def test_max_iterations_checks_few_integers(monkeypatch):
+    calls = _count_acct_calls(monkeypatch)
+    for rho, eps, delta in _solve_for_inputs(40):
+        calls[0] = 0
+        max_iterations(rho, eps, delta)
+        assert calls[0] <= 4, (rho, eps, delta, calls[0])
+
+
+def test_max_iterations_exact_mode(monkeypatch):
+    calls = _count_acct_calls(monkeypatch)
+    rho, delta = 1.0 / 800.0, 1e-5
+    T = max_iterations(rho, 6.0, delta, "exact")
+    assert T == 603
+    assert calls[0] <= 3
+    assert acct_epsilon(rho, T, delta, "exact").epsilon <= 6.0
+    assert acct_epsilon(rho, T + 1, delta, "exact").epsilon > 6.0
+
+
+def test_max_iterations_beyond_two_to_the_62():
+    with pytest.raises(InfeasibleError, match="2\\^62"):
+        max_iterations(1e-300, 1.0, 1e-5)
+    with pytest.raises(InfeasibleError, match="2\\^62"):
+        ma_max_iterations(1e-300, 1.0, 1e-5)
+
+
+def test_total_rate_overflow_is_a_domain_error():
+    rho = rho_gaussian(1e-154)  # 5e307: finite, but rho * T overflows, or the answer does
+    for call in (
+        lambda: acct_epsilon(rho, 1000, 1e-5),
+        lambda: acct_epsilon(rho, 1000, 1e-5, "exact"),
+        lambda: ma_epsilon(rho, 1000, 1e-5),
+        lambda: ma_epsilon(rho, 1, 1e-5),
+        lambda: privacy_curve(GaussianConfig(sigma=1e-154), 1e-5, [1, 2]),
+    ):
+        with pytest.raises(DomainError, match=r"not finite at rho\*T = "):
+            call()
+    # every finite total rate still gets an answer
+    assert math.isfinite(acct_epsilon(rho, 1, 1e-5).epsilon)
+
+
 def test_ma_required_variance():
     v = ma_required_variance(1.0, 1.0, 1e-5)
     assert math.isclose(v, 24.015440960770643, rel_tol=1e-9)
@@ -191,8 +288,6 @@ def test_ma_required_variance():
 def test_required_variance_frozen_point():
     r = required_variance(100.0, 1.0, 1e-6)
     assert math.isclose(r.sigma_sq, 2052.884744968447, rel_tol=1e-10)
-    assert math.isclose(r.alpha_star, 27.631021115928547, rel_tol=1e-12)
-    assert math.isclose(r.sigma_sq_at_alpha_star, 2149.557853447283, rel_tol=1e-10)
     assert 1.0 < r.argmin_alpha <= 1e6
     assert r.sigma_sq <= ma_required_variance(100.0, 1.0, 1e-6)
 
@@ -218,17 +313,24 @@ def test_required_variance_feeds_back_to_budget():
         assert acct.epsilon <= eps * (1.0 + 1e-6)
 
 
-def test_required_variance_infeasible_budget():
-    with pytest.raises(DomainError, match=r"2\*delta"):
-        required_variance(10.0, 0.1, 0.4)
-
-
-def test_required_variance_plug_in_can_be_none():
-    # alpha_star = 2 log(1/delta)/eps falls below 1 when eps is large
-    r = required_variance(10.0, 40.0, 1e-5)
-    assert r.alpha_star < 1.0
-    assert r.sigma_sq_at_alpha_star is None
+def test_required_variance_budget_below_two_delta_log_one_over_delta():
+    # 0.1 < 2 delta log(1/delta) = 0.733 at delta = 0.4: the budget is still met
+    r = required_variance(10.0, 0.1, 0.4)
     assert r.sigma_sq > 0.0
+    assert math.isclose(acct_epsilon(1.0 / (2.0 * r.sigma_sq), 10.0, 0.4).epsilon, 0.1, rel_tol=1e-6)
+
+
+def test_required_variance_is_certified_by_its_order():
+    rng = random.Random(7)
+    for _ in range(200):
+        T = round(_log_uniform(rng, 1.0, 1e5))
+        eps = _log_uniform(rng, 1e-3, 50.0)
+        delta = _log_uniform(rng, 1e-12, 0.9)
+        r = required_variance(T, eps, delta)
+        assert dataclasses.astuple(r) == (r.sigma_sq, r.argmin_alpha)
+        assert 1.0 < r.argmin_alpha <= 1.0 / delta
+        a = r.argmin_alpha
+        assert epsilon_bound(a, a * T / (2.0 * r.sigma_sq), delta).value <= eps * (1.0 + 1e-12)
 
 
 def test_privacy_curve():
