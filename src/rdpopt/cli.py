@@ -49,7 +49,7 @@ from .gaussian import (
     privacy_curve,
     required_variance,
 )
-from .oracle import DEFAULT_SEED, GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
+from .oracle import DEFAULT_SEED, REFINE_WINDOW, GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
 
 TOOL_NAME = "rdpopt"
 
@@ -315,7 +315,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "eps": args.eps,
         "delta": args.delta,
-        "grid": {"n_coarse": grid.n_coarse, "n_refine": grid.n_refine, "refine_window": grid.refine_window},
+        "grid": {"n_coarse": grid.n_coarse, "n_refine": grid.n_refine, "refine_window": REFINE_WINDOW},
         "seed": args.seed,
         "samples": args.samples,
         "tolerance": args.tol,

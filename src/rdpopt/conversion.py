@@ -184,7 +184,6 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         gamma,
         0.0,
         hi,
-        increasing=True,
         f_lo=0.0,  # gamma_exact at delta = 0
         f_hi=gamma_hi,
     )
@@ -218,7 +217,6 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
             gamma,
             0.0,
             cap,
-            increasing=True,
             f_lo=0.0,
             f_hi=f_cap,
         )
@@ -265,7 +263,6 @@ def epsilon_exact(
         gamma,
         0.0,
         hi,
-        increasing=True,
         cfg=cfg,
         f_lo=gamma_lo,
         f_hi=gamma_hi,
@@ -303,11 +300,13 @@ def _epsilon_bound(alpha: float, gamma: float, delta: float) -> tuple[float, Opt
 
 def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     # (1/(alpha-1)) log(1 + (e^{(alpha-1)gamma} - 1)/(alpha delta)),
-    # written as log(expm1(x) + c) - log(c) with x = (alpha-1)gamma, c = alpha delta
+    # x = (alpha-1)gamma, c = alpha delta; log1p keeps expm1(x) << c exact, and
+    # where expm1(x)/c overflows c is negligible next to expm1(x)
     x = (alpha - 1.0) * gamma
     c = alpha * delta
     if x < 30.0:
-        return (math.log(math.expm1(x) + c) - math.log(c)) / (alpha - 1.0)
+        e = math.expm1(x)
+        return (math.log1p(e / c) if e / c < math.inf else math.log(e) - math.log(c)) / (alpha - 1.0)
     if x > 709.0:
         return (x - math.log(c)) / (alpha - 1.0)
     return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)

@@ -124,13 +124,12 @@ def invert_monotone(
     target: float,
     lo: float,
     hi: float,
-    increasing: bool = True,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
     *,
+    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
-    """Solve fn(x) = target on [lo, hi] for monotone fn by bracketed secant steps.
+    """Solve fn(x) = target on [lo, hi] for increasing fn by bracketed secant steps.
 
     Each step interpolates linearly between the bracket ends (regula falsi);
     the value kept at an end that survives two steps in a row is halved (the
@@ -140,9 +139,9 @@ def invert_monotone(
 
     The result is the right end of a bracket that holds the crossing and is
     no wider than abs_tol, or than the spacing of floats there when that is
-    wider.  Flat segments are tolerated; for an increasing fn the returned
-    point converges to the leftmost crossing, and always satisfies
-    fn(result) >= target up to the argument tolerance.  A caller that
+    wider.  Flat segments are tolerated; the returned point converges to
+    the leftmost crossing, and always satisfies fn(result) >= target up to
+    the argument tolerance.  A caller that
     already holds fn(lo) or fn(hi) passes it as f_lo or f_hi, and fn is not
     evaluated there again.  A target outside the attained range raises
     BracketRangeError carrying both endpoint values.
@@ -153,17 +152,15 @@ def invert_monotone(
         f_lo = fn(lo)
     if f_hi is None:
         f_hi = fn(hi)
-    lo_v, hi_v = (f_lo, f_hi) if increasing else (f_hi, f_lo)
-    if not (lo_v <= target <= hi_v):
+    if not (f_lo <= target <= f_hi):
         raise BracketRangeError(
-            f"target {target!r} outside attained range [{lo_v!r}, {hi_v!r}]",
+            f"target {target!r} outside attained range [{f_lo!r}, {f_hi!r}]",
             lo_value=f_lo,
             hi_value=f_hi,
         )
-    # s(x) = +-(fn(x) - target) is <= 0 at the left end and >= 0 at the right
-    sign = 1.0 if increasing else -1.0
+    # s(x) = fn(x) - target is <= 0 at the left end and >= 0 at the right
     left, right = lo, hi
-    s_left, s_right = sign * (f_lo - target), sign * (f_hi - target)
+    s_left, s_right = f_lo - target, f_hi - target
     half_tol = 0.5 * cfg.abs_tol
     bisect = False
     kept = 0  # +1 when the last step kept the left end, -1 when it kept the right
@@ -181,13 +178,13 @@ def invert_monotone(
             if not left < x < right:  # rounded onto an end
                 x = mid
         v = fn(x)
-        if (v >= target) == increasing:
-            right, s_right = x, sign * (v - target)
+        if v >= target:
+            right, s_right = x, v - target
             if kept == 1:
                 s_left *= 0.5
             kept = 1
         else:
-            left, s_left = x, sign * (v - target)
+            left, s_left = x, v - target
             if kept == -1:
                 s_right *= 0.5
             kept = -1

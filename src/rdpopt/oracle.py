@@ -7,8 +7,12 @@ re-derives it by direct grid search over (p, q), with no shared code path
 with the 1-D reduction, so the two can check each other.
 
 Grids are uniform in logit space, which concentrates points near both
-endpoints where the optimizers live.  A single refinement pass re-scans a
-small logit-space window around the coarse argmin.
+endpoints where the optimizers live.  One blocked kernel, _row_scan, takes
+the feasible q-minimum of every p row, over a shared q grid or over a
+window centred on each row.  Every row is scanned over the q grid and then
+polished on a fine window around its argmin; this runs once on a coarse p
+grid and once on a small p window around the best coarse row.  Every
+divergence value comes from _renyi and _hockey_stick.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ _P_EDGE = 1e-9
 _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probability
 
 DEFAULT_SEED = 7
+REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
+CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
+_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, max_iters=200, coarse_grid=32)
 
 
 @dataclass(frozen=True)
@@ -35,15 +42,12 @@ class GridSpec:
 
     n_coarse: int = 4096
     n_refine: int = 4096
-    refine_window: float = 0.02
 
     def __post_init__(self):
         if self.n_coarse < 64:
             raise DomainError(f"n_coarse must be >= 64, got {self.n_coarse!r}")
         if self.n_refine < 64:
             raise DomainError(f"n_refine must be >= 64, got {self.n_refine!r}")
-        if not (0.0 < self.refine_window <= 1.0):
-            raise DomainError(f"refine_window must lie in (0, 1], got {self.refine_window!r}")
 
 
 def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -58,93 +62,73 @@ def _log_probs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
+# (p, q) cells per block, at least: 128 rows of the 4097-point grid, 1023 of
+# the 513-point polish window.  A full block's arrays are then just over
+# 4 MiB, the size from which numpy asks Linux for transparent huge pages
+_BLOCK_CELLS = 1 << 19
 
 
-def _row_scan(
-    alpha: float,
-    lam: float,
-    delta: float,
-    u_p: np.ndarray,
-    u_q: np.ndarray,
-    block: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
+def _renyi(alpha, lp, l1p, lq, l1q):
+    # order-alpha Renyi divergence of Bernoulli(p) from Bernoulli(q), given
+    # log p, log(1 - p), log q and log(1 - q); in place, to allocate fewer
+    # block-sized temporaries
+    div = alpha * lp + (1.0 - alpha) * lq
+    np.logaddexp(div, alpha * l1p + (1.0 - alpha) * l1q, out=div)
+    div /= alpha - 1.0
+    return div
+
+
+def _hockey_stick(p, one_m_p, q, one_m_q, lam):
+    # hockey-stick divergence at lam of Bernoulli(p) from Bernoulli(q)
+    hs = np.maximum(p - lam * q, 0.0)
+    hs += np.maximum(one_m_p - lam * one_m_q, 0.0)
+    return hs
+
+
+def _row_scan(alpha: float, lam: float, delta: float, u_p: np.ndarray, u_q: np.ndarray,
+              centers: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Constrained q-minimum of the Renyi divergence for every p row.
 
-    Returns (row minima, argmin u_q per row); rows with no feasible q get
-    +inf minima.
+    Every row scans the logit grid u_q, or, given centers, row i scans
+    clip(centers[i] + u_q) to the grid's range.  Returns (row minima,
+    argmin index into the row's q grid); rows with no feasible q get +inf.
     """
     lp, l1p = _log_probs(u_p)
-    lq, l1q = _log_probs(u_q)
-    p = np.exp(lp)
-    one_m_p = np.exp(l1p)
-    q = np.exp(lq)
-    one_m_q = np.exp(l1q)
-    n_p = len(u_p)
-    row_min = np.full(n_p, np.inf)
-    row_arg = np.zeros(n_p)
-    for start in range(0, n_p, block):
-        sl = slice(start, min(start + block, n_p))
-        hs = np.maximum(p[sl][:, None] - lam * q[None, :], 0.0)
-        hs += np.maximum(one_m_p[sl][:, None] - lam * one_m_q[None, :], 0.0)
-        feasible = hs >= delta
-        head = alpha * lp[sl][:, None] + (1.0 - alpha) * lq[None, :]
-        tail = alpha * l1p[sl][:, None] + (1.0 - alpha) * l1q[None, :]
-        div = np.logaddexp(head, tail) / (alpha - 1.0)
-        div = np.where(feasible, div, np.inf)
+    if centers is None:
+        lq, l1q = _log_probs(u_q)
+    rows = -(-_BLOCK_CELLS // len(u_q))
+    row_min = np.empty(len(u_p))
+    row_arg = np.empty(len(u_p), dtype=np.intp)
+    for start in range(0, len(u_p), rows):
+        sl = slice(start, start + rows)
+        if centers is not None:
+            lq, l1q = _log_probs(np.clip(centers[sl, None] + u_q, -_U_MAX, _U_MAX))
+        hs = _hockey_stick(np.exp(lp[sl, None]), np.exp(l1p[sl, None]), np.exp(lq), np.exp(l1q), lam)
+        div = _renyi(alpha, lp[sl, None], l1p[sl, None], lq, l1q)
+        div[hs < delta] = np.inf
         row_min[sl] = div.min(axis=1)
-        row_arg[sl] = u_q[div.argmin(axis=1)]
+        row_arg[sl] = div.argmin(axis=1)
     return row_min, row_arg
 
 
-def _polish_rows(
-    alpha: float,
-    lam: float,
-    delta: float,
-    u_p: np.ndarray,
-    center_uq: np.ndarray,
-    q_step: float,
-    row_min: np.ndarray,
-    block: int = 1024,
-) -> np.ndarray:
-    """Rescan each row's q on a fine window around its coarse argmin.
+def _polished_rows(alpha: float, lam: float, delta: float, u_p: np.ndarray, u_q: np.ndarray,
+                   q_step: float) -> np.ndarray:
+    """Row minima over u_q, each finite one rescanned on a fine window around its argmin.
 
     The coarse q step is the row-ranking noise floor (the feasibility cut
     snaps the minimizer); one fine pass per row removes it.  Windows are a
     full coarse step each side, so the true row minimizer is inside.
     """
+    row_min, row_arg = _row_scan(alpha, lam, delta, u_p, u_q)
     ok = np.isfinite(row_min)
-    if not ok.any():
-        return row_min
-    offsets = ((np.arange(_N_POLISH + 1) / _N_POLISH) - 0.5) * (2.0 * q_step)
-    out = row_min.copy()
-    idx = np.flatnonzero(ok)
-    for start in range(0, len(idx), block):
-        rows = idx[start : start + block]
-        u_q = np.clip(center_uq[rows][:, None] + offsets[None, :], -_U_MAX, _U_MAX)
-        lq, l1q = _log_probs(u_q)
-        q = np.exp(lq)
-        one_m_q = np.exp(l1q)
-        lp, l1p = _log_probs(u_p[rows])
-        p = np.exp(lp)
-        one_m_p = np.exp(l1p)
-        hs = np.maximum(p[:, None] - lam * q, 0.0)
-        hs += np.maximum(one_m_p[:, None] - lam * one_m_q, 0.0)
-        feasible = hs >= delta
-        div = np.logaddexp(
-            alpha * lp[:, None] + (1.0 - alpha) * lq,
-            alpha * l1p[:, None] + (1.0 - alpha) * l1q,
-        ) / (alpha - 1.0)
-        div = np.where(feasible, div, np.inf)
-        out[rows] = np.minimum(out[rows], div.min(axis=1))
-    return out
+    if ok.any():
+        offsets = ((np.arange(_N_POLISH + 1) / _N_POLISH) - 0.5) * (2.0 * q_step)
+        fine, _ = _row_scan(alpha, lam, delta, u_p[ok], offsets, centers=u_q[row_arg[ok]])
+        row_min[ok] = np.minimum(row_min[ok], fine)
+    return row_min
 
 
-def brute_force_gamma(
-    alpha: float,
-    epsilon: float,
-    delta: float,
-    grid: GridSpec = GridSpec(),
-) -> float:
+def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec = GridSpec()) -> float:
     """Grid minimum of the Renyi divergence subject to the hockey-stick constraint.
 
     Coarse pass over (p, q), a per-row q polish so that row ranking is not
@@ -156,20 +140,17 @@ def brute_force_gamma(
     lam = math.exp(epsilon)
     u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
     q_step = 2.0 * _U_MAX / grid.n_coarse
-    row_min, row_arg = _row_scan(alpha, lam, delta, u, u)
+    row_min = _polished_rows(alpha, lam, delta, u, u, q_step)
     if not np.isfinite(row_min).any():
         raise InfeasibleError(
             f"no grid pair attains hockey-stick divergence >= {delta!r} at eps={epsilon!r}"
         )
-    row_min = _polish_rows(alpha, lam, delta, u, row_arg, q_step, row_min)
     best_row = int(np.argmin(row_min))
     coarse_value = float(row_min[best_row])
-    half = 0.5 * grid.refine_window * (2.0 * _U_MAX)
+    half = 0.5 * REFINE_WINDOW * (2.0 * _U_MAX)
     u_center = float(u[best_row])
     fine_p = _logit_grid(max(u_center - half, -_U_MAX), min(u_center + half, _U_MAX), grid.n_refine)
-    fine_min, fine_arg = _row_scan(alpha, lam, delta, fine_p, u)
-    fine_min = _polish_rows(alpha, lam, delta, fine_p, fine_arg, q_step, fine_min)
-    refined_value = float(fine_min.min())
+    refined_value = float(_polished_rows(alpha, lam, delta, fine_p, u, q_step).min())
     return max(min(coarse_value, refined_value), 0.0)
 
 
@@ -179,13 +160,8 @@ def _check_inputs(alpha: float, epsilon: float, delta: float) -> None:
     _check_unit(delta, "delta", allow_zero=True)
 
 
-def verify_q_star(
-    alpha: float,
-    epsilon: float,
-    delta: float,
-    grid: GridSpec = GridSpec(),
-    n_p: int = 512,
-) -> dict:
+def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = GridSpec(),
+                  n_p: int = 512) -> dict:
     """Check that the constrained q-minimum sits at q = (p - delta)/e^eps.
 
     For each p the divergence is decreasing in q on the feasible side of
@@ -205,8 +181,7 @@ def verify_q_star(
     if len(u_ps) > n_p:
         idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
         u_ps = u_ps[idx]
-    uq = u_all
-    lq, l1q = _log_probs(uq)
+    lq, l1q = _log_probs(u_all)
     q_grid = np.exp(lq)
     step = float(u_all[1] - u_all[0])
     max_gap = 0.0
@@ -224,8 +199,7 @@ def verify_q_star(
             ok = q_v <= q_star
             if not ok.any():
                 return math.inf, math.nan
-            div = np.logaddexp(alpha * lp + (1.0 - alpha) * lq_v, alpha * l1p + (1.0 - alpha) * l1q_v)
-            div = np.where(ok, div / (alpha - 1.0), np.inf)
+            div = np.where(ok, _renyi(alpha, lp, l1p, lq_v, l1q_v), np.inf)
             k = int(np.argmin(div))
             return float(div[k]), float(np.log(q_v[k] / (1.0 - q_v[k])))
 
@@ -248,14 +222,8 @@ def verify_q_star(
     }
 
 
-def joint_range_containment(
-    alpha: float,
-    epsilon: float,
-    n_samples: int = 10000,
-    seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-8,
-    cfg: ScalarSearchConfig | None = None,
-) -> dict:
+def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000,
+                            seed: int = DEFAULT_SEED) -> dict:
     """Sample random pairs and check none falls below the frontier.
 
     Every pair's (hockey-stick, Renyi) divergence point must lie on or
@@ -266,31 +234,27 @@ def joint_range_containment(
     _check_nonnegative(epsilon, "epsilon")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    if cfg is None:
-        cfg = ScalarSearchConfig(abs_tol=1e-8, max_iters=200, coarse_grid=32)
     rng = np.random.default_rng(seed)
     p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     lam = math.exp(epsilon)
-    hs = np.maximum(p - lam * q, 0.0) + np.maximum((1.0 - p) - lam * (1.0 - q), 0.0)
-    head = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
-    tail = alpha * np.log1p(-p) + (1.0 - alpha) * np.log1p(-q)
-    div = np.logaddexp(head, tail) / (alpha - 1.0)
+    hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
+    div = _renyi(alpha, np.log(p), np.log1p(-p), np.log(q), np.log1p(-q))
     violations = 0
     min_margin = math.inf
     for i in range(n_samples):
-        boundary = gamma_exact(alpha, epsilon, float(hs[i]), cfg).value
+        boundary = gamma_exact(alpha, epsilon, float(hs[i]), _CONTAINMENT_SEARCH).value
         margin = float(div[i]) - boundary
         if margin < min_margin:
             min_margin = margin
-        if margin < -tolerance:
+        if margin < -CONTAINMENT_TOLERANCE:
             violations += 1
     return {
         "alpha": alpha,
         "epsilon": epsilon,
         "n_samples": n_samples,
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": CONTAINMENT_TOLERANCE,
         "violations": violations,
         "min_margin": min_margin,
     }

@@ -6,6 +6,7 @@ the defining formulas (independent of this package's code paths).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -280,11 +281,28 @@ def test_gamma_of_epsilon_bound_inverts_epsilon_bound(rng):
         gamma = conversion._gamma_of_epsilon_bound(alpha, eps, delta)
         at = epsilon_bound(alpha, gamma, delta)
         branches.add(at.active_branch)
-        # near alpha = 1 the forward chi piece is log(c + expm1(x)) - log(c) with
-        # expm1(x) << c, good to about 1e-8 relative
-        assert math.isclose(at.value, eps, rel_tol=1e-7), (alpha, eps, delta)
+        assert math.isclose(at.value, eps, rel_tol=1e-12), (alpha, eps, delta)
         assert epsilon_bound(alpha, gamma * (1.0 + 1e-6), delta).value > eps, (alpha, eps, delta)
     assert branches == {"alpha_delta_ge_1", "g_bound", "chi_bound"}
+
+
+def test_chi_epsilon_piece_matches_mpmath(rng):
+    # the chi piece log1p(expm1(x)/c)/(alpha-1), x = (alpha-1) gamma, c = alpha
+    # delta: orders near 1 at large delta put expm1(x) far below c, and c down
+    # to 1e-300 makes expm1(x)/c overflow
+    cases = [(1.00000022, 1.06e-8, 0.46), (1.000001, 1e-3, 0.5), (2.0, 25.0, 1e-300)]
+    for _ in range(2000):
+        alpha = 1.0 + 10.0 ** rng.uniform(-8.0, 1.5)
+        cases.append((alpha, 10.0 ** rng.uniform(-10.0, 1.0), 10.0 ** rng.uniform(-300.0, math.log10(0.999 / alpha))))
+    for alpha, gamma, delta in cases:
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            ref = mpmath.log1p(mpmath.expm1((a - 1) * gamma) / (a * delta)) / (a - 1)
+        assert math.isclose(conversion._chi_epsilon_piece(alpha, gamma, delta), float(ref), rel_tol=1e-14), (alpha, gamma, delta)
+    # through the public bound, where the chi branch wins; 1.5% too small before
+    at = epsilon_bound(1.00000022, 1.06e-8, 0.46)
+    assert at.active_branch == "chi_bound"
+    assert math.isclose(at.value, 2.3043473191305434e-08, rel_tol=1e-14)
 
 
 def test_baseline_pair():

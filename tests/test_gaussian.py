@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -394,3 +395,31 @@ def test_delta_too_small_to_invert(call):
     # fail on a derived quantity without naming delta
     with pytest.raises(DomainError, match=r"delta must be at least 1/DBL_MAX.*1e-310"):
         call()
+
+
+def _gaussian_optimal_epsilon(mu: float, delta: float) -> mpmath.mpf:
+    # the optimal epsilon of mu-GDP (T Gaussian steps, mu = sqrt(T)/sigma):
+    # delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2) decreases in
+    # eps; returns the lower end of a 50-digit bisection bracket
+    with mpmath.workdps(50):
+        mu, delta = mpmath.mpf(mu), mpmath.mpf(delta)
+        phi = lambda x: mpmath.erfc(-x / mpmath.sqrt(2)) / 2
+        gap = lambda e: phi(-e / mu + mu / 2) - mpmath.exp(e) * phi(-e / mu - mu / 2) - delta
+        lo, hi = mpmath.mpf(0), mu * mu / 2 + mu * mpmath.sqrt(2 * mpmath.log(1 / delta)) + 1
+        if gap(lo) <= 0:
+            return lo
+        while hi - lo > mpmath.mpf(10) ** -20 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        return lo
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 4.0, 20.0])
+@pytest.mark.parametrize("T", [1, 10, 1000])
+def test_accountant_is_never_below_the_gaussian_optimum(sigma, T):
+    # every published epsilon is an upper bound on the true privacy loss of
+    # T Gaussian steps, checked against the exact Gaussian trade-off
+    for delta in (1e-9, 1e-5, 1e-2):
+        optimal = float(_gaussian_optimal_epsilon(math.sqrt(T) / sigma, delta))
+        for mode in ("closed_form", "exact"):
+            assert acct_epsilon(rho_gaussian(sigma), T, delta, mode).epsilon >= optimal, (sigma, T, delta, mode)

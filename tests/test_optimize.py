@@ -85,11 +85,6 @@ def test_invert_cube():
     assert abs(x - 2.0) <= 1e-9
 
 
-def test_invert_decreasing():
-    x = invert_monotone(lambda t: -t, -3.0, 0.0, 10.0, increasing=False)
-    assert abs(x - 3.0) <= 1e-9
-
-
 def test_invert_frontier_round_trip():
     d = invert_monotone(lambda t: gamma_exact(2.0, 1.0, t).value, 0.3, 0.0, 1.0 - 1e-12)
     assert abs(gamma_exact(2.0, 1.0, d).value - 0.3) <= 1e-8
@@ -102,13 +97,13 @@ def test_invert_flat_segment_leftmost_crossing():
     assert fn(x) >= 1.0
 
 
-def _bisect_reference(fn, target, lo, hi, increasing=True, abs_tol=1e-10, max_iters=200):
+def _bisect_reference(fn, target, lo, hi, abs_tol=1e-10, max_iters=200):
     # plain bisection to the same tolerance, the reference for invert_monotone
     left, right = lo, hi
     iters = 0
     while (right - left) > abs_tol and iters < max_iters:
         mid = 0.5 * (left + right)
-        if (fn(mid) >= target) == increasing:
+        if fn(mid) >= target:
             right = mid
         else:
             left = mid
@@ -227,14 +222,12 @@ def test_invert_monotone_round_trip_cubics(c, frac):
 @given(
     c=st.floats(min_value=0.1, max_value=5.0),
     frac=st.floats(min_value=0.0, max_value=1.0),
-    increasing=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_invert_monotone_matches_bisection_reference_cubics(c, frac, increasing):
-    sign = 1.0 if increasing else -1.0
-    fn = lambda x: sign * (x**3 + c * x)
+def test_invert_monotone_matches_bisection_reference_cubics(c, frac):
+    fn = lambda x: x**3 + c * x
     lo, hi = -4.0, 4.0
     target = fn(lo) + frac * (fn(hi) - fn(lo))
-    x = invert_monotone(fn, target, lo, hi, increasing=increasing)
-    assert abs(x - _bisect_reference(fn, target, lo, hi, increasing=increasing)) <= 1e-10
-    assert (fn(x) >= target) if increasing else (fn(x) <= target)
+    x = invert_monotone(fn, target, lo, hi)
+    assert abs(x - _bisect_reference(fn, target, lo, hi)) <= 1e-10
+    assert fn(x) >= target

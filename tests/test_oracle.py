@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from rdpopt import oracle
 from rdpopt.conversion import gamma_exact
-from rdpopt.divergences import BernoulliPair, renyi_binary
+from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
 from rdpopt.oracle import GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
 
@@ -14,15 +15,51 @@ FAST = GridSpec(n_coarse=1024, n_refine=1024)
 
 
 def test_grid_spec_validation():
-    GridSpec(n_coarse=64, n_refine=64, refine_window=1.0)
+    GridSpec(n_coarse=64, n_refine=64)
     with pytest.raises(DomainError):
         GridSpec(n_coarse=32)
     with pytest.raises(DomainError):
         GridSpec(n_refine=16)
-    with pytest.raises(DomainError):
-        GridSpec(refine_window=0.0)
-    with pytest.raises(DomainError):
-        GridSpec(refine_window=1.5)
+
+
+_KERNEL_CASES = [(2.0, 1.0, 0.1), (20.0, 0.5, 0.3), (1.5, 2.0, 0.0), (49.0, 4.8, 0.49)]
+
+
+def test_row_scan_matches_scalar_double_loop():
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    probs = [1.0 / (1.0 + math.exp(-v)) for v in u]
+    for alpha, eps, delta in _KERNEL_CASES:
+        lam = math.exp(eps)
+        row_min, row_arg = oracle._row_scan(alpha, lam, delta, u, u)
+        for i, p in enumerate(probs):
+            pairs = [BernoulliPair(p, q) for q in probs]
+            values = [renyi_binary(pair, alpha) for pair in pairs if hockey_stick_binary(pair, lam) >= delta]
+            expected = min(values, default=math.inf)
+            assert row_min[i] == expected or abs(row_min[i] - expected) <= 1e-12, (alpha, eps, delta, i)
+            if values:
+                assert abs(renyi_binary(pairs[row_arg[i]], alpha) - expected) <= 1e-12
+
+
+def test_row_scan_blocking_is_bit_identical(monkeypatch):
+    # 65 rows in blocks of 6 (shared 65-point q grid) and of 12 (33-point
+    # windows), against one block; centres at +-_U_MAX clip their windows
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    offsets = (np.arange(33) / 32 - 0.5) * (2.0 * (u[1] - u[0]))
+    centers = u[::-1].copy()
+    assert centers[0] == oracle._U_MAX and centers[-1] == -oracle._U_MAX
+
+    def scans():
+        return [
+            oracle._row_scan(alpha, math.exp(eps), delta, u, q_grid, centers=c)
+            for alpha, eps, delta in _KERNEL_CASES
+            for q_grid, c in ((u, None), (offsets, centers))
+        ]
+
+    whole = scans()
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
+    assert len(u) % 6 != 0 and len(u) % -(-oracle._BLOCK_CELLS // len(offsets)) != 0
+    for (m0, a0), (m1, a1) in zip(whole, scans()):
+        assert np.array_equal(m0, m1) and np.array_equal(a0, a1)
 
 
 def test_brute_force_delta_zero_is_zero():
