@@ -161,7 +161,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     Inverts the frontier, which is continuous and increasing in delta, by
     secant steps between 0 and the closed-form upper bound delta_bound
     (or 1 - 1e-12 when the frontier does not reach gamma at that bound).
-    Every search runs at DEFAULT_SEARCH.
+    Every search runs at DEFAULT_SEARCH; the answer never exceeds delta_bound.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -169,7 +169,8 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
-    hi = min(delta_bound(alpha, gamma, epsilon).value * (1.0 + 1e-9) + 1e-15, top)
+    bound = delta_bound(alpha, gamma, epsilon).value
+    hi = min(bound * (1.0 + 1e-9) + 1e-15, top)
     gamma_hi = gamma_exact(alpha, epsilon, hi).value
     if gamma_hi < gamma and hi < top:
         hi = top
@@ -187,7 +188,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         f_lo=0.0,  # gamma_exact at delta = 0
         f_hi=gamma_hi,
     )
-    return ConversionResult(min(max(d, 0.0), hi), "exact_numeric")
+    return ConversionResult(min(max(d, 0.0), hi, bound), "exact_numeric")
 
 
 def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
@@ -240,6 +241,7 @@ def epsilon_exact(
     Returns 0 when the frontier at eps = 0 already dominates gamma;
     otherwise inverts the frontier by secant steps between 0 and the
     closed-form upper bound (doubled until the frontier reaches gamma).
+    The answer never exceeds epsilon_bound.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -249,7 +251,8 @@ def epsilon_exact(
     gamma_lo = gamma_exact(alpha, 0.0, delta, cfg).value
     if gamma_lo >= gamma:
         return ConversionResult(0.0, "exact_numeric")
-    hi = max(_epsilon_bound(alpha, gamma, delta)[0], 1e-9) * (1.0 + 1e-9) + 1e-12
+    bound = _epsilon_bound(alpha, gamma, delta)[0]
+    hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
     gamma_hi = gamma_exact(alpha, hi, delta, cfg).value
     guard = 0
     while gamma_hi < gamma:
@@ -267,7 +270,7 @@ def epsilon_exact(
         f_lo=gamma_lo,
         f_hi=gamma_hi,
     )
-    return ConversionResult(max(eps, 0.0), "exact_numeric")
+    return ConversionResult(min(max(eps, 0.0), bound), "exact_numeric")
 
 
 def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:

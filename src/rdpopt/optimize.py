@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .errors import BracketRangeError, DomainError, InfeasibleError, _check_positive
 
@@ -29,13 +29,11 @@ class ScalarSearchConfig:
     """
 
     abs_tol: float = 1e-10
-    max_iters: int = 200
     coarse_grid: int = 256
+    max_iters: ClassVar[int] = 200  # a constant: every search stops after as many iterations
 
     def __post_init__(self):
         _check_positive(self.abs_tol, "abs_tol")
-        if self.max_iters < 1:
-            raise DomainError(f"max_iters must be >= 1, got {self.max_iters!r}")
         if self.coarse_grid < 8:
             raise DomainError(f"coarse_grid must be >= 8, got {self.coarse_grid!r}")
 

@@ -7,12 +7,12 @@ re-derives it by direct grid search over (p, q), with no shared code path
 with the 1-D reduction, so the two can check each other.
 
 Grids are uniform in logit space, which concentrates points near both
-endpoints where the optimizers live.  One blocked kernel, _row_scan, takes
-the feasible q-minimum of every p row, over a shared q grid or over a
-window centred on each row.  Every row is scanned over the q grid and then
-polished on a fine window around its argmin; this runs once on a coarse p
-grid and once on a small p window around the best coarse row.  Every
-divergence value comes from _renyi and _hockey_stick.
+endpoints where the optimizers live.  One blocked kernel, _row_scan, serves
+both grids: it takes the q-minimum of every p row over the cells a caller's
+rule admits, the hockey-stick constraint for the brute force and q <= q*(p)
+for the q* check.  Each row scans a shared q grid and then a fine window
+around its argmin.  Every divergence value comes from _renyi and
+_hockey_stick.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probab
 DEFAULT_SEED = 7
 REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
 CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
-_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, max_iters=200, coarse_grid=32)
+_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, coarse_grid=32)
 
 
 @dataclass(frozen=True)
@@ -79,51 +79,57 @@ def _renyi(alpha, lp, l1p, lq, l1q):
 
 
 def _hockey_stick(p, one_m_p, q, one_m_q, lam):
-    # hockey-stick divergence at lam of Bernoulli(p) from Bernoulli(q)
-    hs = np.maximum(p - lam * q, 0.0)
-    hs += np.maximum(one_m_p - lam * one_m_q, 0.0)
+    # hockey-stick divergence at lam of Bernoulli(p) from Bernoulli(q); in
+    # place, like _renyi, so the heap is not trimmed and regrown every block
+    hs = p - lam * q
+    np.maximum(hs, 0.0, out=hs)
+    second = one_m_p - lam * one_m_q
+    hs += np.maximum(second, 0.0, out=second)
     return hs
 
 
-def _row_scan(alpha: float, lam: float, delta: float, u_p: np.ndarray, u_q: np.ndarray,
+def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
               centers: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Constrained q-minimum of the Renyi divergence for every p row.
+    """Feasible q-minimum of the Renyi divergence for every p row.
 
     Every row scans the logit grid u_q, or, given centers, row i scans
-    clip(centers[i] + u_q) to the grid's range.  Returns (row minima,
-    argmin index into the row's q grid); rows with no feasible q get +inf.
+    clip(centers[i] + u_q) to the grid's range.  feasible(rows, lp, l1p,
+    lq, l1q) gets a block's row slice and its log-probabilities and returns
+    the admissible cells.  Returns (row minima, argmin index into the row's
+    q grid); rows with no feasible q get +inf.
     """
     lp, l1p = _log_probs(u_p)
     if centers is None:
         lq, l1q = _log_probs(u_q)
-    rows = -(-_BLOCK_CELLS // len(u_q))
+    block_rows = -(-_BLOCK_CELLS // len(u_q))
     row_min = np.empty(len(u_p))
     row_arg = np.empty(len(u_p), dtype=np.intp)
-    for start in range(0, len(u_p), rows):
-        sl = slice(start, start + rows)
+    for start in range(0, len(u_p), block_rows):
+        sl = slice(start, start + block_rows)
         if centers is not None:
             lq, l1q = _log_probs(np.clip(centers[sl, None] + u_q, -_U_MAX, _U_MAX))
-        hs = _hockey_stick(np.exp(lp[sl, None]), np.exp(l1p[sl, None]), np.exp(lq), np.exp(l1q), lam)
+        ok = feasible(sl, lp[sl, None], l1p[sl, None], lq, l1q)
         div = _renyi(alpha, lp[sl, None], l1p[sl, None], lq, l1q)
-        div[hs < delta] = np.inf
+        div[~ok] = np.inf
         row_min[sl] = div.min(axis=1)
         row_arg[sl] = div.argmin(axis=1)
     return row_min, row_arg
 
 
-def _polished_rows(alpha: float, lam: float, delta: float, u_p: np.ndarray, u_q: np.ndarray,
-                   q_step: float) -> np.ndarray:
+def _polished_rows(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible, n_polish: int) -> np.ndarray:
     """Row minima over u_q, each finite one rescanned on a fine window around its argmin.
 
     The coarse q step is the row-ranking noise floor (the feasibility cut
-    snaps the minimizer); one fine pass per row removes it.  Windows are a
-    full coarse step each side, so the true row minimizer is inside.
+    snaps the minimizer); one fine pass per row, n_polish steps over a full
+    coarse step each side, removes it, and the true row minimizer is inside.
     """
-    row_min, row_arg = _row_scan(alpha, lam, delta, u_p, u_q)
-    ok = np.isfinite(row_min)
-    if ok.any():
-        offsets = ((np.arange(_N_POLISH + 1) / _N_POLISH) - 0.5) * (2.0 * q_step)
-        fine, _ = _row_scan(alpha, lam, delta, u_p[ok], offsets, centers=u_q[row_arg[ok]])
+    row_min, row_arg = _row_scan(alpha, u_p, u_q, feasible)
+    ok = np.flatnonzero(np.isfinite(row_min))
+    if len(ok):
+        q_step = 2.0 * _U_MAX / (len(u_q) - 1)
+        offsets = ((np.arange(n_polish + 1) / n_polish) - 0.5) * (2.0 * q_step)
+        fine, _ = _row_scan(alpha, u_p[ok], offsets, lambda rows, *logs: feasible(ok[rows], *logs),
+                            centers=u_q[row_arg[ok]])
         row_min[ok] = np.minimum(row_min[ok], fine)
     return row_min
 
@@ -138,9 +144,12 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     """
     _check_inputs(alpha, epsilon, delta)
     lam = math.exp(epsilon)
+
+    def feasible(rows, lp, l1p, lq, l1q):
+        return _hockey_stick(np.exp(lp), np.exp(l1p), np.exp(lq), np.exp(l1q), lam) >= delta
+
     u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
-    q_step = 2.0 * _U_MAX / grid.n_coarse
-    row_min = _polished_rows(alpha, lam, delta, u, u, q_step)
+    row_min = _polished_rows(alpha, u, u, feasible, _N_POLISH)
     if not np.isfinite(row_min).any():
         raise InfeasibleError(
             f"no grid pair attains hockey-stick divergence >= {delta!r} at eps={epsilon!r}"
@@ -150,7 +159,7 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     half = 0.5 * REFINE_WINDOW * (2.0 * _U_MAX)
     u_center = float(u[best_row])
     fine_p = _logit_grid(max(u_center - half, -_U_MAX), min(u_center + half, _U_MAX), grid.n_refine)
-    refined_value = float(_polished_rows(alpha, lam, delta, fine_p, u, q_step).min())
+    refined_value = float(_polished_rows(alpha, fine_p, u, feasible, _N_POLISH).min())
     return max(min(coarse_value, refined_value), 0.0)
 
 
@@ -166,59 +175,35 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
 
     For each p the divergence is decreasing in q on the feasible side of
     the first hockey-stick atom's constraint p - e^eps q >= delta, so the
-    continuous minimum is at q_star.  Reports the largest excess of the
-    (coarse + refined) q-grid minimum over the value at q_star; anything
-    beyond grid-resolution error would mean the reduction is wrong.
+    continuous minimum is at q_star.  Reports the largest distance, either
+    way, between the polished grid minimum over q <= q_star and the value
+    at q_star; anything beyond grid-resolution error would mean the
+    reduction is wrong.
     """
     _check_inputs(alpha, epsilon, delta)
     lam = math.exp(epsilon)
     u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
     p_all = 1.0 / (1.0 + np.exp(-u_all))
     usable = p_all > delta + 2e-9 * lam  # need q_star on the grid's scale
-    u_ps = u_all[usable]
+    u_ps, p = u_all[usable], p_all[usable]
     if len(u_ps) == 0:
         raise InfeasibleError(f"no usable p above delta={delta!r} on the grid")
     if len(u_ps) > n_p:
         idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
-        u_ps = u_ps[idx]
-    lq, l1q = _log_probs(u_all)
-    q_grid = np.exp(lq)
-    step = float(u_all[1] - u_all[0])
-    max_gap = 0.0
-    checked = 0
-    for u_p in u_ps:
-        p = 1.0 / (1.0 + math.exp(-u_p))
-        q_star = (p - delta) / lam
-        if not (0.0 < q_star < 1.0):
-            continue
-        exact = renyi_binary(BernoulliPair(p, q_star), alpha)
-        lp = -math.log1p(math.exp(-u_p))
-        l1p = -math.log1p(math.exp(u_p))
-
-        def q_min(lq_v: np.ndarray, l1q_v: np.ndarray, q_v: np.ndarray) -> tuple[float, float]:
-            ok = q_v <= q_star
-            if not ok.any():
-                return math.inf, math.nan
-            div = np.where(ok, _renyi(alpha, lp, l1p, lq_v, l1q_v), np.inf)
-            k = int(np.argmin(div))
-            return float(div[k]), float(np.log(q_v[k] / (1.0 - q_v[k])))
-
-        coarse, u_at = q_min(lq, l1q, q_grid)
-        if not coarse < math.inf:
-            continue
-        fine_u = _logit_grid(max(u_at - step, -_U_MAX), min(u_at + step, _U_MAX), grid.n_refine)
-        flq, fl1q = _log_probs(fine_u)
-        fine, _ = q_min(flq, fl1q, np.exp(flq))
-        max_gap = max(max_gap, min(coarse, fine) - exact)
-        checked += 1
-    if checked == 0:
+        u_ps, p = u_ps[idx], p[idx]
+    q_star = (p - delta) / lam
+    row_min = _polished_rows(alpha, u_ps, u_all, lambda rows, lp, l1p, lq, l1q: np.exp(lq) <= q_star[rows, None],
+                             grid.n_refine)
+    ok = np.isfinite(row_min)
+    if not ok.any():
         raise InfeasibleError("no p admitted a feasible q on the grid")
+    exact = [renyi_binary(BernoulliPair(pi, qi), alpha) for pi, qi in zip(p[ok].tolist(), q_star[ok].tolist())]
     return {
         "alpha": alpha,
         "epsilon": epsilon,
         "delta": delta,
-        "n_p_checked": checked,
-        "max_gap": max_gap,
+        "n_p_checked": int(ok.sum()),
+        "max_gap": float(np.max(np.abs(row_min[ok] - exact))),
     }
 
 

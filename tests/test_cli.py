@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdpopt import cli
+from rdpopt import cli, oracle
 from rdpopt.conversion import balle_epsilon, baseline_delta, epsilon_bound, gamma_exact
 from rdpopt.gaussian import (
     CurvePoint,
@@ -495,6 +495,16 @@ def test_oracle_check_tolerance_failure(capsys):
     record = json.loads(out)  # the record is still emitted for inspection
     assert record["results"]["passed"] is False
     assert record["results"]["failures"]
+
+
+def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):
+    # shift the value at q* up, as if the first-atom reduction were wrong
+    true_renyi = oracle.renyi_binary
+    monkeypatch.setattr(oracle, "renyi_binary", lambda pair, alpha: true_renyi(pair, alpha) + 1e-3)
+    code, out, err = run_cli(capsys, *ORACLE_ARGS)
+    assert code == 5
+    assert "q_star max_gap" in err and "> 0.0001" in err
+    assert json.loads(out)["results"]["q_star_max_gap"] >= 9e-4
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

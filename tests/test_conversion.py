@@ -224,12 +224,12 @@ def test_conversion_dominance_chains(rng):
         d_exact = delta_exact(alpha, gamma, eps).value
         d_bound = delta_bound(alpha, gamma, eps).value
         d_base = baseline_delta(alpha, gamma, eps)
-        assert d_exact <= d_bound + 1e-7
+        assert d_exact <= d_bound
         assert d_bound <= d_base + 1e-12
         if delta > 1e-6 and alpha * delta < 1.0:
             e_exact = epsilon_exact(alpha, gamma, delta).value
             e_bound = epsilon_bound(alpha, gamma, delta).value
-            assert e_exact <= e_bound + 1e-8
+            assert e_exact <= e_bound
             assert e_bound <= max(balle_epsilon(alpha, gamma, delta), 0.0) + 1e-10
 
 

@@ -17,8 +17,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ScalarSearchConfig(abs_tol=0.0)
     with pytest.raises(DomainError):
-        ScalarSearchConfig(max_iters=0)
-    with pytest.raises(DomainError):
         ScalarSearchConfig(coarse_grid=4)
 
 

@@ -25,19 +25,39 @@ def test_grid_spec_validation():
 _KERNEL_CASES = [(2.0, 1.0, 0.1), (20.0, 0.5, 0.3), (1.5, 2.0, 0.0), (49.0, 4.8, 0.49)]
 
 
+def _hockey_stick_rule(lam, delta):
+    return lambda rows, lp, l1p, lq, l1q: (
+        oracle._hockey_stick(np.exp(lp), np.exp(l1p), np.exp(lq), np.exp(l1q), lam) >= delta
+    )
+
+
+def _first_atom_rule(q_star):
+    return lambda rows, lp, l1p, lq, l1q: np.exp(lq) <= q_star[rows, None]
+
+
+def _rules(u, eps, delta):
+    # the brute force's rule and the q* check's rule, each with its scalar twin
+    lam = math.exp(eps)
+    q_star = (1.0 / (1.0 + np.exp(-u)) - delta) / lam
+    return [
+        (_hockey_stick_rule(lam, delta), lambda i, pair: hockey_stick_binary(pair, lam) >= delta),
+        (_first_atom_rule(q_star), lambda i, pair: pair.q <= q_star[i]),
+    ]
+
+
 def test_row_scan_matches_scalar_double_loop():
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
     probs = [1.0 / (1.0 + math.exp(-v)) for v in u]
     for alpha, eps, delta in _KERNEL_CASES:
-        lam = math.exp(eps)
-        row_min, row_arg = oracle._row_scan(alpha, lam, delta, u, u)
-        for i, p in enumerate(probs):
-            pairs = [BernoulliPair(p, q) for q in probs]
-            values = [renyi_binary(pair, alpha) for pair in pairs if hockey_stick_binary(pair, lam) >= delta]
-            expected = min(values, default=math.inf)
-            assert row_min[i] == expected or abs(row_min[i] - expected) <= 1e-12, (alpha, eps, delta, i)
-            if values:
-                assert abs(renyi_binary(pairs[row_arg[i]], alpha) - expected) <= 1e-12
+        for rule, admits in _rules(u, eps, delta):
+            row_min, row_arg = oracle._row_scan(alpha, u, u, rule)
+            for i, p in enumerate(probs):
+                pairs = [BernoulliPair(p, q) for q in probs]
+                values = [renyi_binary(pair, alpha) for pair in pairs if admits(i, pair)]
+                expected = min(values, default=math.inf)
+                assert row_min[i] == expected or abs(row_min[i] - expected) <= 1e-12, (alpha, eps, delta, i)
+                if values:
+                    assert abs(renyi_binary(pairs[row_arg[i]], alpha) - expected) <= 1e-12
 
 
 def test_row_scan_blocking_is_bit_identical(monkeypatch):
@@ -50,8 +70,9 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
 
     def scans():
         return [
-            oracle._row_scan(alpha, math.exp(eps), delta, u, q_grid, centers=c)
+            oracle._row_scan(alpha, u, q_grid, rule, centers=c)
             for alpha, eps, delta in _KERNEL_CASES
+            for rule, _ in _rules(u, eps, delta)
             for q_grid, c in ((u, None), (offsets, centers))
         ]
 
@@ -60,6 +81,20 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
     assert len(u) % 6 != 0 and len(u) % -(-oracle._BLOCK_CELLS // len(offsets)) != 0
     for (m0, a0), (m1, a1) in zip(whole, scans()):
         assert np.array_equal(m0, m1) and np.array_equal(a0, a1)
+
+
+def test_polished_rows_keep_their_own_rule():
+    # rows with no feasible q are left out of the polish; the rows that are
+    # polished must still see their own q_star, as when polished alone
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    for alpha, eps, delta in _KERNEL_CASES:
+        q_star = (1.0 / (1.0 + np.exp(-u)) - delta) / math.exp(eps)
+        q_star[::3] = 0.0
+        whole = oracle._polished_rows(alpha, u, u, _first_atom_rule(q_star), 32)
+        assert not np.isfinite(whole[::3]).any() and np.isfinite(whole).any()
+        alone = [oracle._polished_rows(alpha, u[i:i + 1], u, _first_atom_rule(q_star[i:i + 1]), 32)[0]
+                 for i in range(len(u))]
+        assert np.array_equal(whole, alone)
 
 
 def test_brute_force_delta_zero_is_zero():
@@ -107,6 +142,53 @@ def test_q_star_is_the_constrained_minimizer():
         assert set(report) == {"alpha", "epsilon", "delta", "n_p_checked", "max_gap"}
         assert report["n_p_checked"] > 0
         assert 0.0 <= report["max_gap"] <= 1e-4
+
+
+def _verify_q_star_reference(alpha, epsilon, delta, grid, n_p):
+    # a per-p scalar loop: coarse q grid, then +-1 coarse step in n_refine steps
+    lam = math.exp(epsilon)
+    u_all = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, grid.n_coarse)
+    u_ps = u_all[1.0 / (1.0 + np.exp(-u_all)) > delta + 2e-9 * lam]
+    if len(u_ps) > n_p:
+        u_ps = u_ps[np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)]
+    lq, l1q = oracle._log_probs(u_all)
+    step = float(u_all[1] - u_all[0])
+    max_gap, checked = 0.0, 0
+    for u_p in u_ps:
+        p = 1.0 / (1.0 + math.exp(-u_p))
+        q_star = (p - delta) / lam
+        lp, l1p = -math.log1p(math.exp(-u_p)), -math.log1p(math.exp(u_p))
+
+        def q_min(lq_v, l1q_v):
+            q_v = np.exp(lq_v)
+            div = np.where(q_v <= q_star, oracle._renyi(alpha, lp, l1p, lq_v, l1q_v), np.inf)
+            k = int(np.argmin(div))
+            return float(div[k]), float(np.log(q_v[k] / (1.0 - q_v[k])))
+
+        coarse, u_at = q_min(lq, l1q)
+        if not coarse < math.inf:
+            continue
+        fine_u = oracle._logit_grid(max(u_at - step, -oracle._U_MAX), min(u_at + step, oracle._U_MAX), grid.n_refine)
+        fine, _ = q_min(*oracle._log_probs(fine_u))
+        max_gap = max(max_gap, abs(min(coarse, fine) - renyi_binary(BernoulliPair(p, q_star), alpha)))
+        checked += 1
+    return checked, max_gap
+
+
+def test_q_star_check_matches_scalar_reference():
+    for alpha, eps, delta in _KERNEL_CASES:
+        report = verify_q_star(alpha, eps, delta, FAST, n_p=64)
+        checked, max_gap = _verify_q_star_reference(alpha, eps, delta, FAST, 64)
+        assert report["n_p_checked"] == checked
+        assert abs(report["max_gap"] - max_gap) <= 1e-12
+
+
+def test_q_star_check_flags_a_wrong_reduction(monkeypatch):
+    # a reference value above every grid minimum is what a wrong reduction
+    # gives; the check must report it rather than clip it to zero
+    monkeypatch.setattr(oracle, "renyi_binary", lambda pair, alpha: renyi_binary(pair, alpha) + 1e-3)
+    report = verify_q_star(2.0, 1.0, 0.1, FAST, n_p=64)
+    assert 9e-4 <= report["max_gap"] <= 1.1e-3
 
 
 def test_q_star_check_runs_at_delta_zero():
