@@ -8,7 +8,12 @@ The package is organized bottom-up:
   gaussian      T-fold Gaussian composition, ours versus moments accountant
   oracle        brute-force grid validation of the frontier
   cli           command-line front end (see `rdpopt --help`)
+
+Only oracle needs numpy, so it is loaded on first use: importing the package
+or running a subcommand other than oracle-check does not import numpy.
 """
+
+from importlib import import_module
 
 from .conversion import (
     ConversionResult,
@@ -51,7 +56,9 @@ from .gaussian import (
     rho_subsampled,
 )
 from .optimize import ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
-from .oracle import GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
+
+# served by __getattr__ below, so that importing the package does not import numpy
+_ORACLE_NAMES = frozenset({"GridSpec", "brute_force_gamma", "joint_range_containment", "verify_q_star"})
 
 __version__ = "0.1.0"
 
@@ -102,3 +109,12 @@ __all__ = [
     "verify_q_star",
     "zero_epsilon_region",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet in the module namespace
+    if name == "oracle":
+        return import_module(".oracle", __name__)
+    if name in _ORACLE_NAMES:
+        return getattr(import_module(".oracle", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

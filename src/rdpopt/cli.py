@@ -49,7 +49,6 @@ from .gaussian import (
     privacy_curve,
     required_variance,
 )
-from .oracle import DEFAULT_SEED, REFINE_WINDOW, GridSpec, brute_force_gamma, joint_range_containment, verify_q_star
 
 TOOL_NAME = "rdpopt"
 
@@ -298,12 +297,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    grid = GridSpec() if args.grid_n is None else GridSpec(n_coarse=args.grid_n, n_refine=args.grid_n)
+    # the only subcommand that needs numpy, so the oracle is imported here; its
+    # functions are looked up on the module, where a wrapper installed after
+    # import sees the calls
+    from . import oracle
+
+    if args.seed is None:
+        args.seed = oracle.DEFAULT_SEED
+    grid = oracle.GridSpec() if args.grid_n is None else oracle.GridSpec(n_coarse=args.grid_n, n_refine=args.grid_n)
     exact = gamma_exact(args.alpha, args.eps, args.delta).value
-    brute = brute_force_gamma(args.alpha, args.eps, args.delta, grid)
+    brute = oracle.brute_force_gamma(args.alpha, args.eps, args.delta, grid)
     gap = brute - exact
-    q_report = verify_q_star(args.alpha, args.eps, args.delta, grid)
-    containment = joint_range_containment(args.alpha, args.eps, n_samples=args.samples, seed=args.seed)
+    q_report = oracle.verify_q_star(args.alpha, args.eps, args.delta, grid)
+    containment = oracle.joint_range_containment(args.alpha, args.eps, n_samples=args.samples, seed=args.seed)
     failures = []
     if not abs(gap) <= args.tol:
         failures.append(f"frontier gap |{gap!r}| > {args.tol!r}")
@@ -315,7 +321,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "alpha": args.alpha,
         "eps": args.eps,
         "delta": args.delta,
-        "grid": {"n_coarse": grid.n_coarse, "n_refine": grid.n_refine, "refine_window": REFINE_WINDOW},
+        "grid": {"n_coarse": grid.n_coarse, "n_refine": grid.n_refine, "refine_window": oracle.REFINE_WINDOW},
         "seed": args.seed,
         "samples": args.samples,
         "tolerance": args.tol,
@@ -409,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--delta", type=float, required=True)
     oracle.add_argument("--grid-n", dest="grid_n", type=int, default=None)
     oracle.add_argument("--samples", type=int, default=10000)
-    oracle.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    oracle.add_argument("--seed", type=int, default=None)  # cmd_oracle_check fills in DEFAULT_SEED
     oracle.add_argument("--tol", type=float, default=1e-4)
     oracle.add_argument("--out", default=None)
     oracle.set_defaults(func=cmd_oracle_check)

@@ -191,19 +191,17 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     if len(u_ps) > n_p:
         idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
         u_ps, p = u_ps[idx], p[idx]
+    # every row has a feasible q: q_star > 2e-9 exceeds the smallest grid q, _P_EDGE
     q_star = (p - delta) / lam
     row_min = _polished_rows(alpha, u_ps, u_all, lambda rows, lp, l1p, lq, l1q: np.exp(lq) <= q_star[rows, None],
                              grid.n_refine)
-    ok = np.isfinite(row_min)
-    if not ok.any():
-        raise InfeasibleError("no p admitted a feasible q on the grid")
-    exact = [renyi_binary(BernoulliPair(pi, qi), alpha) for pi, qi in zip(p[ok].tolist(), q_star[ok].tolist())]
+    exact = [renyi_binary(BernoulliPair(pi, qi), alpha) for pi, qi in zip(p.tolist(), q_star.tolist())]
     return {
         "alpha": alpha,
         "epsilon": epsilon,
         "delta": delta,
-        "n_p_checked": int(ok.sum()),
-        "max_gap": float(np.max(np.abs(row_min[ok] - exact))),
+        "n_p_checked": len(p),
+        "max_gap": float(np.max(np.abs(row_min - exact))),
     }
 
 

@@ -183,6 +183,23 @@ def test_q_star_check_matches_scalar_reference():
         assert abs(report["max_gap"] - max_gap) <= 1e-12
 
 
+def test_q_star_check_counts_every_scanned_row():
+    # a usable p has q* > 2e-9, above the smallest grid q, so every scanned row
+    # is checked; the last triple puts delta + 2e-9 e^eps just below the
+    # fourth-largest grid p, so only four rows are usable
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, FAST.n_coarse)
+    p = 1.0 / (1.0 + np.exp(-u))
+    edge_eps = math.log((0.5 * (p[-4] + p[-5]) - 0.5) / 2e-9)
+    for alpha, eps, delta in [*_KERNEL_CASES, (2.0, edge_eps, 0.5), (20.0, edge_eps, 0.5)]:
+        usable = int(np.count_nonzero(p > delta + 2e-9 * math.exp(eps)))
+        report = verify_q_star(alpha, eps, delta, FAST, n_p=64)
+        assert report["n_p_checked"] == min(usable, 64)
+        assert math.isfinite(report["max_gap"])
+    assert verify_q_star(2.0, edge_eps, 0.5, FAST)["n_p_checked"] == 4
+    with pytest.raises(InfeasibleError):
+        verify_q_star(2.0, 25.0, 0.0, FAST)  # 2e-9 e^25 > 1: no usable p
+
+
 def test_q_star_check_flags_a_wrong_reduction(monkeypatch):
     # a reference value above every grid minimum is what a wrong reduction
     # gives; the check must report it rather than clip it to zero
