@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
+from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, invert_monotone, log_add, minimize_unimodal
 
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
@@ -230,47 +230,43 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     return ConversionResult(min(max(value, 0.0), 1.0 - 1e-15), "closed_form_bound", active_branch=branch)
 
 
-def epsilon_exact(
-    alpha: float,
-    gamma: float,
-    delta: float,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
-) -> ConversionResult:
+def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     """Smallest epsilon such that (alpha, gamma) implies (epsilon, delta)-DP.
 
-    Returns 0 when the frontier at eps = 0 already dominates gamma;
-    otherwise inverts the frontier by secant steps between 0 and the
-    closed-form upper bound (doubled until the frontier reaches gamma).
-    The answer never exceeds epsilon_bound.
+    Inverts the frontier, which increases in eps, by Newton steps that start
+    at the closed-form upper bound epsilon_bound and take the slope in eps
+    from the envelope theorem at the frontier's argmin p, falling back to
+    bisection on [0, bound].  Returns 0 when the frontier at eps = 0 already
+    dominates gamma, and the bound itself when the frontier there falls
+    short of gamma by rounding, so the answer never exceeds epsilon_bound.
+    Every search runs at DEFAULT_SEARCH: one frontier solve an answer
+    where the bound is tight, usually two to four elsewhere.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
     _check_unit(delta, "delta")
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
-    gamma_lo = gamma_exact(alpha, 0.0, delta, cfg).value
-    if gamma_lo >= gamma:
-        return ConversionResult(0.0, "exact_numeric")
-    bound = _epsilon_bound(alpha, gamma, delta)[0]
-    hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
-    gamma_hi = gamma_exact(alpha, hi, delta, cfg).value
-    guard = 0
-    while gamma_hi < gamma:
-        hi *= 2.0
-        guard += 1
-        if guard > 200:
-            raise InfeasibleError(f"no epsilon reaches gamma={gamma!r} at delta={delta!r}")
-        gamma_hi = gamma_exact(alpha, hi, delta, cfg).value
-    eps = invert_monotone(
-        lambda e: gamma_exact(alpha, e, delta, cfg).value,
-        gamma,
-        0.0,
-        hi,
-        cfg=cfg,
-        f_lo=gamma_lo,
-        f_hi=gamma_hi,
-    )
-    return ConversionResult(min(max(eps, 0.0), bound), "exact_numeric")
+
+    def frontier(e: float) -> tuple[float, float]:
+        r = gamma_exact(alpha, e, delta)
+        return r.value, _gamma_slope(alpha, e, delta, r.argmin_p)
+
+    eps = _newton_invert(frontier, gamma, 0.0, _epsilon_bound(alpha, gamma, delta)[0], DEFAULT_SEARCH.abs_tol)
+    return ConversionResult(eps, "exact_numeric")
+
+
+def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
+    # d gamma_exact / d eps at the argmin_p it reports, by the envelope theorem.
+    # Only the tail atom's log(e^eps - p + delta) depends on eps, so the slope
+    # is 1 - w e^eps / (e^eps - p + delta), where w = e^(tail - objective) is
+    # the tail's share of the objective.  The edge value eps - log(1 - delta)
+    # (argmin_p None) has slope 1
+    if argmin_p is None:
+        return 1.0
+    log_rest = epsilon + math.log1p((delta - argmin_p) * math.exp(-epsilon))
+    tail = alpha * math.log1p(-argmin_p) + (1.0 - alpha) * log_rest
+    return -math.expm1(tail + epsilon - log_rest - _objective(alpha, epsilon, delta)(argmin_p))
 
 
 def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:

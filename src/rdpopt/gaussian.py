@@ -14,7 +14,10 @@ alpha rho T)}, whose optimized closed form is
 The accountant here applies the conversion of the conversion module at
 every order instead: epsilon = min over alpha in (1, 1/delta] of
 convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
-"closed_form" and the numeric inversion epsilon_exact in mode "exact".
+"closed_form".  Mode "exact" converts through the numeric frontier
+gamma_exact and solves the dual: the smallest epsilon at which
+max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
+by Newton steps from the closed-form answer.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .conversion import Branch, _epsilon_bound, _gamma_of_epsilon_bound, epsilon_exact, gamma_exact
+from .conversion import Branch, ConversionResult, _epsilon_bound, _gamma_of_epsilon_bound, _gamma_slope, gamma_exact
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, minimize_unimodal
+from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, minimize_unimodal
 
 MODES = ("closed_form", "exact")
 
-# exact mode's order scan and the epsilon_exact inversion at each order it
-# visits: every order costs a nested search, so both run coarser than
-# DEFAULT_SEARCH
+# exact mode's order scan and the gamma_exact solve at each order it visits:
+# every order costs a frontier search, so both run coarser than DEFAULT_SEARCH
 _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32)
 
@@ -160,15 +162,19 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
 
     The T-fold composition satisfies (alpha, rho T alpha)-Renyi DP at every
     order, so epsilon is the minimum over alpha in (1, 1/delta] of the
-    conversion of that guarantee:
+    conversion of that guarantee.  Closed-form mode scans the orders of
+    epsilon_bound(alpha, rho T alpha, delta) at DEFAULT_SEARCH.
 
-      closed_form   epsilon_bound(alpha, rho T alpha, delta)
-      exact         epsilon_exact(alpha, rho T alpha, delta)
-
-    Exact mode also tries the closed-form argmin, so it is never worse than
-    closed-form mode up to search tolerance.  The closed-form order scan
-    runs at DEFAULT_SEARCH; exact mode scans orders to 1e-6 and inverts at
-    each one to 1e-9.
+    Exact mode computes the same minimum for epsilon_exact through its dual:
+    the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
+    rho T alpha at some order.  Each step scans the orders of
+    gamma_exact / alpha (to 1e-6, each solve to 1e-9, plus the closed-form
+    argmin), and the step itself is Newton's, with the slope in epsilon from
+    the envelope theorem at the winning order and p.  The steps start at the
+    closed-form answer, so exact mode is never worse than closed-form mode,
+    and end, usually after two or three scans, at an epsilon that
+    gamma_exact certifies at the reported order, within 1e-10 of the
+    crossing.
     """
     _check_positive(rho, "rho")
     _check_steps(T)
@@ -181,15 +187,37 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
-    def exact_at(alpha: float) -> float:
-        return epsilon_exact(alpha, rho_T * alpha, delta, _EXACT_INNER).value
+    certified = {}  # the order that meets the budget at each epsilon tried
 
-    # _min_over_orders already compares the alpha = 1/delta endpoint
-    a_best, v_best = _min_over_orders(exact_at, delta, _EXACT_ORDERS)
-    v_seed = exact_at(a_closed)
-    if v_seed < v_best:
-        a_best, v_best = a_closed, v_seed
-    return AccountedEpsilon(v_best, a_best, None, mode)
+    def margin(eps: float) -> tuple[float, float]:
+        # gamma_exact - rho_T alpha at the order alpha maximizing gamma_exact / alpha,
+        # and its slope in eps by the envelope theorem.  Its sign is that of
+        # g(eps) - rho_T for the dual g = max over orders of gamma_exact / alpha,
+        # its Newton step is g's, and a margin >= 0 certifies eps at alpha
+        alpha, r = _exact_rate(eps, delta, a_closed)
+        value = r.value - rho_T * alpha
+        if value >= 0.0:
+            certified[eps] = alpha
+        return value, _gamma_slope(alpha, eps, delta, r.argmin_p)
+
+    eps = _newton_invert(margin, 0.0, 0.0, eps_closed, DEFAULT_SEARCH.abs_tol)
+    return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
+
+
+def _exact_rate(epsilon: float, delta: float, extra_order: Optional[float] = None) -> tuple[float, ConversionResult]:
+    # the order maximizing gamma_exact(alpha, eps, delta) / alpha, scanned like
+    # the closed-form orders, and the frontier solve there; extra_order is
+    # tried as well
+    solves: dict[float, ConversionResult] = {}
+
+    def neg_rate(alpha: float) -> float:
+        r = solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
+        return -r.value / alpha
+
+    alpha, value = _min_over_orders(neg_rate, delta, _EXACT_ORDERS)
+    if extra_order is not None and neg_rate(extra_order) < value:
+        alpha = extra_order
+    return alpha, solves[alpha]
 
 
 def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float]:
@@ -199,11 +227,9 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # gamma_alpha inverts the conversion at that order
     if mode == "closed_form":
         alpha, value = _min_over_orders(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, delta)
-    else:
-        alpha, value = _min_over_orders(
-            lambda a: -gamma_exact(a, epsilon, delta, _EXACT_INNER).value / a, delta, _EXACT_ORDERS
-        )
-    return -value, alpha
+        return -value, alpha
+    alpha, r = _exact_rate(epsilon, delta)
+    return r.value / alpha, alpha
 
 
 def max_iterations(rho: float, epsilon: float, delta: float, mode: str = "closed_form") -> int:

@@ -7,7 +7,9 @@ are convex in practice, but bracketing does not rely on that), then
 golden-section search refines the bracket.  Inversion keeps a bracket
 around the crossing and shrinks it by regula falsi with the Illinois
 modification (Dowell & Jarratt, BIT 1971), falling back to bisection
-whenever an interpolation step fails to halve the bracket.
+whenever an interpolation step fails to halve the bracket.  A map whose
+slope comes with its value is inverted by Newton steps instead, with the
+same bracket and bisection fallback.
 """
 
 from __future__ import annotations
@@ -191,3 +193,54 @@ def invert_monotone(
         bisect = not bisect and (right - left) > 0.5 * width
         iters += 1
     return right
+
+
+def _newton_invert(
+    fn: Callable[[float], tuple[float, float]],
+    target: float,
+    lo: float,
+    hi: float,
+    abs_tol: float,
+) -> float:
+    # the smallest x in [lo, hi] with fn(x) >= target, for increasing fn that
+    # returns (value, slope), by Newton steps from hi.  hi is an answer the
+    # caller already trusts: it is returned as it is when fn(hi) falls short
+    # of the target, and the answer never exceeds it.  fn(lo) is evaluated
+    # only when a step reaches lo.  A step that leaves the bracket [lo, hi] or
+    # fails to halve the step before it is replaced by bisection.  Every
+    # Newton estimate is moved up by abs_tol / 16, so that an estimate exact
+    # to rounding reaches the target and the search ends there.  Stops at a
+    # point that reaches the target once the Newton correction there is at
+    # most abs_tol or lost in rounding, or once the bracket is no wider than
+    # abs_tol
+    if not lo < hi:
+        return hi
+    x = hi
+    value, slope = fn(x)
+    if not value >= target:
+        return hi
+    lo_known = False  # fn(lo) < target has been seen
+    last = math.inf  # length of the previous step
+    for _ in range(ScalarSearchConfig.max_iters):
+        step = (value - target) / slope if slope > 0.0 else math.nan
+        if value >= target and (step <= abs_tol or x - step == x):
+            return x
+        if lo_known and hi - lo <= abs_tol:
+            return hi
+        nxt = x - step + abs_tol / 16.0
+        if nxt <= lo and not lo_known:
+            nxt = lo
+        elif not (lo < nxt < hi and abs(step) <= 0.5 * last):
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return hi  # adjacent floats
+        last = abs(nxt - x)
+        x = nxt
+        value, slope = fn(x)
+        if value >= target:
+            if x == lo:
+                return lo
+            hi = x
+        else:
+            lo, lo_known = x, True
+    return hi

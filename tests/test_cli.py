@@ -169,9 +169,9 @@ def _value(draw, typical):
 
 
 @st.composite
-def _accounting_argv(draw) -> list[str]:
+def _accounting_argv(draw, commands=("compose", "max-t", "variance", "curve", "curve-json"), mode=None) -> list[str]:
     # --flag=value, so that argparse takes a negative value as a value
-    command = draw(st.sampled_from(("compose", "max-t", "variance", "curve", "curve-json")))
+    command = draw(st.sampled_from(commands))
     argv = [command.removesuffix("-json")]
     if command != "variance":
         argv.append(f"--sigma={_value(draw, st.floats(1e-160, 1e6))}")
@@ -187,6 +187,8 @@ def _accounting_argv(draw) -> list[str]:
         argv += [f"--t-from={t_from}", f"--t-to={t_from + draw(st.integers(-1, 3))}"]
         if command == "curve-json":
             argv.append("--format=json")
+    if mode is not None:
+        argv.append(f"--mode={mode}")
     return argv
 
 
@@ -195,9 +197,24 @@ def _accounting_argv(draw) -> list[str]:
 @example(argv=["curve", "--sigma", "1e-154", "--delta", "1e-5", "--t-from", "1", "--t-to", "2"])
 @example(argv=["compose", "--sigma", "1e-154", "--T", "1000", "--delta", "1e-5"])
 def test_accounting_finite_inputs_give_clean_output_or_typed_errors(argv):
-    # closed-form compose, max-t, variance and curve (CSV and JSON): exit 0
-    # with strict, schema-valid JSON or a rectangular CSV of finite cells, or
-    # a labelled usage (2) or infeasible/domain (3) error with nothing on stdout
+    # closed-form compose, max-t, variance and curve (CSV and JSON)
+    _check_clean_output_or_typed_error(argv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=_accounting_argv(("compose", "max-t"), "exact"))
+@example(argv=["compose", "--sigma=1e-154", "--T=1000", "--delta=1e-5", "--mode=exact"])
+@example(argv=["max-t", "--sigma=20", "--eps=6", "--delta=1e-5", "--mode=exact"])
+def test_exact_mode_finite_inputs_give_clean_output_or_typed_errors(argv):
+    # compose and max-t under --mode exact, fewer examples: each runs the
+    # numeric frontier at every order of a few scans
+    _check_clean_output_or_typed_error(argv)
+
+
+def _check_clean_output_or_typed_error(argv: list[str]) -> None:
+    # exit 0 with strict, schema-valid JSON or a rectangular CSV of finite
+    # cells, or a labelled usage (2) or infeasible/domain (3) error with
+    # nothing on stdout
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

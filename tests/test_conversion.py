@@ -12,6 +12,7 @@ import pytest
 
 from rdpopt import conversion
 from rdpopt.conversion import (
+    _gamma_slope,
     _objective,
     balle_epsilon,
     baseline_delta,
@@ -97,8 +98,38 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
         solves = 0
         delta_exact(alpha, gamma, eps)
         delta_solves.append(solves)
-    assert sum(eps_solves) / len(eps_solves) <= 8.0
+    # epsilon_exact takes Newton steps from its closed-form bound (about 1.2
+    # solves an answer here; 4.7 with secant steps)
+    assert sum(eps_solves) / len(eps_solves) <= 3.0
     assert sum(delta_solves) / len(delta_solves) <= 8.0
+
+
+def test_envelope_slope_matches_the_frontier_derivative(rng):
+    # _gamma_slope is d gamma_exact / d eps at the reported argmin_p: checked
+    # against a central difference of gamma_exact itself (the envelope
+    # theorem) and a 30-digit derivative of the objective at that p (the formula)
+    h = 1e-5
+    for _ in range(20):
+        alpha = 1.0 + 49.0 * rng.uniform(1e-3, 1.0)
+        eps = rng.uniform(0.05, 5.0)
+        delta = math.exp(rng.uniform(math.log(1e-9), math.log(min(0.5, 0.999 / alpha))))
+        r = gamma_exact(alpha, eps, delta)
+        assert r.argmin_p is not None
+        slope = _gamma_slope(alpha, eps, delta, r.argmin_p)
+        central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
+        assert abs(slope - central) <= 1e-8, (alpha, eps, delta)
+        with mpmath.workdps(30):
+            a, d, p = mpmath.mpf(alpha), mpmath.mpf(delta), mpmath.mpf(r.argmin_p)
+            head = p**a * (p - d) ** (1 - a)
+            at_p = lambda e: e + mpmath.log(head + (1 - p) ** a * (mpmath.exp(e) - p + d) ** (1 - a)) / (a - 1)
+            exact = float(mpmath.diff(at_p, mpmath.mpf(eps)))
+        assert abs(slope - exact) <= 1e-13, (alpha, eps, delta)
+    # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1
+    for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (49.0, 4.0, 0.03)]:
+        r = gamma_exact(alpha, eps, delta)
+        assert r.argmin_p is None and _gamma_slope(alpha, eps, delta, r.argmin_p) == 1.0
+        central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
+        assert abs(central - 1.0) <= 1e-8
 
 
 def test_objective_convexity_inside_log():

@@ -8,8 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdpopt import gaussian
-from rdpopt.conversion import balle_epsilon, epsilon_bound
+from rdpopt import conversion, gaussian
+from rdpopt.conversion import balle_epsilon, epsilon_bound, gamma_exact
 from rdpopt.errors import DomainError, InfeasibleError
 from rdpopt.gaussian import (
     AccountedEpsilon,
@@ -24,7 +24,7 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import minimize_unimodal
+from rdpopt.optimize import invert_monotone, minimize_unimodal
 
 
 def test_rho_gaussian():
@@ -149,6 +149,57 @@ def test_acct_epsilon_exact_mode():
         assert 0.0 < exact.epsilon <= closed.epsilon + 1e-6
     with pytest.raises(DomainError):
         acct_epsilon(0.01, 10.0, 1e-6, "sloppy")
+
+
+def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
+    # the reference: exact mode as a primal order scan, the minimum over orders
+    # of the epsilon that inverts the frontier at rho*T*alpha, each found by
+    # secant steps up to its closed-form bound, plus the closed-form argmin
+    cfg, rho_T = gaussian._EXACT_INNER, rho * T
+
+    def eps_at(alpha: float) -> float:
+        gamma = rho_T * alpha
+        frontier = lambda e: gamma_exact(alpha, e, delta, cfg).value
+        gamma_lo = frontier(0.0)
+        if gamma_lo >= gamma:
+            return 0.0
+        bound = epsilon_bound(alpha, gamma, delta).value
+        hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
+        while frontier(hi) < gamma:
+            hi *= 2.0
+        return min(invert_monotone(frontier, gamma, 0.0, hi, cfg=cfg, f_lo=gamma_lo), bound)
+
+    _, best = gaussian._min_over_orders(eps_at, delta, gaussian._EXACT_ORDERS)
+    return min(best, eps_at(acct_epsilon(rho, T, delta).argmin_alpha))
+
+
+def test_exact_accountant_matches_the_primal_scan(monkeypatch):
+    # plain Gaussian inputs over the benchmark's exact-mode ranges: mu =
+    # sqrt(T)/sigma in [0.1, 4], sigma in [0.5, 30], delta in [1e-9, 1e-3]
+    rng = random.Random(10)
+    inputs = []
+    while len(inputs) < 20:
+        mu, delta = _log_uniform(rng, 0.1, 4.0), _log_uniform(rng, 1e-9, 1e-3)
+        T = round(_log_uniform(rng, max(1.0, (0.5 * mu) ** 2), (30.0 * mu) ** 2))
+        inputs.append((rho_gaussian(math.sqrt(T) / mu), T, delta))
+    references = [_primal_exact_epsilon(*args) for args in inputs]
+    solves = [0]
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return gamma_exact(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "gamma_exact", counted)
+    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    for (rho, T, delta), primal in zip(inputs, references):
+        solves[0] = 0
+        r = acct_epsilon(rho, T, delta, "exact")
+        assert solves[0] <= 400, (rho, T, delta, solves[0])  # the primal scan took 700 to 1250
+        # certified at its order by the frontier the accountant searches
+        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+        assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
+        assert r.epsilon <= acct_epsilon(rho, T, delta).epsilon
+        assert r.epsilon <= primal + 1e-9, (rho, T, delta, r.epsilon - primal)
 
 
 def test_acct_epsilon_monotonicity():

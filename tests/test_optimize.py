@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rdpopt.conversion import gamma_exact
 from rdpopt.errors import BracketRangeError, DomainError, InfeasibleError
-from rdpopt.optimize import ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
+from rdpopt.optimize import ScalarSearchConfig, _newton_invert, invert_monotone, log_add, minimize_unimodal
 
 
 def test_config_validation():
@@ -229,3 +229,44 @@ def test_invert_monotone_matches_bisection_reference_cubics(c, frac):
     x = invert_monotone(fn, target, lo, hi)
     assert abs(x - _bisect_reference(fn, target, lo, hi)) <= 1e-10
     assert fn(x) >= target
+
+
+@given(
+    c=st.floats(min_value=0.1, max_value=5.0),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+    scale=st.sampled_from((1.0, 0.3, 3.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_newton_invert_cubics(c, frac, scale):
+    # concave below 0 and convex above, so Newton steps from hi can overshoot;
+    # a slope off by a factor exercises the bisection fallback
+    fn = lambda x: x**3 + c * x
+    lo, hi, evals = -4.0, 4.0, [0]
+
+    def with_slope(x):
+        evals[0] += 1
+        return fn(x), scale * (3.0 * x * x + c)
+
+    target = fn(lo) + frac * (fn(hi) - fn(lo))
+    x = _newton_invert(with_slope, target, lo, hi, 1e-10)
+    assert fn(x) >= target
+    # a slope 3x too steep shortens the last correction threefold
+    assert x <= _bisect_reference(fn, target, lo, hi, abs_tol=1e-13) + 3e-10
+    assert evals[0] <= (12 if scale == 1.0 else 100)
+
+
+def test_newton_invert_ends():
+    fn = lambda x: (x**3, 3.0 * x * x)
+    # hi is returned as it is when it falls short of the target; lo when it reaches it
+    assert _newton_invert(fn, 8.0 + 1e-9, 0.0, 2.0, 1e-10) == 2.0
+    assert _newton_invert(lambda x: (x + 1.0, 1.0), 0.5, 0.0, 3.0, 1e-10) == 0.0
+    assert _newton_invert(fn, 1.0, 2.0, 2.0, 1e-10) == 2.0
+    # exact from hi: the root of x^3 = 8 at 2 is reached in a few steps
+    evals = [0]
+
+    def counted(x):
+        evals[0] += 1
+        return fn(x)
+
+    assert 2.0 <= _newton_invert(counted, 8.0, 0.0, 3.0, 1e-10) <= 2.0 + 1e-10
+    assert evals[0] <= 8
