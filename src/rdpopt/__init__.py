@@ -2,8 +2,8 @@
 
 The package is organized bottom-up:
 
-  divergences   two-point hockey-stick and power divergences
-  optimize      golden-section minimization and monotone inversion
+  divergences   two-point hockey-stick and Renyi divergences
+  optimize      golden-section minimization and Newton inversion
   conversion    the exact conversion frontier and its closed-form bounds
   gaussian      T-fold Gaussian composition, ours versus moments accountant
   oracle        brute-force grid validation of the frontier
@@ -31,15 +31,8 @@ from .conversion import (
     log_zeta,
     zero_epsilon_region,
 )
-from .divergences import (
-    BernoulliPair,
-    chi_alpha_binary,
-    chi_of_gamma,
-    gamma_of_chi,
-    hockey_stick_binary,
-    renyi_binary,
-)
-from .errors import AccountingError, BracketRangeError, DomainError, InfeasibleError
+from .divergences import BernoulliPair, hockey_stick_binary, renyi_binary
+from .errors import AccountingError, DomainError, InfeasibleError
 from .gaussian import (
     AccountedEpsilon,
     CurvePoint,
@@ -55,7 +48,7 @@ from .gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from .optimize import ScalarSearchConfig, invert_monotone, log_add, minimize_unimodal
+from .optimize import ScalarSearchConfig, log_add, minimize_unimodal
 
 # served by __getattr__ below, so that importing the package does not import numpy
 _ORACLE_NAMES = frozenset({"GridSpec", "brute_force_gamma", "joint_range_containment", "verify_q_star"})
@@ -66,7 +59,6 @@ __all__ = [
     "AccountedEpsilon",
     "AccountingError",
     "BernoulliPair",
-    "BracketRangeError",
     "ConversionResult",
     "CurvePoint",
     "DomainError",
@@ -82,17 +74,13 @@ __all__ = [
     "baseline_epsilon",
     "boundary_objective",
     "brute_force_gamma",
-    "chi_alpha_binary",
-    "chi_of_gamma",
     "delta_bound",
     "delta_exact",
     "epsilon_bound",
     "epsilon_exact",
     "gamma_bound",
     "gamma_exact",
-    "gamma_of_chi",
     "hockey_stick_binary",
-    "invert_monotone",
     "joint_range_containment",
     "log_add",
     "log_zeta",

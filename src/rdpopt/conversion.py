@@ -22,11 +22,12 @@ Thm 21) for comparison.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, invert_monotone, log_add, minimize_unimodal
+from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, log_add, minimize_unimodal
 
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
@@ -119,19 +120,24 @@ def gamma_exact(
     return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p)
 
 
-def _f_lower_bound(alpha: float, epsilon: float, delta: float) -> float:
-    """Tangent-at-zero lower bound on the frontier, valid for alpha*delta < 1.
+def _f_lower_bound(alpha: float, epsilon: float, delta: float) -> tuple[float, float]:
+    """Tangent-at-zero lower bound on the frontier, valid for alpha*delta < 1, and its slope in delta.
 
-    f = eps + (1/(alpha-1)) * log( (e^eps - alpha*delta) *
-        ((1-delta)/(e^eps - delta))^alpha + alpha*delta ).
+    f = eps + (1/(alpha-1)) * log(S),
+    S = (e^eps - alpha*delta) * ((1-delta)/(e^eps - delta))^alpha + alpha*delta.
     """
+    # with lead = log of the first term of S, dS/ddelta = alpha (1 - c e^lead),
+    # c = 1/(1 - delta) + (alpha-1) delta / ((e^eps - delta)(e^eps - alpha delta));
+    # 1/S is capped where it would overflow (S < e^-709, only at tiny delta)
     ad = alpha * delta
-    if ad == 0.0:
-        return 0.0
-    log_lead = epsilon + math.log1p(-ad * math.exp(-epsilon))
-    log_ratio = math.log1p(-delta) - (epsilon + math.log1p(-delta * math.exp(-epsilon)))
-    inner = log_add(log_lead + alpha * log_ratio, math.log(ad))
-    return epsilon + inner / (alpha - 1.0)
+    log_rest = epsilon + math.log1p(-delta * math.exp(-epsilon))  # log(e^eps - delta)
+    log_lead = epsilon + math.log1p(-ad * math.exp(-epsilon))  # log(e^eps - alpha delta)
+    lead = log_lead + alpha * (math.log1p(-delta) - log_rest)
+    inner = log_add(lead, math.log(ad)) if ad > 0.0 else lead
+    c = 1.0 / (1.0 - delta) + (alpha - 1.0) * delta * math.exp(-log_rest - log_lead)
+    slope = alpha / (alpha - 1.0) * (math.exp(min(-inner, 709.0)) - c * math.exp(lead - inner))
+    value = epsilon + inner / (alpha - 1.0) if ad > 0.0 else 0.0
+    return value, min(slope, sys.float_info.max)
 
 
 def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
@@ -149,7 +155,7 @@ def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
         value = epsilon - math.log1p(-delta)
         return ConversionResult(value, "closed_form_bound", active_branch="alpha_delta_ge_1")
     g = epsilon - (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
-    f = _f_lower_bound(alpha, epsilon, delta)
+    f = _f_lower_bound(alpha, epsilon, delta)[0]
     if g >= f:
         return ConversionResult(g, "closed_form_bound", active_branch="g_bound")
     return ConversionResult(f, "closed_form_bound", active_branch="f_bound")
@@ -159,9 +165,13 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     """Smallest delta such that (alpha, gamma) implies (epsilon, delta)-DP.
 
     Inverts the frontier, which is continuous and increasing in delta, by
-    secant steps between 0 and the closed-form upper bound delta_bound
-    (or 1 - 1e-12 when the frontier does not reach gamma at that bound).
-    Every search runs at DEFAULT_SEARCH; the answer never exceeds delta_bound.
+    Newton steps that start at the closed-form upper bound delta_bound and
+    take the slope in delta from the envelope theorem at the frontier's
+    argmin p, falling back to bisection on [0, bound].  Returns the bound
+    itself when the frontier there falls short of gamma by rounding, so the
+    answer never exceeds delta_bound; raises InfeasibleError when the
+    frontier at 1 - 1e-12 does not reach gamma.  Every search runs at
+    DEFAULT_SEARCH.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -169,26 +179,20 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
-    bound = delta_bound(alpha, gamma, epsilon).value
-    hi = min(bound * (1.0 + 1e-9) + 1e-15, top)
-    gamma_hi = gamma_exact(alpha, epsilon, hi).value
-    if gamma_hi < gamma and hi < top:
-        hi = top
-        gamma_hi = gamma_exact(alpha, epsilon, hi).value
-    if gamma > gamma_hi:
-        raise InfeasibleError(
-            f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
-            f"(frontier tops out near {gamma_hi!r})"
-        )
-    d = invert_monotone(
-        lambda t: gamma_exact(alpha, epsilon, t).value,
-        gamma,
-        0.0,
-        hi,
-        f_lo=0.0,  # gamma_exact at delta = 0
-        f_hi=gamma_hi,
-    )
-    return ConversionResult(min(max(d, 0.0), hi, bound), "exact_numeric")
+
+    def frontier(d: float) -> tuple[float, float]:
+        r = gamma_exact(alpha, epsilon, d)
+        return r.value, _gamma_delta_slope(alpha, epsilon, d, r.argmin_p)
+
+    d = _newton_invert(frontier, gamma, 0.0, min(delta_bound(alpha, gamma, epsilon).value, top), DEFAULT_SEARCH.abs_tol)
+    if d == top:
+        gamma_top = gamma_exact(alpha, epsilon, top).value
+        if gamma_top < gamma:
+            raise InfeasibleError(
+                f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
+                f"(frontier tops out near {gamma_top!r})"
+            )
+    return ConversionResult(d, "exact_numeric")
 
 
 def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
@@ -196,8 +200,9 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
 
     Inverts each closed-form frontier piece separately and takes the best:
     the moment piece inverts to zeta(alpha) * e^{-(alpha-1)(eps-gamma)},
-    the tangent piece is inverted numerically on [0, 1/alpha) at
-    DEFAULT_SEARCH.
+    the tangent piece by Newton steps on [0, 1/alpha) with its closed-form
+    slope, at DEFAULT_SEARCH.  For gamma > 0 a delta that underflows to 0
+    is reported as the smallest positive float.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -209,25 +214,24 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         return ConversionResult(d_closed, "closed_form_bound", active_branch="alpha_delta_ge_1")
     d_g = math.exp(log_zeta(alpha) - (alpha - 1.0) * (epsilon - gamma))
     cap = (1.0 / alpha) * (1.0 - 1e-12)
-    f_cap = _f_lower_bound(alpha, epsilon, cap)
-    if gamma <= f_cap:
+    if gamma <= _f_lower_bound(alpha, epsilon, cap)[0]:
         # the tangent piece is 0 at delta = 0 and gamma >= 0, so gamma lies
         # in the range the piece attains on [0, cap]
-        d_f = invert_monotone(
-            lambda t: _f_lower_bound(alpha, epsilon, t),
-            gamma,
-            0.0,
-            cap,
-            f_lo=0.0,
-            f_hi=f_cap,
-        )
+        d_f = _newton_invert(lambda t: _f_lower_bound(alpha, epsilon, t), gamma, 0.0, cap, DEFAULT_SEARCH.abs_tol)
     else:
         # the tangent piece stays below gamma on its whole domain; it only
         # certifies delta <= 1/alpha, which the moment piece already beats
         d_f = 1.0 / alpha
     value = min(d_g, d_f)
     branch: Branch = "g_bound" if d_g <= d_f else "f_bound"
-    return ConversionResult(min(max(value, 0.0), 1.0 - 1e-15), "closed_form_bound", active_branch=branch)
+    value = _no_false_zero(min(value, 1.0 - 1e-15), gamma)
+    return ConversionResult(value, "closed_form_bound", active_branch=branch)
+
+
+def _no_false_zero(delta: float, gamma: float) -> float:
+    # a delta of 0 claims pure DP, which no gamma > 0 gives: such a 0 is an
+    # underflow, and the true value lies below the smallest positive float
+    return math.ulp(0.0) if delta == 0.0 and gamma > 0.0 else delta
 
 
 def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
@@ -256,17 +260,37 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     return ConversionResult(eps, "exact_numeric")
 
 
+def _tail_atom(alpha: float, epsilon: float, delta: float, p: float) -> tuple[float, float, float]:
+    # the tail atom's log, tail = alpha log(1-p) + (1-alpha) log_rest with
+    # log_rest = log(e^eps - p + delta), and the objective at p: e^(tail -
+    # objective) is the tail's share w of the objective, which both envelope
+    # slopes below weigh
+    log_rest = epsilon + math.log1p((delta - p) * math.exp(-epsilon))
+    tail = alpha * math.log1p(-p) + (1.0 - alpha) * log_rest
+    return tail, log_rest, _objective(alpha, epsilon, delta)(p)
+
+
 def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
     # d gamma_exact / d eps at the argmin_p it reports, by the envelope theorem.
     # Only the tail atom's log(e^eps - p + delta) depends on eps, so the slope
-    # is 1 - w e^eps / (e^eps - p + delta), where w = e^(tail - objective) is
-    # the tail's share of the objective.  The edge value eps - log(1 - delta)
+    # is 1 - w e^eps / (e^eps - p + delta).  The edge value eps - log(1 - delta)
     # (argmin_p None) has slope 1
     if argmin_p is None:
         return 1.0
-    log_rest = epsilon + math.log1p((delta - argmin_p) * math.exp(-epsilon))
-    tail = alpha * math.log1p(-argmin_p) + (1.0 - alpha) * log_rest
-    return -math.expm1(tail + epsilon - log_rest - _objective(alpha, epsilon, delta)(argmin_p))
+    tail, log_rest, objective = _tail_atom(alpha, epsilon, delta, argmin_p)
+    return -math.expm1(tail + epsilon - log_rest - objective)
+
+
+def _gamma_delta_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
+    # d gamma_exact / d delta at the argmin_p it reports, by the envelope
+    # theorem: delta enters both atoms, and the slope is
+    # (1 - w)/(p - delta) - w/(e^eps - p + delta).  The edge value
+    # eps - log(1 - delta) (argmin_p None, also at delta = 0) has slope 1/(1 - delta)
+    if argmin_p is None:
+        return 1.0 / (1.0 - delta)
+    tail, log_rest, objective = _tail_atom(alpha, epsilon, delta, argmin_p)
+    log_w = tail - objective
+    return -math.expm1(log_w) / (argmin_p - delta) - math.exp(log_w - log_rest)
 
 
 def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:
@@ -325,12 +349,16 @@ def _gamma_of_epsilon_bound(alpha: float, epsilon: float, delta: float) -> float
 
 
 def baseline_delta(alpha: float, gamma: float, epsilon: float) -> float:
-    """Markov-style conversion delta = e^{-(alpha-1)(eps-gamma)}, capped at 1."""
+    """Markov-style conversion delta = e^{-(alpha-1)(eps-gamma)}, capped at 1.
+
+    For gamma > 0 a delta that underflows to 0 is reported as the smallest
+    positive float.
+    """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
     _check_nonnegative(epsilon, "epsilon")
     # cap the exponent rather than the result: for eps < gamma it can exceed 709
-    return math.exp(min(-(alpha - 1.0) * (epsilon - gamma), 0.0))
+    return _no_false_zero(math.exp(min(-(alpha - 1.0) * (epsilon - gamma), 0.0)), gamma)
 
 
 def baseline_epsilon(alpha: float, gamma: float, delta: float) -> float:

@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _check_alpha, _check_nonnegative, _check_unit
+from .errors import DomainError, _check_alpha, _check_unit
 from .optimize import log_add
-
-_LOG_MAX = 709.0  # math.exp overflows just above this
 
 
 @dataclass(frozen=True)
@@ -39,47 +37,11 @@ def hockey_stick_binary(pair: BernoulliPair, lam: float) -> float:
     return max(p - lam * q, 0.0) + max((1.0 - p) - lam * (1.0 - q), 0.0)
 
 
-def _log_moment(pair: BernoulliPair, alpha: float) -> float:
+def renyi_binary(pair: BernoulliPair, alpha: float) -> float:
+    """Renyi divergence (1/(alpha-1)) * log E[(dP/dQ)^alpha]."""
+    _check_alpha(alpha)
     # log( p^a q^(1-a) + (1-p)^a (1-q)^(1-a) ), exponents combined before exp
     p, q = pair.p, pair.q
     t_head = alpha * math.log(p) + (1.0 - alpha) * math.log(q)
     t_tail = alpha * math.log1p(-p) + (1.0 - alpha) * math.log1p(-q)
-    return log_add(t_head, t_tail)
-
-
-def chi_alpha_binary(pair: BernoulliPair, alpha: float) -> float:
-    """Power divergence (E[(dP/dQ)^alpha] - 1)/(alpha - 1); +inf on overflow."""
-    _check_alpha(alpha)
-    m = _log_moment(pair, alpha)
-    if m > _LOG_MAX:
-        return math.inf
-    # the true value is >= 0; rounding at p ~= q can push m a few ulp below 0
-    return max(math.expm1(m) / (alpha - 1.0), 0.0)
-
-
-def renyi_binary(pair: BernoulliPair, alpha: float) -> float:
-    """Renyi divergence (1/(alpha-1)) * log E[(dP/dQ)^alpha]."""
-    _check_alpha(alpha)
-    return max(_log_moment(pair, alpha) / (alpha - 1.0), 0.0)
-
-
-def chi_of_gamma(gamma: float, alpha: float) -> float:
-    """Largest power divergence compatible with Renyi divergence gamma.
-
-    chi(gamma) = (e^((alpha-1)*gamma) - 1)/(alpha - 1); returns +inf when
-    the exponential overflows.
-    """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    x = (alpha - 1.0) * gamma
-    if x > _LOG_MAX:
-        return math.inf
-    return math.expm1(x) / (alpha - 1.0)
-
-
-def gamma_of_chi(t: float, alpha: float) -> float:
-    """Inverse of chi_of_gamma: (1/(alpha-1)) * log(1 + (alpha-1)*t)."""
-    _check_alpha(alpha)
-    if math.isnan(t) or t < 0.0:
-        raise DomainError(f"divergence value must be >= 0, got {t!r}")
-    return math.log1p((alpha - 1.0) * t) / (alpha - 1.0)
+    return max(log_add(t_head, t_tail) / (alpha - 1.0), 0.0)

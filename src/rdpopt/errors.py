@@ -15,15 +15,6 @@ class InfeasibleError(AccountingError):
     """No value in the searched region can satisfy the requested constraint."""
 
 
-class BracketRangeError(AccountingError):
-    """Inversion target falls outside the value range attained on the bracket."""
-
-    def __init__(self, message: str, lo_value: float | None = None, hi_value: float | None = None):
-        super().__init__(message)
-        self.lo_value = lo_value
-        self.hi_value = hi_value
-
-
 def _check_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 1.0):
         raise DomainError(f"order alpha must be finite and > 1, got {alpha!r}")

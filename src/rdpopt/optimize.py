@@ -4,12 +4,11 @@ Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
 minimization.  A coarse scan brackets the minimizer first (the objectives
 are convex in practice, but bracketing does not rely on that), then
-golden-section search refines the bracket.  Inversion keeps a bracket
-around the crossing and shrinks it by regula falsi with the Illinois
-modification (Dowell & Jarratt, BIT 1971), falling back to bisection
-whenever an interpolation step fails to halve the bracket.  A map whose
-slope comes with its value is inverted by Newton steps instead, with the
-same bracket and bisection fallback.
+golden-section search refines the bracket.  Inversion takes the map's
+slope with its value (for a minimum, from the envelope theorem) and runs
+Newton steps from a trusted upper end, keeping a bracket around the
+crossing and falling back to bisection whenever a step leaves the bracket
+or fails to halve the step before it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-from .errors import BracketRangeError, DomainError, InfeasibleError, _check_positive
+from .errors import DomainError, InfeasibleError, _check_positive
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -117,82 +116,6 @@ def minimize_unimodal(
                 best_x, best_v = x2, f2
         iters += 1
     return best_x, best_v
-
-
-def invert_monotone(
-    fn: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    *,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
-) -> float:
-    """Solve fn(x) = target on [lo, hi] for increasing fn by bracketed secant steps.
-
-    Each step interpolates linearly between the bracket ends (regula falsi);
-    the value kept at an end that survives two steps in a row is halved (the
-    Illinois modification), and a step that fails to halve the bracket is
-    followed by a bisection step, so at most
-    2 * ceil(log2((hi - lo) / abs_tol)) + 1 steps are taken.
-
-    The result is the right end of a bracket that holds the crossing and is
-    no wider than abs_tol, or than the spacing of floats there when that is
-    wider.  Flat segments are tolerated; the returned point converges to
-    the leftmost crossing, and always satisfies fn(result) >= target up to
-    the argument tolerance.  A caller that
-    already holds fn(lo) or fn(hi) passes it as f_lo or f_hi, and fn is not
-    evaluated there again.  A target outside the attained range raises
-    BracketRangeError carrying both endpoint values.
-    """
-    if not lo < hi:
-        raise DomainError(f"need lo < hi, got ({lo!r}, {hi!r})")
-    if f_lo is None:
-        f_lo = fn(lo)
-    if f_hi is None:
-        f_hi = fn(hi)
-    if not (f_lo <= target <= f_hi):
-        raise BracketRangeError(
-            f"target {target!r} outside attained range [{f_lo!r}, {f_hi!r}]",
-            lo_value=f_lo,
-            hi_value=f_hi,
-        )
-    # s(x) = fn(x) - target is <= 0 at the left end and >= 0 at the right
-    left, right = lo, hi
-    s_left, s_right = f_lo - target, f_hi - target
-    half_tol = 0.5 * cfg.abs_tol
-    bisect = False
-    kept = 0  # +1 when the last step kept the left end, -1 when it kept the right
-    iters = 0
-    while (right - left) > cfg.abs_tol and iters < cfg.max_iters:
-        width = right - left
-        x = mid = 0.5 * (left + right)
-        if not left < mid < right:
-            break  # adjacent floats: abs_tol is below their spacing
-        t = s_left / (s_left - s_right) if s_right > s_left else math.nan
-        if not bisect and 0.0 <= t <= 1.0:
-            # an estimate within half a tolerance of an end is pulled in to
-            # half a tolerance, so a converged estimate closes the bracket next
-            x = min(max(left + t * width, left + half_tol), right - half_tol)
-            if not left < x < right:  # rounded onto an end
-                x = mid
-        v = fn(x)
-        if v >= target:
-            right, s_right = x, v - target
-            if kept == 1:
-                s_left *= 0.5
-            kept = 1
-        else:
-            left, s_left = x, v - target
-            if kept == -1:
-                s_right *= 0.5
-            kept = -1
-        # only an interpolation step that failed to halve the bracket earns a
-        # bisection; a bisection step may miss exact halving by rounding
-        bisect = not bisect and (right - left) > 0.5 * width
-        iters += 1
-    return right
 
 
 def _newton_invert(

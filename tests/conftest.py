@@ -26,3 +26,22 @@ def sample_small_delta_triples(rng: np.random.Generator, n: int) -> list[tuple[f
         delta = rng.uniform(1e-8, 1.0) * min(0.5, 0.999 / alpha)
         out.append((alpha, gamma, delta))
     return out
+
+
+def bisect_reference(fn, target, lo, hi, abs_tol=1e-10):
+    """Plain bisection for the smallest x in [lo, hi] with fn(x) >= target, fn increasing.
+
+    Returns the right end of the final bracket.  Stops once the bracket is
+    no wider than abs_tol, or once its ends are adjacent floats, where a
+    large x leaves no float strictly between them.
+    """
+    left, right = lo, hi
+    while right - left > abs_tol:
+        mid = 0.5 * (left + right)
+        if not left < mid < right:
+            break
+        if fn(mid) >= target:
+            right = mid
+        else:
+            left = mid
+    return right

@@ -12,6 +12,8 @@ import pytest
 
 from rdpopt import conversion
 from rdpopt.conversion import (
+    _f_lower_bound,
+    _gamma_delta_slope,
     _gamma_slope,
     _objective,
     balle_epsilon,
@@ -75,7 +77,7 @@ def test_hoisted_objective_is_bit_identical():
 
 
 def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
-    # each inversion brackets from a closed form and takes secant steps; a
+    # each inversion starts from a closed form and takes Newton steps; a
     # bisection to the same tolerance costs about 38 frontier solves an answer
     solves = 0
 
@@ -98,10 +100,11 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
         solves = 0
         delta_exact(alpha, gamma, eps)
         delta_solves.append(solves)
-    # epsilon_exact takes Newton steps from its closed-form bound (about 1.2
-    # solves an answer here; 4.7 with secant steps)
+    # both take Newton steps from their closed-form bound (epsilon_exact about
+    # 1.2 solves an answer here, 4.7 with secant steps; delta_exact about 1.3,
+    # 4.0 with secant steps)
     assert sum(eps_solves) / len(eps_solves) <= 3.0
-    assert sum(delta_solves) / len(delta_solves) <= 8.0
+    assert sum(delta_solves) / len(delta_solves) <= 3.0
 
 
 def test_envelope_slope_matches_the_frontier_derivative(rng):
@@ -130,6 +133,62 @@ def test_envelope_slope_matches_the_frontier_derivative(rng):
         assert r.argmin_p is None and _gamma_slope(alpha, eps, delta, r.argmin_p) == 1.0
         central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
         assert abs(central - 1.0) <= 1e-8
+
+
+def _central(fn, x, h):
+    return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def _slope_triples(rng, n):
+    # alpha up to 1e3, eps in [0.05, 5] or 1000, delta log-uniform below 1/alpha
+    out = []
+    for _ in range(n):
+        alpha = 1.0 + 10.0 ** rng.uniform(-2.0, 3.0)
+        eps = rng.uniform(0.05, 5.0) if rng.uniform() < 0.6 else 1000.0
+        delta = math.exp(rng.uniform(math.log(1e-5), math.log(min(0.5, 0.999 / alpha))))
+        out.append((alpha, eps, delta))
+    return out
+
+
+def test_delta_slope_matches_the_frontier_derivative(rng):
+    # _gamma_delta_slope is d gamma_exact / d delta at the reported argmin_p:
+    # checked against a central difference of gamma_exact itself (the envelope
+    # theorem) and a 30-digit derivative of the objective at that p (the formula)
+    for alpha, eps, delta in _slope_triples(rng, 30):
+        r = gamma_exact(alpha, eps, delta)
+        assert r.argmin_p is not None
+        slope = _gamma_delta_slope(alpha, eps, delta, r.argmin_p)
+        central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
+        assert math.isclose(slope, central, rel_tol=1e-5), (alpha, eps, delta)
+        with mpmath.workdps(30):
+            a, e, p = mpmath.mpf(alpha), mpmath.mpf(eps), mpmath.mpf(r.argmin_p)
+            at_p = lambda d: mpmath.log(p**a * (p - d) ** (1 - a) + (1 - p) ** a * (mpmath.exp(e) - p + d) ** (1 - a))
+            exact = float(mpmath.diff(at_p, mpmath.mpf(delta)) / (a - 1))
+        assert math.isclose(slope, exact, rel_tol=1e-9), (alpha, eps, delta)
+    # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1/(1 - delta)
+    for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (1000.0, 2.0, 0.01), (2.0, 1000.0, 0.6)]:
+        r = gamma_exact(alpha, eps, delta)
+        assert r.argmin_p is None
+        assert _gamma_delta_slope(alpha, eps, delta, r.argmin_p) == 1.0 / (1.0 - delta)
+        central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
+        assert math.isclose(central, 1.0 / (1.0 - delta), rel_tol=1e-8)
+
+
+def test_tangent_piece_slope_matches_its_derivative(rng):
+    for alpha, eps, delta in _slope_triples(rng, 30):
+        slope = _f_lower_bound(alpha, eps, delta)[1]
+        central = _central(lambda t: _f_lower_bound(alpha, eps, t)[0], delta, 1e-5 * delta)
+        assert math.isclose(slope, central, rel_tol=1e-5), (alpha, eps, delta)
+
+
+def test_delta_slopes_are_finite_at_zero():
+    # Newton steps evaluate the lower end delta = 0 when a step reaches it
+    for alpha in (1.0001, 2.0, 1000.0):
+        for eps in (0.0, 1.0, 1000.0):
+            value, slope = _f_lower_bound(alpha, eps, 0.0)
+            assert value == 0.0 and 0.0 <= slope < math.inf
+            r = gamma_exact(alpha, eps, 0.0)
+            assert r.value == 0.0 and _gamma_delta_slope(alpha, eps, 0.0, r.argmin_p) == 1.0
 
 
 def test_objective_convexity_inside_log():
@@ -236,6 +295,30 @@ def test_delta_exact_round_trip(rng):
 def test_delta_exact_infeasible_above_frontier_range():
     with pytest.raises(InfeasibleError):
         delta_exact(2.0, 50.0, 0.0)
+
+
+def test_an_underflowed_delta_is_not_a_pure_dp_claim(rng):
+    # at eps = 1000 the moment piece zeta e^{-(alpha-1)(eps-gamma)} underflows;
+    # the true delta lies below the smallest positive float, and 0 would claim
+    # pure DP, which no gamma > 0 gives
+    tiny = math.ulp(0.0)
+    assert delta_bound(2.0, 1.0, 1000.0).value == tiny
+    assert delta_exact(2.0, 1.0, 1000.0).value == tiny
+    assert baseline_delta(2.0, 1.0, 1000.0) == tiny
+    # gamma = 0 is pure DP, and stays exactly 0
+    assert delta_exact(2.0, 0.0, 1000.0).value == 0.0
+    assert delta_bound(2.0, 0.0, 1000.0).value == 0.0
+    assert baseline_delta(2.0, 0.0, 1000.0) == 0.0
+    for _ in range(100):
+        alpha = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0)
+        gamma = math.exp(rng.uniform(math.log(1e-14), math.log(30.0)))
+        eps = rng.uniform(0.0, 1000.0)
+        assert baseline_delta(alpha, gamma, eps) > 0.0
+        assert delta_bound(alpha, gamma, eps).value > 0.0
+        try:
+            assert delta_exact(alpha, gamma, eps).value > 0.0
+        except InfeasibleError:
+            pass
 
 
 def test_delta_bound_examples():

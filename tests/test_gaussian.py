@@ -24,7 +24,9 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import invert_monotone, minimize_unimodal
+from rdpopt.optimize import minimize_unimodal
+
+from conftest import bisect_reference
 
 
 def test_rho_gaussian():
@@ -154,7 +156,7 @@ def test_acct_epsilon_exact_mode():
 def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # the reference: exact mode as a primal order scan, the minimum over orders
     # of the epsilon that inverts the frontier at rho*T*alpha, each found by
-    # secant steps up to its closed-form bound, plus the closed-form argmin
+    # bisection up to its closed-form bound, plus the closed-form argmin
     cfg, rho_T = gaussian._EXACT_INNER, rho * T
 
     def eps_at(alpha: float) -> float:
@@ -167,7 +169,7 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
         hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
         while frontier(hi) < gamma:
             hi *= 2.0
-        return min(invert_monotone(frontier, gamma, 0.0, hi, cfg=cfg, f_lo=gamma_lo), bound)
+        return min(bisect_reference(frontier, gamma, 0.0, hi, cfg.abs_tol), bound)
 
     _, best = gaussian._min_over_orders(eps_at, delta, gaussian._EXACT_ORDERS)
     return min(best, eps_at(acct_epsilon(rho, T, delta).argmin_alpha))

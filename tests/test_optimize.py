@@ -1,4 +1,4 @@
-"""Scalar minimization, monotone inversion, and stable log-add."""
+"""Scalar minimization, Newton inversion, and stable log-add."""
 
 import math
 
@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdpopt.conversion import gamma_exact
-from rdpopt.errors import BracketRangeError, DomainError, InfeasibleError
-from rdpopt.optimize import ScalarSearchConfig, _newton_invert, invert_monotone, log_add, minimize_unimodal
+from rdpopt.conversion import delta_exact, epsilon_exact, gamma_exact
+from rdpopt.errors import DomainError, InfeasibleError
+from rdpopt.optimize import ScalarSearchConfig, _newton_invert, log_add, minimize_unimodal
+
+from conftest import bisect_reference
 
 
 def test_config_validation():
@@ -74,39 +76,26 @@ def test_minimize_domain_error():
 
 
 def test_invert_exp():
-    x = invert_monotone(math.exp, 1.0, -5.0, 5.0)
+    x = _newton_invert(lambda t: (math.exp(t), math.exp(t)), 1.0, -5.0, 5.0, 1e-10)
     assert abs(x) <= 1e-9
 
 
 def test_invert_cube():
-    x = invert_monotone(lambda t: t**3, 8.0, 0.0, 10.0)
+    x = _newton_invert(lambda t: (t**3, 3.0 * t * t), 8.0, 0.0, 10.0, 1e-10)
     assert abs(x - 2.0) <= 1e-9
 
 
 def test_invert_frontier_round_trip():
-    d = invert_monotone(lambda t: gamma_exact(2.0, 1.0, t).value, 0.3, 0.0, 1.0 - 1e-12)
-    assert abs(gamma_exact(2.0, 1.0, d).value - 0.3) <= 1e-8
+    d = delta_exact(2.0, 0.3, 1.0).value
+    assert 0.3 <= gamma_exact(2.0, 1.0, d).value <= 0.3 + 1e-8
 
 
 def test_invert_flat_segment_leftmost_crossing():
+    # a slope of 0 gives no Newton step, so every step is a bisection
     fn = lambda x: 0.0 if x < 0.5 else 1.0
-    x = invert_monotone(fn, 1.0, 0.0, 1.0)
+    x = _newton_invert(lambda t: (fn(t), 0.0), 1.0, 0.0, 1.0, 1e-10)
     assert abs(x - 0.5) <= 1e-9
     assert fn(x) >= 1.0
-
-
-def _bisect_reference(fn, target, lo, hi, abs_tol=1e-10, max_iters=200):
-    # plain bisection to the same tolerance, the reference for invert_monotone
-    left, right = lo, hi
-    iters = 0
-    while (right - left) > abs_tol and iters < max_iters:
-        mid = 0.5 * (left + right)
-        if fn(mid) >= target:
-            right = mid
-        else:
-            left = mid
-        iters += 1
-    return right
 
 
 def test_invert_flat_segment_worst_case_steps():
@@ -117,70 +106,38 @@ def test_invert_flat_segment_worst_case_steps():
         evals += 1
         return 0.0 if x < 0.5 else 1.0
 
-    # endpoint values passed in, so every evaluation is one step
-    x = invert_monotone(fn, 1.0, 0.0, 1.0, f_lo=0.0, f_hi=1.0)
-    assert evals <= 2 * 34 + 1  # 2 * ceil(log2(1 / abs_tol)) + 1
-    assert abs(x - _bisect_reference(fn, 1.0, 0.0, 1.0)) <= 1e-10
+    x = _newton_invert(lambda t: (fn(t), 0.0), 1.0, 0.0, 1.0, 1e-10)
+    assert evals <= 1 + 34  # hi, then ceil(log2(1 / abs_tol)) bisections
+    assert abs(x - bisect_reference(fn, 1.0, 0.0, 1.0)) <= 1e-10
     assert fn(x) >= 1.0
 
 
 def test_invert_stops_at_adjacent_floats():
     # near 1.2e7 floats are 1.9e-9 apart, so a bracket cannot shrink to abs_tol = 1e-9
-    cfg = ScalarSearchConfig(abs_tol=1e-9)
     x0 = 12060724.1
     evals = 0
 
     def fn(x):
         nonlocal evals
         evals += 1
-        return 0.0 if x < x0 else 1.0
+        return (0.0 if x < x0 else 1.0), 0.0
 
-    x = invert_monotone(fn, 1.0, 12060724.0, 12060725.0, cfg=cfg)
+    x = _newton_invert(fn, 1.0, 12060724.0, 12060725.0, 1e-9)
     assert x == x0
-    assert evals <= 2 + 2 * 30 + 1  # endpoints, then 2 * ceil(log2(1 / 1e-9)) + 1 steps
-
-
-def test_invert_does_not_reevaluate_endpoint_values_passed_in():
-    seen = []
-
-    def fn(x):
-        seen.append(x)
-        return x**3
-
-    x = invert_monotone(fn, 8.0, 0.0, 10.0, f_lo=0.0, f_hi=1000.0)
-    assert abs(x - 2.0) <= 1e-9
-    assert 0.0 not in seen and 10.0 not in seen
-    seen.clear()
-    x = invert_monotone(fn, 8.0, 0.0, 10.0, f_hi=1000.0)
-    assert abs(x - 2.0) <= 1e-9
-    assert seen.count(0.0) == 1 and 10.0 not in seen
-
-    def never(x):
-        raise AssertionError("fn evaluated")
-
-    with pytest.raises(BracketRangeError) as info:
-        invert_monotone(never, 5.0, 0.0, 1.0, f_lo=0.0, f_hi=1.0)
-    assert info.value.lo_value == 0.0 and info.value.hi_value == 1.0
+    assert evals <= 1 + 30  # hi, then ceil(log2(1 / 1e-9)) bisections
 
 
 def test_invert_matches_bisection_reference_on_frontier_round_trips():
     for alpha, eps, target in [(2.0, 1.0, 0.3), (2.0, 1.0, 0.05), (10.0, 0.5, 1.2), (40.0, 3.0, 3.5)]:
         fn = lambda t: gamma_exact(alpha, eps, t).value
-        d = invert_monotone(fn, target, 0.0, 1.0 - 1e-12)
-        assert abs(d - _bisect_reference(fn, target, 0.0, 1.0 - 1e-12)) <= 1e-10
+        d = delta_exact(alpha, target, eps).value
+        assert abs(d - bisect_reference(fn, target, 0.0, 1.0 - 1e-12)) <= 1e-10
         assert fn(d) >= target
     for alpha, delta, target in [(2.0, 0.1, 0.5), (5.0, 1e-5, 1.0), (30.0, 0.02, 2.5)]:
         fn = lambda e: gamma_exact(alpha, e, delta).value
-        e = invert_monotone(fn, target, 0.0, 20.0)
-        assert abs(e - _bisect_reference(fn, target, 0.0, 20.0)) <= 1e-10
+        e = epsilon_exact(alpha, target, delta).value
+        assert abs(e - bisect_reference(fn, target, 0.0, 20.0)) <= 1e-10
         assert fn(e) >= target
-
-
-def test_invert_out_of_range_carries_endpoints():
-    with pytest.raises(BracketRangeError) as info:
-        invert_monotone(math.exp, -1.0, -5.0, 5.0)
-    assert math.isclose(info.value.lo_value, math.exp(-5.0), rel_tol=1e-12)
-    assert math.isclose(info.value.hi_value, math.exp(5.0), rel_tol=1e-12)
 
 
 @given(
@@ -205,34 +162,6 @@ def test_log_add_special_values():
 
 @given(
     c=st.floats(min_value=0.1, max_value=5.0),
-    frac=st.floats(min_value=0.01, max_value=0.99),
-)
-@settings(max_examples=200, deadline=None)
-def test_invert_monotone_round_trip_cubics(c, frac):
-    fn = lambda x: x**3 + c * x
-    lo, hi = -4.0, 4.0
-    target = fn(lo) + frac * (fn(hi) - fn(lo))
-    x = invert_monotone(fn, target, lo, hi)
-    # derivative is at most 3*hi^2 + c, so the argument tolerance bounds the value gap
-    assert abs(fn(x) - target) <= (3.0 * hi * hi + c) * 1e-9
-
-
-@given(
-    c=st.floats(min_value=0.1, max_value=5.0),
-    frac=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_invert_monotone_matches_bisection_reference_cubics(c, frac):
-    fn = lambda x: x**3 + c * x
-    lo, hi = -4.0, 4.0
-    target = fn(lo) + frac * (fn(hi) - fn(lo))
-    x = invert_monotone(fn, target, lo, hi)
-    assert abs(x - _bisect_reference(fn, target, lo, hi)) <= 1e-10
-    assert fn(x) >= target
-
-
-@given(
-    c=st.floats(min_value=0.1, max_value=5.0),
     frac=st.floats(min_value=0.0, max_value=1.0),
     scale=st.sampled_from((1.0, 0.3, 3.0)),
 )
@@ -251,7 +180,7 @@ def test_newton_invert_cubics(c, frac, scale):
     x = _newton_invert(with_slope, target, lo, hi, 1e-10)
     assert fn(x) >= target
     # a slope 3x too steep shortens the last correction threefold
-    assert x <= _bisect_reference(fn, target, lo, hi, abs_tol=1e-13) + 3e-10
+    assert x <= bisect_reference(fn, target, lo, hi, abs_tol=1e-13) + 3e-10
     assert evals[0] <= (12 if scale == 1.0 else 100)
 
 
