@@ -17,7 +17,8 @@ convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
 "closed_form".  Mode "exact" converts through the numeric frontier
 gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
-by Newton steps from the closed-form answer.
+by Newton steps from the closed-form answer, scanning the orders near the
+closed-form argmin.
 """
 
 from __future__ import annotations
@@ -34,8 +35,11 @@ from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, minimi
 MODES = ("closed_form", "exact")
 
 # exact mode's order scan and the gamma_exact solve at each order it visits:
-# every order costs a frontier search, so both run coarser than DEFAULT_SEARCH
+# every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
+# The scan covers a window of +-1 in log(alpha - 1) around a closed-form order
+# at _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback
 _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
+_EXACT_WINDOW = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=8)
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32)
 
 
@@ -142,14 +146,29 @@ class AccountedEpsilon:
     mode: str
 
 
-def _min_over_orders(objective, delta: float, cfg: ScalarSearchConfig = DEFAULT_SEARCH) -> tuple[float, float]:
+def _min_over_orders(
+    objective, delta: float, cfg: ScalarSearchConfig = DEFAULT_SEARCH, centre: Optional[float] = None
+) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta], searching log(alpha - 1) so that
-    # orders near 1 and near 1/delta get comparable resolution
+    # orders near 1 and near 1/delta get comparable resolution.  Given a
+    # centre order, only the window of +-1 around its log(alpha - 1) is
+    # scanned, at _EXACT_WINDOW; the whole range is scanned at cfg when no
+    # centre is given, or when the window's minimum lies within one grid step
+    # of a window edge that is not also an edge of the range
     u_hi = math.log(1.0 / delta - 1.0)
     # 1 + e^u rounds to 1 below u = log(2^-53) = -36.7, which the scan would
     # reach within a few ulps of delta = 1, where u_hi >= log(2^-52) = -36.04
     u_lo = max(min(math.log(1e-6), u_hi - 1.0), -36.5)
-    u, value = minimize_unimodal(lambda t: objective(1.0 + math.exp(t)), u_lo, u_hi, cfg)
+    at_u = lambda t: objective(1.0 + math.exp(t))
+    if centre is not None:
+        u_c = min(max(math.log(centre - 1.0), u_lo), u_hi)
+        lo, hi = max(u_c - 1.0, u_lo), min(u_c + 1.0, u_hi)
+        u, value = minimize_unimodal(at_u, lo, hi, _EXACT_WINDOW)
+        step = (hi - lo) / (_EXACT_WINDOW.coarse_grid - 1)
+        if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
+            centre = None
+    if centre is None:
+        u, value = minimize_unimodal(at_u, u_lo, u_hi, cfg)
     alpha_end = 1.0 / delta
     v_end = objective(alpha_end)
     if v_end < value:
@@ -168,9 +187,12 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
     rho T alpha at some order.  Each step scans the orders of
-    gamma_exact / alpha (to 1e-6, each solve to 1e-9, plus the closed-form
-    argmin), and the step itself is Newton's, with the slope in epsilon from
-    the envelope theorem at the winning order and p.  The steps start at the
+    gamma_exact / alpha (to 1e-6, each solve to 1e-9), and the step itself is
+    Newton's, with the slope in epsilon from the envelope theorem at the
+    winning order and p.  A margin at any order certifies epsilon, so the
+    scan is local: a window of +-1 in log(alpha - 1) around the closed-form
+    argmin, plus alpha = 1/delta, and all orders only when the window's
+    minimum lies at one of its inner edges.  The steps start at the
     closed-form answer, so exact mode is never worse than closed-form mode,
     and end, usually after two or three scans, at an epsilon that
     gamma_exact certifies at the reported order, within 1e-10 of the
@@ -204,19 +226,17 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
 
 
-def _exact_rate(epsilon: float, delta: float, extra_order: Optional[float] = None) -> tuple[float, ConversionResult]:
-    # the order maximizing gamma_exact(alpha, eps, delta) / alpha, scanned like
-    # the closed-form orders, and the frontier solve there; extra_order is
-    # tried as well
+def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult]:
+    # the order maximizing gamma_exact(alpha, eps, delta) / alpha, scanned in
+    # the window around the closed-form order centre, and the frontier solve
+    # there.  Any order gives a sound rate, so the window costs only tightness
     solves: dict[float, ConversionResult] = {}
 
     def neg_rate(alpha: float) -> float:
         r = solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
         return -r.value / alpha
 
-    alpha, value = _min_over_orders(neg_rate, delta, _EXACT_ORDERS)
-    if extra_order is not None and neg_rate(extra_order) < value:
-        alpha = extra_order
+    alpha, _ = _min_over_orders(neg_rate, delta, _EXACT_ORDERS, centre)
     return alpha, solves[alpha]
 
 
@@ -225,10 +245,10 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # attaining it.  Each conversion increases with gamma, so the budget is met
     # exactly when rho*T*alpha <= gamma_alpha(eps) at some order, where
     # gamma_alpha inverts the conversion at that order
+    alpha, value = _min_over_orders(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, delta)
     if mode == "closed_form":
-        alpha, value = _min_over_orders(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, delta)
         return -value, alpha
-    alpha, r = _exact_rate(epsilon, delta)
+    alpha, r = _exact_rate(epsilon, delta, alpha)
     return r.value / alpha, alpha
 
 

@@ -24,7 +24,7 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import minimize_unimodal
+from rdpopt.optimize import DEFAULT_SEARCH, minimize_unimodal
 
 from conftest import bisect_reference
 
@@ -153,6 +153,18 @@ def test_acct_epsilon_exact_mode():
         acct_epsilon(0.01, 10.0, 1e-6, "sloppy")
 
 
+def _count_solves(monkeypatch) -> list[int]:
+    solves = [0]
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return gamma_exact(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "gamma_exact", counted)
+    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    return solves
+
+
 def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # the reference: exact mode as a primal order scan, the minimum over orders
     # of the epsilon that inverts the frontier at rho*T*alpha, each found by
@@ -185,23 +197,63 @@ def test_exact_accountant_matches_the_primal_scan(monkeypatch):
         T = round(_log_uniform(rng, max(1.0, (0.5 * mu) ** 2), (30.0 * mu) ** 2))
         inputs.append((rho_gaussian(math.sqrt(T) / mu), T, delta))
     references = [_primal_exact_epsilon(*args) for args in inputs]
-    solves = [0]
-
-    def counted(*args, **kwargs):
-        solves[0] += 1
-        return gamma_exact(*args, **kwargs)
-
-    monkeypatch.setattr(gaussian, "gamma_exact", counted)
-    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    solves = _count_solves(monkeypatch)
     for (rho, T, delta), primal in zip(inputs, references):
         solves[0] = 0
         r = acct_epsilon(rho, T, delta, "exact")
-        assert solves[0] <= 400, (rho, T, delta, solves[0])  # the primal scan took 700 to 1250
+        # the primal scan took 700 to 1250, and a scan of all orders at every step 291
+        assert solves[0] <= 150, (rho, T, delta, solves[0])
         # certified at its order by the frontier the accountant searches
         certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
         assert r.epsilon <= acct_epsilon(rho, T, delta).epsilon
         assert r.epsilon <= primal + 1e-9, (rho, T, delta, r.epsilon - primal)
+
+
+def test_windowed_order_scan_matches_the_global_scan(monkeypatch):
+    # small T; delta >= 0.1, where the window is clipped at 1/delta or the
+    # argmin sits at alpha -> 1; every answer within 1e-9 of the scan of all
+    # orders, and certified by gamma_exact at its reported order
+    inputs = [(rho_gaussian(s), T, d) for s in (0.5, 1.0, 4.0, 20.0) for T in (1, 2) for d in (1e-9, 1e-5, 1e-2)]
+    inputs += [(rho, T, d) for rho in (1e-3, 0.1, 1.0, 10.0) for T in (1, 2, 10) for d in (0.1, 0.3, 0.5, 0.9)]
+    budgets = [(eps, d) for eps in (0.1, 1.0, 6.0, 30.0) for d in (1e-9, 1e-5, 0.1, 0.5, 0.9)]
+    windowed = [acct_epsilon(*args, "exact") for args in inputs]
+    rates = [gaussian._largest_rate(eps, d, "exact") for eps, d in budgets]
+    # centred at 1/delta itself, where alpha * delta >= 1 and gamma_exact takes its edge value
+    edge_rates = [gaussian._exact_rate(eps, d, 1.0 / d) for eps, d in budgets]
+    real = gaussian._min_over_orders
+    with monkeypatch.context() as m:
+        # every order scan covers all of (1, 1/delta] at its own settings, ignoring the window
+        m.setattr(gaussian, "_min_over_orders", lambda f, delta, cfg=DEFAULT_SEARCH, centre=None: real(f, delta, cfg))
+        everywhere = [acct_epsilon(*args, "exact").epsilon for args in inputs]
+        best_rates = [gaussian._largest_rate(eps, d, "exact")[0] for eps, d in budgets]
+    for (rho, T, delta), r, want in zip(inputs, windowed, everywhere):
+        assert r.epsilon <= want + 1e-9, (rho, T, delta, r.epsilon - want)
+        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+        assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
+    for (eps, delta), (rate, alpha), (edge_alpha, edge), want in zip(budgets, rates, edge_rates, best_rates):
+        assert rate >= want - 1e-9, (eps, delta, want - rate)
+        assert edge.value / edge_alpha >= want - 1e-9, (eps, delta, want - edge.value / edge_alpha)
+        assert rate <= gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER).value / alpha, (eps, delta)
+
+
+def test_order_window_falls_back_to_the_global_scan(monkeypatch):
+    configs = []
+    real = gaussian.minimize_unimodal
+    monkeypatch.setattr(gaussian, "minimize_unimodal", lambda f, lo, hi, cfg: configs.append(cfg) or real(f, lo, hi, cfg))
+    bowl = lambda a: (math.log(a - 1.0) - 2.0) ** 2  # minimum at alpha = 1 + e^2
+    # centred at 1 + e^-5, the window ends at 1 + e^-4, where its minimum lies
+    alpha, _ = gaussian._min_over_orders(bowl, 1e-5, gaussian._EXACT_ORDERS, centre=1.0 + math.exp(-5.0))
+    assert configs == [gaussian._EXACT_WINDOW, gaussian._EXACT_ORDERS]
+    assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
+    configs.clear()
+    alpha, _ = gaussian._min_over_orders(bowl, 1e-5, gaussian._EXACT_ORDERS, centre=1.0 + math.exp(2.5))
+    assert configs == [gaussian._EXACT_WINDOW]
+    assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
+    # a minimum at 1/delta, on a window edge that is also the range's, and the end evaluated on its own
+    configs.clear()
+    alpha, _ = gaussian._min_over_orders(lambda a: -a, 0.25, gaussian._EXACT_ORDERS, centre=4.0)
+    assert (alpha, configs) == (4.0, [gaussian._EXACT_WINDOW])
 
 
 def test_acct_epsilon_monotonicity():
@@ -299,10 +351,12 @@ def test_max_iterations_checks_few_integers(monkeypatch):
 
 def test_max_iterations_exact_mode(monkeypatch):
     calls = _count_acct_calls(monkeypatch)
+    solves = _count_solves(monkeypatch)
     rho, delta = 1.0 / 800.0, 1e-5
     T = max_iterations(rho, 6.0, delta, "exact")
     assert T == 603
     assert calls[0] <= 3
+    assert solves[0] <= 300  # 484 when every order scan covered all orders
     assert acct_epsilon(rho, T, delta, "exact").epsilon <= 6.0
     assert acct_epsilon(rho, T + 1, delta, "exact").epsilon > 6.0
 
