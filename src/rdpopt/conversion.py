@@ -65,28 +65,46 @@ def _log_zeta(alpha: float) -> float:
 def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> float:
     """Log of the two-atom tradeoff term whose minimum over p gives the frontier.
 
-    Computed entirely in log domain; requires delta < p < 1.
+    Computed entirely in log domain, as a function of log(p - delta);
+    requires delta < p < 1.
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
     _check_unit(delta, "delta", allow_zero=True)
     if not (delta < p < 1.0):
         raise DomainError(f"p must lie in (delta, 1) = ({delta!r}, 1), got {p!r}")
-    return _objective(alpha, epsilon, delta)(p)
+    return _objective(alpha, epsilon, delta)(math.log(p - delta))
 
 
-def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], float]:
-    # boundary_objective as a function of p alone, for arguments already
-    # checked: a search builds it once and evaluates it hundreds of times
+def _objective(alpha: float, epsilon: float, delta: float) -> Callable[..., float | tuple[float, float, float]]:
+    # boundary_objective at t = log(p - delta), for arguments already checked:
+    # a search builds it once and evaluates it hundreds of times.  The head
+    # atom's log is alpha log(p) + (1 - alpha) t, the tail atom's
+    # tail = alpha log(1 - p) + (1 - alpha) log_rest with
+    # log_rest = log(e^eps - p + delta), and the objective is their log-sum.
+    # With s = e^t, log(p) = t + log1p(delta/s), so that no two large terms
+    # cancel at tiny delta; log(1 - p) = log(1 - delta) + log1p(-s/(1 - delta)),
+    # which stays finite for every s < 1 - delta; log_rest = eps + log1p(-s e^-eps).
+    # With parts=True it returns (objective, tail, log_rest): e^(tail -
+    # objective) is the tail's share of the objective, which the envelope
+    # slopes weigh
+    exp, log1p = math.exp, math.log1p
     one_minus_alpha = 1.0 - alpha
-    exp_neg_eps = math.exp(-epsilon)
+    exp_neg_eps = exp(-epsilon)
+    log_keep = log1p(-delta)
+    keep = 1.0 - delta
 
-    def objective(p: float) -> float:
-        head = alpha * math.log(p) + one_minus_alpha * math.log(p - delta)
-        # log(e^eps - p + delta) = eps + log1p((delta - p) e^{-eps}), always finite here
-        log_rest = epsilon + math.log1p((delta - p) * exp_neg_eps)
-        tail = alpha * math.log1p(-p) + one_minus_alpha * log_rest
-        return log_add(head, tail)
+    def objective(t: float, parts: bool = False):
+        s = exp(t)
+        head = t + alpha * log1p(delta / s) if s > 0.0 else math.inf
+        log_rest = epsilon + log1p(-s * exp_neg_eps)
+        share = s / keep
+        # at s = 1 - delta the tail atom (1 - p)^alpha vanishes
+        tail = alpha * (log_keep + log1p(-share)) + one_minus_alpha * log_rest if share < 1.0 else -math.inf
+        # log_add(head, tail), inlined on this hot path; tail may be -inf, head +inf
+        big, small = (head, tail) if head >= tail else (tail, head)
+        value = big + log1p(exp(small - big))
+        return (value, tail, log_rest) if parts else value
 
     return objective
 
@@ -99,24 +117,31 @@ def gamma_exact(
 ) -> ConversionResult:
     """Exact frontier value gamma(alpha, eps, delta) by numeric minimization.
 
-    The interior search over p in (delta, 1) is compared against the
+    The interior search runs over t = log(p - delta), which resolves the
+    minimizer relative to its distance from delta however small delta is,
+    so cfg.abs_tol applies to log(p - delta).  It is compared against the
     p -> 1 boundary value eps - log(1 - delta), which is the true infimum
-    whenever alpha * delta >= 1.
+    whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
     _check_unit(delta, "delta", allow_zero=True)
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
-    if math.nextafter(delta, 1.0) == 1.0:
-        # no float lies inside (delta, 1) to search; alpha * delta >= 1 holds
-        # there for every float alpha > 1, so the boundary value is exact
-        return ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
-    argmin_p, m_interior = minimize_unimodal(_objective(alpha, epsilon, delta), delta, 1.0, cfg)
-    m_edge = (1.0 - alpha) * math.log1p(-delta)
-    if m_edge <= m_interior:
-        return ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
+    edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
+    if alpha * delta >= 1.0:
+        return edge
+    # the objective decreases in p up to p = alpha * delta, and at small delta
+    # its minimizer sits just above that point; the range starts one unit of
+    # t below it, so that the minimizer lies inside the range, where parabolic
+    # steps reach it, rather than on its end
+    t_lo, t_hi = math.log(alpha - 1.0) + math.log(delta) - 1.0, math.log1p(-delta)
+    t, m_interior = minimize_unimodal(_objective(alpha, epsilon, delta), t_lo, t_hi, cfg)
+    if (1.0 - alpha) * t_hi <= m_interior:
+        return edge
     value = epsilon + m_interior / (alpha - 1.0)
+    # p = delta + e^t, kept inside (delta, 1) where the sum rounds onto an end
+    argmin_p = min(max(delta + math.exp(t), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
     return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p)
 
 
@@ -261,13 +286,11 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
 
 
 def _tail_atom(alpha: float, epsilon: float, delta: float, p: float) -> tuple[float, float, float]:
-    # the tail atom's log, tail = alpha log(1-p) + (1-alpha) log_rest with
-    # log_rest = log(e^eps - p + delta), and the objective at p: e^(tail -
-    # objective) is the tail's share w of the objective, which both envelope
-    # slopes below weigh
-    log_rest = epsilon + math.log1p((delta - p) * math.exp(-epsilon))
-    tail = alpha * math.log1p(-p) + (1.0 - alpha) * log_rest
-    return tail, log_rest, _objective(alpha, epsilon, delta)(p)
+    # the tail atom's log and log(e^eps - p + delta) at p, with the objective
+    # there: e^(tail - objective) is the tail's share w of the objective,
+    # which both envelope slopes below weigh
+    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(p - delta), parts=True)
+    return tail, log_rest, objective
 
 
 def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:

@@ -17,8 +17,8 @@ convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
 "closed_form".  Mode "exact" converts through the numeric frontier
 gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
-by Newton steps from the closed-form answer, scanning the orders near the
-closed-form argmin.
+by Newton steps from the closed-form answer, each scanning the orders near
+the order the step before won, the first near the closed-form argmin.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ MODES = ("closed_form", "exact")
 
 # exact mode's order scan and the gamma_exact solve at each order it visits:
 # every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
-# The scan covers a window of +-1 in log(alpha - 1) around a closed-form order
-# at _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback
+# The scan covers a window of +-1 in log(alpha - 1) around a given order at
+# _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback
 _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
 _EXACT_WINDOW = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=8)
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32)
@@ -190,13 +190,15 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     gamma_exact / alpha (to 1e-6, each solve to 1e-9), and the step itself is
     Newton's, with the slope in epsilon from the envelope theorem at the
     winning order and p.  A margin at any order certifies epsilon, so the
-    scan is local: a window of +-1 in log(alpha - 1) around the closed-form
-    argmin, plus alpha = 1/delta, and all orders only when the window's
-    minimum lies at one of its inner edges.  The steps start at the
+    scan is local: a window of +-1 in log(alpha - 1) around the order the
+    step before won (the closed-form argmin for the first step), plus
+    alpha = 1/delta, and all orders only when the window's minimum lies at
+    one of its inner edges; a window that misses the optimum therefore falls
+    back once an answer, not on every step.  The steps start at the
     closed-form answer, so exact mode is never worse than closed-form mode,
-    and end, usually after two or three scans, at an epsilon that
-    gamma_exact certifies at the reported order, within 1e-10 of the
-    crossing.
+    and end, usually after two or three scans of about 17 frontier solves
+    each, at an epsilon that gamma_exact certifies at the reported order,
+    within 1e-10 of the crossing.
     """
     _check_positive(rho, "rho")
     _check_steps(T)
@@ -210,13 +212,16 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
     certified = {}  # the order that meets the budget at each epsilon tried
+    centre = a_closed  # the order the last scan won, around which the next one looks
 
     def margin(eps: float) -> tuple[float, float]:
         # gamma_exact - rho_T alpha at the order alpha maximizing gamma_exact / alpha,
         # and its slope in eps by the envelope theorem.  Its sign is that of
         # g(eps) - rho_T for the dual g = max over orders of gamma_exact / alpha,
         # its Newton step is g's, and a margin >= 0 certifies eps at alpha
-        alpha, r = _exact_rate(eps, delta, a_closed)
+        nonlocal centre
+        alpha, r = _exact_rate(eps, delta, centre)
+        centre = alpha
         value = r.value - rho_T * alpha
         if value >= 0.0:
             certified[eps] = alpha
@@ -228,8 +233,8 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
 
 def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult]:
     # the order maximizing gamma_exact(alpha, eps, delta) / alpha, scanned in
-    # the window around the closed-form order centre, and the frontier solve
-    # there.  Any order gives a sound rate, so the window costs only tightness
+    # the window around the order centre, and the frontier solve there.  Any
+    # order gives a sound rate, so the window costs only tightness
     solves: dict[float, ConversionResult] = {}
 
     def neg_rate(alpha: float) -> float:

@@ -4,29 +4,39 @@ Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
 minimization.  A coarse scan brackets the minimizer first (the objectives
 are convex in practice, but bracketing does not rely on that), then
-golden-section search refines the bracket.  Inversion takes the map's
-slope with its value (for a minimum, from the envelope theorem) and runs
-Newton steps from a trusted upper end, keeping a bracket around the
-crossing and falling back to bisection whenever a step leaves the bracket
-or fails to halve the step before it.
+Brent's method (R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973) refines the bracket: parabolic steps through the three
+best points, with a golden-section step wherever a parabola would leave
+the bracket or stall.  On objectives smooth at their minimum that takes a
+handful of steps, where golden section alone took about 38.  Inversion
+takes the map's slope with its value (for a minimum, from the envelope
+theorem) and runs Newton steps from a trusted upper end, keeping a bracket
+around the crossing and falling back to bisection whenever a step leaves
+the bracket or fails to halve the step before it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from .errors import DomainError, InfeasibleError, _check_positive
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's fallback step, a share of the larger side
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class ScalarSearchConfig:
     """Knobs shared by the scalar searches.
 
-    abs_tol is an absolute tolerance on the argument, not the value.
+    abs_tol is an absolute tolerance on the argument, not the value: the
+    search stops once its bracket is no wider.  The argument is whatever the
+    caller searches in: log(p - delta) for the frontier in gamma_exact, so
+    there abs_tol is a relative tolerance on p - delta, and log(alpha - 1)
+    for the accountant's order scans.
     """
 
     abs_tol: float = 1e-10
@@ -77,45 +87,69 @@ def minimize_unimodal(
         mid = 0.5 * (lo + hi)
         return mid, objective(mid)
 
-    def f(x: float) -> float:
-        v = objective(x)
-        return math.inf if math.isnan(v) else v
-
     n = cfg.coarse_grid
     step = (b - a) / (n - 1)
-    best_x, best_v, best_i = a, f(a), 0
-    for i in range(1, n):
-        x = a + i * step
-        v = f(x)
-        if v < best_v:
-            best_x, best_v, best_i = x, v, i
-    if not best_v < math.inf:
+    grid = [objective(a + i * step) for i in range(n)]
+    grid = [v if v == v else math.inf for v in grid]  # NaN counts as infinite
+    fx = min(grid)
+    if not fx < math.inf:
         raise InfeasibleError("objective is non-finite everywhere on the coarse grid")
+    i = grid.index(fx)
 
-    left = a + max(best_i - 1, 0) * step
-    right = a + min(best_i + 1, n - 1) * step
-    x1 = right - _INV_PHI * (right - left)
-    x2 = left + _INV_PHI * (right - left)
-    f1, f2 = f(x1), f(x2)
-    for x, v in ((x1, f1), (x2, f2)):
-        if v < best_v:
-            best_x, best_v = x, v
-    iters = 0
-    while (right - left) > cfg.abs_tol and iters < cfg.max_iters:
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - _INV_PHI * (right - left)
-            f1 = f(x1)
-            if f1 < best_v:
-                best_x, best_v = x1, f1
+    # Brent's minimizer on the bracket [left, right] of grid points around the
+    # best one: x is the best point so far, w the second best, v the point w
+    # held before it; each step fits a parabola through them and takes its
+    # vertex when that lies inside the bracket and moves less than half the
+    # step before last, and a golden-section step into the larger side of the
+    # bracket otherwise.  A step never comes closer than tol to x, so the
+    # bracket shrinks on both sides; it stops once no wider than abs_tol
+    x = a + i * step
+    left, right = a + max(i - 1, 0) * step, a + min(i + 1, n - 1) * step
+    w, fw = (left, grid[i - 1]) if i == n - 1 else (right, grid[i + 1])
+    v, fv = (left, grid[i - 1]) if 0 < i < n - 1 else (w, fw)
+    if fv < fw:
+        v, fv, w, fw = w, fw, v, fv
+    d = e = right - left
+    for _ in range(cfg.max_iters):
+        mid = 0.5 * (left + right)
+        tol = 0.25 * cfg.abs_tol + _EPS * abs(x)
+        if right - left <= 4.0 * tol:
+            break
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        e_prev, e = e, d
+        if abs(p) < abs(0.5 * q * e_prev) and q * (left - x) < p < q * (right - x):
+            d = p / q  # parabolic step; a NaN from an infinite value fails the test above
+            if min(x + d - left, right - x - d) < 2.0 * tol:
+                d = tol if x < mid else -tol
         else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + _INV_PHI * (right - left)
-            f2 = f(x2)
-            if f2 < best_v:
-                best_x, best_v = x2, f2
-        iters += 1
-    return best_x, best_v
+            e = (left if x >= mid else right) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
+        fu = objective(u)
+        if fu != fu:
+            fu = math.inf
+        if fu <= fx:
+            if u >= x:
+                left = x
+            else:
+                right = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                left = u
+            else:
+                right = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _newton_invert(

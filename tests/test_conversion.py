@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdpopt import conversion
+from rdpopt import conversion, gaussian
 from rdpopt.conversion import (
     _f_lower_bound,
     _gamma_delta_slope,
@@ -58,11 +58,13 @@ def test_boundary_objective_domain():
         boundary_objective(0.5, 1.0, 1.0, 0.1)
 
 
-def _objective_reference(p, alpha, epsilon, delta):
-    # the objective written out in full at each evaluation, the reference for _objective
-    head = alpha * math.log(p) + (1.0 - alpha) * math.log(p - delta)
-    log_rest = epsilon + math.log1p((delta - p) * math.exp(-epsilon))
-    tail = alpha * math.log1p(-p) + (1.0 - alpha) * log_rest
+def _objective_reference(t, alpha, epsilon, delta):
+    # the objective at t = log(p - delta) written out in full at each
+    # evaluation, the reference for _objective
+    s = math.exp(t)
+    head = t + alpha * math.log1p(delta / s)
+    log_rest = epsilon + math.log1p(-s * math.exp(-epsilon))
+    tail = alpha * (math.log1p(-delta) + math.log1p(-s / (1.0 - delta))) + (1.0 - alpha) * log_rest
     return log_add(head, tail)
 
 
@@ -70,8 +72,10 @@ def test_hoisted_objective_is_bit_identical():
     for alpha, eps, delta in [(2.0, 1.0, 0.1), (1.5, 0.0, 0.3), (5.0, 0.5, 1e-6), (30.0, 2.0, 0.02), (49.0, 4.8, 0.49)]:
         objective = _objective(alpha, eps, delta)
         for p in np.linspace(delta, 1.0, 257)[1:-1].tolist():
-            want = _objective_reference(p, alpha, eps, delta)
-            assert objective(p) == want
+            t = math.log(p - delta)
+            want = _objective_reference(t, alpha, eps, delta)
+            assert objective(t) == want
+            assert objective(t, parts=True)[0] == want
             assert boundary_objective(p, alpha, eps, delta) == want
     assert gamma_exact(2.0, 1.0, 0.1).value == 0.5465668663746011
 
@@ -230,6 +234,63 @@ def test_gamma_exact_witness_is_on_the_constraint():
     pair = BernoulliPair(p_star, q_star)
     assert math.isclose(hockey_stick_binary(pair, math.exp(eps)), delta, abs_tol=1e-12)
     assert math.isclose(renyi_binary(pair, alpha), r.value, abs_tol=1e-6)
+
+
+def _mpmath_gamma(alpha, eps, delta):
+    # the frontier to 50 digits: golden section over t = log(p - delta) on
+    # [log((alpha - 1) delta), log(1 - delta)], below which the objective
+    # decreases in p, then the smaller of that minimum and the p -> 1 edge
+    with mpmath.workdps(50):
+        a, e, d = mpmath.mpf(alpha), mpmath.mpf(eps), mpmath.mpf(delta)
+
+        def objective(t):
+            s = mpmath.exp(t)
+            return mpmath.log((d + s) ** a * s ** (1 - a) + (1 - d - s) ** a * (mpmath.exp(e) - s) ** (1 - a))
+
+        edge = e - mpmath.log(1 - d)
+        lo, hi = mpmath.log((a - 1) * d), mpmath.log(1 - d)
+        if lo >= hi:
+            return edge
+        g = (mpmath.sqrt(5) - 1) / 2
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = objective(x1), objective(x2)
+        for _ in range(200):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - g * (hi - lo)
+                f1 = objective(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + g * (hi - lo)
+                f2 = objective(x2)
+        return min(edge, e + min(f1, f2) / (a - 1))
+
+
+def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
+    # gamma_exact minimizes from above, so a search that misses the argmin
+    # overshoots, and every epsilon built on it comes out too small; at small
+    # delta the argmin sits at the scale of delta
+    triples = [(3.0, 1.0, 1e-9), (3.0, 1.0, 1e-13), (10.0, 2.0, 1e-16), (2.0, 0.5, 1e-20)]
+    for _ in range(36):
+        alpha = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(49.0))
+        triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
+    for alpha, eps, delta in triples:
+        want = float(_mpmath_gamma(alpha, eps, delta))
+        got = gamma_exact(alpha, eps, delta).value
+        assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, got - want)
+
+
+def test_gamma_exact_argmin_stays_inside_the_interval():
+    # p = delta + e^t rounds onto 1 when delta is within a few ulps of 1, and
+    # onto delta when delta is subnormal; the reported argmin stays inside
+    # (delta, 1), where both envelope slopes are defined
+    one_up = math.nextafter(1.0, 2.0)
+    inputs = [(one_up, 0.0, 0.9999999999999991), (one_up, 0.0, 3.4768916e-317), (1.0000000000000007, 0.0, 0.9999999999999992)]
+    for alpha, eps, delta in inputs:
+        r = gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER)
+        assert delta < r.argmin_p < 1.0, (alpha, eps, delta, r.argmin_p)
+        assert math.isfinite(_gamma_slope(alpha, eps, delta, r.argmin_p))
+        assert math.isfinite(_gamma_delta_slope(alpha, eps, delta, r.argmin_p))
 
 
 def test_gamma_bound_examples():
