@@ -32,6 +32,16 @@ from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, log_ad
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
 
+# gamma_exact's default search.  The frontier objective is the log of
+# S(p) = p^alpha (p - delta)^(1-alpha) + (1-p)^alpha (e^eps - p + delta)^(1-alpha).
+# For alpha > 1 each term is the perspective y (x/y)^alpha of the convex map
+# x -> x^alpha at an (x, y) affine in p, so each term, and S, is convex in p on
+# (delta, 1).  log S is then unimodal, in p and in the search variable
+# t = log(p - delta), and the best point of any grid and its two neighbours
+# bracket the minimum: 8 grid points, the fewest ScalarSearchConfig accepts,
+# bracket it as well as 256
+_FRONTIER_SEARCH = ScalarSearchConfig(abs_tol=1e-10, coarse_grid=8)
+
 
 @dataclass(frozen=True)
 class ConversionResult:
@@ -113,15 +123,18 @@ def gamma_exact(
     alpha: float,
     epsilon: float,
     delta: float,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
+    cfg: ScalarSearchConfig = _FRONTIER_SEARCH,
 ) -> ConversionResult:
     """Exact frontier value gamma(alpha, eps, delta) by numeric minimization.
 
     The interior search runs over t = log(p - delta), which resolves the
     minimizer relative to its distance from delta however small delta is,
-    so cfg.abs_tol applies to log(p - delta).  It is compared against the
-    p -> 1 boundary value eps - log(1 - delta), which is the true infimum
-    whenever alpha * delta >= 1; no search runs there.
+    so cfg.abs_tol applies to log(p - delta).  The objective is unimodal in
+    t (it is the log of a sum of two perspectives of x -> x^alpha), so the
+    default search scans an 8-point grid and refines to 1e-10 in t: about
+    50 objective evaluations a solve.  The interior minimum is compared
+    against the p -> 1 boundary value eps - log(1 - delta), which is the
+    true infimum whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
@@ -195,8 +208,10 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     argmin p, falling back to bisection on [0, bound].  Returns the bound
     itself when the frontier there falls short of gamma by rounding, so the
     answer never exceeds delta_bound; raises InfeasibleError when the
-    frontier at 1 - 1e-12 does not reach gamma.  Every search runs at
-    DEFAULT_SEARCH.
+    frontier at 1 - 1e-12 does not reach gamma.  Each frontier solve is
+    gamma_exact's default search, and delta is found to within
+    DEFAULT_SEARCH.abs_tol relative to the bound, so small deltas keep
+    their digits.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")
@@ -209,7 +224,8 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         r = gamma_exact(alpha, epsilon, d)
         return r.value, _gamma_delta_slope(alpha, epsilon, d, r.argmin_p)
 
-    d = _newton_invert(frontier, gamma, 0.0, min(delta_bound(alpha, gamma, epsilon).value, top), DEFAULT_SEARCH.abs_tol)
+    hi = min(delta_bound(alpha, gamma, epsilon).value, top)
+    d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_SEARCH.abs_tol * hi)
     if d == top:
         gamma_top = gamma_exact(alpha, epsilon, top).value
         if gamma_top < gamma:
@@ -268,8 +284,9 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     bisection on [0, bound].  Returns 0 when the frontier at eps = 0 already
     dominates gamma, and the bound itself when the frontier there falls
     short of gamma by rounding, so the answer never exceeds epsilon_bound.
-    Every search runs at DEFAULT_SEARCH: one frontier solve an answer
-    where the bound is tight, usually two to four elsewhere.
+    Each frontier solve is gamma_exact's default search, and epsilon is
+    found to DEFAULT_SEARCH.abs_tol: one frontier solve an answer where the
+    bound is tight, usually two to four elsewhere.
     """
     _check_alpha(alpha)
     _check_nonnegative(gamma, "gamma")

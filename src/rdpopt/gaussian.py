@@ -37,10 +37,12 @@ MODES = ("closed_form", "exact")
 # exact mode's order scan and the gamma_exact solve at each order it visits:
 # every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
 # The scan covers a window of +-1 in log(alpha - 1) around a given order at
-# _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback
+# _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback.  Each
+# solve brackets its minimum on gamma_exact's 8-point grid, which the
+# frontier objective's convexity makes enough, and refines to 1e-9
 _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
 _EXACT_WINDOW = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=8)
-_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32)
+_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=8)
 
 
 def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:

@@ -2,17 +2,22 @@
 
 Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
-minimization.  A coarse scan brackets the minimizer first (the objectives
-are convex in practice, but bracketing does not rely on that), then
-Brent's method (R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973) refines the bracket: parabolic steps through the three
-best points, with a golden-section step wherever a parabola would leave
-the bracket or stall.  On objectives smooth at their minimum that takes a
-handful of steps, where golden section alone took about 38.  Inversion
-takes the map's slope with its value (for a minimum, from the envelope
-theorem) and runs Newton steps from a trusted upper end, keeping a bracket
-around the crossing and falling back to bisection whenever a step leaves
-the bracket or fails to halve the step before it.
+minimization.  A coarse scan brackets the minimizer first: the best grid
+point and its two neighbours bracket the minimum of any objective that is
+unimodal on the interval.  The frontier objective of conversion.gamma_exact
+provably is (see there), so its scan runs on the smallest grid this module
+accepts, 8 points.  The accountant's order scans minimize the smaller of
+two closed-form pieces, which nothing proves unimodal, so they keep
+DEFAULT_SEARCH's 256 points.  Brent's method (R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973) then refines the bracket:
+parabolic steps through the three best points, with a golden-section step
+wherever a parabola would leave the bracket or stall.  On objectives
+smooth at their minimum that takes a handful of steps, where golden
+section alone took about 38.  Inversion takes the map's slope with its
+value (for a minimum, from the envelope theorem) and runs Newton steps from
+a trusted upper end, keeping a bracket around the crossing and falling back
+to bisection whenever a step leaves the bracket or fails to halve the step
+before it.
 """
 
 from __future__ import annotations

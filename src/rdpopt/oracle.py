@@ -33,7 +33,7 @@ _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probab
 DEFAULT_SEED = 7
 REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
 CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
-_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, coarse_grid=32)
+_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, coarse_grid=8)  # 8 points bracket the frontier; see conversion
 
 
 @dataclass(frozen=True)

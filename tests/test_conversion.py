@@ -210,6 +210,25 @@ def test_objective_convexity_inside_log():
     assert second.min() >= -1e-6
 
 
+def test_frontier_objective_is_unimodal_in_t(rng):
+    # each atom is the perspective y (x/y)^alpha of x -> x^alpha at an (x, y)
+    # affine in p, so their sum is convex in p and its log unimodal in any
+    # monotone reparametrization; gamma_exact's 8-point grid relies on this
+    for k in range(200):
+        alpha = 1.0 + 10.0 ** rng.uniform(-4.0, math.log10(300.0))
+        eps = 0.0 if k % 4 == 0 else 5.0 * rng.uniform(0.0, 1.0)
+        delta = 10.0 ** rng.uniform(-30.0, math.log10(min(0.999, 0.999 / alpha)))
+        objective = _objective(alpha, eps, delta)
+        # the inside of the t = log(p - delta) range that gamma_exact searches
+        ts = np.linspace(math.log(alpha - 1.0) + math.log(delta) - 1.0, math.log1p(-delta), 514)[1:-1]
+        values = np.array([objective(float(t)) for t in ts])
+        i = int(values.argmin())
+        steps = np.diff(values)
+        tol = 1e-12 * max(1.0, float(np.abs(values).max()))
+        assert steps[:i].max(initial=-math.inf) <= tol, (alpha, eps, delta)
+        assert steps[i:].min(initial=math.inf) >= -tol, (alpha, eps, delta)
+
+
 def test_gamma_exact_examples():
     r = gamma_exact(3.0, 2.0, 0.0)
     assert r.value == 0.0 and r.method == "exact_numeric"
@@ -269,15 +288,50 @@ def _mpmath_gamma(alpha, eps, delta):
 def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
     # gamma_exact minimizes from above, so a search that misses the argmin
     # overshoots, and every epsilon built on it comes out too small; at small
-    # delta the argmin sits at the scale of delta
+    # delta the argmin sits at the scale of delta.  The eps ~ 0 triples at
+    # large alpha are where an 8-point and a 256-point grid differ most
     triples = [(3.0, 1.0, 1e-9), (3.0, 1.0, 1e-13), (10.0, 2.0, 1e-16), (2.0, 0.5, 1e-20)]
+    triples += [
+        (680.4666397204445, 0.0, 3.6708669569533e-09),
+        (756.5598971603577, 0.0, 1.6024910832801925e-09),
+        (681.0798903589191, 0.0, 2.356286919110547e-10),
+        (511.38973896712054, 1.0226747867044639e-07, 1.2643578136028717e-07),
+    ]
     for _ in range(36):
         alpha = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(49.0))
         triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
     for alpha, eps, delta in triples:
         want = float(_mpmath_gamma(alpha, eps, delta))
-        got = gamma_exact(alpha, eps, delta).value
-        assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, got - want)
+        for cfg in (conversion._FRONTIER_SEARCH, gaussian._EXACT_INNER):
+            got = gamma_exact(alpha, eps, delta, cfg).value
+            assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, cfg, got - want)
+
+
+def test_gamma_exact_takes_few_objective_evaluations(rng, monkeypatch):
+    # the 8-point grid brackets the minimum (see the unimodality test above),
+    # and Brent's steps refine it: about 50 evaluations a solve, where a
+    # 256-point grid took 292
+    evals = 0
+    real = conversion.minimize_unimodal
+
+    def counted(objective, lo, hi, cfg):
+        def counted_objective(t):
+            nonlocal evals
+            evals += 1
+            return objective(t)
+
+        return real(counted_objective, lo, hi, cfg)
+
+    monkeypatch.setattr(conversion, "minimize_unimodal", counted)
+    solves = 0
+    while solves < 300:
+        alpha = 1.0 + 10.0 ** rng.uniform(-6.0, math.log10(300.0))
+        delta = 10.0 ** rng.uniform(-30.0, math.log10(0.999))
+        if alpha * delta >= 1.0:
+            continue
+        gamma_exact(alpha, 5.0 * rng.uniform(0.0, 1.0), delta)
+        solves += 1
+    assert evals / solves <= 64.0, evals / solves
 
 
 def test_gamma_exact_argmin_stays_inside_the_interval():
@@ -351,6 +405,17 @@ def test_delta_exact_round_trip(rng):
         gamma = gamma_exact(alpha, eps, delta).value
         back = delta_exact(alpha, gamma, eps).value
         assert abs(back - delta) <= 1e-7
+
+
+def test_delta_exact_keeps_its_digits_at_small_delta():
+    # delta is found to a tolerance relative to its closed-form bound; an
+    # absolute 1e-10 returned the bound itself, 64 times too loose, at 1e-13
+    for delta in (1e-5, 1e-7, 1e-9, 1e-11, 1e-13):
+        gamma = gamma_exact(2.0, 1.0, delta).value
+        back = delta_exact(2.0, gamma, 1.0).value
+        assert abs(back / delta - 1.0) <= 1e-3, (delta, back)
+        assert gamma_exact(2.0, 1.0, back).value >= gamma, (delta, back)
+        assert back <= delta_bound(2.0, gamma, 1.0).value, (delta, back)
 
 
 def test_delta_exact_infeasible_above_frontier_range():
