@@ -32,17 +32,6 @@ from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, log_ad
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
 
-# gamma_exact's default search.  The frontier objective is the log of
-# S(p) = p^alpha (p - delta)^(1-alpha) + (1-p)^alpha (e^eps - p + delta)^(1-alpha).
-# For alpha > 1 each term is the perspective y (x/y)^alpha of the convex map
-# x -> x^alpha at an (x, y) affine in p, so each term, and S, is convex in p on
-# (delta, 1).  log S is then unimodal, in p and in the search variable
-# t = log(p - delta), and the best point of any grid and its two neighbours
-# bracket the minimum: 8 grid points, the fewest ScalarSearchConfig accepts,
-# bracket it as well as 256
-_FRONTIER_SEARCH = ScalarSearchConfig(abs_tol=1e-10, coarse_grid=8)
-
-
 @dataclass(frozen=True)
 class ConversionResult:
     """Converted value plus how it was obtained.
@@ -123,18 +112,18 @@ def gamma_exact(
     alpha: float,
     epsilon: float,
     delta: float,
-    cfg: ScalarSearchConfig = _FRONTIER_SEARCH,
+    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
 ) -> ConversionResult:
     """Exact frontier value gamma(alpha, eps, delta) by numeric minimization.
 
     The interior search runs over t = log(p - delta), which resolves the
     minimizer relative to its distance from delta however small delta is,
     so cfg.abs_tol applies to log(p - delta).  The objective is unimodal in
-    t (it is the log of a sum of two perspectives of x -> x^alpha), so the
-    default search scans an 8-point grid and refines to 1e-10 in t: about
-    50 objective evaluations a solve.  The interior minimum is compared
-    against the p -> 1 boundary value eps - log(1 - delta), which is the
-    true infimum whenever alpha * delta >= 1; no search runs there.
+    t, so DEFAULT_SEARCH's 8-point grid brackets its minimum, and Brent's
+    steps refine it to 1e-10 in t: about 50 objective evaluations a solve.
+    The interior minimum is compared against the p -> 1 boundary value
+    eps - log(1 - delta), which is the true infimum whenever
+    alpha * delta >= 1; no search runs there.
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
@@ -147,7 +136,12 @@ def gamma_exact(
     # the objective decreases in p up to p = alpha * delta, and at small delta
     # its minimizer sits just above that point; the range starts one unit of
     # t below it, so that the minimizer lies inside the range, where parabolic
-    # steps reach it, rather than on its end
+    # steps reach it, rather than on its end.  The objective is log S(p), with
+    # S(p) = p^alpha (p - delta)^(1-alpha) + (1-p)^alpha (e^eps - p + delta)^(1-alpha).
+    # For alpha > 1 each term is the perspective y (x/y)^alpha of the convex
+    # map x -> x^alpha at an (x, y) affine in p, so each term, and S, is
+    # convex in p on (delta, 1).  log S is then unimodal, in p and in t, and
+    # the best point of any grid and its two neighbours bracket the minimum
     t_lo, t_hi = math.log(alpha - 1.0) + math.log(delta) - 1.0, math.log1p(-delta)
     t, m_interior = minimize_unimodal(_objective(alpha, epsilon, delta), t_lo, t_hi, cfg)
     if (1.0 - alpha) * t_hi <= m_interior:
@@ -192,7 +186,7 @@ def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     if alpha * delta >= 1.0:
         value = epsilon - math.log1p(-delta)
         return ConversionResult(value, "closed_form_bound", active_branch="alpha_delta_ge_1")
-    g = epsilon - (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
+    g = _moment_gamma_piece(alpha, epsilon, delta)
     f = _f_lower_bound(alpha, epsilon, delta)[0]
     if g >= f:
         return ConversionResult(g, "closed_form_bound", active_branch="g_bound")
@@ -354,11 +348,17 @@ def _epsilon_bound(alpha: float, gamma: float, delta: float) -> tuple[float, Opt
         return 0.0, None
     if alpha * delta >= 1.0:
         return max(gamma + math.log1p(-delta), 0.0), "alpha_delta_ge_1"
-    piece_g = max(gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), 0.0)
+    piece_g = _moment_epsilon_piece(alpha, gamma, delta)
     piece_chi = _chi_epsilon_piece(alpha, gamma, delta)
     if piece_g <= piece_chi:
         return piece_g, "g_bound"
     return piece_chi, "chi_bound"
+
+
+def _moment_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
+    # (gamma + log(zeta(alpha)/delta)/(alpha-1))_+, Balle et al.'s conversion
+    # clamped at 0; for alpha * delta < 1
+    return max(gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), 0.0)
 
 
 def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
@@ -375,17 +375,28 @@ def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)
 
 
+def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
+    # the moment piece inverted in gamma: the largest gamma at which it is at
+    # most epsilon > 0, and gamma_bound's moment piece of the frontier
+    return epsilon - (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
+
+
+def _chi_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
+    # the chi piece inverted in gamma: log(1 + c expm1(x))/(alpha-1),
+    # x = (alpha-1) eps, c = alpha delta, which past x = 700 is the log of
+    # c e^x + (1 - c)
+    x, c = (alpha - 1.0) * epsilon, alpha * delta
+    log_chi = math.log1p(c * math.expm1(x)) if x < 700.0 else log_add(math.log(c) + x, math.log1p(-c))
+    return log_chi / (alpha - 1.0)
+
+
 def _gamma_of_epsilon_bound(alpha: float, epsilon: float, delta: float) -> float:
     # the largest gamma with _epsilon_bound(alpha, gamma, delta) <= epsilon > 0:
     # each piece inverted in gamma; below alpha*delta = 1 the bound is the
-    # smaller piece, so the larger inverse wins.  The chi piece inverts to
-    # log(1 + c expm1(x))/(alpha-1), x = (alpha-1) eps, c = alpha delta, which
-    # past x = 700 is the log of c e^x + (1 - c)
+    # smaller piece, so the larger inverse wins
     if alpha * delta >= 1.0:
         return epsilon - math.log1p(-delta)
-    x, c = (alpha - 1.0) * epsilon, alpha * delta
-    log_chi = math.log1p(c * math.expm1(x)) if x < 700.0 else log_add(math.log(c) + x, math.log1p(-c))
-    return max(epsilon - (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), log_chi / (alpha - 1.0))
+    return max(_moment_gamma_piece(alpha, epsilon, delta), _chi_gamma_piece(alpha, epsilon, delta))
 
 
 def baseline_delta(alpha: float, gamma: float, epsilon: float) -> float:

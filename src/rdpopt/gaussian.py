@@ -28,7 +28,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .conversion import Branch, ConversionResult, _epsilon_bound, _gamma_of_epsilon_bound, _gamma_slope, gamma_exact
+from .conversion import (
+    Branch,
+    ConversionResult,
+    _chi_epsilon_piece,
+    _chi_gamma_piece,
+    _epsilon_bound,
+    _gamma_of_epsilon_bound,
+    _gamma_slope,
+    _moment_epsilon_piece,
+    _moment_gamma_piece,
+    gamma_exact,
+)
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
 from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, minimize_unimodal
 
@@ -148,20 +159,38 @@ class AccountedEpsilon:
     mode: str
 
 
-def _min_over_orders(
-    objective, delta: float, cfg: ScalarSearchConfig = DEFAULT_SEARCH, centre: Optional[float] = None
-) -> tuple[float, float]:
-    # minimize over alpha in (1, 1/delta], searching log(alpha - 1) so that
-    # orders near 1 and near 1/delta get comparable resolution.  Given a
-    # centre order, only the window of +-1 around its log(alpha - 1) is
-    # scanned, at _EXACT_WINDOW; the whole range is scanned at cfg when no
-    # centre is given, or when the window's minimum lies within one grid step
-    # of a window edge that is not also an edge of the range
+def _order_range(delta: float) -> tuple[float, float]:
+    # the range of u = log(alpha - 1) that the order scans search, alpha in
+    # (1, 1/delta): in log(alpha - 1), orders near 1 and near 1/delta get
+    # comparable resolution.  1 + e^u rounds to 1 below u = log(2^-53) = -36.7,
+    # which the scan would reach within a few ulps of delta = 1, where
+    # u_hi >= log(2^-52) = -36.04
     u_hi = math.log(1.0 / delta - 1.0)
-    # 1 + e^u rounds to 1 below u = log(2^-53) = -36.7, which the scan would
-    # reach within a few ulps of delta = 1, where u_hi >= log(2^-52) = -36.04
-    u_lo = max(min(math.log(1e-6), u_hi - 1.0), -36.5)
-    at_u = lambda t: objective(1.0 + math.exp(t))
+    return max(min(math.log(1e-6), u_hi - 1.0), -36.5), u_hi
+
+
+def _at_u(objective):
+    return lambda u: objective(1.0 + math.exp(u))
+
+
+def _with_end(objective, delta: float, alpha: float, value: float) -> tuple[float, float]:
+    # the scanned minimum (alpha, value), or the end alpha = 1/delta where objective is lower there
+    alpha_end = 1.0 / delta
+    v_end = objective(alpha_end)
+    return (alpha_end, v_end) if v_end < value else (alpha, value)
+
+
+def _min_over_orders(
+    objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
+) -> tuple[float, float]:
+    # minimize over alpha in (1, 1/delta]: a scan of the open range in
+    # log(alpha - 1), then the end alpha = 1/delta on its own.  Given a centre
+    # order, only the window of +-1 around its log(alpha - 1) is scanned, at
+    # _EXACT_WINDOW; the whole range is scanned at cfg when no centre is
+    # given, or when the window's minimum lies within one grid step of a
+    # window edge that is not also an edge of the range
+    u_lo, u_hi = _order_range(delta)
+    at_u = _at_u(objective)
     if centre is not None:
         u_c = min(max(math.log(centre - 1.0), u_lo), u_hi)
         lo, hi = max(u_c - 1.0, u_lo), min(u_c + 1.0, u_hi)
@@ -171,11 +200,34 @@ def _min_over_orders(
             centre = None
     if centre is None:
         u, value = minimize_unimodal(at_u, u_lo, u_hi, cfg)
-    alpha_end = 1.0 / delta
-    v_end = objective(alpha_end)
-    if v_end < value:
-        return alpha_end, v_end
-    return 1.0 + math.exp(u), value
+    return _with_end(objective, delta, 1.0 + math.exp(u), value)
+
+
+def _min_of_pieces(objective, pieces, delta: float) -> tuple[float, float]:
+    # minimize over alpha in (1, 1/delta] an objective that is the smaller of
+    # pieces below alpha = 1/delta.  Its minimum over the open range is the
+    # smallest of the pieces' own minima, so each piece is scanned on its own
+    # at DEFAULT_SEARCH, and objective is evaluated at the winning piece's
+    # order and, as in _min_over_orders, at 1/delta.
+    #
+    # DEFAULT_SEARCH's 8 grid points bracket a piece's minimum when the piece
+    # is unimodal in u = log(alpha - 1).  For the moment piece of
+    # epsilon_bound at gamma = rho_T alpha this is proved.  Write L = log(1/delta);
+    # since log zeta(alpha)/(alpha - 1) = log(1 - 1/alpha) - log(alpha)/(alpha - 1),
+    #     eps_g(alpha) = rho_T alpha + log(1 - 1/alpha) + (L - log alpha)/(alpha - 1),
+    #     d eps_g / d alpha = rho_T - (L - log alpha)/(alpha - 1)^2.
+    # On (1, 1/delta) the numerator L - log alpha is positive and falls, and
+    # (alpha - 1)^2 grows, so the slope increases strictly and eps_g is
+    # convex in alpha.  Its clamp at 0 keeps it convex, hence unimodal in
+    # alpha and in the increasing u.  The argument needs only that the total
+    # rate, here rho_T alpha, is convex in alpha.  The chi piece and both
+    # pieces that _largest_rate inverts have no such proof; they are
+    # unimodal as sampled on random inputs over their whole ranges, and
+    # tests/test_gaussian.py keeps sampling them
+    u_lo, u_hi = _order_range(delta)
+    u, _ = min((minimize_unimodal(_at_u(piece), u_lo, u_hi, DEFAULT_SEARCH) for piece in pieces), key=lambda r: r[1])
+    alpha = 1.0 + math.exp(u)
+    return _with_end(objective, delta, alpha, objective(alpha))
 
 
 def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
@@ -183,8 +235,13 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
 
     The T-fold composition satisfies (alpha, rho T alpha)-Renyi DP at every
     order, so epsilon is the minimum over alpha in (1, 1/delta] of the
-    conversion of that guarantee.  Closed-form mode scans the orders of
-    epsilon_bound(alpha, rho T alpha, delta) at DEFAULT_SEARCH.
+    conversion of that guarantee.  Closed-form mode minimizes
+    epsilon_bound(alpha, rho T alpha, delta), which below alpha = 1/delta is
+    the smaller of its moment and chi pieces: each piece is scanned over the
+    orders on its own at DEFAULT_SEARCH, an 8-point grid refined by Brent's
+    steps (the moment piece is convex in alpha, the chi piece unimodal as
+    sampled), and epsilon_bound is evaluated at the lower piece's order and
+    at alpha = 1/delta.  About 55 objective evaluations an answer.
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
@@ -208,8 +265,10 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     _check_mode(mode)
     rho_T = rho * T
     _check_finite(rho_T, rho_T)
-    a_closed, _ = _min_over_orders(lambda a: _epsilon_bound(a, rho_T * a, delta)[0], delta)
-    eps_closed, branch = _epsilon_bound(a_closed, rho_T * a_closed, delta)
+    bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
+    pieces = (lambda a: _moment_epsilon_piece(a, rho_T * a, delta), lambda a: _chi_epsilon_piece(a, rho_T * a, delta))
+    a_closed, _ = _min_of_pieces(lambda a: bound(a)[0], pieces, delta)
+    eps_closed, branch = bound(a_closed)
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
@@ -251,8 +310,13 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # the largest rho*T whose accounted epsilon meets the budget, and the order
     # attaining it.  Each conversion increases with gamma, so the budget is met
     # exactly when rho*T*alpha <= gamma_alpha(eps) at some order, where
-    # gamma_alpha inverts the conversion at that order
-    alpha, value = _min_over_orders(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, delta)
+    # gamma_alpha inverts the conversion at that order.  Below alpha = 1/delta
+    # the closed-form gamma_alpha is the larger of the two pieces' inverses,
+    # so -gamma_alpha/alpha is the smaller of two pieces, each scanned on its
+    # own (unimodal as sampled; see _min_of_pieces).  Exact mode then scans
+    # gamma_exact/alpha in the window around the closed-form order
+    pieces = (lambda a: -_moment_gamma_piece(a, epsilon, delta) / a, lambda a: -_chi_gamma_piece(a, epsilon, delta) / a)
+    alpha, value = _min_of_pieces(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, pieces, delta)
     if mode == "closed_form":
         return -value, alpha
     alpha, r = _exact_rate(epsilon, delta, alpha)
@@ -337,7 +401,10 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     sigma^2 = T / (2 rho_T), where rho_T is the largest total rate whose
     closed-form accounted epsilon meets the budget: the maximum over orders
     alpha in (1, 1/delta] of gamma_alpha(eps) / alpha, where gamma_alpha
-    inverts epsilon_bound in gamma.  Every positive budget is feasible.
+    inverts epsilon_bound in gamma.  gamma_alpha is the larger of the two
+    pieces' inverses, and each is scanned over the orders on its own on an
+    8-point grid: about 63 objective evaluations an answer.  Every positive
+    budget is feasible.
     """
     _check_steps(T)
     _check_budget(epsilon, delta)

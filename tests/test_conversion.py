@@ -31,7 +31,7 @@ from rdpopt.conversion import (
 )
 from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
-from rdpopt.optimize import log_add
+from rdpopt.optimize import DEFAULT_SEARCH, log_add
 
 from conftest import sample_small_delta_triples, sample_triples
 
@@ -302,7 +302,7 @@ def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
         triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
     for alpha, eps, delta in triples:
         want = float(_mpmath_gamma(alpha, eps, delta))
-        for cfg in (conversion._FRONTIER_SEARCH, gaussian._EXACT_INNER):
+        for cfg in (DEFAULT_SEARCH, gaussian._EXACT_INNER):
             got = gamma_exact(alpha, eps, delta, cfg).value
             assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, cfg, got - want)
 

@@ -134,6 +134,104 @@ def test_acct_epsilon_is_the_order_minimum_of_epsilon_bound(rho, T, delta, froze
         assert r.epsilon <= epsilon_bound(alpha, rho * T * alpha, delta).value
 
 
+def _closed_form_inputs(rng: random.Random, n: int, rate_lo: float, rate_hi: float, delta_lo: float, delta_hi: float):
+    """n seeded (rho*T, delta): every other total rate is a subsampled step's times T."""
+    out = []
+    for i in range(n):
+        if i % 2:
+            T = round(_log_uniform(rng, 1.0, 1e5))
+            rho_T = rho_subsampled(_log_uniform(rng, 0.5, 30.0), _log_uniform(rng, 1e-4, 0.5)) * T
+            rho_T = min(max(rho_T, rate_lo), rate_hi)
+        else:
+            rho_T = _log_uniform(rng, rate_lo, rate_hi)
+        out.append((rho_T, _log_uniform(rng, delta_lo, delta_hi)))
+    return out
+
+
+def test_closed_form_pieces_are_unimodal_in_u():
+    # the closed-form order scans bracket each piece's minimum on 8 grid
+    # points, which holds when the piece is unimodal in u = log(alpha - 1):
+    # proved for the moment piece of epsilon_bound, sampled here for the chi
+    # piece and for the two pieces _largest_rate inverts
+    rng = random.Random(15)
+    for rho_T, delta in _closed_form_inputs(rng, 240, 1e-12, 1e3, 1e-30, 0.99):
+        eps = _log_uniform(rng, 1e-4, 100.0)
+        pieces = {
+            "moment": lambda a: conversion._moment_epsilon_piece(a, rho_T * a, delta),
+            "chi": lambda a: conversion._chi_epsilon_piece(a, rho_T * a, delta),
+            "moment inverse": lambda a: -conversion._moment_gamma_piece(a, eps, delta) / a,
+            "chi inverse": lambda a: -conversion._chi_gamma_piece(a, eps, delta) / a,
+        }
+        u_lo, u_hi = gaussian._order_range(delta)
+        us = np.linspace(u_lo, u_hi, 514)[1:-1]
+        for name, piece in pieces.items():
+            values = np.array([piece(1.0 + math.exp(float(u))) for u in us])
+            i = int(values.argmin())
+            steps = np.diff(values)
+            tol = 1e-12 * float(np.abs(values).max())
+            case = (name, rho_T, eps, delta)
+            assert steps[:i].max(initial=-math.inf) <= tol, case
+            assert steps[i:].min(initial=math.inf) >= -tol, case
+        # the proof behind the moment piece's scan: before its clamp, its slope
+        # is rho_T - (L - log alpha)/(alpha - 1)^2, L = log(1/delta), and the
+        # second term falls on (1, 1/delta); checked against central differences
+        unclamped = lambda a: rho_T * a + (conversion._log_zeta(a) - math.log(delta)) / (a - 1.0)
+        tails = []
+        for alpha in np.geomspace(1.0 + 1e-3, 0.999 / delta, 16):
+            alpha = float(alpha)
+            h = 1e-6 * (alpha - 1.0)
+            numeric = (unclamped(alpha + h) - unclamped(alpha - h)) / (2.0 * h)
+            tails.append((math.log(1.0 / delta) - math.log(alpha)) / (alpha - 1.0) ** 2)
+            want = rho_T - tails[-1]
+            assert math.isclose(numeric, want, rel_tol=1e-5, abs_tol=1e-5 * (rho_T + tails[-1])), (rho_T, delta, alpha)
+        assert all(b < a for a, b in zip(tails, tails[1:])), (rho_T, delta)
+
+
+def _count_scan_evaluations(monkeypatch) -> list[int]:
+    evals = [0]
+    real = gaussian.minimize_unimodal
+
+    def counted(objective, lo, hi, cfg):
+        def counted_objective(u):
+            evals[0] += 1
+            return objective(u)
+
+        return real(counted_objective, lo, hi, cfg)
+
+    monkeypatch.setattr(gaussian, "minimize_unimodal", counted)
+    return evals
+
+
+def test_closed_form_accountant_takes_few_evaluations(monkeypatch):
+    # each closed-form piece is scanned on 8 grid points and refined by
+    # Brent's steps: about 55 evaluations an answer, where one scan of the
+    # smaller piece on 256 points took about 270
+    inputs = _closed_form_inputs(random.Random(17), 300, 1e-8, 50.0, 1e-12, 0.5)
+    evals = _count_scan_evaluations(monkeypatch)
+    for rho_T, delta in inputs:
+        acct_epsilon(rho_T, 1, delta)
+    assert evals[0] / len(inputs) <= 64.0, evals[0] / len(inputs)
+    evals[0] = 0
+    for k, (rho_T, delta) in enumerate(inputs):
+        required_variance(1, 0.05 * 1.02**k, delta)  # budgets 0.05 to 18
+    assert evals[0] / len(inputs) <= 80.0, evals[0] / len(inputs)
+
+
+def test_closed_form_answers_are_no_worse_than_a_fine_order_grid():
+    # the pieces scanned apart find the minimum over orders that a
+    # 4096-point grid of orders finds, and the largest rate its maximum
+    rng = random.Random(18)
+    for rho_T, delta in _closed_form_inputs(rng, 300, 1e-8, 50.0, 1e-30, 0.9):
+        orders = [1.0 + float(x) for x in np.geomspace(1e-6, 1.0 / delta - 1.0, 4096)] + [1.0 / delta]
+        r = acct_epsilon(rho_T, 1, delta)
+        best = min(conversion._epsilon_bound(a, rho_T * a, delta)[0] for a in orders)
+        assert r.epsilon <= best * (1.0 + 1e-12), (rho_T, delta, r.epsilon - best)
+        eps = _log_uniform(rng, 1e-4, 100.0)
+        rate, _ = gaussian._largest_rate(eps, delta, "closed_form")
+        best = max(conversion._gamma_of_epsilon_bound(a, eps, delta) / a for a in orders)
+        assert rate >= best * (1.0 - 1e-12), (eps, delta, best - rate)
+
+
 def test_acct_epsilon_beats_ma_baseline():
     for T in (1.0, 10.0, 100.0, 1000.0):
         ours = acct_epsilon(1.0 / 800.0, T, 1e-5).epsilon
