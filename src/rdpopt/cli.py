@@ -191,10 +191,16 @@ def cmd_variance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_float_list(text: str | None) -> list[float]:
-    if text is None:
-        return []
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _parse_float_list(text: str | None, flag: str) -> list[float]:
+    values = []
+    for part in (text or "").split(","):
+        if not part.strip():
+            continue
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise UsageError(f"{flag} takes comma-separated numbers, got {part.strip()!r}") from None
+    return values
 
 
 # the flags each kind of sweep reads; a flag of one kind given to the other is
@@ -225,8 +231,8 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
         if getattr(args, name) is None:
             setattr(args, name, value)
     if args.fig == 1:
-        alphas = _parse_float_list(args.alpha)
-        epss = _parse_float_list(args.eps)
+        alphas = _parse_float_list(args.alpha, "--alpha")
+        epss = _parse_float_list(args.eps, "--eps")
         if not alphas or len(alphas) != len(epss):
             raise UsageError("--fig 1 needs matching --alpha and --eps lists")
         lo, hi, n = args.delta_from, args.delta_to, args.delta_points
@@ -297,6 +303,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError(f"--tol must be finite and > 0, got {args.tol!r}")
     # the only subcommand that needs numpy, so the oracle is imported here; its
     # functions are looked up on the module, where a wrapper installed after
     # import sees the calls

@@ -26,7 +26,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative
+from .errors import _check_alpha_eps_delta, _check_alpha_gamma_delta, _check_alpha_gamma_eps
 from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, log_add, minimize_unimodal
 
 Method = Literal["exact_numeric", "closed_form_bound"]
@@ -67,9 +68,7 @@ def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> 
     Computed entirely in log domain, as a function of log(p - delta);
     requires delta < p < 1.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(epsilon, "epsilon")
-    _check_unit(delta, "delta", allow_zero=True)
+    _check_alpha_eps_delta(alpha, epsilon, delta)
     if not (delta < p < 1.0):
         raise DomainError(f"p must lie in (delta, 1) = ({delta!r}, 1), got {p!r}")
     return _objective(alpha, epsilon, delta)(math.log(p - delta))
@@ -125,9 +124,7 @@ def gamma_exact(
     eps - log(1 - delta), which is the true infimum whenever
     alpha * delta >= 1; no search runs there.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(epsilon, "epsilon")
-    _check_unit(delta, "delta", allow_zero=True)
+    _check_alpha_eps_delta(alpha, epsilon, delta)
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
@@ -178,9 +175,7 @@ def gamma_bound(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     For alpha*delta < 1 it is the larger of the moment-based piece
     g = eps - (1/(alpha-1)) log(zeta(alpha)/delta) and the tangent piece f.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(epsilon, "epsilon")
-    _check_unit(delta, "delta", allow_zero=True)
+    _check_alpha_eps_delta(alpha, epsilon, delta)
     if delta == 0.0:
         return ConversionResult(0.0, "closed_form_bound")
     if alpha * delta >= 1.0:
@@ -207,9 +202,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     DEFAULT_SEARCH.abs_tol relative to the bound, so small deltas keep
     their digits.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_nonnegative(epsilon, "epsilon")
+    _check_alpha_gamma_eps(alpha, gamma, epsilon)
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
@@ -239,9 +232,7 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     slope, at DEFAULT_SEARCH.  For gamma > 0 a delta that underflows to 0
     is reported as the smallest positive float.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_nonnegative(epsilon, "epsilon")
+    _check_alpha_gamma_eps(alpha, gamma, epsilon)
     # 1 - e^(eps - gamma), which can reach 1/alpha only when eps < gamma; the
     # exponent is capped at 0 so that a large eps - gamma does not overflow
     d_closed = -math.expm1(min(epsilon - gamma, 0.0))
@@ -282,9 +273,7 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     found to DEFAULT_SEARCH.abs_tol: one frontier solve an answer where the
     bound is tight, usually two to four elsewhere.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_unit(delta, "delta")
+    _check_alpha_gamma_delta(alpha, gamma, delta)
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
 
@@ -334,9 +323,7 @@ def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:
     (gamma + log(zeta(alpha)/delta)/(alpha-1))_+ and the power-divergence
     piece (1/(alpha-1)) log(1 + (alpha-1) chi(gamma)/(alpha delta)).
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_unit(delta, "delta")
+    _check_alpha_gamma_delta(alpha, gamma, delta)
     value, branch = _epsilon_bound(alpha, gamma, delta)
     return ConversionResult(value, "closed_form_bound", active_branch=branch)
 
@@ -405,18 +392,14 @@ def baseline_delta(alpha: float, gamma: float, epsilon: float) -> float:
     For gamma > 0 a delta that underflows to 0 is reported as the smallest
     positive float.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_nonnegative(epsilon, "epsilon")
+    _check_alpha_gamma_eps(alpha, gamma, epsilon)
     # cap the exponent rather than the result: for eps < gamma it can exceed 709
     return _no_false_zero(math.exp(min(-(alpha - 1.0) * (epsilon - gamma), 0.0)), gamma)
 
 
 def baseline_epsilon(alpha: float, gamma: float, delta: float) -> float:
     """Markov-style conversion eps = gamma + log(1/delta)/(alpha-1)."""
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_unit(delta, "delta")
+    _check_alpha_gamma_delta(alpha, gamma, delta)
     return gamma - math.log(delta) / (alpha - 1.0)
 
 
@@ -427,9 +410,7 @@ def balle_epsilon(alpha: float, gamma: float, delta: float) -> float:
     baseline, and matches the moment piece of epsilon_bound before its
     clamp at zero.
     """
-    _check_alpha(alpha)
-    _check_nonnegative(gamma, "gamma")
-    _check_unit(delta, "delta")
+    _check_alpha_gamma_delta(alpha, gamma, delta)
     return gamma + (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
 
 

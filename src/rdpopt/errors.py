@@ -35,3 +35,21 @@ def _check_unit(x: float, name: str, *, allow_zero: bool = False) -> None:
     lo_ok = x >= 0.0 if allow_zero else x > 0.0
     if not (lo_ok and x < 1.0):
         raise DomainError(f"{name} must lie in {'[0, 1)' if allow_zero else '(0, 1)'}, got {x!r}")
+
+
+def _check_alpha_eps_delta(alpha: float, epsilon: float, delta: float) -> None:
+    _check_alpha(alpha)
+    _check_nonnegative(epsilon, "epsilon")
+    _check_unit(delta, "delta", allow_zero=True)
+
+
+def _check_alpha_gamma_delta(alpha: float, gamma: float, delta: float) -> None:
+    _check_alpha(alpha)
+    _check_nonnegative(gamma, "gamma")
+    _check_unit(delta, "delta")
+
+
+def _check_alpha_gamma_eps(alpha: float, gamma: float, epsilon: float) -> None:
+    _check_alpha(alpha)
+    _check_nonnegative(gamma, "gamma")
+    _check_nonnegative(epsilon, "epsilon")

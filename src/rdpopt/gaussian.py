@@ -47,13 +47,12 @@ MODES = ("closed_form", "exact")
 
 # exact mode's order scan and the gamma_exact solve at each order it visits:
 # every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
-# The scan covers a window of +-1 in log(alpha - 1) around a given order at
-# _EXACT_WINDOW, and all orders at _EXACT_ORDERS only as a fallback.  Each
-# solve brackets its minimum on gamma_exact's 8-point grid, which the
-# frontier objective's convexity makes enough, and refines to 1e-9
-_EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=64)
-_EXACT_WINDOW = ScalarSearchConfig(abs_tol=1e-6, coarse_grid=8)
-_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9, coarse_grid=8)
+# The scan refines its order to 1e-6 in log(alpha - 1), on a window of +-1
+# around a given order and on all orders only as a fallback.  Each solve
+# brackets its minimum on gamma_exact's 8-point grid, which the frontier
+# objective's convexity makes enough, and refines to 1e-9
+_EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6)
+_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9)
 
 
 def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:
@@ -173,47 +172,22 @@ def _at_u(objective):
     return lambda u: objective(1.0 + math.exp(u))
 
 
-def _with_end(objective, delta: float, alpha: float, value: float) -> tuple[float, float]:
-    # the scanned minimum (alpha, value), or the end alpha = 1/delta where objective is lower there
-    alpha_end = 1.0 / delta
-    v_end = objective(alpha_end)
-    return (alpha_end, v_end) if v_end < value else (alpha, value)
-
-
 def _min_over_orders(
-    objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
+    pieces, objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
 ) -> tuple[float, float]:
-    # minimize over alpha in (1, 1/delta]: a scan of the open range in
-    # log(alpha - 1), then the end alpha = 1/delta on its own.  Given a centre
-    # order, only the window of +-1 around its log(alpha - 1) is scanned, at
-    # _EXACT_WINDOW; the whole range is scanned at cfg when no centre is
-    # given, or when the window's minimum lies within one grid step of a
-    # window edge that is not also an edge of the range
-    u_lo, u_hi = _order_range(delta)
-    at_u = _at_u(objective)
-    if centre is not None:
-        u_c = min(max(math.log(centre - 1.0), u_lo), u_hi)
-        lo, hi = max(u_c - 1.0, u_lo), min(u_c + 1.0, u_hi)
-        u, value = minimize_unimodal(at_u, lo, hi, _EXACT_WINDOW)
-        step = (hi - lo) / (_EXACT_WINDOW.coarse_grid - 1)
-        if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
-            centre = None
-    if centre is None:
-        u, value = minimize_unimodal(at_u, u_lo, u_hi, cfg)
-    return _with_end(objective, delta, 1.0 + math.exp(u), value)
-
-
-def _min_of_pieces(objective, pieces, delta: float) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta] an objective that is the smaller of
     # pieces below alpha = 1/delta.  Its minimum over the open range is the
     # smallest of the pieces' own minima, so each piece is scanned on its own
-    # at DEFAULT_SEARCH, and objective is evaluated at the winning piece's
-    # order and, as in _min_over_orders, at 1/delta.
+    # in u = log(alpha - 1) at cfg, and objective is evaluated at the winning
+    # piece's order and at the end alpha = 1/delta, where the lower value wins.
+    # Given a centre order, only the window of +-1 around its u is scanned,
+    # and the whole range as well when the window's minimum lies within one
+    # grid step of a window edge that is not also an edge of the range.
     #
-    # DEFAULT_SEARCH's 8 grid points bracket a piece's minimum when the piece
-    # is unimodal in u = log(alpha - 1).  For the moment piece of
-    # epsilon_bound at gamma = rho_T alpha this is proved.  Write L = log(1/delta);
-    # since log zeta(alpha)/(alpha - 1) = log(1 - 1/alpha) - log(alpha)/(alpha - 1),
+    # cfg's 8 grid points bracket a piece's minimum when the piece is
+    # unimodal in u.  For the moment piece of epsilon_bound at
+    # gamma = rho_T alpha this is proved.  Write L = log(1/delta); since
+    # log zeta(alpha)/(alpha - 1) = log(1 - 1/alpha) - log(alpha)/(alpha - 1),
     #     eps_g(alpha) = rho_T alpha + log(1 - 1/alpha) + (L - log alpha)/(alpha - 1),
     #     d eps_g / d alpha = rho_T - (L - log alpha)/(alpha - 1)^2.
     # On (1, 1/delta) the numerator L - log alpha is positive and falls, and
@@ -223,11 +197,26 @@ def _min_of_pieces(objective, pieces, delta: float) -> tuple[float, float]:
     # rate, here rho_T alpha, is convex in alpha.  The chi piece and both
     # pieces that _largest_rate inverts have no such proof; they are
     # unimodal as sampled on random inputs over their whole ranges, and
-    # tests/test_gaussian.py keeps sampling them
+    # tests/test_gaussian.py keeps sampling them.  Nor has exact mode's
+    # rate, which wiggles at rounding level near alpha = 1; a test holds its
+    # scan of all orders to the minimum of a 256-order sample
     u_lo, u_hi = _order_range(delta)
-    u, _ = min((minimize_unimodal(_at_u(piece), u_lo, u_hi, DEFAULT_SEARCH) for piece in pieces), key=lambda r: r[1])
-    alpha = 1.0 + math.exp(u)
-    return _with_end(objective, delta, alpha, objective(alpha))
+
+    def scan(lo: float, hi: float) -> float:
+        return min((minimize_unimodal(_at_u(piece), lo, hi, cfg) for piece in pieces), key=lambda r: r[1])[0]
+
+    if centre is None:
+        u = scan(u_lo, u_hi)
+    else:
+        u_c = min(max(math.log(centre - 1.0), u_lo), u_hi)
+        lo, hi = max(u_c - 1.0, u_lo), min(u_c + 1.0, u_hi)
+        u = scan(lo, hi)
+        step = (hi - lo) / (cfg.coarse_grid - 1)
+        if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
+            u = scan(u_lo, u_hi)
+    alpha, alpha_end = 1.0 + math.exp(u), 1.0 / delta
+    value, v_end = objective(alpha), objective(alpha_end)
+    return (alpha_end, v_end) if v_end < value else (alpha, value)
 
 
 def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
@@ -267,7 +256,7 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     _check_finite(rho_T, rho_T)
     bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
     pieces = (lambda a: _moment_epsilon_piece(a, rho_T * a, delta), lambda a: _chi_epsilon_piece(a, rho_T * a, delta))
-    a_closed, _ = _min_of_pieces(lambda a: bound(a)[0], pieces, delta)
+    a_closed, _ = _min_over_orders(pieces, lambda a: bound(a)[0], delta, DEFAULT_SEARCH)
     eps_closed, branch = bound(a_closed)
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
@@ -299,10 +288,11 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
     solves: dict[float, ConversionResult] = {}
 
     def neg_rate(alpha: float) -> float:
-        r = solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
-        return -r.value / alpha
+        if alpha not in solves:  # the scan evaluates its winning order a second time
+            solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
+        return -solves[alpha].value / alpha
 
-    alpha, _ = _min_over_orders(neg_rate, delta, _EXACT_ORDERS, centre)
+    alpha, _ = _min_over_orders((neg_rate,), neg_rate, delta, _EXACT_ORDERS, centre)
     return alpha, solves[alpha]
 
 
@@ -313,10 +303,11 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # gamma_alpha inverts the conversion at that order.  Below alpha = 1/delta
     # the closed-form gamma_alpha is the larger of the two pieces' inverses,
     # so -gamma_alpha/alpha is the smaller of two pieces, each scanned on its
-    # own (unimodal as sampled; see _min_of_pieces).  Exact mode then scans
+    # own (unimodal as sampled; see _min_over_orders).  Exact mode then scans
     # gamma_exact/alpha in the window around the closed-form order
     pieces = (lambda a: -_moment_gamma_piece(a, epsilon, delta) / a, lambda a: -_chi_gamma_piece(a, epsilon, delta) / a)
-    alpha, value = _min_of_pieces(lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a, pieces, delta)
+    neg_rate = lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a
+    alpha, value = _min_over_orders(pieces, neg_rate, delta, DEFAULT_SEARCH)
     if mode == "closed_form":
         return -value, alpha
     alpha, r = _exact_rate(epsilon, delta, alpha)

@@ -3,29 +3,28 @@
 Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
 minimization.  minimize_unimodal's contract is an objective unimodal on
-the interval.  A coarse scan brackets the minimizer first: the best grid
-point and its two neighbours bracket the minimum of such an objective, so
-the smallest grid this module accepts, 8 points, brackets it as well as
-any larger one, and DEFAULT_SEARCH scans 8 points.  Two objectives are
-proved unimodal: the frontier objective of conversion.gamma_exact is the
-log of a sum of two convex perspectives (see there), and the moment piece
-of the closed-form conversion is convex in the order (see
-gaussian._min_of_pieces).  The closed-form accountant minimizes the
-smaller of two pieces by scanning each piece on its own, since the
+the interval.  A coarse scan of 8 points brackets the minimizer first:
+the best grid point and its two neighbours bracket the minimum of such an
+objective, so a larger grid buys nothing, and every search scans 8
+points.  Two objectives are proved unimodal: the frontier objective of
+conversion.gamma_exact is the log of a sum of two convex perspectives
+(see there), and the moment piece of the closed-form conversion is convex
+in the order (see gaussian._min_over_orders).  The accountant minimizes
+the smaller of two pieces by scanning each piece on its own, since the
 minimum of a minimum is the smaller of the two minima.  Its chi piece and
 the two pieces it inverts for a budget are unimodal only as sampled: on
 thousands of random inputs none rises before its sampled minimum or
-falls after it beyond rounding.  The exact accountant's scan over all
-orders keeps 64 points.  Brent's method (R. P. Brent, Algorithms for
-Minimization without Derivatives, 1973) then refines the bracket:
-parabolic steps through the three best points, with a golden-section step
-wherever a parabola would leave the bracket or stall.  On objectives
-smooth at their minimum that takes a handful of steps, where golden
-section alone took about 38.  Inversion takes the map's slope with its
-value (for a minimum, from the envelope theorem) and runs Newton steps from
-a trusted upper end, keeping a bracket around the crossing and falling back
-to bisection whenever a step leaves the bracket or fails to halve the step
-before it.
+falls after it beyond rounding.  The exact accountant's rate has no proof
+either; its scan of all orders is tested against a 256-order sample.
+Brent's method (R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973) then refines the bracket: parabolic steps through
+the three best points, with a golden-section step wherever a parabola
+would leave the bracket or stall.  On objectives smooth at their minimum
+that takes a handful of steps, where golden section alone took about 38.
+Inversion takes the map's slope with its value (for a minimum, from the
+envelope theorem) and runs Newton steps from a trusted upper end, keeping
+a bracket around the crossing and falling back to bisection whenever a
+step leaves the bracket or fails to halve the step before it.
 """
 
 from __future__ import annotations
@@ -43,23 +42,22 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class ScalarSearchConfig:
-    """Knobs shared by the scalar searches.
+    """The tolerance of a scalar search.
 
     abs_tol is an absolute tolerance on the argument, not the value: the
     search stops once its bracket is no wider.  The argument is whatever the
     caller searches in: log(p - delta) for the frontier in gamma_exact, so
     there abs_tol is a relative tolerance on p - delta, and log(alpha - 1)
-    for the accountant's order scans.
+    for the accountant's order scans.  The grid size and the iteration cap
+    are the same for every search.
     """
 
     abs_tol: float = 1e-10
-    coarse_grid: int = 8
-    max_iters: ClassVar[int] = 200  # a constant: every search stops after as many iterations
+    coarse_grid: ClassVar[int] = 8  # points of the scan that brackets the minimum
+    max_iters: ClassVar[int] = 200  # every search stops after as many iterations
 
     def __post_init__(self):
         _check_positive(self.abs_tol, "abs_tol")
-        if self.coarse_grid < 8:
-            raise DomainError(f"coarse_grid must be >= 8, got {self.coarse_grid!r}")
 
 
 DEFAULT_SEARCH = ScalarSearchConfig()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .conversion import gamma_exact
 from .divergences import BernoulliPair, renyi_binary
-from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_unit
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_alpha_eps_delta, _check_nonnegative
 from .optimize import ScalarSearchConfig
 
 _P_EDGE = 1e-9
@@ -33,7 +33,7 @@ _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probab
 DEFAULT_SEED = 7
 REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
 CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
-_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8, coarse_grid=8)  # 8 points bracket the frontier; see conversion
+_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8)  # each frontier solve to 1e-8 in log(p - delta)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     around the winning row.  Converges to gamma_exact from above as the
     grids densify; a grid minimum can never beat the true infimum.
     """
-    _check_inputs(alpha, epsilon, delta)
+    _check_alpha_eps_delta(alpha, epsilon, delta)
     lam = math.exp(epsilon)
 
     def feasible(rows, lp, l1p, lq, l1q):
@@ -163,12 +163,6 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     return max(min(coarse_value, refined_value), 0.0)
 
 
-def _check_inputs(alpha: float, epsilon: float, delta: float) -> None:
-    _check_alpha(alpha)
-    _check_nonnegative(epsilon, "epsilon")
-    _check_unit(delta, "delta", allow_zero=True)
-
-
 def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = GridSpec(),
                   n_p: int = 512) -> dict:
     """Check that the constrained q-minimum sits at q = (p - delta)/e^eps.
@@ -180,7 +174,7 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     at q_star; anything beyond grid-resolution error would mean the
     reduction is wrong.
     """
-    _check_inputs(alpha, epsilon, delta)
+    _check_alpha_eps_delta(alpha, epsilon, delta)
     lam = math.exp(epsilon)
     u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
     p_all = 1.0 / (1.0 + np.exp(-u_all))

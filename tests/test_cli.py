@@ -422,6 +422,14 @@ def test_curve_fig1_needs_lists(capsys):
     assert code == 2
 
 
+def test_curve_fig1_rejects_a_list_token_that_is_not_a_number(capsys):
+    cases = [("abc", "1", "--alpha", "abc"), ("2,x", "1,2", "--alpha", "x"), ("2", "1, 1e", "--eps", "1e")]
+    for alpha, eps, flag, token in cases:
+        code, out, err = run_cli(capsys, "curve", "--fig", "1", "--alpha", alpha, "--eps", eps)
+        assert code == 2 and out == ""
+        assert f"usage error: {flag} takes comma-separated numbers, got {token!r}" in err
+
+
 def test_curve_rejects_flags_of_the_other_sweep(capsys):
     code, out, err = run_cli(
         capsys, "curve", "--fig", "1", "--alpha", "2", "--eps", "1", "--sigma", "20", "--mode", "exact", "--delta-points", "2"
@@ -513,6 +521,15 @@ def test_oracle_check_tolerance_failure(capsys):
     record = json.loads(out)  # the record is still emitted for inspection
     assert record["results"]["passed"] is False
     assert record["results"]["failures"]
+
+
+def test_oracle_check_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, monkeypatch):
+    # rejected before any work: the oracle is never run
+    monkeypatch.setattr(cli, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    for tol in ("nan", "inf", "-inf", "-1", "0"):
+        code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1", f"--tol={tol}")
+        assert code == 2 and out == "", tol
+        assert "usage error: --tol must be finite and > 0" in err, tol
 
 
 def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):

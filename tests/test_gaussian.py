@@ -24,7 +24,7 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import DEFAULT_SEARCH, minimize_unimodal
+from rdpopt.optimize import minimize_unimodal
 
 from conftest import bisect_reference
 
@@ -268,7 +268,10 @@ def _count_solves(monkeypatch) -> list[int]:
 def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # the reference: exact mode as a primal order scan, the minimum over orders
     # of the epsilon that inverts the frontier at rho*T*alpha, each found by
-    # bisection up to its closed-form bound, plus the closed-form argmin
+    # bisection up to its closed-form bound.  The orders are scanned apart
+    # from the accountant's own scan: 64 points in log(alpha - 1), refined
+    # between the best one's neighbours, plus alpha = 1/delta and the
+    # closed-form argmin
     cfg, rho_T = gaussian._EXACT_INNER, rho * T
 
     def eps_at(alpha: float) -> float:
@@ -283,8 +286,12 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
             hi *= 2.0
         return min(bisect_reference(frontier, gamma, 0.0, hi, cfg.abs_tol), bound)
 
-    _, best = gaussian._min_over_orders(eps_at, delta, gaussian._EXACT_ORDERS)
-    return min(best, eps_at(acct_epsilon(rho, T, delta).argmin_alpha))
+    eps_at_u = lambda u: eps_at(1.0 + math.exp(u))
+    us = np.linspace(*gaussian._order_range(delta), 64).tolist()
+    values = [eps_at_u(u) for u in us]
+    i = int(np.argmin(values))
+    _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], gaussian._EXACT_ORDERS)
+    return min(values[i], refined, eps_at(1.0 / delta), eps_at(acct_epsilon(rho, T, delta).argmin_alpha))
 
 
 def test_exact_accountant_matches_the_primal_scan(monkeypatch):
@@ -325,7 +332,7 @@ def test_windowed_order_scan_matches_the_global_scan(monkeypatch):
     real = gaussian._min_over_orders
     with monkeypatch.context() as m:
         # every order scan covers all of (1, 1/delta] at its own settings, ignoring the window
-        m.setattr(gaussian, "_min_over_orders", lambda f, delta, cfg=DEFAULT_SEARCH, centre=None: real(f, delta, cfg))
+        m.setattr(gaussian, "_min_over_orders", lambda pieces, f, delta, cfg, centre=None: real(pieces, f, delta, cfg))
         everywhere = [acct_epsilon(*args, "exact").epsilon for args in inputs]
         best_rates = [gaussian._largest_rate(eps, d, "exact")[0] for eps, d in budgets]
     for (rho, T, delta), r, want in zip(inputs, windowed, everywhere):
@@ -338,23 +345,45 @@ def test_windowed_order_scan_matches_the_global_scan(monkeypatch):
         assert rate <= gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER).value / alpha, (eps, delta)
 
 
-def test_order_window_falls_back_to_the_global_scan(monkeypatch):
-    configs = []
+def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
+    # exact mode's fallback scans the negated rate -gamma_exact(alpha, eps,
+    # delta)/alpha over all orders on 8 grid points.  Minima are compared,
+    # not monotonicity: near alpha -> 1 the rate wiggles at rounding level,
+    # far above its minimum
+    rng = random.Random(16)
+    for k in range(40):
+        eps = _log_uniform(rng, 1e-3, 30.0)
+        delta = _log_uniform(rng, 1e-30, 0.01) if k % 2 else rng.uniform(0.01, 0.99)
+        neg_rate = lambda a: -gamma_exact(a, eps, delta, gaussian._EXACT_INNER).value / a
+        _, value = gaussian._min_over_orders((neg_rate,), neg_rate, delta, gaussian._EXACT_ORDERS)
+        sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta), 256).tolist())
+        assert value <= sample + 1e-9 * abs(sample), (eps, delta, value - sample)
+
+
+def _record_scans(monkeypatch) -> list[tuple[float, float]]:
+    # the (lo, hi) in log(alpha - 1) of every scan the accountant runs
+    scans = []
     real = gaussian.minimize_unimodal
-    monkeypatch.setattr(gaussian, "minimize_unimodal", lambda f, lo, hi, cfg: configs.append(cfg) or real(f, lo, hi, cfg))
+    monkeypatch.setattr(gaussian, "minimize_unimodal", lambda f, lo, hi, cfg: scans.append((lo, hi)) or real(f, lo, hi, cfg))
+    return scans
+
+
+def test_order_window_falls_back_to_the_global_scan(monkeypatch):
+    scans = _record_scans(monkeypatch)
+    cfg = gaussian._EXACT_ORDERS
     bowl = lambda a: (math.log(a - 1.0) - 2.0) ** 2  # minimum at alpha = 1 + e^2
     # centred at 1 + e^-5, the window ends at 1 + e^-4, where its minimum lies
-    alpha, _ = gaussian._min_over_orders(bowl, 1e-5, gaussian._EXACT_ORDERS, centre=1.0 + math.exp(-5.0))
-    assert configs == [gaussian._EXACT_WINDOW, gaussian._EXACT_ORDERS]
+    alpha, _ = gaussian._min_over_orders((bowl,), bowl, 1e-5, cfg, centre=1.0 + math.exp(-5.0))
+    assert scans == [pytest.approx((-6.0, -4.0)), gaussian._order_range(1e-5)]
     assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
-    configs.clear()
-    alpha, _ = gaussian._min_over_orders(bowl, 1e-5, gaussian._EXACT_ORDERS, centre=1.0 + math.exp(2.5))
-    assert configs == [gaussian._EXACT_WINDOW]
+    scans.clear()
+    alpha, _ = gaussian._min_over_orders((bowl,), bowl, 1e-5, cfg, centre=1.0 + math.exp(2.5))
+    assert scans == [pytest.approx((1.5, 3.5))]
     assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
     # a minimum at 1/delta, on a window edge that is also the range's, and the end evaluated on its own
-    configs.clear()
-    alpha, _ = gaussian._min_over_orders(lambda a: -a, 0.25, gaussian._EXACT_ORDERS, centre=4.0)
-    assert (alpha, configs) == (4.0, [gaussian._EXACT_WINDOW])
+    scans.clear()
+    alpha, _ = gaussian._min_over_orders((lambda a: -a,), lambda a: -a, 0.25, cfg, centre=4.0)
+    assert (alpha, scans) == (4.0, [(math.log(3.0) - 1.0, math.log(3.0))])
 
 
 def test_order_window_follows_the_last_winning_order(monkeypatch):
@@ -363,18 +392,12 @@ def test_order_window_follows_the_last_winning_order(monkeypatch):
     # answer, not on every step
     inputs = [(rho_gaussian(s), T, d) for s in (0.5, 1.0, 4.0, 20.0) for T in (1, 2) for d in (1e-9, 1e-5, 1e-2)]
     inputs += [(rho, T, d) for rho in (1e-3, 0.1, 1.0, 10.0) for T in (1, 2, 10) for d in (0.1, 0.3, 0.5, 0.9)]
-    scans = [0]
-    real = gaussian.minimize_unimodal
-
-    def counted(f, lo, hi, cfg):
-        scans[0] += cfg is gaussian._EXACT_ORDERS
-        return real(f, lo, hi, cfg)
-
-    monkeypatch.setattr(gaussian, "minimize_unimodal", counted)
-    for args in inputs:
-        scans[0] = 0
-        acct_epsilon(*args, "exact")
-        assert scans[0] <= 1, (args, scans[0])
+    scans = _record_scans(monkeypatch)
+    for rho, T, delta in inputs:
+        scans.clear()
+        acct_epsilon(rho, T, delta, "exact")
+        # the closed-form start scans its two pieces over all orders, and the steps at most once more
+        assert scans.count(gaussian._order_range(delta)) <= 3, (rho, T, delta, scans)
 
 
 def test_acct_epsilon_monotonicity():

@@ -18,8 +18,8 @@ from conftest import bisect_reference
 def test_config_validation():
     with pytest.raises(DomainError):
         ScalarSearchConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        ScalarSearchConfig(coarse_grid=4)
+    with pytest.raises(TypeError):  # the grid is a constant, not a field
+        ScalarSearchConfig(coarse_grid=64)
 
 
 def test_minimize_quadratic():
@@ -35,13 +35,13 @@ def test_minimize_am_gm():
 
 
 def test_minimize_never_exceeds_best_coarse_sample():
-    cfg = ScalarSearchConfig(coarse_grid=64)
     lo, hi = 0.3, 7.0
     fn = lambda x: math.sin(5.0 * x) + 0.1 * x  # wiggly; coarse scan picks the basin
-    _, v = minimize_unimodal(fn, lo, hi, cfg)
+    _, v = minimize_unimodal(fn, lo, hi)
     eta = max(1e-12, 1e-12 * (hi - lo))
     a, b = lo + eta, hi - eta
-    samples = [fn(a + i * (b - a) / 63) for i in range(64)]
+    n = ScalarSearchConfig.coarse_grid
+    samples = [fn(a + i * (b - a) / (n - 1)) for i in range(n)]
     assert v <= min(samples) + 1e-15
 
 
@@ -67,7 +67,7 @@ def test_minimize_smooth_bowl_takes_few_steps():
     # parabolic steps converge where golden section shrinks the bracket by a
     # fixed 0.618 per step, which took 33 to 44 evaluations after the coarse grid
     c = math.pi / 3.0
-    for cfg in (ScalarSearchConfig(), ScalarSearchConfig(abs_tol=1e-9, coarse_grid=32), ScalarSearchConfig(abs_tol=1e-6, coarse_grid=8)):
+    for cfg in (ScalarSearchConfig(), ScalarSearchConfig(abs_tol=1e-9), ScalarSearchConfig(abs_tol=1e-6)):
         evals = 0
 
         def bowl(x):
