@@ -459,6 +459,51 @@ def test_curve_json_record(capsys):
     assert rows[0]["eps_ours"] == acct_epsilon(0.00125, 1.0, 1e-5).epsilon
 
 
+def test_curve_exact_column(capsys):
+    # --mode exact and --mode both are two spellings of one sweep: the exact
+    # column sits between eps_ours and gap, after epochs when --q is set
+    sweeps = [
+        (["--sigma", "20", "--delta", "1e-5", "--t-from", "1", "--t-to", "3"], None),
+        (["--sigma", "4", "--q", "0.01", "--delta", "1e-5", "--t-from", "100", "--t-to", "300", "--t-step", "100"], 0.01),
+    ]
+    for flags, q in sweeps:
+        columns = ["T", *(["epochs"] if q else []), "eps_ma", "eps_ours", "eps_ours_exact", "gap"]
+        outputs = {}
+        for mode in ("exact", "both"):
+            for fmt in ("csv", "json"):
+                code, out, err = run_cli(capsys, "curve", *flags, "--mode", mode, "--format", fmt)
+                assert code == 0, err
+                outputs[mode, fmt] = out
+        assert outputs["both", "csv"] == outputs["exact", "csv"]
+        header, cells = _parse_csv(outputs["exact", "csv"])
+        assert header == columns
+        records = [json.loads(outputs[mode, "json"]) for mode in ("exact", "both")]
+        for record in records:
+            jsonschema.validate(record, output_schema())
+            assert record["results"]["columns"] == columns
+            rows = record["results"]["rows"]
+            assert [list(row) for row in rows] == [columns] * len(rows)
+            assert [[str(value) for value in row.values()] for row in rows] == cells
+        assert records[0]["results"] == records[1]["results"]
+        for row in records[0]["results"]["rows"]:
+            assert row["eps_ours_exact"] <= row["eps_ours"]
+            if q is not None:
+                assert row["epochs"] == q * row["T"]
+        first = records[0]["results"]["rows"][0]
+        rho = rho_subsampled(4.0, q) if q else 1.0 / 800.0
+        assert first["eps_ours_exact"] == acct_epsilon(rho, first["T"], 1e-5, "exact").epsilon
+
+
+def test_curve_fig1_rejects_a_bad_delta_sweep(capsys):
+    argv = ["curve", "--fig", "1", "--alpha", "2", "--eps", "1"]
+    code, out, err = run_cli(capsys, *argv, "--delta-from", "0.4", "--delta-to", "0.2")
+    assert code == 2 and out == ""
+    assert "usage error: delta sweep must satisfy 0 <= from < to < 1, got [0.4, 0.2]" in err
+    code, out, err = run_cli(capsys, *argv, "--delta-points", "1")
+    assert code == 2 and out == ""
+    assert "usage error: --delta-points must be >= 2, got 1" in err
+
+
 def test_curve_empty_sweep(capsys):
     code, _, err = run_cli(capsys, "curve", "--sigma", "20", "--delta", "1e-5", "--t-from", "10", "--t-to", "5")
     assert code == 2 and "empty sweep" in err

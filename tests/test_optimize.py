@@ -63,6 +63,17 @@ def test_minimize_skips_nan_and_reports_infeasible():
         minimize_unimodal(lambda x: math.nan, 0.0, 1.0)
 
 
+def test_minimize_skips_nan_met_only_during_refinement():
+    # the 8 grid points of (0, 7) lie near the integers, all outside the NaN
+    # stretch, so only the refining steps meet it; they must treat it as
+    # infinite and stop at its edge, not report NaN or step into it
+    fn = lambda x: math.nan if 3.2 < x < 3.8 else (x - 3.5) ** 2
+    x, v = minimize_unimodal(fn, 0.0, 7.0)
+    assert not 3.2 < x < 3.8
+    assert v == fn(x)
+    assert math.isclose(v, 0.09, rel_tol=1e-8)
+
+
 def test_minimize_smooth_bowl_takes_few_steps():
     # parabolic steps converge where golden section shrinks the bracket by a
     # fixed 0.618 per step, which took 33 to 44 evaluations after the coarse grid
