@@ -40,6 +40,7 @@ from .conversion import (
 )
 from .errors import AccountingError, DomainError, InfeasibleError
 from .gaussian import (
+    MODES,
     GaussianConfig,
     acct_epsilon,
     ma_epsilon,
@@ -220,7 +221,8 @@ _SWEEPS = {
 }
 
 
-def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
+def _curve_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
+    # the sweep's rows, each a dict from column name to cell, and its query
     foreign = _T_SWEEP_FLAGS if args.fig == 1 else _FIG1_FLAGS
     given = ["--" + name.replace("_", "-") for name in foreign if getattr(args, name) is not None]
     if given and args.fig == 1:
@@ -240,14 +242,14 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
             raise UsageError(f"delta sweep must satisfy 0 <= from < to < 1, got [{lo}, {hi}]")
         if n < 2:
             raise UsageError(f"--delta-points must be >= 2, got {n}")
-        header = ["alpha", "eps", "delta", "gamma_exact", "gamma_bound"]
         rows = []
         for alpha, eps in zip(alphas, epss):
             for i in range(n):
                 d = lo + (hi - lo) * i / (n - 1)
-                rows.append([alpha, eps, d, gamma_exact(alpha, eps, d).value, gamma_bound(alpha, eps, d).value])
+                exact, bound = gamma_exact(alpha, eps, d).value, gamma_bound(alpha, eps, d).value
+                rows.append({"alpha": alpha, "eps": eps, "delta": d, "gamma_exact": exact, "gamma_bound": bound})
         query = {"fig": 1, "alphas": alphas, "epss": epss, "delta_from": lo, "delta_to": hi, "delta_points": n}
-        return header, rows, query
+        return rows, query
 
     for name in ("sigma", "delta", "t_from", "t_to"):
         if getattr(args, name) is None:
@@ -257,42 +259,32 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[str], list[list], dict]:
     if args.t_from < 1 or args.t_step < 1:
         raise UsageError("--t-from and --t-step must be >= 1")
     exact = args.mode != "closed_form"  # exact or both
-    mechanism = _mechanism(args)
-    t_values = list(range(args.t_from, args.t_to + 1, args.t_step))
+    t_values = range(args.t_from, args.t_to + 1, args.t_step)
     query = _flags(args, "fig", "sigma", "q", "delta", "t_from", "t_to", "t_step", "mode")
-    points = privacy_curve(mechanism, args.delta, t_values, exact=exact)
-    q = mechanism.subsampling_q
-    header = ["T"]
-    if q is not None:
-        header.append("epochs")
-    header += ["eps_ma", "eps_ours"]
-    if exact:
-        header.append("eps_ours_exact")
-    header.append("gap")
     rows = []
-    for point in points:
-        row: list = [int(point.T)]
-        if q is not None:
-            row.append(q * point.T)
-        row += [point.eps_ma, point.eps_ours]
-        if exact:
-            row.append(point.eps_ours_exact)
-        row.append(point.gap)
+    # the columns are CurvePoint's fields, with epochs after T when --q is set
+    # and without the exact column in closed-form mode
+    for point in privacy_curve(_mechanism(args), args.delta, t_values, exact=exact):
+        row = asdict(point)
+        if args.q is not None:
+            row = {"T": row.pop("T"), "epochs": args.q * point.T, **row}
+        if not exact:
+            del row["eps_ours_exact"]
         rows.append(row)
-    return header, rows, query
+    return rows, query
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    header, rows, query = _curve_rows(args)
+    rows, query = _curve_rows(args)
+    columns = list(rows[0])
     if args.format == "csv":
-        # csv writes floats with repr and None as an empty cell
+        # csv writes floats with repr, so cells parse back to the same doubles
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        csv.writer(buffer, lineterminator="\n").writerows([columns, *(row.values() for row in rows)])
         text = buffer.getvalue()
     else:
-        results = {"columns": header, "rows": [dict(zip(header, row)) for row in rows]}
-        text = _json_text(_record("curve", query, results, None, started))
+        text = _json_text(_record("curve", query, {"columns": columns, "rows": rows}, None, started))
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -362,9 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand lists --config in its help; _apply_config has already
+    # spliced the files in and taken the flag out of argv
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="key=value file mirroring flags; flags override")
 
-    convert = sub.add_parser("convert", help="convert between (alpha, gamma) and (eps, delta)")
-    convert.add_argument("--config", default=None, help="key=value file mirroring flags; flags override")
+    convert = sub.add_parser("convert", parents=[config], help="convert between (alpha, gamma) and (eps, delta)")
     convert.add_argument("--alpha", type=float, required=True)
     convert.add_argument("--gamma", type=float, default=None)
     convert.add_argument("--eps", type=float, default=None)
@@ -372,33 +367,29 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--method", choices=("exact", "bound", "baseline", "balle", "all"), default="exact")
     convert.set_defaults(func=cmd_convert)
 
-    compose = sub.add_parser("compose", help="epsilon after T compositions")
-    compose.add_argument("--config", default=None)
+    compose = sub.add_parser("compose", parents=[config], help="epsilon after T compositions")
     compose.add_argument("--sigma", type=float, required=True)
     compose.add_argument("--q", type=float, default=None)
     compose.add_argument("--T", type=int, required=True)
     compose.add_argument("--delta", type=float, required=True)
-    compose.add_argument("--mode", choices=("closed_form", "exact"), default="closed_form")
+    compose.add_argument("--mode", choices=MODES, default="closed_form")
     compose.set_defaults(func=cmd_compose)
 
-    max_t = sub.add_parser("max-t", help="largest T within an epsilon budget")
-    max_t.add_argument("--config", default=None)
+    max_t = sub.add_parser("max-t", parents=[config], help="largest T within an epsilon budget")
     max_t.add_argument("--sigma", type=float, required=True)
     max_t.add_argument("--q", type=float, default=None)
     max_t.add_argument("--eps", type=float, required=True)
     max_t.add_argument("--delta", type=float, required=True)
-    max_t.add_argument("--mode", choices=("closed_form", "exact"), default="closed_form")
+    max_t.add_argument("--mode", choices=MODES, default="closed_form")
     max_t.set_defaults(func=cmd_max_t)
 
-    variance = sub.add_parser("variance", help="noise variance needed for a target budget")
-    variance.add_argument("--config", default=None)
+    variance = sub.add_parser("variance", parents=[config], help="noise variance needed for a target budget")
     variance.add_argument("--T", type=int, required=True)
     variance.add_argument("--eps", type=float, required=True)
     variance.add_argument("--delta", type=float, required=True)
     variance.set_defaults(func=cmd_variance)
 
-    curve = sub.add_parser("curve", help="emit an epsilon-versus-T or frontier sweep")
-    curve.add_argument("--config", default=None)
+    curve = sub.add_parser("curve", parents=[config], help="emit an epsilon-versus-T or frontier sweep")
     curve.add_argument("--fig", type=int, choices=(1, 2, 3), default=None)
     curve.add_argument("--sigma", type=float, default=None)
     curve.add_argument("--q", type=float, default=None)
@@ -411,13 +402,12 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--delta-from", dest="delta_from", type=float, default=None)
     curve.add_argument("--delta-to", dest="delta_to", type=float, default=None)
     curve.add_argument("--delta-points", dest="delta_points", type=int, default=None)
-    curve.add_argument("--mode", choices=("closed_form", "exact", "both"), default=None)
+    curve.add_argument("--mode", choices=(*MODES, "both"), default=None)
     curve.add_argument("--out", default=None)
     curve.add_argument("--format", choices=("csv", "json"), default="csv")
     curve.set_defaults(func=cmd_curve)
 
-    oracle = sub.add_parser("oracle-check", help="validate the frontier against brute force")
-    oracle.add_argument("--config", default=None)
+    oracle = sub.add_parser("oracle-check", parents=[config], help="validate the frontier against brute force")
     oracle.add_argument("--alpha", type=float, required=True)
     oracle.add_argument("--eps", type=float, required=True)
     oracle.add_argument("--delta", type=float, required=True)
