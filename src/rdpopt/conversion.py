@@ -238,7 +238,7 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     d_closed = -math.expm1(min(epsilon - gamma, 0.0))
     if d_closed >= 1.0 / alpha:
         return ConversionResult(d_closed, "closed_form_bound", active_branch="alpha_delta_ge_1")
-    d_g = math.exp(log_zeta(alpha) - (alpha - 1.0) * (epsilon - gamma))
+    d_g = math.exp(_log_zeta(alpha) - (alpha - 1.0) * (epsilon - gamma))
     cap = (1.0 / alpha) * (1.0 - 1e-12)
     if gamma <= _f_lower_bound(alpha, epsilon, cap)[0]:
         # the tangent piece is 0 at delta = 0 and gamma >= 0, so gamma lies
@@ -285,14 +285,6 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     return ConversionResult(eps, "exact_numeric")
 
 
-def _tail_atom(alpha: float, epsilon: float, delta: float, p: float) -> tuple[float, float, float]:
-    # the tail atom's log and log(e^eps - p + delta) at p, with the objective
-    # there: e^(tail - objective) is the tail's share w of the objective,
-    # which both envelope slopes below weigh
-    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(p - delta), parts=True)
-    return tail, log_rest, objective
-
-
 def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
     # d gamma_exact / d eps at the argmin_p it reports, by the envelope theorem.
     # Only the tail atom's log(e^eps - p + delta) depends on eps, so the slope
@@ -300,7 +292,7 @@ def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[
     # (argmin_p None) has slope 1
     if argmin_p is None:
         return 1.0
-    tail, log_rest, objective = _tail_atom(alpha, epsilon, delta, argmin_p)
+    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(argmin_p - delta), parts=True)
     return -math.expm1(tail + epsilon - log_rest - objective)
 
 
@@ -311,7 +303,7 @@ def _gamma_delta_slope(alpha: float, epsilon: float, delta: float, argmin_p: Opt
     # eps - log(1 - delta) (argmin_p None, also at delta = 0) has slope 1/(1 - delta)
     if argmin_p is None:
         return 1.0 / (1.0 - delta)
-    tail, log_rest, objective = _tail_atom(alpha, epsilon, delta, argmin_p)
+    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(argmin_p - delta), parts=True)
     log_w = tail - objective
     return -math.expm1(log_w) / (argmin_p - delta) - math.exp(log_w - log_rest)
 
@@ -411,7 +403,7 @@ def balle_epsilon(alpha: float, gamma: float, delta: float) -> float:
     clamp at zero.
     """
     _check_alpha_gamma_delta(alpha, gamma, delta)
-    return gamma + (log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
+    return gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
 
 
 @dataclass(frozen=True)
@@ -439,6 +431,6 @@ def zero_epsilon_region(alpha: float, gamma: float) -> ZeroEpsilonRegion:
     tail = -math.expm1(-gamma)  # 1 - e^-gamma
     delta_free = max(tail, 1.0 / alpha)
     if tail < 1.0 / alpha:
-        lo = math.exp(log_zeta(alpha) + (alpha - 1.0) * gamma)
+        lo = math.exp(_log_zeta(alpha) + (alpha - 1.0) * gamma)
         return ZeroEpsilonRegion(interval=(lo, 1.0 / alpha), delta_free=delta_free)
     return ZeroEpsilonRegion(interval=None, delta_free=delta_free)

@@ -180,6 +180,8 @@ def _min_over_orders(
     # smallest of the pieces' own minima, so each piece is scanned on its own
     # in u = log(alpha - 1) at cfg, and objective is evaluated at the winning
     # piece's order and at the end alpha = 1/delta, where the lower value wins.
+    # Where 1/delta rounds down, so that alpha delta < 1, the end moves up one
+    # float, where the conversions take their alpha delta >= 1 edge values.
     # Given a centre order, only the window of +-1 around its u is scanned,
     # and the whole range as well when the window's minimum lies within one
     # grid step of a window edge that is not also an edge of the range.
@@ -215,6 +217,8 @@ def _min_over_orders(
         if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
             u = scan(u_lo, u_hi)
     alpha, alpha_end = 1.0 + math.exp(u), 1.0 / delta
+    if alpha_end * delta < 1.0 and math.nextafter(alpha_end, math.inf) < math.inf:
+        alpha_end = math.nextafter(alpha_end, math.inf)  # 1/delta rounded down
     value, v_end = objective(alpha), objective(alpha_end)
     return (alpha_end, v_end) if v_end < value else (alpha, value)
 
@@ -357,10 +361,12 @@ def _largest_T(eps_at, budget: float, estimate: float) -> int:
 
 
 def _ma_rate(epsilon: float, delta: float) -> float:
-    # the root x = rho*T of x + sqrt(4 x log(1/delta)) = eps, which rounds to 0
-    # when eps is below log(1/delta) by about 16 orders of magnitude
+    # the root x = rho*T of x + sqrt(4 x log(1/delta)) = eps, (sqrt(eps + L) -
+    # sqrt(L))^2 with L = log(1/delta), rationalised so that no two close
+    # square roots cancel when eps << L.  It underflows to 0 only where eps^2
+    # does, below about 1e-160
     big_l = math.log(1.0 / delta)
-    return (math.sqrt(epsilon + big_l) - math.sqrt(big_l)) ** 2
+    return (epsilon / (math.sqrt(epsilon + big_l) + math.sqrt(big_l))) ** 2
 
 
 def ma_required_variance(T: float, epsilon: float, delta: float) -> float:

@@ -19,8 +19,8 @@ either; its scan of all orders is tested against a 256-order sample.
 Brent's method (R. P. Brent, Algorithms for Minimization without
 Derivatives, 1973) then refines the bracket: parabolic steps through
 the three best points, with a golden-section step wherever a parabola
-would leave the bracket or stall.  On objectives smooth at their minimum
-that takes a handful of steps, where golden section alone took about 38.
+would leave the bracket or stall, so an objective smooth at its minimum
+takes a handful of steps.
 Inversion takes the map's slope with its value (for a minimum, from the
 envelope theorem) and runs Newton steps from a trusted upper end, keeping
 a bracket around the crossing and falling back to bisection whenever a

@@ -359,6 +359,15 @@ def test_variance_budget_below_two_delta_log_one_over_delta(capsys):
     assert math.isclose(json.loads(out)["results"]["eps_ours"]["epsilon"], 0.1, rel_tol=1e-6)
 
 
+def test_variance_budget_far_below_log_one_over_delta(capsys):
+    # the moments accountant's rate rounded to 0 here once, which made this infeasible
+    code, out, err = run_cli(capsys, "variance", "--T", "10", "--eps", "1e-20", "--delta", "1e-5")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["ma_sigma_sq"] == ma_required_variance(10.0, 1e-20, 1e-5)
+    assert results["ma_sigma_sq"] >= results["sigma_sq"] > 0.0
+
+
 def _parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
     lines = text.splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]

@@ -400,6 +400,22 @@ def test_order_window_follows_the_last_winning_order(monkeypatch):
         assert scans.count(gaussian._order_range(delta)) <= 3, (rho, T, delta, scans)
 
 
+def test_end_order_takes_the_edge_value(monkeypatch):
+    # 1/delta rounds down at delta = 1e-5, so that alpha delta < 1 at the end
+    # order alpha = 1.0 / delta; the scan must step it up to alpha delta >= 1,
+    # where gamma_exact returns its edge value without a frontier search
+    delta = 1e-5
+    assert (1.0 / delta) * delta < 1.0
+    orders = []
+    real = gaussian.gamma_exact
+    monkeypatch.setattr(gaussian, "gamma_exact", lambda alpha, *args: orders.append(alpha) or real(alpha, *args))
+    for rho, T in [(1.0 / 800.0, 1000), (0.5, 1), (1e-4, 10)]:
+        acct_epsilon(rho, T, delta, "exact")
+        max_iterations(rho, 6.0, delta, "exact")
+    near_end = [alpha for alpha in orders if abs(alpha * delta - 1.0) < 1e-14]
+    assert near_end and all(alpha * delta >= 1.0 for alpha in near_end)
+
+
 def test_acct_epsilon_monotonicity():
     eps_t = [acct_epsilon(1e-4, T, 1e-5).epsilon for T in (1, 10, 100, 1000, 10000)]
     assert all(b >= a - 1e-9 for a, b in zip(eps_t, eps_t[1:]))
@@ -535,6 +551,26 @@ def test_ma_required_variance():
         sigma_sq = ma_required_variance(T, eps, delta)
         assert abs(ma_epsilon(1.0 / (2.0 * sigma_sq / T), 1.0, delta) - eps) <= 1e-9
         assert abs(ma_epsilon(1.0 / (2.0 * sigma_sq), T, delta) - eps) <= 1e-9
+
+
+def test_ma_required_variance_matches_mpmath():
+    # sigma^2 = T / (2 x) at the root x = (eps / (sqrt(eps + L) + sqrt(L)))^2,
+    # L = log(1/delta).  The difference of square roots (sqrt(eps + L) -
+    # sqrt(L))^2 loses x to cancellation where eps << L: a quarter of it on
+    # these inputs, and all of it below eps = 5e-17 L
+    rng = random.Random(17)
+    cases = [(_log_uniform(rng, 1e-12, 100.0), _log_uniform(rng, 1e-300, 0.999)) for _ in range(400)]
+    for eps, delta in cases + [(1e-10, 1e-5), (1e-20, 1e-5), (1e-150, 1e-300)]:
+        with mpmath.workdps(60):
+            big_l = -mpmath.log(mpmath.mpf(delta))
+            want = 1 / (2 * (eps / (mpmath.sqrt(eps + big_l) + mpmath.sqrt(big_l))) ** 2)
+        assert abs(ma_required_variance(1.0, eps, delta) - want) <= 2e-15 * want, (eps, delta)
+
+
+def test_ma_required_variance_when_the_rate_underflows():
+    # eps^2 underflows below about 1e-160, and the rate with it
+    with pytest.raises(InfeasibleError, match="admits no positive rate"):
+        ma_required_variance(10.0, 1e-170, 1e-5)
 
 
 def test_required_variance_frozen_point():
