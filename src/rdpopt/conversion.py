@@ -119,7 +119,7 @@ def gamma_exact(
     minimizer relative to its distance from delta however small delta is,
     so cfg.abs_tol applies to log(p - delta).  The objective is unimodal in
     t, so DEFAULT_SEARCH's 8-point grid brackets its minimum, and Brent's
-    steps refine it to 1e-10 in t: about 50 objective evaluations a solve.
+    steps refine it to 1e-10 in t: about 27 objective evaluations a solve.
     The interior minimum is compared against the p -> 1 boundary value
     eps - log(1 - delta), which is the true infimum whenever
     alpha * delta >= 1; no search runs there.

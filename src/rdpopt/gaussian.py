@@ -234,7 +234,7 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     orders on its own at DEFAULT_SEARCH, an 8-point grid refined by Brent's
     steps (the moment piece is convex in alpha, the chi piece unimodal as
     sampled), and epsilon_bound is evaluated at the lower piece's order and
-    at alpha = 1/delta.  About 55 objective evaluations an answer.
+    at alpha = 1/delta.  About 57 objective evaluations an answer.
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
@@ -412,7 +412,7 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One row of an epsilon-versus-T sweep."""
+    """One row of an epsilon-versus-T sweep; its fields, in order, are rdpopt curve's columns."""
 
     T: float
     eps_ma: float
