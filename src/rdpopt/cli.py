@@ -297,6 +297,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"--tol must be finite and > 0, got {args.tol!r}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed!r}")
     # the only subcommand that needs numpy, so the oracle is imported here; its
     # functions are looked up on the module, where a wrapper installed after
     # import sees the calls

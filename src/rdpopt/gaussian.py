@@ -127,6 +127,15 @@ def _check_finite(value: float, rho_T: float) -> float:
     return value
 
 
+def _variance(T: float, rho_T: float, name: str) -> float:
+    # unit sensitivity: T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2).
+    # The error names the variance, which overflows where the rate is tiny
+    sigma_sq = T / (2.0 * rho_T) if rho_T > 0.0 else math.inf
+    if not math.isfinite(sigma_sq):
+        raise DomainError(f"the {name} T / (2 rho*T) is not finite at T = {T!r}, rho*T = {rho_T!r}")
+    return sigma_sq
+
+
 def _check_budget(epsilon: float, delta: float) -> None:
     _check_positive(epsilon, "epsilon budget")
     _check_delta(delta)
@@ -381,7 +390,7 @@ def ma_required_variance(T: float, epsilon: float, delta: float) -> float:
     x = _ma_rate(epsilon, delta)
     if not x > 0.0:
         raise InfeasibleError(f"budget epsilon={epsilon!r} admits no positive rate at delta={delta!r}")
-    return _check_finite(T / (2.0 * x), x)
+    return _variance(T, x, "moments-accountant variance")
 
 
 @dataclass(frozen=True)
@@ -406,8 +415,7 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     _check_steps(T)
     _check_budget(epsilon, delta)
     rho_T, alpha = _largest_rate(epsilon, delta, "closed_form")
-    # unit sensitivity: T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2)
-    return RequiredVariance(_check_finite(T / (2.0 * rho_T) if rho_T > 0.0 else math.inf, rho_T), alpha)
+    return RequiredVariance(_variance(T, rho_T, "variance"), alpha)
 
 
 @dataclass(frozen=True)

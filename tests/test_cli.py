@@ -368,6 +368,15 @@ def test_variance_budget_far_below_log_one_over_delta(capsys):
     assert results["ma_sigma_sq"] >= results["sigma_sq"] > 0.0
 
 
+def test_variance_names_the_moments_accountant_variance_that_overflows(capsys):
+    # the root rate rho*T = 2.17e-310 is finite and > 0; T / (2 rho*T) is what overflows
+    code, out, err = run_cli(capsys, "variance", "--T", "10", "--eps", "1e-154", "--delta", "1e-5")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "rdpopt: domain error: the moments-accountant variance T / (2 rho*T) is not finite at T = 10, rho*T = 2.17"
+    )
+
+
 def _parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
     lines = text.splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -584,6 +593,17 @@ def test_oracle_check_rejects_a_tolerance_that_is_not_finite_and_positive(capsys
         code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1", f"--tol={tol}")
         assert code == 2 and out == "", tol
         assert "usage error: --tol must be finite and > 0" in err, tol
+
+
+def test_oracle_check_rejects_a_negative_seed(capsys, monkeypatch):
+    # rejected before any work: neither the frontier nor any oracle check runs
+    monkeypatch.setattr(cli, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    for name in ("brute_force_gamma", "verify_q_star", "joint_range_containment"):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: pytest.fail("the oracle ran"))
+    for seed in ("-1", "-7"):
+        code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1", f"--seed={seed}")
+        assert code == 2 and out == "", seed
+        assert f"usage error: --seed must be >= 0, got {seed}" in err, seed
 
 
 def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Brute-force certification of the frontier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,13 +27,13 @@ _KERNEL_CASES = [(2.0, 1.0, 0.1), (20.0, 0.5, 0.3), (1.5, 2.0, 0.0), (49.0, 4.8,
 
 
 def _hockey_stick_rule(lam, delta):
-    return lambda rows, lp, l1p, lq, l1q: (
-        oracle._hockey_stick(np.exp(lp), np.exp(l1p), np.exp(lq), np.exp(l1q), lam) >= delta
+    return lambda rows, p, one_m_p, q, one_m_q, out, scratch: np.greater_equal(
+        oracle._hockey_stick(p, one_m_p, q, one_m_q, lam, *scratch), delta, out=out
     )
 
 
 def _first_atom_rule(q_star):
-    return lambda rows, lp, l1p, lq, l1q: np.exp(lq) <= q_star[rows, None]
+    return lambda rows, p, one_m_p, q, one_m_q, out, scratch: np.less_equal(q, q_star[rows, None], out=out)
 
 
 def _rules(u, eps, delta):
@@ -62,25 +63,51 @@ def test_row_scan_matches_scalar_double_loop():
 
 def test_row_scan_blocking_is_bit_identical(monkeypatch):
     # 65 rows in blocks of 6 (shared 65-point q grid) and of 12 (33-point
-    # windows), against one block; centres at +-_U_MAX clip their windows
+    # windows), against one block and against every row scanned alone;
+    # centres at +-_U_MAX clip their windows.  Window rows share per-centre
+    # tables, so besides the distinct centres u[::-1] the rows take five
+    # centres in turn, each repeated 13 times across the blocks
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
     offsets = (np.arange(33) / 32 - 0.5) * (2.0 * (u[1] - u[0]))
-    centers = u[::-1].copy()
-    assert centers[0] == oracle._U_MAX and centers[-1] == -oracle._U_MAX
+    distinct = u[::-1].copy()
+    repeated = u[np.arange(len(u)) * 7 % 5 * 16]
+    assert distinct[0] == oracle._U_MAX and distinct[-1] == -oracle._U_MAX
+    assert sorted(repeated.tolist()) == sorted(np.repeat(u[::16], 13).tolist())
+    grids = ((u, None), (offsets, distinct), (offsets, repeated))
 
     def scans():
         return [
             oracle._row_scan(alpha, u, q_grid, rule, centers=c)
             for alpha, eps, delta in _KERNEL_CASES
             for rule, _ in _rules(u, eps, delta)
-            for q_grid, c in ((u, None), (offsets, centers))
+            for q_grid, c in grids
         ]
+
+    def alone(alpha, eps, delta, k, q_grid, c):
+        # every row on its own, with its own rule and at most one centre
+        rows = [
+            oracle._row_scan(alpha, u[i:i + 1], q_grid, _rules(u[i:i + 1], eps, delta)[k][0],
+                             centers=None if c is None else c[i:i + 1])
+            for i in range(len(u))
+        ]
+        return np.concatenate([m for m, _ in rows]), np.concatenate([a for _, a in rows])
 
     whole = scans()
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
     assert len(u) % 6 != 0 and len(u) % -(-oracle._BLOCK_CELLS // len(offsets)) != 0
-    for (m0, a0), (m1, a1) in zip(whole, scans()):
+    blocked = scans()
+    singles = [alone(*case, k, *grid) for case in _KERNEL_CASES for k in range(2) for grid in grids]
+    for (m0, a0), (m1, a1), (m2, a2) in zip(whole, blocked, singles):
         assert np.array_equal(m0, m1) and np.array_equal(a0, a1)
+        assert np.array_equal(m0, m2) and np.array_equal(a0, a2)
+    # some blocks mix rows that have admitted cells with rows that have none,
+    # on the shared grid and in the windows
+    for j, rows in enumerate((6, 12, 12)):
+        assert any(
+            np.isinf(block).any() and np.isfinite(block).any()
+            for row_min, _ in blocked[j::len(grids)]
+            for block in np.split(row_min, range(rows, len(row_min), rows))
+        ), j
 
 
 def test_polished_rows_keep_their_own_rule():
@@ -95,6 +122,31 @@ def test_polished_rows_keep_their_own_rule():
         alone = [oracle._polished_rows(alpha, u[i:i + 1], u, _first_atom_rule(q_star[i:i + 1]), 32)[0]
                  for i in range(len(u))]
         assert np.array_equal(whole, alone)
+
+
+def test_kernel_values_are_pinned():
+    # values of the kernel before it reused a workspace and per-centre tables;
+    # the rewrite must leave every bit in place
+    assert brute_force_gamma(2, 1, 0.1) == 0.5465683757695481
+    assert brute_force_gamma(25, 2.5, 0.49) == 3.1733612290412467
+    assert verify_q_star(2, 1, 0.1)["max_gap"] == 3.423267383118045e-06
+
+
+def test_kernel_peak_memory():
+    # traced peak of one default-grid call, against 1.1 times the 33.0 MiB
+    # (brute force) and 28.7 MiB (q* check) of the kernel that allocated
+    # its arrays block by block
+    for call, bound_mib in (
+        (lambda: brute_force_gamma(11.82, 1.68, 0.245), 1.1 * 33.0),
+        (lambda: verify_q_star(11.82, 1.68, 0.245), 1.1 * 28.7),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (peak / 2**20, bound_mib)
 
 
 def test_brute_force_delta_zero_is_zero():
@@ -234,6 +286,15 @@ def test_joint_range_containment_deterministic():
     a = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     b = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     assert a == b
+
+
+def test_containment_seed_must_be_a_nonnegative_integer(monkeypatch):
+    # checked before any work: no generator is built and no frontier is solved
+    monkeypatch.setattr(oracle, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    monkeypatch.setattr(oracle.np.random, "default_rng", lambda *args: pytest.fail("the oracle ran"))
+    for seed in (-1, -(2**63), 1.5, 7.0, True, "7", None):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            joint_range_containment(2.0, 1.0, n_samples=10, seed=seed)
 
 
 def test_oracle_check_domain():
