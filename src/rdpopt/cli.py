@@ -9,9 +9,12 @@ Subcommands:
   oracle-check  brute-force validation of the conversion frontier
 
 Exit codes: 0 success, 2 usage, 3 infeasible query or domain error,
-4 I/O failure, 5 validation failure.  Output is a single JSON record per
-invocation (curve emits a CSV or JSON table instead), deterministic for
-fixed flags and seed apart from the wall-time field.
+4 I/O failure, 5 validation failure.  Output is one JSON record per
+invocation (curve may emit a CSV table instead), deterministic for fixed
+flags and seed apart from the wall-time field.  convert, compose, max-t and
+variance return the record's query and results and do no I/O; main stamps
+the start once after parsing and writes the record.  curve and oracle-check,
+which also write files, build it with the same _record and write it themselves.
 """
 
 from __future__ import annotations
@@ -67,35 +70,32 @@ class ValidationFailure(Exception):
     """An oracle check exceeded its tolerance; maps to exit code 5."""
 
 
-def _record(command: str, query: dict, results: dict, seed: int | None, started: float) -> dict:
-    return {
-        "command": command,
+def _json_text(value: dict, sort_keys: bool = False) -> str:
+    # callers serialise before writing, so a non-finite value writes nothing
+    try:
+        return json.dumps(value, indent=2, allow_nan=False, sort_keys=sort_keys) + "\n"
+    except ValueError as exc:
+        raise InfeasibleError(f"result is not finite and has no JSON form: {exc}") from None
+
+
+def _record(args: argparse.Namespace, query: dict, results: dict) -> str:
+    # the seed is None unless the subcommand has --seed; the time runs from main's stamp
+    return _json_text({
+        "command": args.command,
         "query": query,
         "results": results,
         "metadata": {
             "tool": TOOL_NAME,
             "version": __version__,
-            "seed": seed,
-            "wall_time_s": time.perf_counter() - started,
+            "seed": getattr(args, "seed", None),
+            "wall_time_s": time.perf_counter() - args.started,
         },
-    }
-
-
-def _json_text(record: dict) -> str:
-    # callers serialise before writing, so a non-finite value writes nothing
-    try:
-        return json.dumps(record, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise InfeasibleError(f"result is not finite and has no JSON form: {exc}") from None
+    })
 
 
 def _flags(args: argparse.Namespace, *names: str) -> dict:
     # the query a record echoes: the named flags, in order
     return {name: getattr(args, name) for name in names}
-
-
-def _emit(record: dict) -> None:
-    sys.stdout.write(_json_text(record))
 
 
 # target -> method -> call. The lambdas look each library function up by name
@@ -119,8 +119,7 @@ _CONVERSIONS = {
 }
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_convert(args: argparse.Namespace) -> tuple[dict, dict]:
     given = {"gamma": args.gamma, "eps": args.eps, "delta": args.delta}
     missing = [name for name, value in given.items() if value is None]
     if len(missing) != 1:
@@ -134,62 +133,41 @@ def cmd_convert(args: argparse.Namespace) -> int:
     for method in methods:
         value = calls[method](args)
         results[method] = asdict(value) if isinstance(value, ConversionResult) else {"value": value}
-    query = {**_flags(args, "alpha", "gamma", "eps", "delta"), "target": target, "method": args.method}
-    _emit(_record("convert", query, results, None, started))
-    return 0
+    return {**_flags(args, "alpha", "gamma", "eps", "delta"), "target": target, "method": args.method}, results
 
 
 def _mechanism(args: argparse.Namespace) -> GaussianConfig:
     return GaussianConfig(sigma=args.sigma, subsampling_q=args.q)
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_compose(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     rho = _mechanism(args).rho
     ours = acct_epsilon(rho, args.T, args.delta, args.mode)
     eps_ma = ma_epsilon(rho, args.T, args.delta)
-    query = _flags(args, "sigma", "q", "T", "delta", "mode")
-    results = {
-        "rho": rho,
-        "eps_ma": eps_ma,
-        "eps_ours": asdict(ours),
-        "gap": eps_ma - ours.epsilon,
-    }
-    _emit(_record("compose", query, results, None, started))
-    return 0
+    results = {"rho": rho, "eps_ma": eps_ma, "eps_ours": asdict(ours), "gap": eps_ma - ours.epsilon}
+    return _flags(args, "sigma", "q", "T", "delta", "mode"), results
 
 
-def cmd_max_t(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_max_t(args: argparse.Namespace) -> tuple[dict, dict]:
     rho = _mechanism(args).rho
     t_ours = max_iterations(rho, args.eps, args.delta, args.mode)
     t_ma = ma_max_iterations(rho, args.eps, args.delta)
-    query = _flags(args, "sigma", "q", "eps", "delta", "mode")
-    results = {
-        "rho": rho,
-        "T_ours": t_ours,
-        "T_ma": t_ma,
-        "advantage": t_ours - t_ma,
-    }
+    results = {"rho": rho, "T_ours": t_ours, "T_ma": t_ma, "advantage": t_ours - t_ma}
     if args.q is not None:
         results["epochs_ours"] = args.q * t_ours
         results["epochs_ma"] = args.q * t_ma
-    _emit(_record("max-t", query, results, None, started))
-    return 0
+    return _flags(args, "sigma", "q", "eps", "delta", "mode"), results
 
 
-def cmd_variance(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_variance(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     ours = required_variance(args.T, args.eps, args.delta)
     ma_value = ma_required_variance(args.T, args.eps, args.delta)
-    query = _flags(args, "T", "eps", "delta")
     results = {**asdict(ours), "ma_sigma_sq": ma_value, "reduction": ma_value - ours.sigma_sq}
-    _emit(_record("variance", query, results, None, started))
-    return 0
+    return _flags(args, "T", "eps", "delta"), results
 
 
 def _parse_float_list(text: str | None, flag: str) -> list[float]:
@@ -274,8 +252,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return rows, query
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_curve(args: argparse.Namespace) -> None:
     rows, query = _curve_rows(args)
     columns = list(rows[0])
     if args.format == "csv":
@@ -284,21 +261,21 @@ def cmd_curve(args: argparse.Namespace) -> int:
         csv.writer(buffer, lineterminator="\n").writerows([columns, *(row.values() for row in rows)])
         text = buffer.getvalue()
     else:
-        text = _json_text(_record("curve", query, {"columns": columns, "rows": rows}, None, started))
+        text = _record(args, query, {"columns": columns, "rows": rows})
     if args.out is None:
         sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    return 0
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_oracle_check(args: argparse.Namespace) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"--tol must be finite and > 0, got {args.tol!r}")
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed!r}")
+    # 64 is the fewest grid steps GridSpec takes
+    for flag, value, least in (("--seed", args.seed, 0), ("--samples", args.samples, 1), ("--grid-n", args.grid_n, 64)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value!r}")
     # the only subcommand that needs numpy, so the oracle is imported here; its
     # functions are looked up on the module, where a wrapper installed after
     # import sees the calls
@@ -337,16 +314,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         "passed": not failures,
         "failures": failures,
     }
+    # both texts first, so a value with no JSON form writes nothing; the report
+    # file carries no timing, so fixed seeds reproduce it byte for byte
+    report_text = _json_text(report, sort_keys=True)
+    text = _record(args, _flags(args, "alpha", "eps", "delta", "grid_n", "samples", "seed", "tol"), report)
     if args.out is not None:
-        # the report file carries no timing, so fixed seeds reproduce it byte for byte
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    query = _flags(args, "alpha", "eps", "delta", "grid_n", "samples", "seed", "tol")
-    _emit(_record("oracle-check", query, report, args.seed, started))
+            handle.write(report_text)
+    sys.stdout.write(text)
     if failures:
         raise ValidationFailure("; ".join(failures))
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,7 +431,11 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(_apply_config(list(sys.argv[1:] if argv is None else argv)))
-        return args.func(args)
+        args.started = time.perf_counter()
+        answer = args.func(args)  # (query, results), or None from a handler that wrote its own output
+        if answer is not None:
+            sys.stdout.write(_record(args, *answer))
+        return 0
     except SystemExit as exc:  # argparse exits after --help, --version or a usage message
         return int(exc.code) if exc.code is not None else 0
     except UsageError as exc:

@@ -363,10 +363,14 @@ def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
 def _chi_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
     # the chi piece inverted in gamma: log(1 + c expm1(x))/(alpha-1),
     # x = (alpha-1) eps, c = alpha delta, which past x = 700 is the log of
-    # c e^x + (1 - c)
+    # c e^x + (1 - c).  1 - c has no mass where c rounds up to 1 at the top
+    # order, and where x overflows the log is x + log c, divided term by term
     x, c = (alpha - 1.0) * epsilon, alpha * delta
-    log_chi = math.log1p(c * math.expm1(x)) if x < 700.0 else log_add(math.log(c) + x, math.log1p(-c))
-    return log_chi / (alpha - 1.0)
+    if x == math.inf:
+        return epsilon + math.log(c) / (alpha - 1.0)
+    if x < 700.0:
+        return math.log1p(c * math.expm1(x)) / (alpha - 1.0)
+    return log_add(math.log(c) + x, math.log1p(-c) if c < 1.0 else -math.inf) / (alpha - 1.0)
 
 
 def _gamma_of_epsilon_bound(alpha: float, epsilon: float, delta: float) -> float:

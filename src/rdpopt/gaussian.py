@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -130,7 +131,7 @@ def _check_finite(value: float, rho_T: float) -> float:
 def _variance(T: float, rho_T: float, name: str) -> float:
     # unit sensitivity: T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2).
     # The error names the variance, which overflows where the rate is tiny
-    sigma_sq = T / (2.0 * rho_T) if rho_T > 0.0 else math.inf
+    sigma_sq = 0.5 * T / rho_T if rho_T > 0.0 else math.inf  # 2 rho_T overflows near DBL_MAX
     if not math.isfinite(sigma_sq):
         raise DomainError(f"the {name} T / (2 rho*T) is not finite at T = {T!r}, rho*T = {rho_T!r}")
     return sigma_sq
@@ -373,9 +374,13 @@ def _ma_rate(epsilon: float, delta: float) -> float:
     # the root x = rho*T of x + sqrt(4 x log(1/delta)) = eps, (sqrt(eps + L) -
     # sqrt(L))^2 with L = log(1/delta), rationalised so that no two close
     # square roots cancel when eps << L.  It underflows to 0 only where eps^2
-    # does, below about 1e-160
+    # does, below about 1e-160.  The root is below eps, so its square
+    # overflows only by rounding, next to DBL_MAX
     big_l = math.log(1.0 / delta)
-    return (epsilon / (math.sqrt(epsilon + big_l) + math.sqrt(big_l))) ** 2
+    try:
+        return (epsilon / (math.sqrt(epsilon + big_l) + math.sqrt(big_l))) ** 2
+    except OverflowError:
+        return sys.float_info.max
 
 
 def ma_required_variance(T: float, epsilon: float, delta: float) -> float:

@@ -62,26 +62,21 @@ def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n + 1) / n)
 
 
-def _log_probs(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exact log(sigmoid(u)) and log(1 - sigmoid(u)); avoids 1 - p cancellation
-    return -np.log1p(np.exp(-u)), -np.log1p(np.exp(u))
-
-
-def _q_tables(alpha: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # q, 1 - q, (1 - alpha) log q and (1 - alpha) log(1 - q) at the logits u,
-    # built in four arrays of u's shape, the last of them u itself; the same
-    # operations as _log_probs, so every value is the same to the bit
-    lq = np.negative(u)
-    np.exp(lq, out=lq)
-    np.log1p(lq, out=lq)
-    np.negative(lq, out=lq)
-    l1q = np.exp(u, out=u)
-    np.log1p(l1q, out=l1q)
-    np.negative(l1q, out=l1q)
-    q, one_m_q = np.exp(lq), np.exp(l1q)
-    lq *= 1.0 - alpha
-    l1q *= 1.0 - alpha
-    return q, one_m_q, lq, l1q
+def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # x, 1 - x, scale log x and scale log(1 - x) for x = sigmoid(u), built in
+    # four arrays of u's shape, the last of them u itself.  The logs are
+    # -log1p(exp(-u)) and -log1p(exp(u)), which avoid the 1 - x cancellation
+    lx = np.negative(u)
+    np.exp(lx, out=lx)
+    np.log1p(lx, out=lx)
+    np.negative(lx, out=lx)
+    l1x = np.exp(u, out=u)
+    np.log1p(l1x, out=l1x)
+    np.negative(l1x, out=l1x)
+    x, one_m_x = np.exp(lx), np.exp(l1x)
+    lx *= scale
+    l1x *= scale
+    return x, one_m_x, lx, l1x
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
@@ -135,16 +130,16 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     and gathered per block, and every block reuses one workspace.  The
     divergence, the costliest step, is taken on admitted cells only.
     """
-    lp, l1p = _log_probs(u_p)
-    p, one_m_p = np.exp(lp)[:, None], np.exp(l1p)[:, None]
-    lp *= alpha  # from here on the Renyi terms in p, alpha log p and alpha log(1 - p)
-    l1p *= alpha
+    # p, 1 - p and the Renyi terms alpha log p and alpha log(1 - p), then the
+    # same for q with 1 - alpha
+    p, one_m_p, lp, l1p = _tables(alpha, u_p.copy())
+    p, one_m_p = p[:, None], one_m_p[:, None]
     if centers is None:
-        tables = _q_tables(alpha, u_q.copy())
+        tables = _tables(1.0 - alpha, u_q.copy())
         gather = lambda table, rows, out: table
     else:
         centers, which = np.unique(centers, return_inverse=True)
-        tables = _q_tables(alpha, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
+        tables = _tables(1.0 - alpha, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
         # every index is valid; mode="clip" keeps take from buffering out
         gather = lambda table, rows, out: np.take(table, which[rows], axis=0, out=out, mode="clip")
     block_rows = -(-_BLOCK_CELLS // len(u_q))

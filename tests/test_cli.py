@@ -11,6 +11,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -606,6 +607,29 @@ def test_oracle_check_rejects_a_negative_seed(capsys, monkeypatch):
         assert f"usage error: --seed must be >= 0, got {seed}" in err, seed
 
 
+def test_oracle_check_rejects_too_few_samples_or_grid_steps(capsys, monkeypatch):
+    # rejected before any work, naming the flag: neither the frontier nor any oracle check runs
+    monkeypatch.setattr(cli, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    for name in ("brute_force_gamma", "verify_q_star", "joint_range_containment"):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: pytest.fail("the oracle ran"))
+    cases = [("--samples", "0", 1), ("--samples", "-3", 1), ("--grid-n", "10", 64), ("--grid-n", "63", 64)]
+    for flag, value, bound in cases:
+        code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1", f"{flag}={value}")
+        assert code == 2 and out == "", (flag, value)
+        assert f"usage error: {flag} must be >= {bound}, got {value}" in err, (flag, value)
+
+
+@pytest.mark.parametrize("tol, exit_code", [("1e-4", 0), ("1e-15", 5)])
+def test_oracle_check_report_file_is_the_sorted_results(capsys, tmp_path, tol, exit_code):
+    # the --out report is the stdout record's results, keys sorted, written
+    # whether or not the check passes
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *ORACLE_ARGS, "--tol", tol, "--out", str(path))
+    assert code == exit_code
+    results = json.loads(out)["results"]
+    assert path.read_text(encoding="utf-8") == json.dumps(results, indent=2, sort_keys=True) + "\n"
+
+
 def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):
     # shift the value at q* up, as if the first-atom reduction were wrong
     true_renyi = oracle.renyi_binary
@@ -678,6 +702,39 @@ def test_wall_time_metadata(capsys):
     assert meta["version"] == "0.1.0"
     assert meta["seed"] is None
     assert meta["wall_time_s"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "--alpha", "2", "--eps", "1", "--delta", "0.1"],
+        ["compose", "--sigma", "20", "--T", "10", "--delta", "1e-5"],
+        ["max-t", "--sigma", "20", "--eps", "1", "--delta", "1e-5"],
+        ["variance", "--T", "10", "--eps", "1", "--delta", "1e-5"],
+        ["curve", "--fig", "2", "--t-to", "2", "--format", "json"],
+        list(ORACLE_ARGS),
+    ],
+)
+def test_record_key_order(capsys, argv):
+    # every record has one layout; only oracle-check, which samples, has a seed
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    record = json.loads(out)
+    assert list(record) == ["command", "query", "results", "metadata"]
+    assert record["command"] == argv[0]
+    assert list(record["metadata"]) == ["tool", "version", "seed", "wall_time_s"]
+    assert (record["metadata"]["seed"] is None) == (argv[0] != "oracle-check")
+
+
+def test_wall_time_covers_the_handler(capsys, monkeypatch):
+    def slow_acct_epsilon(*args):
+        time.sleep(0.05)
+        return acct_epsilon(*args)
+
+    monkeypatch.setattr(cli, "acct_epsilon", slow_acct_epsilon)
+    code, out, _ = run_cli(capsys, "compose", "--sigma", "20", "--T", "10", "--delta", "1e-5")
+    assert code == 0
+    assert json.loads(out)["metadata"]["wall_time_s"] >= 0.05
 
 
 def _reject_constant(name):

@@ -198,12 +198,15 @@ def test_q_star_is_the_constrained_minimizer():
 
 def _verify_q_star_reference(alpha, epsilon, delta, grid, n_p):
     # a per-p scalar loop: coarse q grid, then +-1 coarse step in n_refine steps
+    def log_probs(u):  # log(sigmoid(u)) and log(1 - sigmoid(u)), without the 1 - q cancellation
+        return -np.log1p(np.exp(-u)), -np.log1p(np.exp(u))
+
     lam = math.exp(epsilon)
     u_all = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, grid.n_coarse)
     u_ps = u_all[1.0 / (1.0 + np.exp(-u_all)) > delta + 2e-9 * lam]
     if len(u_ps) > n_p:
         u_ps = u_ps[np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)]
-    lq, l1q = oracle._log_probs(u_all)
+    lq, l1q = log_probs(u_all)
     step = float(u_all[1] - u_all[0])
     max_gap, checked = 0.0, 0
     for u_p in u_ps:
@@ -221,7 +224,7 @@ def _verify_q_star_reference(alpha, epsilon, delta, grid, n_p):
         if not coarse < math.inf:
             continue
         fine_u = oracle._logit_grid(max(u_at - step, -oracle._U_MAX), min(u_at + step, oracle._U_MAX), grid.n_refine)
-        fine, _ = q_min(*oracle._log_probs(fine_u))
+        fine, _ = q_min(*log_probs(fine_u))
         max_gap = max(max_gap, abs(min(coarse, fine) - renyi_binary(BernoulliPair(p, q_star), alpha)))
         checked += 1
     return checked, max_gap

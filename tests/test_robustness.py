@@ -1,0 +1,110 @@
+"""Robustness contract of the library: every finite input gives finite float
+fields or an AccountingError, never another exception, an inf or a NaN."""
+
+import dataclasses
+import math
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rdpopt as rp
+
+
+def _log_uniform(lo: float, hi: float):
+    # values anywhere in [lo, hi], and magnitudes spread evenly over the range
+    spread = st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))
+    return st.one_of(st.floats(lo, hi), spread)
+
+
+_ALPHA = _log_uniform(1e-15, 1e6).map(lambda x: 1.0 + x)
+_DELTA = st.one_of(_log_uniform(5e-324, 1.0 - 2.0**-53), _log_uniform(2.0**-53, 0.5).map(lambda x: 1.0 - x))
+_RHO = _log_uniform(1e-300, 1e300)
+_STEPS = st.one_of(st.integers(1, 10**9), _log_uniform(1.0, 1e9))
+# gamma or epsilon: mostly up to 1e6, some up to DBL_MAX
+_BUDGET = st.one_of(st.just(0.0), _log_uniform(1e-300, 1e6), _log_uniform(1e6, sys.float_info.max))
+
+
+def _floats(value) -> list[float]:
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
+def _check_finite_or_typed_error(name: str, args: tuple) -> None:
+    try:
+        result = getattr(rp, name)(*args)
+    except rp.AccountingError:
+        return
+    assert result is not None and all(math.isfinite(x) for x in _floats(result)), (name, args, result)
+    if name.endswith("variance"):  # a variance of 0 would add no noise at all
+        assert _floats(result)[0] > 0.0, (name, args, result)
+
+
+@st.composite
+def _conversion_calls(draw):
+    name = draw(st.sampled_from((
+        "gamma_exact", "gamma_bound", "epsilon_exact", "epsilon_bound", "delta_exact", "delta_bound",
+        "zero_epsilon_region",
+    )))
+    alpha, budget = draw(_ALPHA), draw(_BUDGET)
+    if name == "zero_epsilon_region":
+        return name, (alpha, budget)
+    # gamma_*(alpha, eps, delta), epsilon_*(alpha, gamma, delta), delta_*(alpha, gamma, eps)
+    return name, (alpha, budget, draw(_BUDGET if name.startswith("delta") else _DELTA))
+
+
+@st.composite
+def _accountant_calls(draw, names, mode=None):
+    # acct_epsilon and max_iterations run in their default closed-form mode unless mode is given
+    name = draw(st.sampled_from(names))
+    delta = draw(_DELTA)
+    if name.endswith("epsilon"):
+        args = (draw(_RHO), draw(_STEPS), delta)
+    elif name.endswith("iterations"):
+        args = (draw(_RHO), draw(_BUDGET), delta)
+    else:
+        args = (draw(_STEPS), draw(_BUDGET), delta)
+    return name, args if mode is None else (*args, mode)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=_conversion_calls())
+def test_conversions_give_finite_fields_or_typed_errors(call):
+    _check_finite_or_typed_error(*call)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=_accountant_calls((
+    "acct_epsilon", "ma_epsilon", "max_iterations", "ma_max_iterations", "required_variance", "ma_required_variance",
+)))
+def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
+    _check_finite_or_typed_error(*call)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(call=_accountant_calls(("acct_epsilon", "max_iterations"), "exact"))
+def test_exact_accountants_give_finite_fields_or_typed_errors(call):
+    # fewer examples: each runs the numeric frontier at every order of a few scans
+    _check_finite_or_typed_error(*call)
+
+
+def test_budgets_near_dbl_max():
+    # each raised OverflowError or ValueError, or answered with no noise:
+    # the moments accountant's squared root rate rounds past DBL_MAX, alpha
+    # delta rounds up to 1 at the top order, (alpha - 1) eps overflows, and
+    # 2 rho*T overflows
+    big = sys.float_info.max
+    assert rp.ma_required_variance(1, big, 0.5) > 0.0
+    with pytest.raises(rp.InfeasibleError):
+        rp.ma_max_iterations(1e-300, big, 1.0 - 2.0**-53)
+    assert rp.max_iterations(1e300, 1e200, 0.9999999995744324) == 0
+    assert rp.required_variance(1, big, 0.9999779128125048).sigma_sq > 0.0
+    assert rp.required_variance(10**9, 1.7e308, 0.5).sigma_sq > 0.0
+    # the budget is met with equality, not by a variance of 0
+    answer = rp.required_variance(1, 1e10, 1e-300)
+    assert answer.sigma_sq > 0.0
+    assert math.isclose(rp.acct_epsilon(0.5 / answer.sigma_sq, 1, 1e-300).epsilon, 1e10, rel_tol=1e-9)
