@@ -19,11 +19,19 @@ that polish windows are centred on), every block reuses one workspace, and
 the Renyi divergence is taken only on the cells the rule admits.  The
 hockey-stick values come from _hockey_stick, and the Renyi values from
 _renyi's operations, so they match it to the bit.
+
+A scan shares its row blocks out among one worker per CPU the process may
+run on: the calling thread and plain threads, each on its own slice of the
+scan's one workspace.  Each row is computed by the same operations and
+written by one worker only, so the answers do not depend on the worker
+count; on one CPU no thread is started.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,11 @@ CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a
 _CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8)  # each frontier solve to 1e-8 in log(p - delta)
 
 
+def _check_count(value, name: str, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Resolution of the brute-force search."""
@@ -50,10 +63,8 @@ class GridSpec:
     n_refine: int = 4096
 
     def __post_init__(self):
-        if self.n_coarse < 64:
-            raise DomainError(f"n_coarse must be >= 64, got {self.n_coarse!r}")
-        if self.n_refine < 64:
-            raise DomainError(f"n_refine must be >= 64, got {self.n_refine!r}")
+        _check_count(self.n_coarse, "n_coarse", 64)
+        _check_count(self.n_refine, "n_refine", 64)
 
 
 def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -80,14 +91,24 @@ def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
-# (p, q) cells per block, at least: 128 rows of the 4097-point grid, 1023 of
-# the 513-point polish window.  A scan's workspace is one bool and two float
-# arrays of a full block; each float array is just over 4 MiB, the size from
-# which numpy asks Linux for transparent huge pages.  Allocated once per scan,
-# they save little: a default-grid brute_force_gamma and verify_q_star took
-# 5.4 k minor page faults at this size and 8.9 k just under 4 MiB, in
-# 0.66-0.71 s against 0.71-0.75 s (2-vCPU Xeon, numpy 2.4)
+# (p, q) cells in a scan's workspace, one bool and two float arrays split
+# evenly among its workers.  A block is at least this many cells over the
+# worker count: at one worker 128 rows of the 4097-point grid or 1023 of the
+# 513-point polish window, at two workers half that.  The float arrays are
+# one allocation of 8 MiB, past the 4 MiB from which numpy asks Linux for
+# transparent huge pages, though each worker's share is 2 MiB.  The size
+# matters little: on two workers, a default-grid brute_force_gamma and
+# verify_q_star took 0.34-0.39 s and 3.3-3.9 k minor page faults a call at
+# this size, 0.36-0.39 s and 4.5 k at 1 << 17 (no huge pages), and
+# 0.38-0.40 s at 1 << 20 (2-vCPU Xeon, numpy 2.4)
 _BLOCK_CELLS = 1 << 19
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _renyi(alpha, lp, l1p, lq, l1q):
@@ -127,8 +148,12 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
 
     q, 1 - q and the Renyi terms in q are computed once per distinct centre
     (polish windows share the few coarse-grid points their rows landed on)
-    and gathered per block, and every block reuses one workspace.  The
-    divergence, the costliest step, is taken on admitted cells only.
+    and gathered per block, and every block reuses its worker's slice of one
+    workspace.  The divergence, the costliest step, is taken on admitted
+    cells only.  Worker k of n scans blocks k, k + n, ...; worker 0 is the
+    caller, the rest are threads, all joined before the scan returns, and the
+    first error any of them raises is raised here.  feasible is called from
+    every worker, so it may write only to out and scratch.
     """
     # p, 1 - p and the Renyi terms alpha log p and alpha log(1 - p), then the
     # same for q with 1 - alpha
@@ -142,25 +167,53 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
         tables = _tables(1.0 - alpha, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
         # every index is valid; mode="clip" keeps take from buffering out
         gather = lambda table, rows, out: np.take(table, which[rows], axis=0, out=out, mode="clip")
-    block_rows = -(-_BLOCK_CELLS // len(u_q))
-    shape = (min(block_rows, len(u_p)), len(u_q))
+    n_rows, n_cols = len(u_p), len(u_q)
+    # one worker per usable CPU, at most one per block of a single-worker
+    # scan; the workers split one workspace of _BLOCK_CELLS cells
+    n_workers = max(1, min(_usable_cpus(), -(-n_rows // -(-_BLOCK_CELLS // n_cols))))
+    block_rows = -(-(_BLOCK_CELLS // n_workers) // n_cols)
+    shape = (n_workers, min(block_rows, n_rows), n_cols)
     div_ws, tail_ws = np.empty((2, *shape))
     mask_ws = np.empty(shape, dtype=bool)
-    row_min = np.empty(len(u_p))
-    row_arg = np.empty(len(u_p), dtype=np.intp)
-    for start in range(0, len(u_p), block_rows):
-        sl = slice(start, min(start + block_rows, len(u_p)))
-        n = sl.stop - start
-        div, tail, mask = div_ws[:n], tail_ws[:n], mask_ws[:n]
-        feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, div), gather(tables[1], sl, tail), mask, (div, tail))
-        # _renyi's operations, from the tables' terms in q
-        np.add(lp[sl, None], gather(tables[2], sl, div), out=div)
-        np.add(l1p[sl, None], gather(tables[3], sl, tail), out=tail)
-        np.logaddexp(div, tail, out=div, where=mask)
-        np.divide(div, alpha - 1.0, out=div, where=mask)
-        np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
-        row_arg[sl] = div.argmin(axis=1)
-        row_min[sl] = div[np.arange(n), row_arg[sl]]
+    row_min = np.empty(n_rows)
+    row_arg = np.empty(n_rows, dtype=np.intp)
+    errors = []
+
+    def scan_share(k):
+        # blocks k, k + n_workers, ... in worker k's workspace; a share stops
+        # at its next block once any share has failed
+        try:
+            for start in range(k * block_rows, n_rows, n_workers * block_rows):
+                if errors:
+                    return
+                sl = slice(start, min(start + block_rows, n_rows))
+                n = sl.stop - start
+                div, tail, mask = div_ws[k, :n], tail_ws[k, :n], mask_ws[k, :n]
+                feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, div), gather(tables[1], sl, tail), mask,
+                         (div, tail))
+                # _renyi's operations, from the tables' terms in q
+                np.add(lp[sl, None], gather(tables[2], sl, div), out=div)
+                np.add(l1p[sl, None], gather(tables[3], sl, tail), out=tail)
+                np.logaddexp(div, tail, out=div, where=mask)
+                np.divide(div, alpha - 1.0, out=div, where=mask)
+                np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
+                row_arg[sl] = div.argmin(axis=1)
+                row_min[sl] = div[np.arange(n), row_arg[sl]]
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, n_workers):
+            thread = threading.Thread(target=scan_share, args=(k,))
+            thread.start()
+            threads.append(thread)
+        scan_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return row_min, row_arg
 
 
@@ -223,6 +276,7 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     reduction is wrong.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
+    _check_count(n_p, "n_p", 1)
     lam = math.exp(epsilon)
     u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
     p_all = 1.0 / (1.0 + np.exp(-u_all))
@@ -259,10 +313,8 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_count(n_samples, "n_samples", 1)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)

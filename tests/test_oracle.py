@@ -1,6 +1,7 @@
 """Brute-force certification of the frontier."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,30 @@ def test_grid_spec_validation():
         GridSpec(n_coarse=32)
     with pytest.raises(DomainError):
         GridSpec(n_refine=16)
+
+
+@pytest.mark.parametrize("value", [float("nan"), 100.5, 100.0, True, "100", None])
+def test_grid_spec_counts_are_integers(value):
+    GridSpec(n_coarse=np.int64(100), n_refine=100)
+    with pytest.raises(DomainError, match="n_coarse must be an integer >= 64"):
+        GridSpec(n_coarse=value)
+    with pytest.raises(DomainError, match="n_refine must be an integer >= 64"):
+        GridSpec(n_refine=value)
+
+
+@pytest.mark.parametrize("n_p", [0, -1, 2.5, True, float("nan")])
+def test_q_star_check_row_count_is_a_positive_integer(monkeypatch, n_p):
+    # checked before any work: no scan runs
+    monkeypatch.setattr(oracle, "_polished_rows", lambda *args: pytest.fail("the scan ran"))
+    with pytest.raises(DomainError, match="n_p must be an integer >= 1"):
+        verify_q_star(2.0, 1.0, 0.1, FAST, n_p=n_p)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1, 2.5, True, float("nan")])
+def test_containment_sample_count_is_a_positive_integer(monkeypatch, n_samples):
+    monkeypatch.setattr(oracle.np.random, "default_rng", lambda *args: pytest.fail("the oracle ran"))
+    with pytest.raises(DomainError, match="n_samples must be an integer >= 1"):
+        joint_range_containment(2.0, 1.0, n_samples=n_samples)
 
 
 _KERNEL_CASES = [(2.0, 1.0, 0.1), (20.0, 0.5, 0.3), (1.5, 2.0, 0.0), (49.0, 4.8, 0.49)]
@@ -61,19 +86,25 @@ def test_row_scan_matches_scalar_double_loop():
                     assert abs(renyi_binary(pairs[row_arg[i]], alpha) - expected) <= 1e-12
 
 
+def _scan_grids(u):
+    # the shared grid u, and 33-point windows around distinct centres (u
+    # reversed) and around five centres taken in turn, each 13 times
+    offsets = (np.arange(33) / 32 - 0.5) * (2.0 * (u[1] - u[0]))
+    return (u, None), (offsets, u[::-1].copy()), (offsets, u[np.arange(len(u)) * 7 % 5 * 16])
+
+
 def test_row_scan_blocking_is_bit_identical(monkeypatch):
     # 65 rows in blocks of 6 (shared 65-point q grid) and of 12 (33-point
     # windows), against one block and against every row scanned alone;
     # centres at +-_U_MAX clip their windows.  Window rows share per-centre
     # tables, so besides the distinct centres u[::-1] the rows take five
     # centres in turn, each repeated 13 times across the blocks
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
-    offsets = (np.arange(33) / 32 - 0.5) * (2.0 * (u[1] - u[0]))
-    distinct = u[::-1].copy()
-    repeated = u[np.arange(len(u)) * 7 % 5 * 16]
+    grids = _scan_grids(u)
+    (_, _), (offsets, distinct), (_, repeated) = grids
     assert distinct[0] == oracle._U_MAX and distinct[-1] == -oracle._U_MAX
     assert sorted(repeated.tolist()) == sorted(np.repeat(u[::16], 13).tolist())
-    grids = ((u, None), (offsets, distinct), (offsets, repeated))
 
     def scans():
         return [
@@ -108,6 +139,88 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
             for row_min, _ in blocked[j::len(grids)]
             for block in np.split(row_min, range(rows, len(row_min), rows))
         ), j
+
+
+def _counted_threads(monkeypatch):
+    # every threading.Thread built from here on is appended to the returned list
+    built = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(oracle.threading, "Thread", Counted)
+    return built
+
+
+def test_parallel_scan_is_bit_identical_on_any_worker_count(monkeypatch):
+    # blocks of 6 shared-grid rows (11 blocks) and of 12 window rows (6
+    # blocks) at one worker; 2 and 3 workers split that workspace, and a
+    # count of 64 CPUs is capped at 11 and 6 workers
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
+    built = _counted_threads(monkeypatch)
+    cases = [(alpha, rule) for alpha, eps, delta in _KERNEL_CASES for rule, _ in _rules(u, eps, delta)]
+
+    def scans(cpus):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        del built[:]
+        rows = [oracle._row_scan(alpha, u, q_grid, rule, centers=c) for alpha, rule in cases
+                for q_grid, c in _scan_grids(u)]
+        n_threads = len(built)
+        polished = [oracle._polished_rows(alpha, u, u, rule, 32) for alpha, rule in cases]
+        return rows, polished, n_threads
+
+    one_rows, one_polished, none = scans(1)
+    assert none == 0
+    # one thread for every worker but the caller, in each of the three scans
+    for cpus, threads_per_case in ((2, 1 + 1 + 1), (3, 2 + 2 + 2), (64, 10 + 5 + 5)):
+        rows, polished, threads = scans(cpus)
+        assert threads == len(cases) * threads_per_case, (cpus, threads)
+        for (m0, a0), (m1, a1) in zip(one_rows, rows):
+            assert np.array_equal(m0, m1) and np.array_equal(a0, a1), cpus
+        for w0, w1 in zip(one_polished, polished):
+            assert np.array_equal(w0, w1), cpus
+
+
+def test_a_worker_error_leaves_no_thread_behind(monkeypatch):
+    # 3 workers with 2-row blocks: worker 1 scans rows 2, 8, 14, ...; an error
+    # on its second block, or on the caller's first, ends the scan
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    rule = _hockey_stick_rule(math.e, 0.1)
+    for failing_row, caller in ((8, False), (0, True)):
+        raised_in = []
+
+        def failing(rows, *args):
+            if rows.start == failing_row:
+                raised_in.append(threading.current_thread() is threading.main_thread())
+                raise ZeroDivisionError(f"row {rows.start}")
+            rule(rows, *args)
+
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=f"row {failing_row}$"):
+            oracle._row_scan(2.0, u, u, failing)
+        assert raised_in == [caller]
+        assert threading.active_count() == before
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    built = _counted_threads(monkeypatch)
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    rule = _hockey_stick_rule(math.e, 0.1)
+    brute_force_gamma(2.0, 1.0, 0.1, FAST)
+    verify_q_star(2.0, 1.0, 0.1, FAST, n_p=64)
+    assert built == []
+    # nor does a scan with no rows, or one block, whatever the CPU count
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 64)
+    row_min, row_arg = oracle._row_scan(2.0, u[:0], u, rule)
+    assert len(row_min) == len(row_arg) == 0
+    oracle._row_scan(2.0, u, u, rule)
+    assert built == []
 
 
 def test_polished_rows_keep_their_own_rule():
