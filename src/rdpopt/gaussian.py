@@ -1,10 +1,9 @@
 """Privacy accounting for T-fold composition of Gaussian mechanisms.
 
-A Gaussian mechanism with noise sigma and sensitivity Delta satisfies
-(alpha, rho * alpha)-Renyi DP for every alpha > 1 with rate
-rho = Delta^2 / (2 sigma^2); T-fold composition multiplies the rate by T.
-Poisson-subsampled gradient steps use the rate rho = q^2 / ((1-q) sigma^2)
-with unit sensitivity.
+sigma is the noise multiplier: for sensitivity Delta, pass sigma / Delta.
+A Gaussian step satisfies (alpha, rho * alpha)-Renyi DP for every alpha > 1
+with rate rho = 1 / (2 sigma^2); T-fold composition multiplies the rate by T.
+Poisson-subsampled steps use the rate rho = q^2 / ((1-q) sigma^2).
 
 The moments-accountant baseline converts via delta = e^{-(alpha-1)(eps -
 alpha rho T)}, whose optimized closed form is
@@ -26,7 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, Optional, Sequence
 
 from .conversion import (
@@ -56,15 +55,14 @@ _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6)
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9)
 
 
-def rho_gaussian(sigma: float, sensitivity: float = 1.0) -> float:
-    """Renyi rate Delta^2 / (2 sigma^2) of a single Gaussian mechanism."""
+def rho_gaussian(sigma: float) -> float:
+    """Renyi rate 1 / (2 sigma^2) at noise multiplier sigma; for sensitivity Delta, pass sigma / Delta."""
     _check_positive(sigma, "sigma")
-    _check_positive(sensitivity, "sensitivity")
-    return _rate(sensitivity * sensitivity, 2.0 * sigma * sigma, sigma)
+    return _rate(1.0, 2.0 * sigma * sigma, sigma)
 
 
 def rho_subsampled(sigma: float, q: float) -> float:
-    """Renyi rate q^2 / ((1-q) sigma^2) of a Poisson-subsampled unit-sensitivity step.
+    """Renyi rate q^2 / ((1-q) sigma^2) of a Poisson-subsampled Gaussian step.
 
     Valid in the small-q, moderate-alpha regime where the subsampled
     mechanism's Renyi curve is linear in alpha.
@@ -84,22 +82,20 @@ def _rate(numerator: float, denominator: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianConfig:
-    """Mechanism parameters; rho is derived, with unit sensitivity under subsampling."""
+    """Noise multiplier sigma (for sensitivity Delta, pass sigma / Delta), optional sampling rate q; rho is derived."""
 
     sigma: float
-    sensitivity: float = 1.0
+    _: KW_ONLY  # a sensitivity passed by position, as in GaussianConfig(4.0, 2.0), fails instead of reading as q
     subsampling_q: Optional[float] = None
 
     def __post_init__(self):
-        self.rho  # rho_gaussian or rho_subsampled validates sigma, sensitivity and q
-        if self.subsampling_q is not None and self.sensitivity != 1.0:
-            raise DomainError("subsampled accounting assumes unit sensitivity")
+        self.rho  # rho_gaussian or rho_subsampled validates sigma and q
 
     @property
     def rho(self) -> float:
         if self.subsampling_q is not None:
             return rho_subsampled(self.sigma, self.subsampling_q)
-        return rho_gaussian(self.sigma, self.sensitivity)
+        return rho_gaussian(self.sigma)
 
 
 def ma_epsilon(rho: float, T: float, delta: float) -> float:
@@ -129,7 +125,7 @@ def _check_finite(value: float, rho_T: float) -> float:
 
 
 def _variance(T: float, rho_T: float, name: str) -> float:
-    # unit sensitivity: T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2).
+    # T steps at rho = 1/(2 sigma^2) add up to rho_T = T/(2 sigma^2).
     # The error names the variance, which overflows where the rate is tiny
     sigma_sq = 0.5 * T / rho_T if rho_T > 0.0 else math.inf  # 2 rho_T overflows near DBL_MAX
     if not math.isfinite(sigma_sq):
@@ -407,7 +403,7 @@ class RequiredVariance:
 
 
 def required_variance(T: float, epsilon: float, delta: float) -> RequiredVariance:
-    """Smallest unit-sensitivity variance whose accounted epsilon meets the budget.
+    """Smallest noise-multiplier variance sigma^2 whose accounted epsilon meets the budget.
 
     sigma^2 = T / (2 rho_T), where rho_T is the largest total rate whose
     closed-form accounted epsilon meets the budget: the maximum over orders

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -300,6 +301,12 @@ def test_compose_subsampled(capsys):
 def test_compose_bad_T(capsys):
     code, _, err = run_cli(capsys, "compose", "--sigma", "20", "--T", "0", "--delta", "1e-5")
     assert code == 2 and "usage error" in err
+
+
+def test_variance_bad_T(capsys):
+    code, out, err = run_cli(capsys, "variance", "--T", "0", "--eps", "1", "--delta", "1e-5")
+    assert code == 2 and out == ""
+    assert "usage error: --T must be >= 1, got 0" in err
 
 
 def test_tiny_sigma_domain_error(capsys):
@@ -639,6 +646,29 @@ def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):
     assert code == 5
     assert "q_star max_gap" in err and "> 0.0001" in err
     assert json.loads(out)["results"]["q_star_max_gap"] >= 9e-4
+
+
+def test_oracle_check_flags_containment_violations(capsys, monkeypatch):
+    # lift the frontier the containment check compares against by 1 nat; the
+    # gap checks take cli's own gamma_exact and still pass at --tol 1
+    true_gamma = oracle.gamma_exact
+
+    def lifted(*args):
+        r = true_gamma(*args)
+        return dataclasses.replace(r, value=r.value + 1.0)
+
+    monkeypatch.setattr(oracle, "gamma_exact", lifted)
+    code, out, err = run_cli(
+        capsys,
+        "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
+        "--grid-n", "64", "--samples", "50", "--tol", "1",
+    )
+    assert code == 5
+    assert "validation failure" in err and "containment violations" in err
+    results = json.loads(out)["results"]
+    assert results["passed"] is False
+    assert results["containment_violations"] > 0
+    assert results["failures"] == [f"containment violations = {results['containment_violations']}"]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

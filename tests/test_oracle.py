@@ -1,5 +1,6 @@
 """Brute-force certification of the frontier."""
 
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -223,6 +224,15 @@ def test_one_worker_starts_no_thread(monkeypatch):
     assert built == []
 
 
+def test_usable_cpus_without_an_affinity_call(monkeypatch):
+    # where os.sched_getaffinity is missing, the count is os.cpu_count(), or 1 where that is unknown
+    monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    assert oracle._usable_cpus() == 3
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert oracle._usable_cpus() == 1
+
+
 def test_polished_rows_keep_their_own_rule():
     # rows with no feasible q are left out of the polish; the rows that are
     # polished must still see their own q_star, as when polished alone
@@ -396,6 +406,18 @@ def test_joint_range_containment():
     assert report["violations"] == 0
     assert report["min_margin"] > -1e-8
     assert report["n_samples"] == 10000
+
+
+def test_joint_range_containment_counts_pairs_below_the_frontier(monkeypatch):
+    # with the frontier lifted by 1 nat, pairs on or near the true frontier fall below it
+    def lifted(*args):
+        r = gamma_exact(*args)
+        return dataclasses.replace(r, value=r.value + 1.0)
+
+    monkeypatch.setattr(oracle, "gamma_exact", lifted)
+    report = joint_range_containment(2.0, 1.0, n_samples=50)
+    assert report["violations"] > 0
+    assert report["min_margin"] < -oracle.CONTAINMENT_TOLERANCE
 
 
 def test_joint_range_containment_deterministic():

@@ -24,19 +24,21 @@ _RHO = _log_uniform(1e-300, 1e300)
 _STEPS = st.one_of(st.integers(1, 10**9), _log_uniform(1.0, 1e9))
 # gamma or epsilon: mostly up to 1e6, some up to DBL_MAX
 _BUDGET = st.one_of(st.just(0.0), _log_uniform(1e-300, 1e6), _log_uniform(1e6, sys.float_info.max))
+_SIGMA = _log_uniform(1e-300, 1e300)
+_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def _floats(value) -> list[float]:
     if dataclasses.is_dataclass(value):
         value = dataclasses.astuple(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [x for item in value for x in _floats(item)]
     return [value] if isinstance(value, float) else []
 
 
 def _check_finite_or_typed_error(name: str, args: tuple) -> None:
     try:
-        result = getattr(rp, name)(*args)
+        result = (_MECHANISMS.get(name) or getattr(rp, name))(*args)
     except rp.AccountingError:
         return
     assert result is not None and all(math.isfinite(x) for x in _floats(result)), (name, args, result)
@@ -44,17 +46,39 @@ def _check_finite_or_typed_error(name: str, args: tuple) -> None:
         assert _floats(result)[0] > 0.0, (name, args, result)
 
 
+# the mechanism entry points that are not a bare call of one public function
+_MECHANISMS = {
+    "GaussianConfig.rho": lambda sigma, q: rp.GaussianConfig(sigma, subsampling_q=q).rho,
+    "privacy_curve": lambda sigma, q, delta, t_values: rp.privacy_curve(
+        rp.GaussianConfig(sigma, subsampling_q=q), delta, t_values
+    ),
+}
+
+
 @st.composite
 def _conversion_calls(draw):
     name = draw(st.sampled_from((
         "gamma_exact", "gamma_bound", "epsilon_exact", "epsilon_bound", "delta_exact", "delta_bound",
-        "zero_epsilon_region",
+        "zero_epsilon_region", "baseline_epsilon", "baseline_delta", "balle_epsilon", "log_zeta",
+        "boundary_objective", "renyi_binary", "hockey_stick_binary",
     )))
     alpha, budget = draw(_ALPHA), draw(_BUDGET)
+    if name == "log_zeta":
+        return name, (alpha,)
     if name == "zero_epsilon_region":
         return name, (alpha, budget)
-    # gamma_*(alpha, eps, delta), epsilon_*(alpha, gamma, delta), delta_*(alpha, gamma, eps)
-    return name, (alpha, budget, draw(_BUDGET if name.startswith("delta") else _DELTA))
+    if name.endswith("binary"):
+        # renyi_binary(pair, alpha), hockey_stick_binary(pair, lam) at lam = 1 + budget
+        pair = rp.BernoulliPair(draw(_DELTA), draw(_DELTA))
+        return name, (pair, alpha if name.startswith("renyi") else 1.0 + budget)
+    delta = draw(_DELTA)
+    if name == "boundary_objective":
+        # p in (delta, 1); below delta = 1 - 2^-52 a float lies between them
+        delta = min(delta, 1.0 - 2.0**-52)
+        p = min(max(delta + (1.0 - delta) * draw(_UNIT), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
+        return name, (p, alpha, budget, delta)
+    # gamma_*(alpha, eps, delta), epsilon_*(alpha, gamma, delta), delta_*(alpha, gamma, eps), and the baselines alike
+    return name, (alpha, budget, draw(_BUDGET) if "delta" in name else delta)
 
 
 @st.composite
@@ -71,9 +95,31 @@ def _accountant_calls(draw, names, mode=None):
     return name, args if mode is None else (*args, mode)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(call=_conversion_calls())
 def test_conversions_give_finite_fields_or_typed_errors(call):
+    # twice the examples of the seven conversions alone, for twice the entry points
+    _check_finite_or_typed_error(*call)
+
+
+@st.composite
+def _mechanism_calls(draw):
+    name = draw(st.sampled_from(("rho_gaussian", "rho_subsampled", "GaussianConfig.rho", "privacy_curve")))
+    sigma = draw(_SIGMA)
+    if name == "rho_gaussian":
+        return name, (sigma,)
+    if name == "rho_subsampled":
+        return name, (sigma, draw(_DELTA))
+    q = draw(st.one_of(st.none(), _DELTA))
+    if name == "GaussianConfig.rho":
+        return name, (sigma, q)
+    # the closed-form curve on one to three T values
+    return name, (sigma, q, draw(_DELTA), draw(st.lists(_STEPS, min_size=1, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(call=_mechanism_calls())
+def test_mechanisms_give_finite_fields_or_typed_errors(call):
     _check_finite_or_typed_error(*call)
 
 
