@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
   divergences   two-point hockey-stick and Renyi divergences
-  optimize      Brent minimization and Newton inversion
+  optimize      Brent minimization and bracketed Newton inversion
   conversion    the exact conversion frontier and its closed-form bounds
   gaussian      T-fold Gaussian composition, ours versus moments accountant
   oracle        brute-force grid validation of the frontier

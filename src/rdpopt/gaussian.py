@@ -49,8 +49,8 @@ MODES = ("closed_form", "exact")
 # every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
 # The scan refines its order to 1e-6 in log(alpha - 1), on a window of +-1
 # around a given order and on all orders only as a fallback.  Each solve
-# brackets its minimum on gamma_exact's 8-point grid, which the frontier
-# objective's convexity makes enough, and refines to 1e-9
+# takes gamma_exact's Newton steps on the frontier objective's slope, which
+# the objective's convexity makes cross 0 once, and stops at 1e-9
 _EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6)
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9)
 

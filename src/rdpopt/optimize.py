@@ -1,30 +1,32 @@
-"""Derivative-free scalar minimization and monotone inversion.
+"""Scalar minimization and monotone inversion.
 
 Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
-minimization.  minimize_unimodal's contract is an objective unimodal on
-the interval.  A coarse scan of 8 points brackets the minimizer first:
-the best grid point and its two neighbours bracket the minimum of such an
-objective, so a larger grid buys nothing, and every search scans 8
-points.  Two objectives are proved unimodal: the frontier objective of
-conversion.gamma_exact is the log of a sum of two convex perspectives
-(see there), and the moment piece of the closed-form conversion is convex
-in the order (see gaussian._min_over_orders).  The accountant minimizes
-the smaller of two pieces by scanning each piece on its own, since the
-minimum of a minimum is the smaller of the two minima.  Its chi piece and
-the two pieces it inverts for a budget are unimodal only as sampled: on
-thousands of random inputs none rises before its sampled minimum or
-falls after it beyond rounding.  The exact accountant's rate has no proof
-either; its scan of all orders is tested against a 256-order sample.
-Brent's method (R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973) then refines the bracket: parabolic steps through
-the three best points, with a golden-section step wherever a parabola
-would leave the bracket or stall, so an objective smooth at its minimum
-takes a handful of steps.
+minimization.  minimize_unimodal serves the accountant's scans over the
+order; its contract is an objective unimodal on the interval.  A coarse
+scan of 8 points brackets the minimizer first: the best grid point and
+its two neighbours bracket the minimum of such an objective, so a larger
+grid buys nothing, and every scan takes 8 points.  The moment piece of
+the closed-form conversion is proved convex in the order (see
+gaussian._min_over_orders).  The accountant minimizes the smaller of two
+pieces by scanning each piece on its own, since the minimum of a minimum
+is the smaller of the two minima.  Its chi piece and the two pieces it
+inverts for a budget are unimodal only as sampled: on thousands of random
+inputs none rises before its sampled minimum or falls after it beyond
+rounding.  The exact accountant's rate has no proof either; its scan of
+all orders is tested against a 256-order sample.  Brent's method
+(R. P. Brent, Algorithms for Minimization without Derivatives, 1973) then
+refines the bracket: parabolic steps through the three best points, with
+a golden-section step wherever a parabola would leave the bracket or
+stall, so an objective smooth at its minimum takes a handful of steps.
 Inversion takes the map's slope with its value (for a minimum, from the
-envelope theorem) and runs Newton steps from a trusted upper end, keeping
-a bracket around the crossing and falling back to bisection whenever a
-step leaves the bracket or fails to halve the step before it.
+envelope theorem) and runs Newton steps from a start in a bracket whose
+upper end is trusted, keeping a bracket around the crossing and falling
+back to bisection whenever a step leaves the bracket or fails to halve
+the step before it.  The frontier of conversion.gamma_exact is minimized
+by the same inversion, as the crossing of its objective's slope with 0:
+that objective is the log of a sum of two convex perspectives (see there),
+so its slope crosses 0 once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Optional
 
 from .errors import DomainError, InfeasibleError, _check_positive
 
@@ -44,12 +46,13 @@ _EPS = sys.float_info.epsilon
 class ScalarSearchConfig:
     """The tolerance of a scalar search.
 
-    abs_tol is an absolute tolerance on the argument, not the value: the
-    search stops once its bracket is no wider.  The argument is whatever the
+    abs_tol is an absolute tolerance on the argument, not the value: a scan
+    stops once its bracket is no wider, and the frontier search once its
+    Newton step or its bracket is no wider.  The argument is whatever the
     caller searches in: log(p - delta) for the frontier in gamma_exact, so
     there abs_tol is a relative tolerance on p - delta, and log(alpha - 1)
-    for the accountant's order scans.  The grid size and the iteration cap
-    are the same for every search.
+    for the accountant's order scans.  The grid size of the scans and the
+    iteration cap are the same for every search.
     """
 
     abs_tol: float = 1e-10
@@ -169,46 +172,51 @@ def _newton_invert(
     lo: float,
     hi: float,
     abs_tol: float,
+    start: Optional[float] = None,
 ) -> float:
-    # the smallest x in [lo, hi] with fn(x) >= target, for increasing fn that
-    # returns (value, slope), by Newton steps from hi.  hi is an answer the
-    # caller already trusts: it is returned as it is when fn(hi) falls short
-    # of the target, and the answer never exceeds it.  fn(lo) is evaluated
-    # only when a step reaches lo.  A step that leaves the bracket [lo, hi] or
-    # fails to halve the step before it is replaced by bisection.  Every
-    # Newton estimate is moved up by abs_tol / 16, so that an estimate exact
-    # to rounding reaches the target and the search ends there.  Stops at a
-    # point that reaches the target once the Newton correction there is at
-    # most abs_tol or lost in rounding, or once the bracket is no wider than
-    # abs_tol
+    # the smallest x in [lo, hi] with fn(x) >= target, for fn that returns
+    # (value, slope) and crosses the target once, upwards, by Newton steps
+    # from start (hi by default).  hi is an answer the caller already trusts:
+    # it is returned as it is when fn(hi) falls short of the target, and the
+    # answer never exceeds it.  fn(lo) is evaluated only at the start, when a
+    # step reaches lo, or once the bracket is no wider than abs_tol, where lo
+    # is returned if it reaches the target and hi otherwise.  A step that
+    # leaves the bracket [lo, hi], has no finite positive slope or fails to
+    # halve the step before it is replaced by bisection.  Every Newton
+    # estimate is moved up by abs_tol / 16, so that an estimate exact to
+    # rounding reaches the target and the search ends there.  Stops at a point
+    # that reaches the target once the Newton correction there is at most
+    # abs_tol or lost in rounding, or once the bracket is no wider than abs_tol
     if not lo < hi:
         return hi
-    x = hi
-    value, slope = fn(x)
-    if not value >= target:
-        return hi
+    x = hi if start is None else start
     lo_known = False  # fn(lo) < target has been seen
     last = math.inf  # length of the previous step
     for _ in range(ScalarSearchConfig.max_iters):
-        step = (value - target) / slope if slope > 0.0 else math.nan
-        if value >= target and (step <= abs_tol or x - step == x):
-            return x
-        if lo_known and hi - lo <= abs_tol:
-            return hi
-        nxt = x - step + abs_tol / 16.0
-        if nxt <= lo and not lo_known:
-            nxt = lo
-        elif not (lo < nxt < hi and abs(step) <= 0.5 * last):
-            nxt = 0.5 * (lo + hi)
-            if not lo < nxt < hi:
-                return hi  # adjacent floats
-        last = abs(nxt - x)
-        x = nxt
         value, slope = fn(x)
         if value >= target:
             if x == lo:
                 return lo
             hi = x
+        elif x == hi:
+            return hi
         else:
             lo, lo_known = x, True
+        step = (value - target) / slope if 0.0 < slope < math.inf else math.nan
+        if value >= target and (step <= abs_tol or x - step == x):
+            return x
+        if hi - lo <= abs_tol:
+            if lo_known:
+                return hi
+            nxt = lo
+        else:
+            nxt = x - step + abs_tol / 16.0
+            if nxt <= lo and not lo_known:
+                nxt = lo
+            elif not (lo < nxt < hi and abs(step) <= 0.5 * last):
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    return hi  # adjacent floats
+        last = abs(nxt - x)
+        x = nxt
     return hi

@@ -155,6 +155,38 @@ def test_invert_stops_at_adjacent_floats():
     assert evals <= 1 + 30  # hi, then ceil(log2(1 / 1e-9)) bisections
 
 
+def test_invert_from_a_start_inside_the_bracket():
+    # from a start below the crossing, hi is trusted and never evaluated; from
+    # a start above it, the start is the new upper end.  A start that reaches
+    # the target at lo returns lo
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return x**3 + x, 3.0 * x * x + 1.0
+
+    for start in (-3.0, -0.5, 0.5, 3.0):
+        seen.clear()
+        x = _newton_invert(fn, 2.0, -4.0, 4.0, 1e-10, start=start)
+        assert 1.0 <= x <= 1.0 + 1e-10 and seen[0] == start and 4.0 not in seen, (start, x)
+        assert len(seen) <= 12, (start, seen)
+    assert _newton_invert(fn, -10.0, -2.0, 4.0, 1e-10, start=-2.0) == -2.0
+
+
+def test_invert_evaluates_lo_once_the_bracket_is_inside_tolerance():
+    # no slope and a bracket no wider than abs_tol: the lower end decides, and
+    # the search stops after it instead of bisecting to the iteration cap
+    for target, want in ((0.0, 0.0), (1.0, 1e-12)):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return (0.0 if x == 0.0 else 1.0), 0.0
+
+        assert _newton_invert(fn, target, 0.0, 1e-12, 1e-10) == want
+        assert seen == [1e-12, 0.0], seen
+
+
 def test_invert_matches_bisection_reference_on_frontier_round_trips():
     for alpha, eps, target in [(2.0, 1.0, 0.3), (2.0, 1.0, 0.05), (10.0, 0.5, 1.2), (40.0, 3.0, 3.5)]:
         fn = lambda t: gamma_exact(alpha, eps, t).value
