@@ -13,7 +13,9 @@ alpha rho T)}, whose optimized closed form is
 The accountant here applies the conversion of the conversion module at
 every order instead: epsilon = min over alpha in (1, 1/delta] of
 convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
-"closed_form".  Mode "exact" converts through the numeric frontier
+"closed_form", whose minimum over the orders of each piece is the crossing
+of the piece's slope in log(alpha - 1) with 0, found by Newton steps.
+Mode "exact" converts through the numeric frontier
 gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
 by Newton steps from the closed-form answer, each scanning the orders near
@@ -31,13 +33,13 @@ from typing import Iterable, Optional, Sequence
 from .conversion import (
     Branch,
     ConversionResult,
-    _chi_epsilon_piece,
-    _chi_gamma_piece,
+    _chi_epsilon_slopes,
+    _chi_rate_slopes,
     _epsilon_bound,
     _gamma_of_epsilon_bound,
     _gamma_slope,
-    _moment_epsilon_piece,
-    _moment_gamma_piece,
+    _moment_epsilon_slopes,
+    _moment_rate_slopes,
     gamma_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
@@ -178,36 +180,74 @@ def _at_u(objective):
     return lambda u: objective(1.0 + math.exp(u))
 
 
-def _min_over_orders(
-    pieces, objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
-) -> tuple[float, float]:
+def _solve_orders(pieces, objective, delta: float, start: float) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta] an objective that is the smaller of
-    # pieces below alpha = 1/delta.  Its minimum over the open range is the
-    # smallest of the pieces' own minima, so each piece is scanned on its own
-    # in u = log(alpha - 1) at cfg, and objective is evaluated at the winning
-    # piece's order and at the end alpha = 1/delta, where the lower value wins.
-    # Where 1/delta rounds down, so that alpha delta < 1, the end moves up one
-    # float, where the conversions take their alpha delta >= 1 edge values.
-    # Given a centre order, only the window of +-1 around its u is scanned,
-    # and the whole range as well when the window's minimum lies within one
-    # grid step of a window edge that is not also an edge of the range.
+    # pieces below alpha = 1/delta, each given as a function of
+    # u = log(alpha - 1) returning its value and its first and second
+    # derivatives in u.  The minimum over the open range is the smallest of
+    # the pieces' own minima, and each piece's minimum is the crossing of its
+    # slope with 0, found by _newton_invert's bracketed Newton steps from the
+    # order start over _order_range; the order of the smallest value any
+    # step evaluated wins, and is compared with the end, as in _end_order.
+    # A piece still falling at the top of the range loses to the end, where
+    # each conversion's edge value is at most the piece's limit.
     #
-    # cfg's 8 grid points bracket a piece's minimum when the piece is
-    # unimodal in u.  For the moment piece of epsilon_bound at
-    # gamma = rho_T alpha this is proved.  Write L = log(1/delta); since
+    # The crossing is the minimum when the piece is unimodal in u.  For the
+    # moment piece of epsilon_bound at gamma = rho_T alpha this is proved.
+    # Write L = log(1/delta); since
     # log zeta(alpha)/(alpha - 1) = log(1 - 1/alpha) - log(alpha)/(alpha - 1),
     #     eps_g(alpha) = rho_T alpha + log(1 - 1/alpha) + (L - log alpha)/(alpha - 1),
     #     d eps_g / d alpha = rho_T - (L - log alpha)/(alpha - 1)^2.
     # On (1, 1/delta) the numerator L - log alpha is positive and falls, and
     # (alpha - 1)^2 grows, so the slope increases strictly and eps_g is
-    # convex in alpha.  Its clamp at 0 keeps it convex, hence unimodal in
-    # alpha and in the increasing u.  The argument needs only that the total
-    # rate, here rho_T alpha, is convex in alpha.  The chi piece and both
-    # pieces that _largest_rate inverts have no such proof; they are
-    # unimodal as sampled on random inputs over their whole ranges, and
-    # tests/test_gaussian.py keeps sampling them.  Nor has exact mode's
-    # rate, which wiggles at rounding level near alpha = 1; a test holds its
-    # scan of all orders to the minimum of a 256-order sample
+    # convex in alpha; in u its curvature is positive as well (see
+    # conversion._moment_epsilon_slopes), so its slope crosses 0 once.  The
+    # argument needs only that the total rate, here rho_T alpha, is convex in
+    # alpha.  The chi piece and both pieces that _largest_rate inverts have
+    # no such proof; they are unimodal as sampled on random inputs over their
+    # whole ranges, and tests/test_gaussian.py keeps sampling them.  Where a
+    # piece's curvature is not positive, the Newton step bisects instead
+    u_lo, u_hi = _order_range(delta)
+    start = min(max(start, u_lo), u_hi)
+    best, best_u = math.inf, start
+    for piece in pieces:
+
+        def slope(u: float) -> tuple[float, float]:
+            nonlocal best, best_u
+            value, first, second = piece(u)
+            if value < best:
+                best, best_u = value, u
+            return first, second
+
+        _newton_invert(slope, 0.0, u_lo, u_hi, DEFAULT_SEARCH.abs_tol, start=start)
+    return _end_order(1.0 + math.exp(best_u), objective, delta)
+
+
+def _end_order(alpha: float, objective, delta: float) -> tuple[float, float]:
+    # the order alpha or the end alpha = 1/delta, whichever objective puts
+    # lower.  Where 1/delta rounds down, so that alpha delta < 1, the end moves
+    # up one float, where the conversions take their alpha delta >= 1 edge values
+    alpha_end = 1.0 / delta
+    if alpha_end * delta < 1.0 and math.nextafter(alpha_end, math.inf) < math.inf:
+        alpha_end = math.nextafter(alpha_end, math.inf)  # 1/delta rounded down
+    value, v_end = objective(alpha), objective(alpha_end)
+    return (alpha_end, v_end) if v_end < value else (alpha, value)
+
+
+def _min_over_orders(
+    pieces, objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
+) -> tuple[float, float]:
+    # exact mode's order scan: minimize over alpha in (1, 1/delta] an
+    # objective that is the smaller of pieces below alpha = 1/delta, given
+    # as functions of alpha with no derivative.  Each piece is scanned on its
+    # own in u = log(alpha - 1) by minimize_unimodal at cfg, and objective is
+    # evaluated at the winning piece's order and at the end, as in _end_order.
+    # Given a centre order, only the window of +-1 around its u is scanned,
+    # and the whole range as well when the window's minimum lies within one
+    # grid step of a window edge that is not also an edge of the range.
+    # Exact mode's rate has no unimodality proof, and wiggles at rounding
+    # level near alpha = 1; a test holds its scan of all orders to the
+    # minimum of a 256-order sample
     u_lo, u_hi = _order_range(delta)
 
     def scan(lo: float, hi: float) -> float:
@@ -222,11 +262,7 @@ def _min_over_orders(
         step = (hi - lo) / (cfg.coarse_grid - 1)
         if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
             u = scan(u_lo, u_hi)
-    alpha, alpha_end = 1.0 + math.exp(u), 1.0 / delta
-    if alpha_end * delta < 1.0 and math.nextafter(alpha_end, math.inf) < math.inf:
-        alpha_end = math.nextafter(alpha_end, math.inf)  # 1/delta rounded down
-    value, v_end = objective(alpha), objective(alpha_end)
-    return (alpha_end, v_end) if v_end < value else (alpha, value)
+    return _end_order(1.0 + math.exp(u), objective, delta)
 
 
 def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
@@ -236,11 +272,13 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     order, so epsilon is the minimum over alpha in (1, 1/delta] of the
     conversion of that guarantee.  Closed-form mode minimizes
     epsilon_bound(alpha, rho T alpha, delta), which below alpha = 1/delta is
-    the smaller of its moment and chi pieces: each piece is scanned over the
-    orders on its own at DEFAULT_SEARCH, an 8-point grid refined by Brent's
-    steps (the moment piece is convex in alpha, the chi piece unimodal as
-    sampled), and epsilon_bound is evaluated at the lower piece's order and
-    at alpha = 1/delta.  About 57 objective evaluations an answer.
+    the smaller of its moment and chi pieces: each piece's minimum over the
+    orders is the crossing of its slope in u = log(alpha - 1) with 0 (the
+    moment piece is convex in alpha, the chi piece unimodal as sampled),
+    found by bracketed Newton steps from the moments accountant's order with
+    the piece's slope and curvature in closed form, to DEFAULT_SEARCH's
+    tolerance in u; epsilon_bound is evaluated at the lower piece's order and
+    at alpha = 1/delta.  About 9 piece evaluations an answer.
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
@@ -265,8 +303,10 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     rho_T = rho * T
     _check_finite(rho_T, rho_T)
     bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
-    pieces = (lambda a: _moment_epsilon_piece(a, rho_T * a, delta), lambda a: _chi_epsilon_piece(a, rho_T * a, delta))
-    a_closed, _ = _min_over_orders(pieces, lambda a: bound(a)[0], delta, DEFAULT_SEARCH)
+    pieces = (_moment_epsilon_slopes(rho_T, delta), _chi_epsilon_slopes(rho_T, delta))
+    # the solves start at the moments accountant's order, alpha - 1 = sqrt(L / rho_T)
+    start = 0.5 * (math.log(-math.log(delta)) - math.log(rho_T))
+    a_closed, _ = _solve_orders(pieces, lambda a: bound(a)[0], delta, start)
     eps_closed, branch = bound(a_closed)
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
@@ -312,12 +352,20 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # exactly when rho*T*alpha <= gamma_alpha(eps) at some order, where
     # gamma_alpha inverts the conversion at that order.  Below alpha = 1/delta
     # the closed-form gamma_alpha is the larger of the two pieces' inverses,
-    # so -gamma_alpha/alpha is the smaller of two pieces, each scanned on its
-    # own (unimodal as sampled; see _min_over_orders).  Exact mode then scans
+    # so -gamma_alpha/alpha is the smaller of two pieces, each solved on its
+    # own (unimodal as sampled; see _solve_orders).  The solves start at the
+    # moments accountant's order for its largest rate
+    # x = (sqrt(eps + L) - sqrt(L))^2, alpha - 1 = sqrt(L / x), in logs, which
+    # underflow nowhere; but no higher than half a unit below the end: at
+    # large orders the moment piece's slope crosses 0 where
+    # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2.  Exact mode then scans
     # gamma_exact/alpha in the window around the closed-form order
-    pieces = (lambda a: -_moment_gamma_piece(a, epsilon, delta) / a, lambda a: -_chi_gamma_piece(a, epsilon, delta) / a)
+    big_l = -math.log(delta)
+    log_x = 2.0 * (math.log(epsilon) - math.log(math.sqrt(epsilon + big_l) + math.sqrt(big_l)))
+    start = min(0.5 * (math.log(big_l) - log_x), _order_range(delta)[1] - 0.5)
+    pieces = (_moment_rate_slopes(epsilon, delta), _chi_rate_slopes(epsilon, delta))
     neg_rate = lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a
-    alpha, value = _min_over_orders(pieces, neg_rate, delta, DEFAULT_SEARCH)
+    alpha, value = _solve_orders(pieces, neg_rate, delta, start)
     if mode == "closed_form":
         return -value, alpha
     alpha, r = _exact_rate(epsilon, delta, alpha)
@@ -409,9 +457,9 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     closed-form accounted epsilon meets the budget: the maximum over orders
     alpha in (1, 1/delta] of gamma_alpha(eps) / alpha, where gamma_alpha
     inverts epsilon_bound in gamma.  gamma_alpha is the larger of the two
-    pieces' inverses, and each is scanned over the orders on its own on an
-    8-point grid: about 63 objective evaluations an answer.  Every positive
-    budget is feasible.
+    pieces' inverses, and each one's maximum over the orders is found on its
+    own by Newton steps on its slope in log(alpha - 1), as in acct_epsilon:
+    about 14 piece evaluations an answer.  Every positive budget is feasible.
     """
     _check_steps(T)
     _check_budget(epsilon, delta)

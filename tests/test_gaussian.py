@@ -24,7 +24,7 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import minimize_unimodal
+from rdpopt.optimize import ScalarSearchConfig, minimize_unimodal
 
 from conftest import bisect_reference
 
@@ -112,13 +112,14 @@ def test_acct_epsilon_structure():
     assert math.isclose(r.argmin_alpha, 3.851587677837917, rel_tol=1e-6)
 
 
-# closed-form epsilon at the four reference points, frozen from the
-# two-scan implementation this single order scan replaced; the first moved
-# by 2 ulps with Brent's steps, which land on another float of the same flat
-# minimum
+# closed-form epsilon at the four reference points.  The first two are the
+# moment piece's minimum over orders, whose 50-digit values are
+# 8.078359548144446548... and 5.0370343553723645497...; each pin lies within
+# one ulp of it (0.24 ulp below and 0.12 ulp above), where the Newton steps
+# on the piece's slope land.  The last two are frozen from earlier scans
 ACCOUNTANT_POINTS = [
     (rho_gaussian(20.0), 1000.0, 1e-5, 8.078359548144446),
-    (rho_gaussian(20.0), 1000.0, 1e-2, 5.037034355372364),
+    (rho_gaussian(20.0), 1000.0, 1e-2, 5.037034355372365),
     (rho_subsampled(4.0, 1e-3), 1000.0, 1e-5, 0.03485214131951003),
     (rho_gaussian(1.0), 10.0, 1e-5, 19.047259552325183),
 ]
@@ -148,10 +149,10 @@ def _closed_form_inputs(rng: random.Random, n: int, rate_lo: float, rate_hi: flo
 
 
 def test_closed_form_pieces_are_unimodal_in_u():
-    # the closed-form order scans bracket each piece's minimum on 8 grid
-    # points, which holds when the piece is unimodal in u = log(alpha - 1):
-    # proved for the moment piece of epsilon_bound, sampled here for the chi
-    # piece and for the two pieces _largest_rate inverts
+    # the closed-form order solves find each piece's minimum where its slope
+    # crosses 0, which is the minimum when the piece is unimodal in
+    # u = log(alpha - 1): proved for the moment piece of epsilon_bound,
+    # sampled here for the chi piece and for the two pieces _largest_rate inverts
     rng = random.Random(15)
     for rho_T, delta in _closed_form_inputs(rng, 240, 1e-12, 1e3, 1e-30, 0.99):
         eps = _log_uniform(rng, 1e-4, 100.0)
@@ -186,34 +187,151 @@ def test_closed_form_pieces_are_unimodal_in_u():
         assert all(b < a for a, b in zip(tails, tails[1:])), (rho_T, delta)
 
 
-def _count_scan_evaluations(monkeypatch) -> list[int]:
-    evals = [0]
-    real = gaussian.minimize_unimodal
+_ORDER_SLOPES = ("_moment_epsilon_slopes", "_chi_epsilon_slopes", "_moment_rate_slopes", "_chi_rate_slopes")
 
-    def counted(objective, lo, hi, cfg):
-        def counted_objective(u):
-            evals[0] += 1
-            return objective(u)
 
-        return real(counted_objective, lo, hi, cfg)
+def _count_order_evaluations(monkeypatch) -> list[int]:
+    # one count per closed-form order solve: the evaluations of the piece it
+    # takes Newton steps on, appended as the solve builds the piece
+    counts = []
+    for name in _ORDER_SLOPES:
 
-    monkeypatch.setattr(gaussian, "minimize_unimodal", counted)
-    return evals
+        def counted_build(*args, build=getattr(conversion, name)):
+            slopes = build(*args)
+            k = len(counts)
+            counts.append(0)
+
+            def counted(u):
+                counts[k] += 1
+                return slopes(u)
+
+            return counted
+
+        monkeypatch.setattr(gaussian, name, counted_build)
+    return counts
 
 
 def test_closed_form_accountant_takes_few_evaluations(monkeypatch):
-    # each closed-form piece is scanned on 8 grid points and refined by
-    # Brent's steps: about 55 evaluations an answer, where one scan of the
-    # smaller piece on 256 points took about 270
+    # Newton's steps on each piece's slope from the moments accountant's
+    # order: about 9 evaluations an acct_epsilon answer and 14 a
+    # required_variance answer, where the 8-point grid refined by Brent's
+    # steps took about 57 and 63
     inputs = _closed_form_inputs(random.Random(17), 300, 1e-8, 50.0, 1e-12, 0.5)
-    evals = _count_scan_evaluations(monkeypatch)
+    counts = _count_order_evaluations(monkeypatch)
     for rho_T, delta in inputs:
         acct_epsilon(rho_T, 1, delta)
-    assert evals[0] / len(inputs) <= 64.0, evals[0] / len(inputs)
-    evals[0] = 0
+    assert len(counts) == 2 * len(inputs)
+    assert sum(counts) / len(inputs) <= 16.0, sum(counts) / len(inputs)
+    counts.clear()
     for k, (rho_T, delta) in enumerate(inputs):
         required_variance(1, 0.05 * 1.02**k, delta)  # budgets 0.05 to 18
-    assert evals[0] / len(inputs) <= 80.0, evals[0] / len(inputs)
+    assert len(counts) == 2 * len(inputs)
+    assert sum(counts) / len(inputs) <= 24.0, sum(counts) / len(inputs)
+
+
+def _mp_order_pieces(rate_or_eps: float, delta: float) -> dict:
+    # the four closed-form pieces at alpha = 1 + e^u in mpmath, the moment
+    # piece of epsilon_bound unclamped
+    par, d = mpmath.mpf(rate_or_eps), mpmath.mpf(delta)
+    big_l = -mpmath.log(d)
+
+    def moment_eps(u):
+        a = mpmath.exp(u)
+        return par * (1 + a) + mpmath.log1p(-1 / (1 + a)) + (big_l - mpmath.log(1 + a)) / a
+
+    def chi_eps(u):
+        a = mpmath.exp(u)
+        return mpmath.log1p(mpmath.expm1(a * par * (1 + a)) / ((1 + a) * d)) / a
+
+    def moment_rate(u):
+        a = mpmath.exp(u)
+        return -(par - mpmath.log1p(-1 / (1 + a)) - (big_l - mpmath.log(1 + a)) / a) / (1 + a)
+
+    def chi_rate(u):
+        a = mpmath.exp(u)
+        return -mpmath.log1p((1 + a) * d * mpmath.expm1(a * par)) / (a * (1 + a))
+
+    return dict(zip(_ORDER_SLOPES, (moment_eps, chi_eps, moment_rate, chi_rate)))
+
+
+def test_order_slopes_match_mpmath():
+    # value, slope and curvature in u of the four pieces the closed-form order
+    # solves take Newton steps on, against 40-digit derivatives across the
+    # order range, from moderate rates and budgets to 1e+-100 and delta down
+    # to 1e-300.  Each agrees with mpmath to 1e-12 of the larger of the
+    # derivative and the piece's value, or to 1e-300 where those underflow;
+    # orders where a piece overflows are skipped
+    rng = random.Random(24)
+    checked = 0
+    for k in range(60):
+        wide = k % 2
+        par = _log_uniform(rng, 1e-100, 1e100) if wide else _log_uniform(rng, 1e-8, 50.0)
+        delta = _log_uniform(rng, 1e-300 if wide else 1e-30, 0.9)
+        u_lo, u_hi = gaussian._order_range(delta)
+        for name, mp_piece in _mp_order_pieces(par, delta).items():
+            slopes = getattr(conversion, name)(par, delta)
+            for frac in (0.0, 0.3, 0.7, 0.99):
+                u = u_lo + frac * (u_hi - u_lo)
+                got = slopes(u)
+                if not all(math.isfinite(v) for v in got):
+                    continue
+                with mpmath.workdps(40):
+                    x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
+                    value = mp_piece(x)
+                    want = [max(value, 0) if name == "_moment_epsilon_slopes" else value]
+                    want += [mpmath.diff(mp_piece, x, n) for n in (1, 2)]
+                    scale = abs(value)
+                for n, (g, w) in enumerate(zip(got, want)):
+                    assert abs(g - w) <= 1e-12 * max(abs(w), scale) + 1e-300, (name, par, delta, u, n, g, float(w))
+                checked += 1
+    assert checked >= 800, checked
+
+
+def _unimodal_scan(pieces, objective, delta: float) -> tuple[float, float]:
+    # the reference: the order scan the closed-form Newton solves replaced.
+    # Each piece, a function of alpha, is scanned over u = log(alpha - 1) by
+    # minimize_unimodal (8 grid points refined by Brent's steps), and the
+    # objective at the lowest piece's order is compared with its value at
+    # alpha = 1/delta, stepped up one float where 1/delta rounds down
+    u_lo, u_hi = gaussian._order_range(delta)
+    scans = [minimize_unimodal(lambda u, f=f: f(1.0 + math.exp(u)), u_lo, u_hi) for f in pieces]
+    alpha = 1.0 + math.exp(min(scans, key=lambda r: r[1])[0])
+    alpha_end = 1.0 / delta
+    if alpha_end * delta < 1.0 and math.nextafter(alpha_end, math.inf) < math.inf:
+        alpha_end = math.nextafter(alpha_end, math.inf)
+    return min((objective(alpha), alpha), (objective(alpha_end), alpha_end))
+
+
+def test_order_solves_are_no_worse_than_the_unimodal_scan(monkeypatch):
+    # on the seeded inputs and on 20 000 extreme ones (total rate and budget
+    # log-uniform in [1e-300, 1e300], delta in [1e-300, 0.999]), every
+    # closed-form epsilon is finite and at most the reference scan's, and
+    # every largest rate at least its, to 1e-13 relative.  No solve comes near
+    # the iteration cap: the most evaluations any solve takes here is 46, by
+    # bisection where a piece's value and slope underflow to 0, and the mean
+    # is 5.7
+    rng = random.Random(24)
+    inputs = [(rho_T, _log_uniform(rng, 1e-4, 100.0), delta) for rho_T, delta in _closed_form_inputs(rng, 300, 1e-8, 50.0, 1e-30, 0.9)]
+    for _ in range(20000):
+        inputs.append((_log_uniform(rng, 1e-300, 1e300), _log_uniform(rng, 1e-300, 1e300), _log_uniform(rng, 1e-300, 0.999)))
+    counts = _count_order_evaluations(monkeypatch)
+    for rho_T, eps, delta in inputs:
+        r = acct_epsilon(rho_T, 1, delta)
+        want, _ = _unimodal_scan(
+            (lambda a: conversion._moment_epsilon_piece(a, rho_T * a, delta), lambda a: conversion._chi_epsilon_piece(a, rho_T * a, delta)),
+            lambda a: conversion._epsilon_bound(a, rho_T * a, delta)[0],
+            delta,
+        )
+        assert math.isfinite(r.epsilon) and r.epsilon <= want * (1.0 + 1e-13), (rho_T, delta, r.epsilon, want)
+        rate, _ = gaussian._largest_rate(eps, delta, "closed_form")
+        neg_rate, _ = _unimodal_scan(
+            (lambda a: -conversion._moment_gamma_piece(a, eps, delta) / a, lambda a: -conversion._chi_gamma_piece(a, eps, delta) / a),
+            lambda a: -conversion._gamma_of_epsilon_bound(a, eps, delta) / a,
+            delta,
+        )
+        assert rate >= -neg_rate * (1.0 - 1e-13), (eps, delta, rate, -neg_rate)
+    assert len(counts) == 4 * len(inputs)
+    assert max(counts) <= 60 < ScalarSearchConfig.max_iters, max(counts)
 
 
 def test_closed_form_answers_are_no_worse_than_a_fine_order_grid():
@@ -395,8 +513,8 @@ def test_order_window_follows_the_last_winning_order(monkeypatch):
     for rho, T, delta in inputs:
         scans.clear()
         acct_epsilon(rho, T, delta, "exact")
-        # the closed-form start scans its two pieces over all orders, and the steps at most once more
-        assert scans.count(gaussian._order_range(delta)) <= 3, (rho, T, delta, scans)
+        # the closed-form start solves for its order without a scan, and the steps scan all orders at most once
+        assert scans.count(gaussian._order_range(delta)) <= 1, (rho, T, delta, scans)
 
 
 def test_end_order_takes_the_edge_value(monkeypatch):
