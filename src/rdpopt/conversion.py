@@ -124,10 +124,12 @@ def gamma_exact(
     steps from p = alpha * delta find the root of dF/dt there, with
     bisection wherever a step would leave the bracket: 1 to about 45
     objective evaluations a solve, 14 on average over orders up to 300 and
-    deltas down to 1e-30.  The value is the smallest F evaluated.  The
-    interior minimum is compared against the p -> 1 boundary value
-    eps - log(1 - delta), which is the true infimum whenever
-    alpha * delta >= 1; no search runs there.
+    deltas down to 1e-30.  The value is the smallest F evaluated; for
+    1e-12 <= alpha - 1 < 1 each F is taken exact to rounding relative to
+    itself, since gamma = eps + F/(alpha - 1) divides F's rounding by
+    alpha - 1 (see _objective_near_one).  The interior minimum is compared
+    against the p -> 1 boundary value eps - log(1 - delta), which is the
+    true infimum whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
     if delta == 0.0:
@@ -152,10 +154,13 @@ def gamma_exact(
         t_lo = t_hi - 1.0
     slopes = _objective_slopes(alpha, epsilon, delta)
     m_interior, t = math.inf, t_hi
+    near_one = alpha < 2.0  # where _objective_near_one can change a value
 
     def slope(x: float) -> tuple[float, float]:
         nonlocal m_interior, t
         value, first, second = slopes(x)
+        if near_one:
+            value = _objective_near_one(alpha, epsilon, delta, x, value)
         if value < m_interior:
             m_interior, t = value, x
         return first, second
@@ -169,7 +174,33 @@ def gamma_exact(
     return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p)
 
 
-def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
+def _objective_near_one(alpha: float, epsilon: float, delta: float, t: float, value: float) -> float:
+    # the objective at t, given as value, the log-sum of _objective, made exact
+    # to rounding relative to itself for 1e-12 <= alpha - 1 < 1.  The log-sum
+    # rounds to about 1e-16 absolute, which gamma = eps + m/(alpha - 1) divides
+    # by alpha - 1, so that near alpha = 1 gamma would wiggle by far more than
+    # its own rounding.  Both atoms' logs are linear in alpha: with
+    # a = alpha - 1, head = log p + a H and tail = log(1 - p) + a T, where
+    # H = log1p(delta/s) is at most log1p(1/a) on the search's range and
+    # T = log((1 - p)/(e^eps - s)) < 0.  So the objective is log1p(X),
+    # X = p expm1(a H) + (1 - p) expm1(a T), whose two terms lie in [0, 1) and
+    # (-1, 0], and X keeps its digits as a -> 0.  Where X <= -1/2 the
+    # objective is at least log 2 in size, and value is as good.  Below
+    # a = 1e-12 the objective's slope in t, of size a, is lost in its own
+    # rounding, so no search places the argmin; value stays, noise as it is
+    a = alpha - 1.0
+    if not 1e-12 <= a < 1.0:
+        return value
+    s = math.exp(t)
+    keep = 1.0 - delta
+    x = (delta + s) * math.expm1(a * math.log1p(delta / s))
+    if s < keep:  # at s = 1 - delta the tail atom vanishes
+        t_alpha = math.log1p(-delta) + math.log1p(-s / keep) - epsilon - math.log1p(-s * math.exp(-epsilon))
+        x += (keep - s) * math.expm1(a * t_alpha)
+    return math.log1p(x) if x > -0.5 else value
+
+
+def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, ...]]:
     # the objective F of _objective at t, with dF/dt and d2F/dt2, from its
     # parts in ratios bounded by the search range.  With s = e^t, p = delta + s,
     # r = s/p and q = delta/p, the head atom's log has slope
@@ -181,15 +212,22 @@ def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[f
     # b = (alpha - 1) v - alpha u and curvature b + (alpha - 1) v^2 - alpha u^2.
     # With the tail's share w, F' = a + w (b - a) and
     # F'' = (1 - w) alpha r q + w (b + (alpha - 1) v^2 - alpha u^2) + w (1 - w) (a - b)^2.
-    # A vanished tail (w = 0) adds nothing
+    # A vanished tail (w = 0) adds nothing.
+    #
+    # With orders=True it also returns F's derivatives in alpha at t.  Both
+    # atoms' logs are linear in alpha, with slopes H = log1p(delta/s) = -log r
+    # and T = log(1 - p) - log_rest = (tail - log_rest)/alpha, so with
+    # d = T - H, F_alpha = H + w d and F_alpha_alpha = w (1 - w) d^2; and
+    # H_t = -q, T_t = v - u and w_t = w (1 - w)(b - a) give
+    # F_alpha_t = -q (1 - w) + w (v - u) + w (1 - w) d (b - a)
     exp = math.exp
     objective = _objective(alpha, epsilon, delta)
     exp_neg_eps = exp(-epsilon)
     keep = 1.0 - delta
     log_delta = math.log(delta)
 
-    def slopes(t: float) -> tuple[float, float, float]:
-        value, tail, _ = objective(t, parts=True)
+    def slopes(t: float, orders: bool = False) -> tuple[float, ...]:
+        value, tail, log_rest = objective(t, parts=True)
         x = t - log_delta
         e = exp(-abs(x))
         k = 1.0 / (1.0 + e)
@@ -205,7 +243,14 @@ def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[f
             gap = b - a
             first += w * gap
             second = (1.0 - w) * second + w * (b + (alpha - 1.0) * v * v - alpha * u * u) + w * (1.0 - w) * gap * gap
-        return value, first, second
+        if not orders:
+            return value, first, second
+        h = -math.log(r)
+        if not w > 0.0:
+            return value, first, second, h, -q, 0.0
+        d = (tail - log_rest) / alpha - h
+        mix = w * (1.0 - w) * d
+        return value, first, second, h + w * d, -q * (1.0 - w) + w * (v - u) + mix * gap, mix * d
 
     return slopes
 
@@ -369,6 +414,31 @@ def _gamma_delta_slope(alpha: float, epsilon: float, delta: float, argmin_p: Opt
     return -math.expm1(log_w) / (argmin_p - delta) - math.exp(log_w - log_rest)
 
 
+def _gamma_order_slopes(alpha: float, epsilon: float, delta: float, result: ConversionResult) -> tuple[float, float]:
+    # d gamma_exact / d alpha and d2 gamma_exact / d alpha2 at the argmin_p it
+    # reports.  gamma = eps + m/(alpha - 1) for the minimum m of the objective
+    # F over t; by the envelope theorem m' = F_alpha at the argmin, and by the
+    # implicit-function theorem m'' = F_alpha_alpha - F_alpha_t^2 / F_tt
+    # (_objective_slopes gives all five).  The solve stops up to its
+    # tolerance from the argmin, so m' is taken one Newton step on, at
+    # F_alpha - F_alpha_t F_t / F_tt, which leaves an error of the step's
+    # square.  With a = alpha - 1 and X = m' - m/a = a gamma', bounded where
+    # gamma is,
+    #     gamma' = X/a,  gamma'' = (m'' - 2 X/a)/a.
+    # The edge value eps - log(1 - delta) (argmin_p None) does not move with alpha
+    if result.argmin_p is None:
+        return 0.0, 0.0
+    t = math.log(result.argmin_p - delta)
+    m, f_t, f_tt, f_a, f_at, f_aa = _objective_slopes(alpha, epsilon, delta)(t, orders=True)
+    m = _objective_near_one(alpha, epsilon, delta, t, m)
+    if f_tt > 0.0:
+        f_a -= f_at * f_t / f_tt
+        f_aa -= f_at * f_at / f_tt
+    a = alpha - 1.0
+    x = f_a - m / a
+    return x / a, (f_aa - 2.0 * x / a) / a
+
+
 def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:
     """Closed-form upper bound on the optimal epsilon; exact when alpha*delta >= 1.
 
@@ -493,16 +563,26 @@ def _moment_rate_slopes(epsilon: float, delta: float) -> Callable[[float], tuple
     # R = log(1/delta) - log(alpha), the inverse piece is
     # G = eps - log(w) - R/a = -alpha Q, and
     #     Q' = (w (eps - log w) - R (1/a + 1/alpha))/alpha,
-    #     Q'' = ((1 + 2R)/alpha + R/a - Q w (1 - a))/alpha
+    #     Q'' = ((1 + 2R)/alpha + R/a - Q w (1 - a))/alpha.
+    # Near the end order, where R vanishes, the terms of that sum cancel from
+    # about 1/alpha^2 down to about 2.5/alpha^3, which rounding lost, so Q''
+    # is summed in terms that keep their sign: with
+    # k = 1 + a log w = 1 - a log1p(1/a) in (0, 1),
+    #     Q'' = (R (1/(a alpha) + 3/alpha + 4w) + (2 - k + a k)/alpha)/alpha^2
+    #           + eps w ((1 - a)/alpha)/alpha,
+    # where k, about 1/(2a), is a series in 1/a past a = 1e5
     big_l = -math.log(delta)
 
     def slopes(u: float) -> tuple[float, float, float]:
         alpha = 1.0 + math.exp(u)
         a = alpha - 1.0
         value = -_moment_gamma_piece(alpha, epsilon, delta) / alpha
-        w, r = a / alpha, big_l - math.log(alpha)
-        first = (w * (epsilon - math.log1p(-1.0 / alpha)) - r * (1.0 / a + 1.0 / alpha)) / alpha
-        return value, first, ((1.0 + 2.0 * r) / alpha + r / a - value * w * (1.0 - a)) / alpha
+        w, r, log_w = a / alpha, big_l - math.log(alpha), math.log1p(-1.0 / alpha)
+        first = (w * (epsilon - log_w) - r * (1.0 / a + 1.0 / alpha)) / alpha
+        x = 1.0 / a
+        k = x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)) if a > 1e5 else 1.0 + a * log_w
+        second = (r * (x / alpha + 3.0 / alpha + 4.0 * w) + (2.0 - k + a * k) / alpha) / alpha / alpha
+        return value, first, second + epsilon * w * ((1.0 - a) / alpha) / alpha
 
     return slopes
 
@@ -519,21 +599,32 @@ def _chi_rate_slopes(epsilon: float, delta: float) -> Callable[[float], tuple[fl
     #     Q' = (h (1 + w) - m'/a)/alpha,
     #     Q'' = (2 (m'/a)(1 + w) + h w/alpha - h (1 + w)^2 - m''/a)/alpha,
     #     m''/a = t/alpha^2 + w (1 - t) m'/a + eps v (1 + w + x (1 - v) - w t),
-    # where x (1 - v) = x e^-x (1 - c)/den vanishes as x overflows
+    # where x (1 - v) = x e^-x (1 - c)/den vanishes as x overflows.  Where
+    # c x is tiny, h, t and v all carry the factor c and underflow with it,
+    # so both derivatives are returned divided by v > 0, which moves neither
+    # the root nor the Newton step: t/v = 1 - e^-x, and for x < 700,
+    # h/v = m den/(a c) = (1 - e^-x)(1 + y) log1p(y)/(a y) with y = c expm1(x)
     def slopes(u: float) -> tuple[float, float, float]:
         alpha = 1.0 + math.exp(u)
         a = alpha - 1.0
         h = _chi_gamma_piece(alpha, epsilon, delta)
         x, c = a * epsilon, alpha * delta
         e = math.exp(-x)
+        share = -math.expm1(-x)
         den = e * (1.0 - c) + c
-        t, v = -math.expm1(-x) * c / den, c / den
+        v = c / den
+        t = share * v
         w = a / alpha
-        dm = t / alpha + epsilon * v  # m'/a
+        if x < 700.0:
+            y = c * math.expm1(x)
+            h_v = share * (1.0 + y) * (math.log1p(y) / y if y > 0.0 else 1.0) / a
+        else:
+            h_v = h * (den / c)
+        dm_v = share / alpha + epsilon  # m'/(a v)
         x_rest = x * e * (1.0 - c) / den if e > 0.0 else 0.0
-        d2m = t / (alpha * alpha) + w * (1.0 - t) * dm + epsilon * v * (1.0 + w + x_rest - w * t)  # m''/a
-        first = (h * (1.0 + w) - dm) / alpha
-        second = (2.0 * dm * (1.0 + w) + h * w / alpha - h * (1.0 + w) ** 2 - d2m) / alpha
+        d2m_v = share / (alpha * alpha) + w * (1.0 - t) * dm_v + epsilon * (1.0 + w + x_rest - w * t)  # m''/(a v)
+        first = (h_v * (1.0 + w) - dm_v) / alpha
+        second = (2.0 * dm_v * (1.0 + w) + h_v * w / alpha - h_v * (1.0 + w) ** 2 - d2m_v) / alpha
         return -h / alpha, first, second
 
     return slopes

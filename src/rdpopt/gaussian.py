@@ -18,8 +18,10 @@ of the piece's slope in log(alpha - 1) with 0, found by Newton steps.
 Mode "exact" converts through the numeric frontier
 gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
-by Newton steps from the closed-form answer, each scanning the orders near
-the order the step before won, the first near the closed-form argmin.
+by Newton steps from the closed-form answer.  Each step finds that maximum
+by the same order solve, Newton steps on the rate's slope in log(alpha - 1)
+(conversion._gamma_order_slopes), from the order the step before won, the
+first from the closed-form argmin.
 """
 
 from __future__ import annotations
@@ -37,23 +39,21 @@ from .conversion import (
     _chi_rate_slopes,
     _epsilon_bound,
     _gamma_of_epsilon_bound,
+    _gamma_order_slopes,
     _gamma_slope,
     _moment_epsilon_slopes,
     _moment_rate_slopes,
     gamma_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, minimize_unimodal
+from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert
 
 MODES = ("closed_form", "exact")
 
-# exact mode's order scan and the gamma_exact solve at each order it visits:
-# every order costs a frontier search, so both run coarser than DEFAULT_SEARCH.
-# The scan refines its order to 1e-6 in log(alpha - 1), on a window of +-1
-# around a given order and on all orders only as a fallback.  Each solve
-# takes gamma_exact's Newton steps on the frontier objective's slope, which
-# the objective's convexity makes cross 0 once, and stops at 1e-9
-_EXACT_ORDERS = ScalarSearchConfig(abs_tol=1e-6)
+# the gamma_exact solve at each order exact mode's order solve visits: every
+# order costs a frontier search, so it runs coarser than DEFAULT_SEARCH.  Each
+# solve takes gamma_exact's Newton steps on the frontier objective's slope,
+# which the objective's convexity makes cross 0 once, and stops at 1e-9
 _EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9)
 
 
@@ -176,21 +176,19 @@ def _order_range(delta: float) -> tuple[float, float]:
     return max(min(math.log(1e-6), u_hi - 1.0), -36.5), u_hi
 
 
-def _at_u(objective):
-    return lambda u: objective(1.0 + math.exp(u))
-
-
-def _solve_orders(pieces, objective, delta: float, start: float) -> tuple[float, float]:
+def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DEFAULT_SEARCH.abs_tol) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta] an objective that is the smaller of
     # pieces below alpha = 1/delta, each given as a function of
     # u = log(alpha - 1) returning its value and its first and second
     # derivatives in u.  The minimum over the open range is the smallest of
     # the pieces' own minima, and each piece's minimum is the crossing of its
     # slope with 0, found by _newton_invert's bracketed Newton steps from the
-    # order start over _order_range; the order of the smallest value any
-    # step evaluated wins, and is compared with the end, as in _end_order.
-    # A piece still falling at the top of the range loses to the end, where
-    # each conversion's edge value is at most the piece's limit.
+    # order start over _order_range, to tol in u; the order of the smallest
+    # value any step evaluated wins, and is compared with the end, as in
+    # _end_order.  A piece still falling at the top of the range loses to the
+    # end, where each conversion's edge value is at most the piece's limit.
+    # This is the one order solve: the closed forms' pieces, and exact mode's
+    # single piece -gamma_exact/alpha (_exact_rate).
     #
     # The crossing is the minimum when the piece is unimodal in u.  For the
     # moment piece of epsilon_bound at gamma = rho_T alpha this is proved.
@@ -203,9 +201,10 @@ def _solve_orders(pieces, objective, delta: float, start: float) -> tuple[float,
     # convex in alpha; in u its curvature is positive as well (see
     # conversion._moment_epsilon_slopes), so its slope crosses 0 once.  The
     # argument needs only that the total rate, here rho_T alpha, is convex in
-    # alpha.  The chi piece and both pieces that _largest_rate inverts have
-    # no such proof; they are unimodal as sampled on random inputs over their
-    # whole ranges, and tests/test_gaussian.py keeps sampling them.  Where a
+    # alpha.  The chi piece, both pieces that _largest_rate inverts and exact
+    # mode's rate have no such proof; they are unimodal as sampled on random
+    # inputs over their whole ranges, and tests/test_gaussian.py keeps
+    # sampling them, exact mode's rate against a 256-order sample.  Where a
     # piece's curvature is not positive, the Newton step bisects instead
     u_lo, u_hi = _order_range(delta)
     start = min(max(start, u_lo), u_hi)
@@ -219,7 +218,7 @@ def _solve_orders(pieces, objective, delta: float, start: float) -> tuple[float,
                 best, best_u = value, u
             return first, second
 
-        _newton_invert(slope, 0.0, u_lo, u_hi, DEFAULT_SEARCH.abs_tol, start=start)
+        _newton_invert(slope, 0.0, u_lo, u_hi, tol, start=start)
     return _end_order(1.0 + math.exp(best_u), objective, delta)
 
 
@@ -232,37 +231,6 @@ def _end_order(alpha: float, objective, delta: float) -> tuple[float, float]:
         alpha_end = math.nextafter(alpha_end, math.inf)  # 1/delta rounded down
     value, v_end = objective(alpha), objective(alpha_end)
     return (alpha_end, v_end) if v_end < value else (alpha, value)
-
-
-def _min_over_orders(
-    pieces, objective, delta: float, cfg: ScalarSearchConfig, centre: Optional[float] = None
-) -> tuple[float, float]:
-    # exact mode's order scan: minimize over alpha in (1, 1/delta] an
-    # objective that is the smaller of pieces below alpha = 1/delta, given
-    # as functions of alpha with no derivative.  Each piece is scanned on its
-    # own in u = log(alpha - 1) by minimize_unimodal at cfg, and objective is
-    # evaluated at the winning piece's order and at the end, as in _end_order.
-    # Given a centre order, only the window of +-1 around its u is scanned,
-    # and the whole range as well when the window's minimum lies within one
-    # grid step of a window edge that is not also an edge of the range.
-    # Exact mode's rate has no unimodality proof, and wiggles at rounding
-    # level near alpha = 1; a test holds its scan of all orders to the
-    # minimum of a 256-order sample
-    u_lo, u_hi = _order_range(delta)
-
-    def scan(lo: float, hi: float) -> float:
-        return min((minimize_unimodal(_at_u(piece), lo, hi, cfg) for piece in pieces), key=lambda r: r[1])[0]
-
-    if centre is None:
-        u = scan(u_lo, u_hi)
-    else:
-        u_c = min(max(math.log(centre - 1.0), u_lo), u_hi)
-        lo, hi = max(u_c - 1.0, u_lo), min(u_c + 1.0, u_hi)
-        u = scan(lo, hi)
-        step = (hi - lo) / (cfg.coarse_grid - 1)
-        if (lo > u_lo and u - lo <= step) or (hi < u_hi and hi - u <= step):
-            u = scan(u_lo, u_hi)
-    return _end_order(1.0 + math.exp(u), objective, delta)
 
 
 def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
@@ -282,19 +250,20 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
-    rho T alpha at some order.  Each step scans the orders of
-    gamma_exact / alpha (to 1e-6, each solve to 1e-9), and the step itself is
-    Newton's, with the slope in epsilon from the envelope theorem at the
-    winning order and p.  A margin at any order certifies epsilon, so the
-    scan is local: a window of +-1 in log(alpha - 1) around the order the
-    step before won (the closed-form argmin for the first step), plus
-    alpha = 1/delta, and all orders only when the window's minimum lies at
-    one of its inner edges; a window that misses the optimum therefore falls
-    back once an answer, not on every step.  The steps start at the
-    closed-form answer, so exact mode is never worse than closed-form mode,
-    and end, usually after two or three scans of about 17 frontier solves
-    each, at an epsilon that gamma_exact certifies at the reported order,
-    within 1e-10 of the crossing.
+    rho T alpha at some order.  Each step maximizes gamma_exact / alpha over
+    the orders, and the step itself is Newton's, with the slope in epsilon
+    from the envelope theorem at the winning order and p.  The maximum is
+    the crossing of the rate's slope in log(alpha - 1) with 0, found by
+    bracketed Newton steps (to 1e-6, each frontier solve to 1e-9) with the
+    slope and curvature from the envelope and implicit-function theorems at
+    the frontier's argmin, from the order the step before won (the
+    closed-form argmin for the first step), then compared with
+    alpha = 1/delta.  A margin at any order certifies epsilon, so a solve
+    that misses the maximum costs tightness, not soundness.  The steps start
+    at the closed-form answer, so exact mode is never worse than closed-form
+    mode, and end, usually after two or three order solves of one to four
+    frontier solves each (about 5 an answer), at an epsilon that gamma_exact
+    certifies at the reported order, within 1e-10 of the crossing.
     """
     _check_positive(rho, "rho")
     _check_steps(T)
@@ -332,17 +301,40 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
 
 
 def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult]:
-    # the order maximizing gamma_exact(alpha, eps, delta) / alpha, scanned in
-    # the window around the order centre, and the frontier solve there.  Any
-    # order gives a sound rate, so the window costs only tightness
+    # the order maximizing gamma_exact(alpha, eps, delta) / alpha, solved from
+    # the order centre, and the frontier solve there, one per order the solve
+    # visits.  Any order gives a sound rate, so the solve costs only
+    # tightness if it misses the maximum.  The piece is f = -gamma/alpha in
+    # u = log(alpha - 1): with a = alpha - 1, c = a/alpha and gamma_u = a gamma',
+    # gamma_uu = a gamma' + a^2 gamma'' from conversion._gamma_order_slopes,
+    #     f' = (gamma c - gamma_u)/alpha,
+    #     f'' = -c (a gamma'') + (gamma_u (2c - 1) + gamma c (1 - a)/alpha)/alpha,
+    # in ratios that stay bounded at every order (gamma/alpha^3 overflows at
+    # alpha = 1/delta for delta below about 2e-103).  The solve stops at 1e-6
+    # in u rather than DEFAULT_SEARCH's 1e-10: the slope carries
+    # gamma_exact's rounding, which the curvature divides into steps of about
+    # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5
     solves: dict[float, ConversionResult] = {}
 
-    def neg_rate(alpha: float) -> float:
-        if alpha not in solves:  # the scan evaluates its winning order a second time
+    def solve(alpha: float) -> ConversionResult:
+        if alpha not in solves:  # _end_order evaluates the winning order a second time
             solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
-        return -solves[alpha].value / alpha
+        return solves[alpha]
 
-    alpha, _ = _min_over_orders((neg_rate,), neg_rate, delta, _EXACT_ORDERS, centre)
+    def neg_rate(alpha: float) -> float:
+        return -solve(alpha).value / alpha
+
+    def piece(u: float) -> tuple[float, float, float]:
+        alpha = 1.0 + math.exp(u)
+        a = alpha - 1.0
+        r = solve(alpha)
+        slope, curvature = _gamma_order_slopes(alpha, epsilon, delta, r)
+        c, gamma_u = a / alpha, a * slope
+        first = (r.value * c - gamma_u) / alpha
+        second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + r.value * c * (1.0 - a) / alpha) / alpha
+        return -r.value / alpha, first, second
+
+    alpha, _ = _solve_orders((piece,), neg_rate, delta, math.log(centre - 1.0), 1e-6)
     return alpha, solves[alpha]
 
 
@@ -358,8 +350,8 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # x = (sqrt(eps + L) - sqrt(L))^2, alpha - 1 = sqrt(L / x), in logs, which
     # underflow nowhere; but no higher than half a unit below the end: at
     # large orders the moment piece's slope crosses 0 where
-    # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2.  Exact mode then scans
-    # gamma_exact/alpha in the window around the closed-form order
+    # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2.  Exact mode then
+    # solves for the order maximizing gamma_exact/alpha from the closed-form order
     big_l = -math.log(delta)
     log_x = 2.0 * (math.log(epsilon) - math.log(math.sqrt(epsilon + big_l) + math.sqrt(big_l)))
     start = min(0.5 * (math.log(big_l) - log_x), _order_range(delta)[1] - 0.5)

@@ -2,32 +2,32 @@
 
 Every quantity in this package reduces to a one-dimensional minimization
 over an open interval, or to inverting a monotone map built from such a
-minimization.  minimize_unimodal serves exact mode's scans over the order,
-whose objective, gamma_exact at each order, has no derivative; its contract
-is an objective unimodal on the interval.  A coarse scan of 8 points
-brackets the minimizer first: the best grid point and its two neighbours
-bracket the minimum of such an objective, so a larger grid buys nothing,
-and every scan takes 8 points.  The exact accountant's rate has no
-unimodality proof; its scan of all orders is tested against a 256-order
-sample.  Brent's method (R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973) then refines the bracket: parabolic steps through the
-three best points, with a golden-section step wherever a parabola would
-leave the bracket or stall, so an objective smooth at its minimum takes a
-handful of steps.
-Inversion takes the map's slope with its value (for a minimum, from the
-envelope theorem) and runs Newton steps from a start in a bracket whose
-upper end is trusted, keeping a bracket around the crossing and falling
-back to bisection whenever a step leaves the bracket or fails to halve
-the step before it.  The frontier of conversion.gamma_exact is minimized
-by the same inversion, as the crossing of its objective's slope with 0:
-that objective is the log of a sum of two convex perspectives (see there),
-so its slope crosses 0 once.  So are the closed-form accountant's minima
-over the order (see gaussian._solve_orders): each piece of the
+minimization.  Inversion takes the map's slope with its value (for a
+minimum, from the envelope theorem) and runs Newton steps from a start in
+a bracket whose upper end is trusted, keeping a bracket around the
+crossing and falling back to bisection whenever a step leaves the bracket
+or fails to halve the step before it.  Every minimum is found by the same
+inversion, as the crossing of the objective's slope with 0.  The frontier
+of conversion.gamma_exact: its objective is the log of a sum of two convex
+perspectives (see there), so its slope crosses 0 once.  The accountant's
+minima over the order (see gaussian._solve_orders): each piece of the
 closed-form conversion, and each piece it inverts for a budget, comes with
-its slope and curvature in log(alpha - 1).  The moment piece is proved
-convex in the order; the others are unimodal only as sampled: on
-thousands of random inputs none rises before its sampled minimum or falls
-after it beyond rounding.
+its slope and curvature in log(alpha - 1), and so does exact mode's rate
+gamma_exact/alpha, from the envelope and implicit-function theorems at the
+frontier's argmin.  The closed-form moment piece is proved convex in the
+order; the others are unimodal only as sampled: on thousands of random
+inputs none rises before its sampled minimum or falls after it beyond
+rounding.
+
+minimize_unimodal needs no derivative: its contract is an objective
+unimodal on the interval.  No library path calls it; the tests keep it as
+the reference minimizer that the Newton solves replaced.  A coarse scan of
+8 points brackets the minimizer first: the best grid point and its two
+neighbours bracket the minimum of such an objective.  Brent's method
+(R. P. Brent, Algorithms for Minimization without Derivatives, 1973) then
+refines the bracket: parabolic steps through the three best points, with a
+golden-section step wherever a parabola would leave the bracket or stall,
+so an objective smooth at its minimum takes a handful of steps.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class ScalarSearchConfig:
     Newton step or its bracket is no wider.  The argument is whatever the
     caller searches in: log(p - delta) for the frontier in gamma_exact, so
     there abs_tol is a relative tolerance on p - delta, and log(alpha - 1)
-    for the accountant's order scans and order solves.  The grid size of
-    the scans and the iteration cap are the same for every search.
+    for the accountant's order solves.  The grid size of minimize_unimodal's
+    scans and the iteration cap are the same for every search.
     """
 
     abs_tol: float = 1e-10

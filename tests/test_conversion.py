@@ -14,6 +14,7 @@ from rdpopt import conversion, gaussian
 from rdpopt.conversion import (
     _f_lower_bound,
     _gamma_delta_slope,
+    _gamma_order_slopes,
     _gamma_slope,
     _objective,
     balle_epsilon,
@@ -328,6 +329,19 @@ def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
             assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, cfg, got - want)
 
 
+def test_gamma_exact_keeps_its_digits_near_order_one():
+    # gamma = eps + m/(alpha - 1): the objective's log-sum rounds to about
+    # 1e-16 absolute, which put errors of 1e-10 relative into gamma at
+    # alpha - 1 = 1e-6 and 1e-8 at 1e-8; the objective exact to rounding
+    # relative to itself leaves a few dozen ulps of eps or gamma
+    for a in (1e-8, 1e-6, 1e-4, 1e-2, 0.5):
+        for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.05, 0.2), (0.5, 1e-3), (3.0, 0.3)]:
+            want = float(_mpmath_gamma(1.0 + a, eps, delta))
+            for cfg in (DEFAULT_SEARCH, gaussian._EXACT_INNER):
+                got = gamma_exact(1.0 + a, eps, delta, cfg).value
+                assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, cfg, got - want)
+
+
 def _count_objective_evaluations(monkeypatch):
     # counts every evaluation of the frontier objective that gamma_exact builds
     evals = [0]
@@ -429,6 +443,57 @@ def test_objective_slopes_match_mpmath(rng):
             scale = 1e-9 * max(1.0, alpha)
             assert abs(first - want[0]) <= scale * max(1.0, abs(want[0])), (alpha, eps, delta, t, first, want)
             assert abs(second - want[1]) <= scale * max(1.0, abs(want[1])), (alpha, eps, delta, t, second, want)
+
+
+def _mpmath_order_slopes(alpha, eps, delta, t0):
+    # d gamma / d alpha and d2 gamma / d alpha2 to 50 digits: mpmath.diff of
+    # the frontier as a function of alpha, each value minimizing the objective
+    # over t by a bracketed root of its slope near t0, to working precision
+    with mpmath.workdps(50):
+        e, d = mpmath.mpf(eps), mpmath.mpf(delta)
+
+        def frontier(a):
+            def objective(x):
+                s = mpmath.exp(x)
+                return mpmath.log((d + s) ** a * s ** (1 - a) + (1 - d - s) ** a * (mpmath.exp(e) - s) ** (1 - a))
+
+            slope = lambda x: mpmath.diff(objective, x)
+            lo, hi = mpmath.mpf(t0) - mpmath.mpf(1e-3), mpmath.mpf(t0) + mpmath.mpf(1e-3)
+            while slope(lo) > 0:
+                lo -= 2 * (hi - lo)
+            while slope(hi) < 0:
+                hi += 2 * (hi - lo)
+            t = mpmath.findroot(slope, (lo, hi), solver="anderson", verify=False, maxsteps=200)
+            return e + objective(t) / (a - 1)
+
+        x = mpmath.mpf(alpha)
+        return float(mpmath.diff(frontier, x, 1)), float(mpmath.diff(frontier, x, 2))
+
+
+def test_gamma_order_slopes_match_mpmath(rng):
+    # gamma_exact's slope and curvature in the order, at the accountant's kind
+    # of input: eps converts gamma at the order through the closed form, so
+    # that gamma is not lost next to eps.  alpha - 1 from 1e-4 to 300, delta
+    # down to 1e-30; the curvature's rounding grows as 1/(alpha - 1)^2
+    checked = 0
+    while checked < 40:
+        alpha = 1.0 + 10.0 ** rng.uniform(-4.0, math.log10(300.0))
+        gamma, delta = 10.0 ** rng.uniform(-3.0, math.log10(30.0)), 10.0 ** rng.uniform(-30.0, math.log10(0.9))
+        if alpha * delta >= 1.0:
+            continue
+        eps = epsilon_bound(alpha, gamma, delta).value
+        r = gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER)
+        if r.argmin_p is None:
+            continue
+        first, second = _gamma_order_slopes(alpha, eps, delta, r)
+        want = _mpmath_order_slopes(alpha, eps, delta, math.log(r.argmin_p - delta))
+        assert abs(first - want[0]) <= 1e-8 * abs(want[0]), (alpha, eps, delta, first, want)
+        assert abs(second - want[1]) <= 1e-5 * abs(want[1]), (alpha, eps, delta, second, want)
+        checked += 1
+    # the edge value eps - log(1 - delta), at alpha delta >= 1 and where it wins below
+    for alpha, eps, delta in [(4.0, 1.0, 0.25), (300.0, 2.0, 0.5), (1.000686631040069, 0.20955171347632695, 0.9806522240933073)]:
+        r = gamma_exact(alpha, eps, delta)
+        assert r.argmin_p is None and _gamma_order_slopes(alpha, eps, delta, r) == (0.0, 0.0)
 
 
 def test_gamma_exact_argmin_stays_inside_the_interval():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -254,13 +255,55 @@ def _mp_order_pieces(rate_or_eps: float, delta: float) -> dict:
     return dict(zip(_ORDER_SLOPES, (moment_eps, chi_eps, moment_rate, chi_rate)))
 
 
+def _chi_rate_factor(u, eps: float, delta: float):
+    # 1/v = den/(alpha delta), den = e^-x (1 - alpha delta) + alpha delta, x = a eps, in mpmath
+    a = mpmath.exp(u)
+    c = (1 + a) * mpmath.mpf(delta)
+    return (mpmath.exp(-a * mpmath.mpf(eps)) * (1 - c) + c) / c
+
+
+def test_rate_slopes_keep_their_digits_where_they_cancel_or_underflow():
+    # the moment rate piece's curvature cancelled to 0.0 near the end order
+    # with a tiny budget, and the chi rate piece's slope and curvature
+    # underflowed to 0.0 with its value wherever eps delta is below about
+    # 1e-300; each now matches a 40-digit derivative to 1e-10 of itself
+    eps, delta = 8.4e-233, 1.86e-30
+    moment = conversion._moment_rate_slopes(eps, delta)
+    u_hi = gaussian._order_range(delta)[1]
+    # at the end order R = log(1/delta) - log(alpha) rounds to 0, as it is at alpha = 1/delta
+    assert -math.log(delta) - math.log(1.0 + math.exp(u_hi)) == 0.0
+    with mpmath.workdps(40):
+        piece = _mp_order_pieces(eps, delta)["_moment_rate_slopes"]
+        want = mpmath.diff(piece, mpmath.log(1 / mpmath.mpf(delta) - 1), 2)
+    assert abs(moment(u_hi)[2] - want) <= 1e-10 * abs(want), (moment(u_hi)[2], float(want))
+    for u in (u_hi - 0.5, u_hi - 5.0):
+        with mpmath.workdps(40):
+            want = mpmath.diff(piece, mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1), 2)
+        assert abs(moment(u)[2] - want) <= 1e-10 * abs(want), (u, moment(u)[2], float(want))
+    # orders near alpha - 1 = 1/eps, where x = (alpha - 1) eps is about 1 and
+    # the rate, about delta/(alpha - 1), underflows
+    for eps, delta in [(1e-10, 1e-300), (1e-50, 1e-270), (1e-3, 1e-307)]:
+        chi = conversion._chi_rate_slopes(eps, delta)
+        for u in (-math.log(eps) - 2.0, -math.log(eps), -math.log(eps) + 2.0):
+            got = chi(u)
+            assert abs(got[0]) < sys.float_info.min, (eps, delta, u, got)
+            with mpmath.workdps(40):
+                x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
+                piece = _mp_order_pieces(eps, delta)["_chi_rate_slopes"]
+                want = [_chi_rate_factor(x, eps, delta) * mpmath.diff(piece, x, n) for n in (1, 2)]
+            for g, w in zip(got[1:], want):
+                assert abs(g - w) <= 1e-10 * abs(w), (eps, delta, u, g, float(w))
+
+
 def test_order_slopes_match_mpmath():
     # value, slope and curvature in u of the four pieces the closed-form order
     # solves take Newton steps on, against 40-digit derivatives across the
     # order range, from moderate rates and budgets to 1e+-100 and delta down
     # to 1e-300.  Each agrees with mpmath to 1e-12 of the larger of the
     # derivative and the piece's value, or to 1e-300 where those underflow;
-    # orders where a piece overflows are skipped
+    # orders where a piece overflows are skipped.  The chi rate piece returns
+    # both derivatives divided by v = alpha delta/den (see _chi_rate_slopes),
+    # and the reference is divided by the same factor
     rng = random.Random(24)
     checked = 0
     for k in range(60):
@@ -279,10 +322,12 @@ def test_order_slopes_match_mpmath():
                     x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
                     value = mp_piece(x)
                     want = [max(value, 0) if name == "_moment_epsilon_slopes" else value]
-                    want += [mpmath.diff(mp_piece, x, n) for n in (1, 2)]
+                    factor = _chi_rate_factor(x, par, delta) if name == "_chi_rate_slopes" else 1
+                    want += [factor * mpmath.diff(mp_piece, x, n) for n in (1, 2)]
                     scale = abs(value)
                 for n, (g, w) in enumerate(zip(got, want)):
-                    assert abs(g - w) <= 1e-12 * max(abs(w), scale) + 1e-300, (name, par, delta, u, n, g, float(w))
+                    bound = 1e-12 * max(abs(w), scale * (factor if n else 1)) + 1e-300
+                    assert abs(g - w) <= bound, (name, par, delta, u, n, g, float(w))
                 checked += 1
     assert checked >= 800, checked
 
@@ -407,7 +452,7 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     us = np.linspace(*gaussian._order_range(delta), 64).tolist()
     values = [eps_at_u(u) for u in us]
     i = int(np.argmin(values))
-    _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], gaussian._EXACT_ORDERS)
+    _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], ScalarSearchConfig(abs_tol=1e-6))
     return min(values[i], refined, eps_at(1.0 / delta), eps_at(acct_epsilon(rho, T, delta).argmin_alpha))
 
 
@@ -426,8 +471,9 @@ def test_exact_accountant_matches_the_primal_scan(monkeypatch):
         solves[0] = 0
         r = acct_epsilon(rho, T, delta, "exact")
         # the primal scan took 700 to 1250, a scan of all orders at every step 291,
-        # and golden-section searches in p 117
-        assert solves[0] <= 75, (rho, T, delta, solves[0])
+        # golden-section searches in p 117, and a windowed scan of the orders
+        # up to 75; Newton steps on the rate's slope in the order take at most 9
+        assert solves[0] <= 15, (rho, T, delta, solves[0])
         # certified at its order by the frontier the accountant searches
         certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
@@ -435,24 +481,54 @@ def test_exact_accountant_matches_the_primal_scan(monkeypatch):
         assert r.epsilon <= primal + 1e-9, (rho, T, delta, r.epsilon - primal)
 
 
-def test_windowed_order_scan_matches_the_global_scan(monkeypatch):
-    # small T; delta >= 0.1, where the window is clipped at 1/delta or the
-    # argmin sits at alpha -> 1; every answer within 1e-9 of the scan of all
-    # orders, and certified by gamma_exact at its reported order
+def test_exact_answers_at_large_delta_take_few_solves(monkeypatch):
+    # at delta >= 0.3 the optimum sits at or near the order floor
+    # alpha - 1 = 1e-6, where the 8-point grid scan of the orders took up to
+    # 901 frontier solves an answer here (sigma = 1, T = 10, delta = 0.9)
+    solves = _count_solves(monkeypatch)
+    for sigma in (0.5, 1.0, 2.0, 4.0):
+        for T in (1, 3, 10):
+            for delta in (0.3, 0.5, 0.9):
+                solves[0] = 0
+                r = acct_epsilon(rho_gaussian(sigma), T, delta, "exact")
+                assert solves[0] <= 40, (sigma, T, delta, solves[0])
+                certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+                assert certificate >= rho_gaussian(sigma) * T * r.argmin_alpha, (sigma, T, delta)
+
+
+def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
+    # the reference for exact mode's order solve: the scan it replaced, over
+    # all orders whatever the centre, on minimize_unimodal's 8-point grid in
+    # log(alpha - 1) refined by Brent's steps to 1e-6, then the end order
+    solves = {}
+
+    def neg_rate(alpha: float) -> float:
+        if alpha not in solves:
+            solves[alpha] = gamma_exact(alpha, epsilon, delta, gaussian._EXACT_INNER)
+        return -solves[alpha].value / alpha
+
+    cfg = ScalarSearchConfig(abs_tol=1e-6)
+    u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta), cfg)
+    alpha, _ = gaussian._end_order(1.0 + math.exp(u), neg_rate, delta)
+    return alpha, solves[alpha]
+
+
+def test_order_solve_matches_the_global_scan(monkeypatch):
+    # small T; delta >= 0.1, where the optimum sits near 1/delta or at
+    # alpha -> 1; every answer within 1e-9 of the scan of all orders, and
+    # certified by gamma_exact at its reported order
     inputs = [(rho_gaussian(s), T, d) for s in (0.5, 1.0, 4.0, 20.0) for T in (1, 2) for d in (1e-9, 1e-5, 1e-2)]
     inputs += [(rho, T, d) for rho in (1e-3, 0.1, 1.0, 10.0) for T in (1, 2, 10) for d in (0.1, 0.3, 0.5, 0.9)]
     budgets = [(eps, d) for eps in (0.1, 1.0, 6.0, 30.0) for d in (1e-9, 1e-5, 0.1, 0.5, 0.9)]
-    windowed = [acct_epsilon(*args, "exact") for args in inputs]
+    solved = [acct_epsilon(*args, "exact") for args in inputs]
     rates = [gaussian._largest_rate(eps, d, "exact") for eps, d in budgets]
-    # centred at 1/delta itself, where alpha * delta >= 1 and gamma_exact takes its edge value
+    # started at 1/delta itself, where alpha * delta >= 1 and gamma_exact takes its edge value
     edge_rates = [gaussian._exact_rate(eps, d, 1.0 / d) for eps, d in budgets]
-    real = gaussian._min_over_orders
     with monkeypatch.context() as m:
-        # every order scan covers all of (1, 1/delta] at its own settings, ignoring the window
-        m.setattr(gaussian, "_min_over_orders", lambda pieces, f, delta, cfg, centre=None: real(pieces, f, delta, cfg))
+        m.setattr(gaussian, "_exact_rate", _scanned_exact_rate)
         everywhere = [acct_epsilon(*args, "exact").epsilon for args in inputs]
         best_rates = [gaussian._largest_rate(eps, d, "exact")[0] for eps, d in budgets]
-    for (rho, T, delta), r, want in zip(inputs, windowed, everywhere):
+    for (rho, T, delta), r, want in zip(inputs, solved, everywhere):
         assert r.epsilon <= want + 1e-9, (rho, T, delta, r.epsilon - want)
         certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
@@ -463,58 +539,90 @@ def test_windowed_order_scan_matches_the_global_scan(monkeypatch):
 
 
 def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
-    # exact mode's fallback scans the negated rate -gamma_exact(alpha, eps,
-    # delta)/alpha over all orders on 8 grid points.  Minima are compared,
-    # not monotonicity: near alpha -> 1 the rate wiggles at rounding level,
-    # far above its minimum
+    # exact mode's order solve of the negated rate -gamma_exact(alpha, eps,
+    # delta)/alpha over all orders, from _largest_rate's closed-form order.
+    # Minima are compared, not monotonicity.  At delta of about 0.1 the
+    # maximum sits at or near the order floor alpha - 1 = 1e-6, where the
+    # rate is flat: there gamma_exact must keep its digits, or the sample's
+    # luckiest rounding beats any solve
     rng = random.Random(16)
     for k in range(40):
         eps = _log_uniform(rng, 1e-3, 30.0)
         delta = _log_uniform(rng, 1e-30, 0.01) if k % 2 else rng.uniform(0.01, 0.99)
         neg_rate = lambda a: -gamma_exact(a, eps, delta, gaussian._EXACT_INNER).value / a
-        _, value = gaussian._min_over_orders((neg_rate,), neg_rate, delta, gaussian._EXACT_ORDERS)
+        alpha, r = gaussian._exact_rate(eps, delta, gaussian._largest_rate(eps, delta, "closed_form")[1])
+        value = -r.value / alpha
         sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta), 256).tolist())
         assert value <= sample + 1e-9 * abs(sample), (eps, delta, value - sample)
 
 
-def _record_scans(monkeypatch) -> list[tuple[float, float]]:
-    # the (lo, hi) in log(alpha - 1) of every scan the accountant runs
-    scans = []
-    real = gaussian.minimize_unimodal
-    monkeypatch.setattr(gaussian, "minimize_unimodal", lambda f, lo, hi, cfg: scans.append((lo, hi)) or real(f, lo, hi, cfg))
-    return scans
+def _count_order_steps(monkeypatch) -> list[int]:
+    # the pieces the order solves evaluate, counted across every solve
+    steps = [0]
+    real = gaussian._solve_orders
+
+    def counted(pieces, objective, delta, start, tol=gaussian.DEFAULT_SEARCH.abs_tol):
+        def count(piece):
+            def step(u):
+                steps[0] += 1
+                return piece(u)
+
+            return step
+
+        return real(tuple(count(p) for p in pieces), objective, delta, start, tol)
+
+    monkeypatch.setattr(gaussian, "_solve_orders", counted)
+    return steps
 
 
-def test_order_window_falls_back_to_the_global_scan(monkeypatch):
-    scans = _record_scans(monkeypatch)
-    cfg = gaussian._EXACT_ORDERS
-    bowl = lambda a: (math.log(a - 1.0) - 2.0) ** 2  # minimum at alpha = 1 + e^2
-    # centred at 1 + e^-5, the window ends at 1 + e^-4, where its minimum lies
-    alpha, _ = gaussian._min_over_orders((bowl,), bowl, 1e-5, cfg, centre=1.0 + math.exp(-5.0))
-    assert scans == [pytest.approx((-6.0, -4.0)), gaussian._order_range(1e-5)]
-    assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
-    scans.clear()
-    alpha, _ = gaussian._min_over_orders((bowl,), bowl, 1e-5, cfg, centre=1.0 + math.exp(2.5))
-    assert scans == [pytest.approx((1.5, 3.5))]
-    assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
-    # a minimum at 1/delta, on a window edge that is also the range's, and the end evaluated on its own
-    scans.clear()
-    alpha, _ = gaussian._min_over_orders((lambda a: -a,), lambda a: -a, 0.25, cfg, centre=4.0)
-    assert (alpha, scans) == (4.0, [(math.log(3.0) - 1.0, math.log(3.0))])
+def test_order_solve_finds_minima_far_from_its_start(monkeypatch):
+    steps = _count_order_steps(monkeypatch)
+    # a bowl in u = log(alpha - 1) with its minimum at alpha = 1 + e^2, from
+    # starts 7 below and half a unit above: Newton's step lands on it at once
+    bowl = lambda u: ((u - 2.0) ** 2, 2.0 * (u - 2.0), 2.0)
+    bowl_at = lambda a: (math.log(a - 1.0) - 2.0) ** 2
+    for start in (-5.0, 2.5):
+        steps[0] = 0
+        alpha, _ = gaussian._solve_orders((bowl,), bowl_at, 1e-5, start)
+        assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
+        assert steps[0] <= 3, (start, steps[0])
+    # a minimum at 1/delta, where the piece still falls at the top of the range: the end wins
+    fall = lambda u: (-1.0 - math.exp(u), -math.exp(u), -math.exp(u))
+    alpha, _ = gaussian._solve_orders((fall,), lambda a: -a, 0.25, math.log(3.0))
+    assert alpha == 4.0
+    # exact mode's rate from both ends of the order range reaches the same
+    # maximum, on budgets where gamma_exact is not lost next to eps at
+    # alpha -> 1 (where it rounds to 0, the rate is flat and a solve stays put)
+    for eps, delta in [(1.0, 1e-5), (3.0, 1e-9), (0.3, 1e-3), (6.0, 0.01), (0.5, 0.1), (1.0, 0.3), (0.05, 0.5)]:
+        rates = []
+        for centre in (1.0 + 1e-6, 1.0 / delta):
+            alpha, r = gaussian._exact_rate(eps, delta, centre)
+            rates.append(r.value / alpha)
+        assert abs(rates[0] - rates[1]) <= 1e-9 * max(rates), (eps, delta, rates)
 
 
-def test_order_window_follows_the_last_winning_order(monkeypatch):
-    # each Newton step centres its window on the order the step before won, so
-    # a window that misses the optimum falls back to all orders once per
-    # answer, not on every step
+def test_order_solve_follows_the_last_winning_order(monkeypatch):
+    # each Newton step in epsilon starts its order solve at the order the
+    # step before won, and the first at the closed-form argmin, so that later
+    # solves start next to their answer and take few steps
     inputs = [(rho_gaussian(s), T, d) for s in (0.5, 1.0, 4.0, 20.0) for T in (1, 2) for d in (1e-9, 1e-5, 1e-2)]
     inputs += [(rho, T, d) for rho in (1e-3, 0.1, 1.0, 10.0) for T in (1, 2, 10) for d in (0.1, 0.3, 0.5, 0.9)]
-    scans = _record_scans(monkeypatch)
+    centres, won = [], []
+    real = gaussian._exact_rate
+
+    def recorded(eps: float, delta: float, centre: float):
+        centres.append(centre)
+        alpha, r = real(eps, delta, centre)
+        won.append(alpha)
+        return alpha, r
+
+    monkeypatch.setattr(gaussian, "_exact_rate", recorded)
     for rho, T, delta in inputs:
-        scans.clear()
+        centres.clear()
+        won.clear()
         acct_epsilon(rho, T, delta, "exact")
-        # the closed-form start solves for its order without a scan, and the steps scan all orders at most once
-        assert scans.count(gaussian._order_range(delta)) <= 1, (rho, T, delta, scans)
+        assert not centres or centres[0] == acct_epsilon(rho, T, delta).argmin_alpha, (rho, T, delta)
+        assert centres[1:] == won[:-1], (rho, T, delta, centres, won)
 
 
 def test_end_order_takes_the_edge_value(monkeypatch):

@@ -6,7 +6,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rdpopt as rp
@@ -133,8 +133,10 @@ def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(call=_accountant_calls(("acct_epsilon", "max_iterations"), "exact"))
+# orders up to alpha = 1/delta = 1.8e150, where alpha^3 overflows: the order slopes stay in bounded ratios
+@example(call=("acct_epsilon", (1e-300, 1, 5.421372662229435e-151, "exact")))
 def test_exact_accountants_give_finite_fields_or_typed_errors(call):
-    # fewer examples: each runs the numeric frontier at every order of a few scans
+    # fewer examples: each runs the numeric frontier at every order of a few order solves
     _check_finite_or_typed_error(*call)
 
 
