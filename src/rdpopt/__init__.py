@@ -3,106 +3,79 @@
 The package is organized bottom-up:
 
   divergences   two-point hockey-stick and Renyi divergences
-  optimize      Brent minimization and bracketed Newton inversion
+  optimize      bracketed Newton inversion, the one search, and log_add
   conversion    the exact conversion frontier and its closed-form bounds
   gaussian      T-fold Gaussian composition, ours versus moments accountant
   oracle        brute-force grid validation of the frontier
   cli           command-line front end (see `rdpopt --help`)
 
-Only oracle needs numpy, so it is loaded on first use: importing the package
-or running a subcommand other than oracle-check does not import numpy.
+Every public name, and the submodule that defines it, is loaded on first
+use, so importing the package loads no submodule; only oracle needs numpy,
+so a subcommand other than oracle-check does not import numpy.
 """
 
 from importlib import import_module
 
-from .conversion import (
-    ConversionResult,
-    ZeroEpsilonRegion,
-    balle_epsilon,
-    baseline_delta,
-    baseline_epsilon,
-    boundary_objective,
-    delta_bound,
-    delta_exact,
-    epsilon_bound,
-    epsilon_exact,
-    gamma_bound,
-    gamma_exact,
-    log_zeta,
-    zero_epsilon_region,
-)
-from .divergences import BernoulliPair, hockey_stick_binary, renyi_binary
-from .errors import AccountingError, DomainError, InfeasibleError
-from .gaussian import (
-    AccountedEpsilon,
-    CurvePoint,
-    GaussianConfig,
-    RequiredVariance,
-    acct_epsilon,
-    ma_epsilon,
-    ma_max_iterations,
-    ma_required_variance,
-    max_iterations,
-    privacy_curve,
-    required_variance,
-    rho_gaussian,
-    rho_subsampled,
-)
-from .optimize import ScalarSearchConfig, log_add, minimize_unimodal
-
-# served by __getattr__ below, so that importing the package does not import numpy
-_ORACLE_NAMES = frozenset({"GridSpec", "brute_force_gamma", "joint_range_containment", "verify_q_star"})
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccountedEpsilon",
-    "AccountingError",
-    "BernoulliPair",
-    "ConversionResult",
-    "CurvePoint",
-    "DomainError",
-    "GaussianConfig",
-    "GridSpec",
-    "InfeasibleError",
-    "RequiredVariance",
-    "ScalarSearchConfig",
-    "ZeroEpsilonRegion",
-    "acct_epsilon",
-    "balle_epsilon",
-    "baseline_delta",
-    "baseline_epsilon",
-    "boundary_objective",
-    "brute_force_gamma",
-    "delta_bound",
-    "delta_exact",
-    "epsilon_bound",
-    "epsilon_exact",
-    "gamma_bound",
-    "gamma_exact",
-    "hockey_stick_binary",
-    "joint_range_containment",
-    "log_add",
-    "log_zeta",
-    "ma_epsilon",
-    "ma_max_iterations",
-    "ma_required_variance",
-    "max_iterations",
-    "minimize_unimodal",
-    "privacy_curve",
-    "renyi_binary",
-    "required_variance",
-    "rho_gaussian",
-    "rho_subsampled",
-    "verify_q_star",
-    "zero_epsilon_region",
-]
+# each public name and the submodule that defines it
+_NAMES = {
+    "AccountedEpsilon": "gaussian",
+    "AccountingError": "errors",
+    "BernoulliPair": "divergences",
+    "ConversionResult": "conversion",
+    "CurvePoint": "gaussian",
+    "DomainError": "errors",
+    "GaussianConfig": "gaussian",
+    "GridSpec": "oracle",
+    "InfeasibleError": "errors",
+    "RequiredVariance": "gaussian",
+    "ZeroEpsilonRegion": "conversion",
+    "acct_epsilon": "gaussian",
+    "balle_epsilon": "conversion",
+    "baseline_delta": "conversion",
+    "baseline_epsilon": "conversion",
+    "boundary_objective": "conversion",
+    "brute_force_gamma": "oracle",
+    "delta_bound": "conversion",
+    "delta_exact": "conversion",
+    "epsilon_bound": "conversion",
+    "epsilon_exact": "conversion",
+    "gamma_bound": "conversion",
+    "gamma_exact": "conversion",
+    "hockey_stick_binary": "divergences",
+    "joint_range_containment": "oracle",
+    "log_add": "optimize",
+    "log_zeta": "conversion",
+    "ma_epsilon": "gaussian",
+    "ma_max_iterations": "gaussian",
+    "ma_required_variance": "gaussian",
+    "max_iterations": "gaussian",
+    "privacy_curve": "gaussian",
+    "renyi_binary": "divergences",
+    "required_variance": "gaussian",
+    "rho_gaussian": "gaussian",
+    "rho_subsampled": "gaussian",
+    "verify_q_star": "oracle",
+    "zero_epsilon_region": "conversion",
+}
+
+__all__ = list(_NAMES)
 
 
 def __getattr__(name: str):
-    # PEP 562: called only for names not yet in the module namespace
-    if name == "oracle":
-        return import_module(".oracle", __name__)
-    if name in _ORACLE_NAMES:
-        return getattr(import_module(".oracle", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # PEP 562: called only for names not yet in the module namespace, so each
+    # is looked up once and then served from the module's globals
+    if name in _NAMES:
+        value = getattr(import_module("." + _NAMES[name], __name__), name)
+    elif name in _NAMES.values():
+        value = import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    # the names __getattr__ serves are listed before their first use too
+    return sorted({*globals(), *_NAMES, *_NAMES.values()})

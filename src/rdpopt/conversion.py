@@ -26,9 +26,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_positive
 from .errors import _check_alpha_eps_delta, _check_alpha_gamma_delta, _check_alpha_gamma_eps
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert, log_add
+from .optimize import DEFAULT_ABS_TOL, _newton_invert, log_add
 
 _LOG_TINY = math.log(math.ulp(0.0))  # the smallest t with e^t > 0
 
@@ -113,13 +113,13 @@ def gamma_exact(
     alpha: float,
     epsilon: float,
     delta: float,
-    cfg: ScalarSearchConfig = DEFAULT_SEARCH,
+    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> ConversionResult:
     """Exact frontier value gamma(alpha, eps, delta) by numeric minimization.
 
     The interior search runs over t = log(p - delta), which resolves the
     minimizer relative to its distance from delta however small delta is,
-    so cfg.abs_tol applies to log(p - delta).  The objective F is unimodal
+    so abs_tol applies to log(p - delta).  The objective F is unimodal
     in t with its minimizer between p = alpha * delta and p = 1, so Newton's
     steps from p = alpha * delta find the root of dF/dt there, with
     bisection wherever a step would leave the bracket: 1 to about 45
@@ -132,6 +132,7 @@ def gamma_exact(
     true infimum whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
+    _check_positive(abs_tol, "abs_tol")
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
@@ -165,7 +166,7 @@ def gamma_exact(
             m_interior, t = value, x
         return first, second
 
-    _newton_invert(slope, 0.0, t_lo, t_hi, cfg.abs_tol, start=t_lo)
+    _newton_invert(slope, 0.0, t_lo, t_hi, abs_tol, start=t_lo)
     if (1.0 - alpha) * t_hi < m_interior:  # a tie reports the interior point
         return edge
     value = epsilon + m_interior / (alpha - 1.0)
@@ -305,7 +306,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     answer never exceeds delta_bound; raises InfeasibleError when the
     frontier at 1 - 1e-12 does not reach gamma.  Each frontier solve is
     gamma_exact's default search, and delta is found to within
-    DEFAULT_SEARCH.abs_tol relative to the bound, so small deltas keep
+    DEFAULT_ABS_TOL relative to the bound, so small deltas keep
     their digits.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
@@ -318,7 +319,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         return r.value, _gamma_delta_slope(alpha, epsilon, d, r.argmin_p)
 
     hi = min(delta_bound(alpha, gamma, epsilon).value, top)
-    d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_SEARCH.abs_tol * hi)
+    d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi)
     if d == top:
         gamma_top = gamma_exact(alpha, epsilon, top).value
         if gamma_top < gamma:
@@ -335,7 +336,7 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     Inverts each closed-form frontier piece separately and takes the best:
     the moment piece inverts to zeta(alpha) * e^{-(alpha-1)(eps-gamma)},
     the tangent piece by Newton steps on [0, 1/alpha) with its closed-form
-    slope, at DEFAULT_SEARCH.  For gamma > 0 a delta that underflows to 0
+    slope, to DEFAULT_ABS_TOL.  For gamma > 0 a delta that underflows to 0
     is reported as the smallest positive float.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
@@ -349,7 +350,7 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     if gamma <= _f_lower_bound(alpha, epsilon, cap)[0]:
         # the tangent piece is 0 at delta = 0 and gamma >= 0, so gamma lies
         # in the range the piece attains on [0, cap]
-        d_f = _newton_invert(lambda t: _f_lower_bound(alpha, epsilon, t), gamma, 0.0, cap, DEFAULT_SEARCH.abs_tol)
+        d_f = _newton_invert(lambda t: _f_lower_bound(alpha, epsilon, t), gamma, 0.0, cap, DEFAULT_ABS_TOL)
     else:
         # the tangent piece stays below gamma on its whole domain; it only
         # certifies delta <= 1/alpha, which the moment piece already beats
@@ -376,7 +377,7 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     dominates gamma, and the bound itself when the frontier there falls
     short of gamma by rounding, so the answer never exceeds epsilon_bound.
     Each frontier solve is gamma_exact's default search, and epsilon is
-    found to DEFAULT_SEARCH.abs_tol: one frontier solve an answer where the
+    found to DEFAULT_ABS_TOL: one frontier solve an answer where the
     bound is tight, usually two to four elsewhere.
     """
     _check_alpha_gamma_delta(alpha, gamma, delta)
@@ -387,7 +388,7 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
         r = gamma_exact(alpha, e, delta)
         return r.value, _gamma_slope(alpha, e, delta, r.argmin_p)
 
-    eps = _newton_invert(frontier, gamma, 0.0, _epsilon_bound(alpha, gamma, delta)[0], DEFAULT_SEARCH.abs_tol)
+    eps = _newton_invert(frontier, gamma, 0.0, _epsilon_bound(alpha, gamma, delta)[0], DEFAULT_ABS_TOL)
     return ConversionResult(eps, "exact_numeric")
 
 

@@ -46,15 +46,15 @@ from .conversion import (
     gamma_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
-from .optimize import DEFAULT_SEARCH, ScalarSearchConfig, _newton_invert
+from .optimize import DEFAULT_ABS_TOL, _newton_invert
 
 MODES = ("closed_form", "exact")
 
 # the gamma_exact solve at each order exact mode's order solve visits: every
-# order costs a frontier search, so it runs coarser than DEFAULT_SEARCH.  Each
+# order costs a frontier search, so it runs coarser than DEFAULT_ABS_TOL.  Each
 # solve takes gamma_exact's Newton steps on the frontier objective's slope,
 # which the objective's convexity makes cross 0 once, and stops at 1e-9
-_EXACT_INNER = ScalarSearchConfig(abs_tol=1e-9)
+_EXACT_INNER = 1e-9
 
 
 def rho_gaussian(sigma: float) -> float:
@@ -176,7 +176,7 @@ def _order_range(delta: float) -> tuple[float, float]:
     return max(min(math.log(1e-6), u_hi - 1.0), -36.5), u_hi
 
 
-def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DEFAULT_SEARCH.abs_tol) -> tuple[float, float]:
+def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta] an objective that is the smaller of
     # pieces below alpha = 1/delta, each given as a function of
     # u = log(alpha - 1) returning its value and its first and second
@@ -244,9 +244,9 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     orders is the crossing of its slope in u = log(alpha - 1) with 0 (the
     moment piece is convex in alpha, the chi piece unimodal as sampled),
     found by bracketed Newton steps from the moments accountant's order with
-    the piece's slope and curvature in closed form, to DEFAULT_SEARCH's
-    tolerance in u; epsilon_bound is evaluated at the lower piece's order and
-    at alpha = 1/delta.  About 9 piece evaluations an answer.
+    the piece's slope and curvature in closed form, to DEFAULT_ABS_TOL in u;
+    epsilon_bound is evaluated at the lower piece's order and at alpha =
+    1/delta.  About 9 piece evaluations an answer.
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
@@ -296,7 +296,7 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
             certified[eps] = alpha
         return value, _gamma_slope(alpha, eps, delta, r.argmin_p)
 
-    eps = _newton_invert(margin, 0.0, 0.0, eps_closed, DEFAULT_SEARCH.abs_tol)
+    eps = _newton_invert(margin, 0.0, 0.0, eps_closed, DEFAULT_ABS_TOL)
     return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
 
 
@@ -311,7 +311,7 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
     #     f'' = -c (a gamma'') + (gamma_u (2c - 1) + gamma c (1 - a)/alpha)/alpha,
     # in ratios that stay bounded at every order (gamma/alpha^3 overflows at
     # alpha = 1/delta for delta below about 2e-103).  The solve stops at 1e-6
-    # in u rather than DEFAULT_SEARCH's 1e-10: the slope carries
+    # in u rather than DEFAULT_ABS_TOL's 1e-10: the slope carries
     # gamma_exact's rounding, which the curvature divides into steps of about
     # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5
     solves: dict[float, ConversionResult] = {}

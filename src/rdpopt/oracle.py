@@ -39,7 +39,6 @@ import numpy as np
 from .conversion import gamma_exact
 from .divergences import BernoulliPair, renyi_binary
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_alpha_eps_delta, _check_nonnegative
-from .optimize import ScalarSearchConfig
 
 _P_EDGE = 1e-9
 _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probability
@@ -47,7 +46,7 @@ _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probab
 DEFAULT_SEED = 7
 REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
 CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
-_CONTAINMENT_SEARCH = ScalarSearchConfig(abs_tol=1e-8)  # each frontier solve to 1e-8 in log(p - delta)
+_CONTAINMENT_SEARCH = 1e-8  # each frontier solve to 1e-8 in log(p - delta)
 
 
 def _check_count(value, name: str, least: int) -> None:

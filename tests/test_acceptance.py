@@ -31,10 +31,10 @@ from rdpopt.gaussian import (
     required_variance,
     rho_subsampled,
 )
-from rdpopt.optimize import minimize_unimodal
 from rdpopt.oracle import joint_range_containment, verify_q_star, brute_force_gamma
 
 from conftest import sample_small_delta_triples, sample_triples
+from reference_search import minimize_unimodal
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

@@ -32,9 +32,10 @@ from rdpopt.conversion import (
 )
 from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
-from rdpopt.optimize import DEFAULT_SEARCH, log_add, minimize_unimodal
+from rdpopt.optimize import DEFAULT_ABS_TOL, log_add
 
 from conftest import sample_small_delta_triples, sample_triples
+from reference_search import minimize_unimodal
 
 
 def test_zeta_alpha():
@@ -324,9 +325,9 @@ def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
         triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
     for alpha, eps, delta in triples:
         want = float(_mpmath_gamma(alpha, eps, delta))
-        for cfg in (DEFAULT_SEARCH, gaussian._EXACT_INNER):
-            got = gamma_exact(alpha, eps, delta, cfg).value
-            assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, cfg, got - want)
+        for abs_tol in (DEFAULT_ABS_TOL, gaussian._EXACT_INNER):
+            got = gamma_exact(alpha, eps, delta, abs_tol).value
+            assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, abs_tol, got - want)
 
 
 def test_gamma_exact_keeps_its_digits_near_order_one():
@@ -337,9 +338,9 @@ def test_gamma_exact_keeps_its_digits_near_order_one():
     for a in (1e-8, 1e-6, 1e-4, 1e-2, 0.5):
         for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.05, 0.2), (0.5, 1e-3), (3.0, 0.3)]:
             want = float(_mpmath_gamma(1.0 + a, eps, delta))
-            for cfg in (DEFAULT_SEARCH, gaussian._EXACT_INNER):
-                got = gamma_exact(1.0 + a, eps, delta, cfg).value
-                assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, cfg, got - want)
+            for abs_tol in (DEFAULT_ABS_TOL, gaussian._EXACT_INNER):
+                got = gamma_exact(1.0 + a, eps, delta, abs_tol).value
+                assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, abs_tol, got - want)
 
 
 def _count_objective_evaluations(monkeypatch):

@@ -25,9 +25,10 @@ from rdpopt.gaussian import (
     rho_gaussian,
     rho_subsampled,
 )
-from rdpopt.optimize import ScalarSearchConfig, minimize_unimodal
+from rdpopt.optimize import DEFAULT_ABS_TOL, MAX_STEPS
 
 from conftest import bisect_reference
+from reference_search import minimize_unimodal
 
 
 def test_rho_gaussian():
@@ -376,7 +377,7 @@ def test_order_solves_are_no_worse_than_the_unimodal_scan(monkeypatch):
         )
         assert rate >= -neg_rate * (1.0 - 1e-13), (eps, delta, rate, -neg_rate)
     assert len(counts) == 4 * len(inputs)
-    assert max(counts) <= 60 < ScalarSearchConfig.max_iters, max(counts)
+    assert max(counts) <= 60 < MAX_STEPS, max(counts)
 
 
 def test_closed_form_answers_are_no_worse_than_a_fine_order_grid():
@@ -434,11 +435,11 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # from the accountant's own scan: 64 points in log(alpha - 1), refined
     # between the best one's neighbours, plus alpha = 1/delta and the
     # closed-form argmin
-    cfg, rho_T = gaussian._EXACT_INNER, rho * T
+    abs_tol, rho_T = gaussian._EXACT_INNER, rho * T
 
     def eps_at(alpha: float) -> float:
         gamma = rho_T * alpha
-        frontier = lambda e: gamma_exact(alpha, e, delta, cfg).value
+        frontier = lambda e: gamma_exact(alpha, e, delta, abs_tol).value
         gamma_lo = frontier(0.0)
         if gamma_lo >= gamma:
             return 0.0
@@ -446,13 +447,13 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
         hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
         while frontier(hi) < gamma:
             hi *= 2.0
-        return min(bisect_reference(frontier, gamma, 0.0, hi, cfg.abs_tol), bound)
+        return min(bisect_reference(frontier, gamma, 0.0, hi, abs_tol), bound)
 
     eps_at_u = lambda u: eps_at(1.0 + math.exp(u))
     us = np.linspace(*gaussian._order_range(delta), 64).tolist()
     values = [eps_at_u(u) for u in us]
     i = int(np.argmin(values))
-    _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], ScalarSearchConfig(abs_tol=1e-6))
+    _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], 1e-6)
     return min(values[i], refined, eps_at(1.0 / delta), eps_at(acct_epsilon(rho, T, delta).argmin_alpha))
 
 
@@ -507,8 +508,7 @@ def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
             solves[alpha] = gamma_exact(alpha, epsilon, delta, gaussian._EXACT_INNER)
         return -solves[alpha].value / alpha
 
-    cfg = ScalarSearchConfig(abs_tol=1e-6)
-    u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta), cfg)
+    u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta), 1e-6)
     alpha, _ = gaussian._end_order(1.0 + math.exp(u), neg_rate, delta)
     return alpha, solves[alpha]
 
@@ -561,7 +561,7 @@ def _count_order_steps(monkeypatch) -> list[int]:
     steps = [0]
     real = gaussian._solve_orders
 
-    def counted(pieces, objective, delta, start, tol=gaussian.DEFAULT_SEARCH.abs_tol):
+    def counted(pieces, objective, delta, start, tol=DEFAULT_ABS_TOL):
         def count(piece):
             def step(u):
                 steps[0] += 1

@@ -1,4 +1,4 @@
-"""Scalar minimization, Newton inversion, and stable log-add."""
+"""Newton inversion, stable log-add, and the tests' reference minimizer."""
 
 import math
 
@@ -8,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdpopt.conversion import delta_exact, epsilon_exact, gamma_exact
+from rdpopt import conversion
+from rdpopt.conversion import delta_bound, delta_exact, epsilon_exact, gamma_exact
 from rdpopt.errors import DomainError, InfeasibleError
-from rdpopt.optimize import ScalarSearchConfig, _newton_invert, log_add, minimize_unimodal
+from rdpopt.optimize import MAX_STEPS, _newton_invert, log_add
 
 from conftest import bisect_reference
+from reference_search import COARSE_GRID, minimize_unimodal
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        ScalarSearchConfig(abs_tol=0.0)
-    with pytest.raises(TypeError):  # the grid is a constant, not a field
-        ScalarSearchConfig(coarse_grid=64)
+    # a search tolerance must be finite and positive
+    for abs_tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="abs_tol"):
+            gamma_exact(2, 1, 0.1, abs_tol=abs_tol)
 
 
 def test_minimize_quadratic():
@@ -40,7 +42,7 @@ def test_minimize_never_exceeds_best_coarse_sample():
     _, v = minimize_unimodal(fn, lo, hi)
     eta = max(1e-12, 1e-12 * (hi - lo))
     a, b = lo + eta, hi - eta
-    n = ScalarSearchConfig.coarse_grid
+    n = COARSE_GRID
     samples = [fn(a + i * (b - a) / (n - 1)) for i in range(n)]
     assert v <= min(samples) + 1e-15
 
@@ -78,7 +80,7 @@ def test_minimize_smooth_bowl_takes_few_steps():
     # parabolic steps converge where golden section shrinks the bracket by a
     # fixed 0.618 per step, which took 33 to 44 evaluations after the coarse grid
     c = math.pi / 3.0
-    for cfg in (ScalarSearchConfig(), ScalarSearchConfig(abs_tol=1e-9), ScalarSearchConfig(abs_tol=1e-6)):
+    for abs_tol in (1e-10, 1e-9, 1e-6):
         evals = 0
 
         def bowl(x):
@@ -86,9 +88,9 @@ def test_minimize_smooth_bowl_takes_few_steps():
             evals += 1
             return (x - c) ** 2 * (2.0 + math.sin(x))
 
-        x, v = minimize_unimodal(bowl, -2.0, 5.0, cfg)
-        assert abs(x - c) <= cfg.abs_tol
-        assert evals <= cfg.coarse_grid + 20, (cfg, evals)
+        x, v = minimize_unimodal(bowl, -2.0, 5.0, abs_tol)
+        assert abs(x - c) <= abs_tol
+        assert evals <= COARSE_GRID + 20, (abs_tol, evals)
 
 
 def test_minimize_degenerate_interval():
@@ -259,3 +261,55 @@ def test_newton_invert_ends():
 
     assert 2.0 <= _newton_invert(counted, 8.0, 0.0, 3.0, 1e-10) <= 2.0 + 1e-10
     assert evals[0] <= 8
+
+
+def _creeping_steps(points, target, abs_tol):
+    # moves up from a point below the target by at most twice the abs_tol / 16
+    # shift: the Newton correction there was no larger than the shift
+    return sum(
+        1 for (x, value), (nxt, _) in zip(points, points[1:]) if value < target and 0.0 < nxt - x <= abs_tol / 8.0
+    )
+
+
+def test_invert_stops_creeping_on_the_tangent_piece(monkeypatch):
+    # delta_bound inverts the tangent piece, which is flat to rounding 8.6e-13
+    # below gamma here: five steps crept up by the shift alone before the
+    # guard, which probes half a tolerance up after the second such step
+    searches = []
+
+    def traced(fn, target, lo, hi, abs_tol, start=None):
+        points = []
+
+        def recorded(x):
+            value, slope = fn(x)
+            points.append((x, value))
+            return value, slope
+
+        searches.append((points, target, abs_tol))
+        return _newton_invert(recorded, target, lo, hi, abs_tol, start)
+
+    monkeypatch.setattr(conversion, "_newton_invert", traced)
+    got = delta_bound(1.0000011470276182, 0.14845739430987853, 0.13957793111506359).value
+    assert len(searches) == 1
+    assert _creeping_steps(*searches[0]) <= 2
+    assert abs(got - 0.5515897421807668) <= 1e-10  # the answer before the guard
+
+
+def test_invert_crosses_a_stretch_flat_to_rounding():
+    # values 1e-15 below the target: steps moved by the shift alone took 16 a
+    # tolerance, so a stretch wider than 12.5 tolerances ran to the cap and
+    # returned hi.  The probes double, so even 1e8 tolerances take few steps
+    abs_tol, target = 1e-10, 1.0
+    for width in (20.0, 1e3, 1e8):
+        x0 = 0.5 + width * abs_tol
+        points = []
+
+        def fn(x):
+            value = target - 1e-15 + max(x - x0, 0.0)
+            points.append((x, value))
+            return value, 1.0
+
+        x = _newton_invert(fn, target, 0.0, 1.0, abs_tol, start=0.5)
+        assert x0 <= x <= x0 + abs_tol, (width, x - x0)
+        assert _creeping_steps(points, target, abs_tol) <= 2, width
+        assert len(points) <= 60 < MAX_STEPS, (width, len(points))

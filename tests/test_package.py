@@ -1,4 +1,4 @@
-"""Top-level API and import cost: only the oracle loads numpy, on first use."""
+"""Top-level API and import cost: names load on first use, and only the oracle loads numpy."""
 
 import json
 import os
@@ -12,19 +12,21 @@ from rdpopt import oracle
 
 ORACLE_NAMES = ("GridSpec", "brute_force_gamma", "verify_q_star", "joint_range_containment")
 
-# a fresh interpreter reports, after each step, whether numpy is loaded
+# a fresh interpreter reports, after each step, whether numpy is loaded, and
+# which rdpopt submodules importing the package loaded
 _CHILD = """
 import contextlib, io, json, sys
 seen = []
 import rdpopt
 seen.append(["import rdpopt", None, "numpy" in sys.modules])
+submodules = sorted(name for name in sys.modules if name.startswith("rdpopt."))
 import rdpopt.cli
 seen.append(["import rdpopt.cli", None, "numpy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = rdpopt.cli.main(argv)
     seen.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(seen))
+print(json.dumps({"seen": seen, "submodules": submodules}))
 """
 
 _NUMPY_FREE = [
@@ -38,15 +40,21 @@ _ORACLE_CHECK = ["oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
                  "--grid-n", "64", "--samples", "16", "--tol", "1"]
 
 
-def test_only_oracle_check_imports_numpy():
-    # the child imports the same package as this process, installed or not
+def _child_env() -> dict:
+    # a child interpreter imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(rdpopt.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_only_oracle_check_imports_numpy():
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(_NUMPY_FREE + [_ORACLE_CHECK])],
         capture_output=True, text=True, env=env, check=True,
     )
-    seen = json.loads(proc.stdout)
+    report = json.loads(proc.stdout)
+    assert report["submodules"] == []
+    seen = report["seen"]
     assert [step for step, _, _ in seen] == ["import rdpopt", "import rdpopt.cli"] + [
         argv[0] for argv in _NUMPY_FREE + [_ORACLE_CHECK]
     ]
@@ -81,3 +89,18 @@ def test_unknown_attribute_raises():
     assert not hasattr(rdpopt, "no_such_name")
     with pytest.raises(ImportError):
         exec("from rdpopt import no_such_name", {})
+
+
+def test_names_are_cached_after_first_use():
+    # __getattr__ runs once a name: the value it returns is then a global of the package
+    for name in rdpopt.__all__:
+        value = getattr(rdpopt, name)
+        assert rdpopt.__dict__[name] is value, name
+    assert "minimize_unimodal" not in rdpopt.__all__ and "ScalarSearchConfig" not in rdpopt.__all__
+
+
+def test_dir_lists_names_before_first_use():
+    # in a fresh interpreter, where no name has been served yet
+    child = "import rdpopt, sys; print(sorted(set(rdpopt.__all__) - set(dir(rdpopt))), 'rdpopt.gaussian' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(), check=True)
+    assert proc.stdout == "[] False\n"
