@@ -486,56 +486,49 @@ def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)
 
 
-def _moment_epsilon_slopes(rho_T: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
-    # the moment piece at gamma = rho_T alpha as a function of u = log(alpha - 1),
-    # with its first and second derivatives in u.  With a = alpha - 1,
-    # L = log(1/delta) and R = L - log(alpha) > 0 below alpha = 1/delta, the
-    # unclamped piece is rho_T alpha + log(1 - 1/alpha) + R/a, whose slope
-    # a rho_T - R/a increases, with curvature a rho_T + 1/alpha + R/a > 0, so
-    # it crosses 0 once; the clamp at 0 leaves that crossing a minimizer
-    big_l = -math.log(delta)
-
-    def slopes(u: float) -> tuple[float, float, float]:
-        alpha = 1.0 + math.exp(u)
-        a = alpha - 1.0
-        tail = (big_l - math.log(alpha)) / a
-        value = _moment_epsilon_piece(alpha, rho_T * alpha, delta)
-        return value, a * rho_T - tail, a * rho_T + 1.0 / alpha + tail
-
-    return slopes
+def _moment_epsilon_slopes(alpha: float, gamma: float, delta: float) -> tuple[float, float, float]:
+    # the moment piece at order alpha and divergence gamma, with its first and
+    # second derivatives in u = log(alpha - 1) along gamma = rate alpha, the
+    # rate gamma/alpha held.  With a = alpha - 1, L = log(1/delta) and
+    # R = L - log(alpha) > 0 below alpha = 1/delta, the unclamped piece is
+    # rate alpha + log(1 - 1/alpha) + R/a, whose slope a rate - R/a increases,
+    # with curvature a rate + 1/alpha + R/a > 0, so it crosses 0 once; the
+    # clamp at 0 leaves that crossing a minimizer.  a rate is formed as
+    # gamma (a/alpha), which neither overflows nor loses a subnormal rate
+    a = alpha - 1.0
+    tail = (-math.log(delta) - math.log(alpha)) / a
+    rate_a = gamma * (a / alpha)
+    return _moment_epsilon_piece(alpha, gamma, delta), rate_a - tail, rate_a + 1.0 / alpha + tail
 
 
-def _chi_epsilon_slopes(rho_T: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
-    # the chi piece P = g/a at gamma = rho_T alpha as a function of
-    # u = log(alpha - 1), with its first and second derivatives in u, from
-    # ratios that stay bounded.  With a = alpha - 1, x = a gamma, c = alpha delta
-    # and g = log(1 + expm1(x)/c), write E = e^-x and
+def _chi_epsilon_slopes(alpha: float, gamma: float, delta: float) -> tuple[float, float, float]:
+    # the chi piece P = g/a at order alpha and divergence gamma, with its
+    # first and second derivatives in u = log(alpha - 1) along
+    # gamma = rate alpha, from ratios that stay bounded.  With a = alpha - 1,
+    # x = a gamma, c = alpha delta and g = log(1 + expm1(x)/c), write E = e^-x and
     # den = c E - expm1(-x) = e^-x (c + expm1(x)) in (0, 1]; then
     # s = -expm1(-x)/den = expm1(x)/(c + expm1(x)) is expm1(x)'s share and
-    # k = rho_T (1 + 2a)/den = dg/du / a + s/alpha.  So
+    # k = rate (1 + 2a)/den = dg/du / a + s/alpha.  So
     #     P' = k - s/alpha - P,
     #     P'' = k (a/(alpha (1 + 2a)) + x' - g') - (1 - s) g'/alpha + s a/alpha^2 - P',
     # with g' = a (k - s/alpha) and x' - g' = a (s/alpha - k (1 - c) E); the
-    # first bracket is 2a/(1 + 2a) - a/alpha with its cancellation taken out.
-    # Where x overflows the piece is infinite and rises
-    def slopes(u: float) -> tuple[float, float, float]:
-        alpha = 1.0 + math.exp(u)
-        a = alpha - 1.0
-        value = _chi_epsilon_piece(alpha, rho_T * alpha, delta)
-        if value == math.inf:
-            return value, math.inf, math.inf
-        x, c = a * rho_T * alpha, alpha * delta
-        e = math.exp(-x)
-        share = -math.expm1(-x)
-        den = c * e + share
-        s = share / den
-        k = rho_T * (1.0 + 2.0 * a) / den
-        g_u = a * (k - s / alpha)
-        first = k - s / alpha - value
-        k_u = k * (a / (alpha * (1.0 + 2.0 * a)) + a * (s / alpha - k * (1.0 - c) * e))
-        return value, first, k_u - (1.0 - s) * g_u / alpha + s * a / (alpha * alpha) - first
-
-    return slopes
+    # first bracket is 2a/(1 + 2a) - a/alpha with its cancellation taken out,
+    # and rate (1 + 2a) is formed as gamma ((1 + 2a)/alpha), as in
+    # _moment_epsilon_slopes.  Where x overflows the piece is infinite and rises
+    a = alpha - 1.0
+    value = _chi_epsilon_piece(alpha, gamma, delta)
+    if value == math.inf:
+        return value, math.inf, math.inf
+    x, c = a * gamma, alpha * delta
+    e = math.exp(-x)
+    share = -math.expm1(-x)
+    den = c * e + share
+    s = share / den
+    k = gamma * ((1.0 + 2.0 * a) / alpha) / den
+    g_u = a * (k - s / alpha)
+    first = k - s / alpha - value
+    k_u = k * (a / (alpha * (1.0 + 2.0 * a)) + a * (s / alpha - k * (1.0 - c) * e))
+    return value, first, k_u - (1.0 - s) * g_u / alpha + s * a / (alpha * alpha) - first
 
 
 def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
@@ -555,80 +548,6 @@ def _chi_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
     if x < 700.0:
         return math.log1p(c * math.expm1(x)) / (alpha - 1.0)
     return log_add(math.log(c) + x, math.log1p(-c) if c < 1.0 else -math.inf) / (alpha - 1.0)
-
-
-def _moment_rate_slopes(epsilon: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
-    # Q = -_moment_gamma_piece/alpha, the moment piece's negated largest rate
-    # gamma/alpha, as a function of u = log(alpha - 1), with its first and
-    # second derivatives in u.  With a = alpha - 1, w = a/alpha and
-    # R = log(1/delta) - log(alpha), the inverse piece is
-    # G = eps - log(w) - R/a = -alpha Q, and
-    #     Q' = (w (eps - log w) - R (1/a + 1/alpha))/alpha,
-    #     Q'' = ((1 + 2R)/alpha + R/a - Q w (1 - a))/alpha.
-    # Near the end order, where R vanishes, the terms of that sum cancel from
-    # about 1/alpha^2 down to about 2.5/alpha^3, which rounding lost, so Q''
-    # is summed in terms that keep their sign: with
-    # k = 1 + a log w = 1 - a log1p(1/a) in (0, 1),
-    #     Q'' = (R (1/(a alpha) + 3/alpha + 4w) + (2 - k + a k)/alpha)/alpha^2
-    #           + eps w ((1 - a)/alpha)/alpha,
-    # where k, about 1/(2a), is a series in 1/a past a = 1e5
-    big_l = -math.log(delta)
-
-    def slopes(u: float) -> tuple[float, float, float]:
-        alpha = 1.0 + math.exp(u)
-        a = alpha - 1.0
-        value = -_moment_gamma_piece(alpha, epsilon, delta) / alpha
-        w, r, log_w = a / alpha, big_l - math.log(alpha), math.log1p(-1.0 / alpha)
-        first = (w * (epsilon - log_w) - r * (1.0 / a + 1.0 / alpha)) / alpha
-        x = 1.0 / a
-        k = x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)) if a > 1e5 else 1.0 + a * log_w
-        second = (r * (x / alpha + 3.0 / alpha + 4.0 * w) + (2.0 - k + a * k) / alpha) / alpha / alpha
-        return value, first, second + epsilon * w * ((1.0 - a) / alpha) / alpha
-
-    return slopes
-
-
-def _chi_rate_slopes(epsilon: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
-    # Q = -_chi_gamma_piece/alpha = -m/(a alpha) as a function of
-    # u = log(alpha - 1), with its first and second derivatives in u, from
-    # ratios that stay bounded.  With a = alpha - 1, x = a eps, c = alpha delta,
-    # m = log(1 + c expm1(x)) and w = a/alpha, write
-    # den = e^-x (1 - c) + c = e^-x (1 + c expm1(x)); then
-    # t = c (1 - e^-x)/den = 1 - e^-m and v = c/den = c e^(x - m) lie in
-    # [0, 1], and m' = w t + x v.  With h = m/a, the piece's inverse, and
-    # m'/a = t/alpha + eps v,
-    #     Q' = (h (1 + w) - m'/a)/alpha,
-    #     Q'' = (2 (m'/a)(1 + w) + h w/alpha - h (1 + w)^2 - m''/a)/alpha,
-    #     m''/a = t/alpha^2 + w (1 - t) m'/a + eps v (1 + w + x (1 - v) - w t),
-    # where x (1 - v) = x e^-x (1 - c)/den vanishes as x overflows.  Where
-    # c x is tiny, h, t and v all carry the factor c and underflow with it,
-    # so both derivatives are returned divided by v > 0, which moves neither
-    # the root nor the Newton step: t/v = 1 - e^-x, and for x < 700,
-    # h/v = m den/(a c) = (1 - e^-x)(1 + y) log1p(y)/(a y) with y = c expm1(x)
-    def slopes(u: float) -> tuple[float, float, float]:
-        alpha = 1.0 + math.exp(u)
-        a = alpha - 1.0
-        h = _chi_gamma_piece(alpha, epsilon, delta)
-        x, c = a * epsilon, alpha * delta
-        e = math.exp(-x)
-        share = -math.expm1(-x)
-        den = e * (1.0 - c) + c
-        v = c / den
-        t = share * v
-        w = a / alpha
-        if x < 700.0:
-            y = c * math.expm1(x)
-            h_v = share * (1.0 + y) * (math.log1p(y) / y if y > 0.0 else 1.0) / a
-        else:
-            h_v = h * (den / c)
-        dm_v = share / alpha + epsilon  # m'/(a v)
-        x_rest = x * e * (1.0 - c) / den if e > 0.0 else 0.0
-        d2m_v = share / (alpha * alpha) + w * (1.0 - t) * dm_v + epsilon * (1.0 + w + x_rest - w * t)  # m''/(a v)
-        first = (h_v * (1.0 + w) - dm_v) / alpha
-        second = (2.0 * dm_v * (1.0 + w) + h_v * w / alpha - h_v * (1.0 + w) ** 2 - d2m_v) / alpha
-        return -h / alpha, first, second
-
-    return slopes
 
 
 def _gamma_of_epsilon_bound(alpha: float, epsilon: float, delta: float) -> float:

@@ -36,13 +36,13 @@ from .conversion import (
     Branch,
     ConversionResult,
     _chi_epsilon_slopes,
-    _chi_rate_slopes,
+    _chi_gamma_piece,
     _epsilon_bound,
     _gamma_of_epsilon_bound,
     _gamma_order_slopes,
     _gamma_slope,
     _moment_epsilon_slopes,
-    _moment_rate_slopes,
+    _moment_gamma_piece,
     gamma_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
@@ -180,15 +180,18 @@ def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DE
     # minimize over alpha in (1, 1/delta] an objective that is the smaller of
     # pieces below alpha = 1/delta, each given as a function of
     # u = log(alpha - 1) returning its value and its first and second
-    # derivatives in u.  The minimum over the open range is the smallest of
+    # derivatives in u, or a positive multiple of the slope with a curvature
+    # that gives the same Newton step at the minimum (_rate_pieces).  The
+    # minimum over the open range is the smallest of
     # the pieces' own minima, and each piece's minimum is the crossing of its
     # slope with 0, found by _newton_invert's bracketed Newton steps from the
     # order start over _order_range, to tol in u; the order of the smallest
     # value any step evaluated wins, and is compared with the end, as in
     # _end_order.  A piece still falling at the top of the range loses to the
     # end, where each conversion's edge value is at most the piece's limit.
-    # This is the one order solve: the closed forms' pieces, and exact mode's
-    # single piece -gamma_exact/alpha (_exact_rate).
+    # This is the one order solve: the closed forms' pieces for an epsilon and
+    # for a largest rate, and exact mode's single piece -gamma_exact/alpha
+    # (_exact_rate).
     #
     # The crossing is the minimum when the piece is unimodal in u.  For the
     # moment piece of epsilon_bound at gamma = rho_T alpha this is proved.
@@ -220,6 +223,40 @@ def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DE
 
         _newton_invert(slope, 0.0, u_lo, u_hi, tol, start=start)
     return _end_order(1.0 + math.exp(best_u), objective, delta)
+
+
+def _epsilon_pieces(rho_T: float, delta: float) -> tuple:
+    # epsilon_bound's two pieces below alpha = 1/delta at gamma = rho_T alpha,
+    # as functions of u = log(alpha - 1) returning value, slope and curvature
+    def piece(slopes):
+        def at(u: float) -> tuple[float, float, float]:
+            alpha = 1.0 + math.exp(u)
+            return slopes(alpha, rho_T * alpha, delta)
+
+        return at
+
+    return piece(_moment_epsilon_slopes), piece(_chi_epsilon_slopes)
+
+
+def _rate_pieces(epsilon: float, delta: float) -> tuple:
+    # the two pieces' negated largest rates -gamma_alpha(eps)/alpha, where
+    # gamma_alpha inverts the piece in gamma at the order alpha = 1 + e^u,
+    # with the epsilon piece's slope and curvature in u at gamma_alpha(eps).
+    # Write Phi(u, x) for the epsilon piece at rate x and R(u) for the
+    # largest rate, Phi(u, R(u)) = eps.  Then R' = -Phi_u/Phi_x with
+    # Phi_x > 0, so Phi_u has the sign of the negated rate's slope; and where
+    # R' = 0, R'' = -Phi_uu/Phi_x, so there Phi_u/Phi_uu is its Newton step,
+    # all that _newton_invert uses
+    def piece(inverse, slopes):
+        def at(u: float) -> tuple[float, float, float]:
+            alpha = 1.0 + math.exp(u)
+            gamma = inverse(alpha, epsilon, delta)
+            _, first, second = slopes(alpha, gamma, delta)
+            return -gamma / alpha, first, second
+
+        return at
+
+    return piece(_moment_gamma_piece, _moment_epsilon_slopes), piece(_chi_gamma_piece, _chi_epsilon_slopes)
 
 
 def _end_order(alpha: float, objective, delta: float) -> tuple[float, float]:
@@ -272,7 +309,7 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     rho_T = rho * T
     _check_finite(rho_T, rho_T)
     bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
-    pieces = (_moment_epsilon_slopes(rho_T, delta), _chi_epsilon_slopes(rho_T, delta))
+    pieces = _epsilon_pieces(rho_T, delta)
     # the solves start at the moments accountant's order, alpha - 1 = sqrt(L / rho_T)
     start = 0.5 * (math.log(-math.log(delta)) - math.log(rho_T))
     a_closed, _ = _solve_orders(pieces, lambda a: bound(a)[0], delta, start)
@@ -345,17 +382,19 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # gamma_alpha inverts the conversion at that order.  Below alpha = 1/delta
     # the closed-form gamma_alpha is the larger of the two pieces' inverses,
     # so -gamma_alpha/alpha is the smaller of two pieces, each solved on its
-    # own (unimodal as sampled; see _solve_orders).  The solves start at the
-    # moments accountant's order for its largest rate
+    # own (unimodal as sampled; see _solve_orders) by Newton steps on the
+    # epsilon piece's slope at gamma_alpha(eps) (_rate_pieces).  The solves
+    # start at the moments accountant's order for its largest rate
     # x = (sqrt(eps + L) - sqrt(L))^2, alpha - 1 = sqrt(L / x), in logs, which
-    # underflow nowhere; but no higher than half a unit below the end: at
-    # large orders the moment piece's slope crosses 0 where
-    # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2.  Exact mode then
+    # underflow nowhere; but no higher than half a unit below the end, since
+    # at large orders the moment piece's rate peaks where
+    # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2 (a start at the end
+    # costs a quarter of an evaluation more an answer).  Exact mode then
     # solves for the order maximizing gamma_exact/alpha from the closed-form order
     big_l = -math.log(delta)
     log_x = 2.0 * (math.log(epsilon) - math.log(math.sqrt(epsilon + big_l) + math.sqrt(big_l)))
     start = min(0.5 * (math.log(big_l) - log_x), _order_range(delta)[1] - 0.5)
-    pieces = (_moment_rate_slopes(epsilon, delta), _chi_rate_slopes(epsilon, delta))
+    pieces = _rate_pieces(epsilon, delta)
     neg_rate = lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a
     alpha, value = _solve_orders(pieces, neg_rate, delta, start)
     if mode == "closed_form":
@@ -450,8 +489,11 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     alpha in (1, 1/delta] of gamma_alpha(eps) / alpha, where gamma_alpha
     inverts epsilon_bound in gamma.  gamma_alpha is the larger of the two
     pieces' inverses, and each one's maximum over the orders is found on its
-    own by Newton steps on its slope in log(alpha - 1), as in acct_epsilon:
-    about 14 piece evaluations an answer.  Every positive budget is feasible.
+    own by Newton steps in log(alpha - 1) on the slope and curvature of the
+    epsilon piece at gamma_alpha(eps), the formulas acct_epsilon steps on:
+    that slope has the sign of the rate's, and at the maximum gives its
+    Newton step.  About 10 piece evaluations an answer.  Every positive
+    budget is feasible.
     """
     _check_steps(T)
     _check_budget(epsilon, delta)

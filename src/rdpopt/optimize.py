@@ -13,9 +13,11 @@ crossing of the objective's slope with 0.  The frontier of
 conversion.gamma_exact: its objective is the log of a sum of two convex
 perspectives (see there), so its slope crosses 0 once.  The accountant's
 minima over the order (see gaussian._solve_orders): each piece of the
-closed-form conversion, and each piece it inverts for a budget, comes with
-its slope and curvature in log(alpha - 1), and so does exact mode's rate
-gamma_exact/alpha, from the envelope and implicit-function theorems at the
+closed-form conversion comes with its slope and curvature in
+log(alpha - 1), and the same two, taken at the divergence an order allows
+a budget, steer the solve for the largest rate that piece allows (see
+gaussian._rate_pieces); exact mode's rate gamma_exact/alpha comes with
+its own, from the envelope and implicit-function theorems at the
 frontier's argmin.  The closed-form moment piece is proved convex in the
 order; the others are unimodal only as sampled: on thousands of random
 inputs none rises before its sampled minimum or falls after it beyond
@@ -75,17 +77,21 @@ def _newton_invert(
     # stretch of any width takes logarithmically many steps, and a probe past
     # hi bisects.  Stops at a point that reaches the target once the Newton
     # correction there is at most abs_tol or lost in rounding, or once the
-    # bracket is no wider than abs_tol; returns hi after MAX_STEPS evaluations
+    # bracket is no wider than abs_tol; returns hi after MAX_STEPS evaluations.
+    # A start below hi that meets the target exactly with a 0.0 slope is read
+    # as below it, and the search goes on towards hi: fn may be flat at the
+    # target there, as a rate that rounds to 0 is, rather than crossing it
     if not lo < hi:
         return hi
     x = hi if start is None else start
-    lo_known = False  # fn(lo) < target has been seen
+    lo_known = False  # fn(lo) < target has been seen, or lo is such a start
     last = math.inf  # length of the previous step
     shift = abs_tol / 16.0
     creeping = 0  # points in a row below the target with a correction no larger than the shift
-    for _ in range(MAX_STEPS):
+    for i in range(MAX_STEPS):
         value, slope = fn(x)
-        if value >= target:
+        flat_start = i == 0 and value == target and slope == 0.0 and x < hi
+        if value >= target and not flat_start:
             if x == lo:
                 return lo
             hi = x

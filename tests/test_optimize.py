@@ -189,6 +189,17 @@ def test_invert_evaluates_lo_once_the_bracket_is_inside_tolerance():
         assert seen == [1e-12, 0.0], seen
 
 
+def test_invert_reads_a_flat_start_as_below_the_target():
+    # a start below hi that meets the target exactly with a 0.0 slope may sit
+    # on a stretch flat at the target, not at the crossing: the search goes
+    # on toward hi, from lo or from inside the stretch, and finds where fn
+    # first rises past the target
+    fn = lambda x: (x - 1.0, 1.0) if x > 1.0 else (0.0, 0.0)
+    for start in (0.0, 0.5):
+        x = _newton_invert(fn, 0.0, 0.0, 4.0, 1e-10, start=start)
+        assert 1.0 <= x <= 1.0 + 1e-10, (start, x)
+
+
 def test_invert_matches_bisection_reference_on_frontier_round_trips():
     for alpha, eps, target in [(2.0, 1.0, 0.3), (2.0, 1.0, 0.05), (10.0, 0.5, 1.2), (40.0, 3.0, 3.5)]:
         fn = lambda t: gamma_exact(alpha, eps, t).value
