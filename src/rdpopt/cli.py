@@ -20,13 +20,11 @@ which also write files, build it with the same _record and write it themselves.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import asdict
 
 from . import __version__
 from .conversion import (
@@ -132,7 +130,7 @@ def cmd_convert(args: argparse.Namespace) -> tuple[dict, dict]:
     results: dict = {}
     for method in methods:
         value = calls[method](args)
-        results[method] = asdict(value) if isinstance(value, ConversionResult) else {"value": value}
+        results[method] = value._asdict() if isinstance(value, ConversionResult) else {"value": value}
     return {**_flags(args, "alpha", "gamma", "eps", "delta"), "target": target, "method": args.method}, results
 
 
@@ -146,7 +144,7 @@ def cmd_compose(args: argparse.Namespace) -> tuple[dict, dict]:
     rho = _mechanism(args).rho
     ours = acct_epsilon(rho, args.T, args.delta, args.mode)
     eps_ma = ma_epsilon(rho, args.T, args.delta)
-    results = {"rho": rho, "eps_ma": eps_ma, "eps_ours": asdict(ours), "gap": eps_ma - ours.epsilon}
+    results = {"rho": rho, "eps_ma": eps_ma, "eps_ours": ours._asdict(), "gap": eps_ma - ours.epsilon}
     return _flags(args, "sigma", "q", "T", "delta", "mode"), results
 
 
@@ -166,7 +164,7 @@ def cmd_variance(args: argparse.Namespace) -> tuple[dict, dict]:
         raise UsageError(f"--T must be >= 1, got {args.T}")
     ours = required_variance(args.T, args.eps, args.delta)
     ma_value = ma_required_variance(args.T, args.eps, args.delta)
-    results = {**asdict(ours), "ma_sigma_sq": ma_value, "reduction": ma_value - ours.sigma_sq}
+    results = {**ours._asdict(), "ma_sigma_sq": ma_value, "reduction": ma_value - ours.sigma_sq}
     return _flags(args, "T", "eps", "delta"), results
 
 
@@ -243,7 +241,7 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
     # the columns are CurvePoint's fields, with epochs after T when --q is set
     # and without the exact column in closed-form mode
     for point in privacy_curve(_mechanism(args), args.delta, t_values, exact=exact):
-        row = asdict(point)
+        row = point._asdict()
         if args.q is not None:
             row = {"T": row.pop("T"), "epochs": args.q * point.T, **row}
         if not exact:
@@ -256,7 +254,10 @@ def cmd_curve(args: argparse.Namespace) -> None:
     rows, query = _curve_rows(args)
     columns = list(rows[0])
     if args.format == "csv":
-        # csv writes floats with repr, so cells parse back to the same doubles
+        # csv writes floats with repr, so cells parse back to the same doubles;
+        # imported here, as the one branch that needs it
+        import csv
+
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows([columns, *(row.values() for row in rows)])
         text = buffer.getvalue()
@@ -417,14 +418,18 @@ def _apply_config(argv: list[str]) -> list[str]:
     pairs = []
     for path in known.config:
         with open(path, "r", encoding="utf-8") as handle:
-            for line_no, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                pairs += ["--" + key.strip().replace("_", "-"), value.strip()]
+            try:
+                lines = list(handle)
+            except UnicodeDecodeError:
+                raise UsageError(f"{path}: expected UTF-8 text") from None
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            pairs += ["--" + key.strip().replace("_", "-"), value.strip()]
     return [rest[0]] + pairs + rest[1:]
 
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal, NamedTuple, Optional
 
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_positive
 from .errors import _check_alpha_eps_delta, _check_alpha_gamma_delta, _check_alpha_gamma_eps
@@ -35,8 +34,7 @@ _LOG_TINY = math.log(math.ulp(0.0))  # the smallest t with e^t > 0
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
 
-@dataclass(frozen=True)
-class ConversionResult:
+class ConversionResult(NamedTuple):
     """Converted value plus how it was obtained.
 
     argmin_p is the interior minimizer of the frontier objective when the
@@ -587,8 +585,7 @@ def balle_epsilon(alpha: float, gamma: float, delta: float) -> float:
     return gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
 
 
-@dataclass(frozen=True)
-class ZeroEpsilonRegion:
+class ZeroEpsilonRegion(NamedTuple):
     """Deltas for which the guarantee already implies (0, delta)-DP.
 
     interval is a closed sub-interval of [0, 1/alpha] when the simple

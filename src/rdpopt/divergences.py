@@ -12,22 +12,30 @@ nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, _check_alpha, _check_unit
 from .optimize import log_add
 
 
-@dataclass(frozen=True)
-class BernoulliPair:
-    """Success probabilities of two binary distributions; endpoints rejected."""
-
+class _BernoulliPair(NamedTuple):
     p: float
     q: float
 
-    def __post_init__(self):
-        _check_unit(self.p, "p")
-        _check_unit(self.q, "q")
+
+class BernoulliPair(_BernoulliPair):
+    """Success probabilities of two binary distributions; endpoints rejected."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: float, q: float):
+        _check_unit(p, "p")
+        _check_unit(q, "q")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
 
 def hockey_stick_binary(pair: BernoulliPair, lam: float) -> float:

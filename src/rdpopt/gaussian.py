@@ -29,8 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import KW_ONLY, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conversion import (
     Branch,
@@ -82,16 +81,30 @@ def _rate(numerator: float, denominator: float, sigma: float) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class GaussianConfig:
+class _GaussianConfig(NamedTuple):
+    sigma: float
+    subsampling_q: Optional[float]
+
+
+class GaussianConfig(_GaussianConfig):
     """Noise multiplier sigma (for sensitivity Delta, pass sigma / Delta), optional sampling rate q; rho is derived."""
 
-    sigma: float
-    _: KW_ONLY  # a sensitivity passed by position, as in GaussianConfig(4.0, 2.0), fails instead of reading as q
-    subsampling_q: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    # q is keyword-only: a sensitivity passed by position, as in
+    # GaussianConfig(4.0, 2.0), fails instead of reading as q
+    def __new__(cls, sigma: float, *, subsampling_q: Optional[float] = None):
+        self = super().__new__(cls, sigma, subsampling_q)
         self.rho  # rho_gaussian or rho_subsampled validates sigma and q
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        sigma, subsampling_q = iterable
+        return cls(sigma, subsampling_q=subsampling_q)
+
+    def __getnewargs_ex__(self):  # copy and pickle rebuild through __new__
+        return (self.sigma,), {"subsampling_q": self.subsampling_q}
 
     @property
     def rho(self) -> float:
@@ -152,8 +165,7 @@ def _check_delta(delta: float) -> None:
         raise DomainError(f"delta must be at least 1/DBL_MAX so that log(1/delta) is finite, got {delta!r}")
 
 
-@dataclass(frozen=True)
-class AccountedEpsilon:
+class AccountedEpsilon(NamedTuple):
     """Composed epsilon with its minimizing order.
 
     active_branch is the epsilon_bound branch that wins at argmin_alpha in
@@ -473,8 +485,7 @@ def ma_required_variance(T: float, epsilon: float, delta: float) -> float:
     return _variance(T, x, "moments-accountant variance")
 
 
-@dataclass(frozen=True)
-class RequiredVariance:
+class RequiredVariance(NamedTuple):
     """Noise variance and the order alpha whose closed-form conversion certifies it."""
 
     sigma_sq: float
@@ -501,8 +512,7 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     return RequiredVariance(_variance(T, rho_T, "variance"), alpha)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One row of an epsilon-versus-T sweep; its fields, in order, are rdpopt curve's columns."""
 
     T: float

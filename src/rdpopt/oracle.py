@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +54,24 @@ def _check_count(value, name: str, least: int) -> None:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridSpec(NamedTuple):
+    n_coarse: int
+    n_refine: int
+
+
+class GridSpec(_GridSpec):
     """Resolution of the brute-force search."""
 
-    n_coarse: int = 4096
-    n_refine: int = 4096
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_count(self.n_coarse, "n_coarse", 64)
-        _check_count(self.n_refine, "n_refine", 64)
+    def __new__(cls, n_coarse: int = 4096, n_refine: int = 4096):
+        _check_count(n_coarse, "n_coarse", 64)
+        _check_count(n_refine, "n_refine", 64)
+        return super().__new__(cls, n_coarse, n_refine)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
 
 def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:

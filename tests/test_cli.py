@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import importlib.resources
 import io
 import json
@@ -655,7 +654,7 @@ def test_oracle_check_flags_containment_violations(capsys, monkeypatch):
 
     def lifted(*args):
         r = true_gamma(*args)
-        return dataclasses.replace(r, value=r.value + 1.0)
+        return r._replace(value=r.value + 1.0)
 
     monkeypatch.setattr(oracle, "gamma_exact", lifted)
     code, out, err = run_cli(
@@ -712,6 +711,14 @@ def test_config_errors(capsys, tmp_path):
     bad.write_text("sigma 20\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "compose", "--config", str(bad))
     assert code == 2 and "key=value" in err
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"sigma=\xff\n")
+    code, out, err = run_cli(capsys, "compose", "--config", str(bad), "--T", "10", "--delta", "1e-5")
+    assert code == 2 and out == ""
+    assert err == f"rdpopt: usage error: {bad}: expected UTF-8 text\n"
 
 
 def test_version_via_module_entry():

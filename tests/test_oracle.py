@@ -1,6 +1,5 @@
 """Brute-force certification of the frontier."""
 
-import dataclasses
 import math
 import threading
 import tracemalloc
@@ -412,7 +411,7 @@ def test_joint_range_containment_counts_pairs_below_the_frontier(monkeypatch):
     # with the frontier lifted by 1 nat, pairs on or near the true frontier fall below it
     def lifted(*args):
         r = gamma_exact(*args)
-        return dataclasses.replace(r, value=r.value + 1.0)
+        return r._replace(value=r.value + 1.0)
 
     monkeypatch.setattr(oracle, "gamma_exact", lifted)
     report = joint_range_containment(2.0, 1.0, n_samples=50)

@@ -1,7 +1,9 @@
 """Top-level API and import cost: names load on first use, and only the oracle loads numpy."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,21 +14,27 @@ from rdpopt import oracle
 
 ORACLE_NAMES = ("GridSpec", "brute_force_gamma", "verify_q_star", "joint_range_containment")
 
-# a fresh interpreter reports, after each step, whether numpy is loaded, and
-# which rdpopt submodules importing the package loaded
+# a fresh interpreter reports, after each step, whether numpy is loaded and
+# which of csv, dataclasses and inspect it loaded since before importing the
+# package (a site hook may load one earlier), and which rdpopt submodules
+# importing the package loaded
 _CHILD = """
 import contextlib, io, json, sys
-seen = []
+preloaded = set(sys.modules)
+seen, loaded = [], []
+def record(step, code):
+    seen.append([step, code, "numpy" in sys.modules])
+    loaded.append([name for name in ("csv", "dataclasses", "inspect") if name in sys.modules and name not in preloaded])
 import rdpopt
-seen.append(["import rdpopt", None, "numpy" in sys.modules])
+record("import rdpopt", None)
 submodules = sorted(name for name in sys.modules if name.startswith("rdpopt."))
 import rdpopt.cli
-seen.append(["import rdpopt.cli", None, "numpy" in sys.modules])
+record("import rdpopt.cli", None)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = rdpopt.cli.main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps({"seen": seen, "submodules": submodules}))
+    record(argv[0], code)
+print(json.dumps({"seen": seen, "loaded": loaded, "submodules": submodules}))
 """
 
 _NUMPY_FREE = [
@@ -46,13 +54,16 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
+def _child_report(argvs: list[list[str]]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(argvs)], capture_output=True, text=True, env=_child_env(), check=True
+    )
+    return json.loads(proc.stdout)
+
+
 def test_only_oracle_check_imports_numpy():
     env = _child_env()
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(_NUMPY_FREE + [_ORACLE_CHECK])],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    report = json.loads(proc.stdout)
+    report = _child_report(_NUMPY_FREE + [_ORACLE_CHECK])
     assert report["submodules"] == []
     seen = report["seen"]
     assert [step for step, _, _ in seen] == ["import rdpopt", "import rdpopt.cli"] + [
@@ -67,6 +78,14 @@ def test_only_oracle_check_imports_numpy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout == "rdpopt.oracle\n"
+
+
+def test_cold_subcommands_load_no_dataclasses_or_inspect():
+    # the records are named tuples, and only a CSV table needs the csv module;
+    # the curve step, the last, writes one
+    report = _child_report(_NUMPY_FREE)
+    assert [step for step, _, _ in report["seen"]][-1] == "curve"
+    assert report["loaded"] == [[]] * (len(report["seen"]) - 1) + [["csv"]]
 
 
 def test_oracle_names_are_the_oracle_objects():
@@ -104,3 +123,43 @@ def test_dir_lists_names_before_first_use():
     child = "import rdpopt, sys; print(sorted(set(rdpopt.__all__) - set(dir(rdpopt))), 'rdpopt.gaussian' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=_child_env(), check=True)
     assert proc.stdout == "[] False\n"
+
+
+def test_records_are_immutable():
+    # one instance of each record type, with its fields
+    records = [
+        (rdpopt.gamma_exact(2.0, 1.0, 0.1), ("value", "method", "argmin_p", "active_branch")),
+        (rdpopt.zero_epsilon_region(2.0, 0.1), ("interval", "delta_free")),
+        (rdpopt.acct_epsilon(0.00125, 1000, 1e-5), ("epsilon", "argmin_alpha", "active_branch", "mode")),
+        (rdpopt.required_variance(100, 1.0, 1e-6), ("sigma_sq", "argmin_alpha")),
+        (
+            rdpopt.privacy_curve(rdpopt.GaussianConfig(sigma=20.0), 1e-5, [10])[0],
+            ("T", "eps_ma", "eps_ours", "eps_ours_exact", "gap"),
+        ),
+        (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), ("sigma", "subsampling_q")),
+        (rdpopt.GridSpec(), ("n_coarse", "n_refine")),
+        (rdpopt.BernoulliPair(0.6, 0.4), ("p", "q")),
+    ]
+    assert len({type(record) for record, _ in records}) == 8
+    for record, fields in records:
+        for name in (*fields, "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+            assert getattr(record, name, None) != 1.0, (type(record), name)
+
+
+def test_validated_inputs_check_every_construction():
+    # a copy, an unpickled value and a _replace result pass the same checks as a new value
+    inputs = (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), rdpopt.GridSpec(64, 128), rdpopt.BernoulliPair(0.6, 0.4))
+    for record in inputs:
+        assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+        assert type(pickle.loads(pickle.dumps(record))) is type(record)
+    assert rdpopt.GaussianConfig(sigma=4.0)._replace(subsampling_q=0.5).rho == rdpopt.rho_subsampled(4.0, 0.5)
+    for bad in (
+        lambda: rdpopt.GaussianConfig(sigma=4.0)._replace(sigma=0.0),
+        lambda: rdpopt.GaussianConfig(sigma=4.0)._replace(subsampling_q=1.0),
+        lambda: rdpopt.GridSpec()._replace(n_refine=63),
+        lambda: rdpopt.BernoulliPair(0.6, 0.4)._replace(p=1.0),
+    ):
+        with pytest.raises(rdpopt.DomainError):
+            bad()

@@ -1,7 +1,6 @@
 """Robustness contract of the library: every finite input gives finite float
 fields or an AccountingError, never another exception, an inf or a NaN."""
 
-import dataclasses
 import math
 import sys
 
@@ -29,8 +28,6 @@ _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def _floats(value) -> list[float]:
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
     if isinstance(value, (tuple, list)):
         return [x for item in value for x in _floats(item)]
     return [value] if isinstance(value, float) else []
