@@ -499,36 +499,6 @@ def _moment_epsilon_slopes(alpha: float, gamma: float, delta: float) -> tuple[fl
     return _moment_epsilon_piece(alpha, gamma, delta), rate_a - tail, rate_a + 1.0 / alpha + tail
 
 
-def _chi_epsilon_slopes(alpha: float, gamma: float, delta: float) -> tuple[float, float, float]:
-    # the chi piece P = g/a at order alpha and divergence gamma, with its
-    # first and second derivatives in u = log(alpha - 1) along
-    # gamma = rate alpha, from ratios that stay bounded.  With a = alpha - 1,
-    # x = a gamma, c = alpha delta and g = log(1 + expm1(x)/c), write E = e^-x and
-    # den = c E - expm1(-x) = e^-x (c + expm1(x)) in (0, 1]; then
-    # s = -expm1(-x)/den = expm1(x)/(c + expm1(x)) is expm1(x)'s share and
-    # k = rate (1 + 2a)/den = dg/du / a + s/alpha.  So
-    #     P' = k - s/alpha - P,
-    #     P'' = k (a/(alpha (1 + 2a)) + x' - g') - (1 - s) g'/alpha + s a/alpha^2 - P',
-    # with g' = a (k - s/alpha) and x' - g' = a (s/alpha - k (1 - c) E); the
-    # first bracket is 2a/(1 + 2a) - a/alpha with its cancellation taken out,
-    # and rate (1 + 2a) is formed as gamma ((1 + 2a)/alpha), as in
-    # _moment_epsilon_slopes.  Where x overflows the piece is infinite and rises
-    a = alpha - 1.0
-    value = _chi_epsilon_piece(alpha, gamma, delta)
-    if value == math.inf:
-        return value, math.inf, math.inf
-    x, c = a * gamma, alpha * delta
-    e = math.exp(-x)
-    share = -math.expm1(-x)
-    den = c * e + share
-    s = share / den
-    k = gamma * ((1.0 + 2.0 * a) / alpha) / den
-    g_u = a * (k - s / alpha)
-    first = k - s / alpha - value
-    k_u = k * (a / (alpha * (1.0 + 2.0 * a)) + a * (s / alpha - k * (1.0 - c) * e))
-    return value, first, k_u - (1.0 - s) * g_u / alpha + s * a / (alpha * alpha) - first
-
-
 def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
     # the moment piece inverted in gamma: the largest gamma at which it is at
     # most epsilon > 0, and gamma_bound's moment piece of the frontier

@@ -13,8 +13,10 @@ alpha rho T)}, whose optimized closed form is
 The accountant here applies the conversion of the conversion module at
 every order instead: epsilon = min over alpha in (1, 1/delta] of
 convert(alpha, rho T alpha, delta), where convert is epsilon_bound in mode
-"closed_form", whose minimum over the orders of each piece is the crossing
-of the piece's slope in log(alpha - 1) with 0, found by Newton steps.
+"closed_form".  Its minimum over the orders is its moment piece's (the chi
+piece's lies above it, as sampled), the crossing of that piece's slope in
+log(alpha - 1) with 0, found by Newton steps; epsilon_bound itself, both
+pieces included, is evaluated at that order and at alpha = 1/delta.
 Mode "exact" converts through the numeric frontier
 gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
@@ -34,8 +36,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .conversion import (
     Branch,
     ConversionResult,
-    _chi_epsilon_slopes,
-    _chi_gamma_piece,
     _epsilon_bound,
     _gamma_of_epsilon_bound,
     _gamma_order_slopes,
@@ -66,7 +66,10 @@ def rho_subsampled(sigma: float, q: float) -> float:
     """Renyi rate q^2 / ((1-q) sigma^2) of a Poisson-subsampled Gaussian step.
 
     Valid in the small-q, moderate-alpha regime where the subsampled
-    mechanism's Renyi curve is linear in alpha.
+    mechanism's Renyi curve is linear in alpha.  The accountant applies it at
+    every order up to 1/delta, past that regime, so its answers can be
+    optimistic: at sigma = 1, q = 0.01, T = 1, delta = 1e-5 it gives
+    epsilon 0.0453, where the true one-step epsilon is 0.1995.
     """
     _check_positive(sigma, "sigma")
     _check_unit(q, "sampling rate q")
@@ -87,7 +90,11 @@ class _GaussianConfig(NamedTuple):
 
 
 class GaussianConfig(_GaussianConfig):
-    """Noise multiplier sigma (for sensitivity Delta, pass sigma / Delta), optional sampling rate q; rho is derived."""
+    """Noise multiplier sigma (for sensitivity Delta, pass sigma / Delta), optional sampling rate q; rho is derived.
+
+    With a sampling rate, rho is rho_subsampled's linear model, whose
+    accounted epsilon can be optimistic (see there).
+    """
 
     __slots__ = ()
 
@@ -188,22 +195,20 @@ def _order_range(delta: float) -> tuple[float, float]:
     return max(min(math.log(1e-6), u_hi - 1.0), -36.5), u_hi
 
 
-def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
-    # minimize over alpha in (1, 1/delta] an objective that is the smaller of
-    # pieces below alpha = 1/delta, each given as a function of
-    # u = log(alpha - 1) returning its value and its first and second
-    # derivatives in u, or a positive multiple of the slope with a curvature
-    # that gives the same Newton step at the minimum (_rate_pieces).  The
-    # minimum over the open range is the smallest of
-    # the pieces' own minima, and each piece's minimum is the crossing of its
-    # slope with 0, found by _newton_invert's bracketed Newton steps from the
-    # order start over _order_range, to tol in u; the order of the smallest
-    # value any step evaluated wins, and is compared with the end, as in
+def _solve_orders(piece, objective, delta: float, start: float, tol: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+    # minimize over alpha in (1, 1/delta] an objective that below alpha =
+    # 1/delta is at most piece, a function of u = log(alpha - 1) returning its
+    # value and its first and second derivatives in u, or a positive multiple
+    # of the slope with a curvature that gives the same Newton step at the
+    # minimum (_rate_piece).  The piece's minimum is the crossing of its slope
+    # with 0, found by _newton_invert's bracketed Newton steps from the order
+    # start over _order_range, to tol in u; the order of the smallest value
+    # any step evaluated is compared with the end under objective, as in
     # _end_order.  A piece still falling at the top of the range loses to the
     # end, where each conversion's edge value is at most the piece's limit.
-    # This is the one order solve: the closed forms' pieces for an epsilon and
-    # for a largest rate, and exact mode's single piece -gamma_exact/alpha
-    # (_exact_rate).
+    # This is the one order solve: the closed-form moment pieces for an
+    # epsilon and for a largest rate, and exact mode's rate -gamma_exact/alpha
+    # (_exact_rate), where the piece is the objective itself.
     #
     # The crossing is the minimum when the piece is unimodal in u.  For the
     # moment piece of epsilon_bound at gamma = rho_T alpha this is proved.
@@ -216,59 +221,64 @@ def _solve_orders(pieces, objective, delta: float, start: float, tol: float = DE
     # convex in alpha; in u its curvature is positive as well (see
     # conversion._moment_epsilon_slopes), so its slope crosses 0 once.  The
     # argument needs only that the total rate, here rho_T alpha, is convex in
-    # alpha.  The chi piece, both pieces that _largest_rate inverts and exact
-    # mode's rate have no such proof; they are unimodal as sampled on random
-    # inputs over their whole ranges, and tests/test_gaussian.py keeps
-    # sampling them, exact mode's rate against a 256-order sample.  Where a
-    # piece's curvature is not positive, the Newton step bisects instead
+    # alpha.  The moment piece's largest rate and exact mode's rate have no
+    # such proof; they are unimodal as sampled on random inputs over their
+    # whole ranges, and tests/test_gaussian.py keeps sampling them, exact
+    # mode's rate against a 256-order sample.  Where a piece's curvature is
+    # not positive, the Newton step bisects instead
     u_lo, u_hi = _order_range(delta)
     start = min(max(start, u_lo), u_hi)
     best, best_u = math.inf, start
-    for piece in pieces:
 
-        def slope(u: float) -> tuple[float, float]:
-            nonlocal best, best_u
-            value, first, second = piece(u)
-            if value < best:
-                best, best_u = value, u
-            return first, second
+    def slope(u: float) -> tuple[float, float]:
+        nonlocal best, best_u
+        value, first, second = piece(u)
+        if value < best:
+            best, best_u = value, u
+        return first, second
 
-        _newton_invert(slope, 0.0, u_lo, u_hi, tol, start=start)
+    _newton_invert(slope, 0.0, u_lo, u_hi, tol, start=start)
     return _end_order(1.0 + math.exp(best_u), objective, delta)
 
 
-def _epsilon_pieces(rho_T: float, delta: float) -> tuple:
-    # epsilon_bound's two pieces below alpha = 1/delta at gamma = rho_T alpha,
-    # as functions of u = log(alpha - 1) returning value, slope and curvature
-    def piece(slopes):
-        def at(u: float) -> tuple[float, float, float]:
-            alpha = 1.0 + math.exp(u)
-            return slopes(alpha, rho_T * alpha, delta)
+def _epsilon_piece(rho_T: float, delta: float):
+    # epsilon_bound's moment piece below alpha = 1/delta at gamma = rho_T alpha,
+    # as a function of u = log(alpha - 1) returning value, slope and curvature.
+    # The closed-form accountant solves this piece alone.  Below 1/delta
+    # epsilon_bound is the smaller of it and the chi piece, but with
+    # gamma = rho_T alpha the chi piece exceeds the (unclamped) moment piece by
+    #     log(1 - (1 - alpha delta) e^{-(alpha - 1) gamma})/(alpha - 1) + log(alpha/(alpha - 1)),
+    # which is positive wherever (alpha - 1) gamma is large: the chi piece can
+    # dip below only where (alpha - 1) gamma is small, far from the
+    # accountant's minimum.  That is an argument, not a proof; the chi
+    # piece's minimum lies above this one's as sampled, and
+    # tests/test_gaussian.py compares every answer with scans of both pieces.
+    # The answer is epsilon_bound at the order found, both pieces included,
+    # so were the claim to fail an answer would lose tightness, never soundness
+    def piece(u: float) -> tuple[float, float, float]:
+        alpha = 1.0 + math.exp(u)
+        return _moment_epsilon_slopes(alpha, rho_T * alpha, delta)
 
-        return at
-
-    return piece(_moment_epsilon_slopes), piece(_chi_epsilon_slopes)
+    return piece
 
 
-def _rate_pieces(epsilon: float, delta: float) -> tuple:
-    # the two pieces' negated largest rates -gamma_alpha(eps)/alpha, where
+def _rate_piece(epsilon: float, delta: float):
+    # the moment piece's negated largest rate -gamma_alpha(eps)/alpha, where
     # gamma_alpha inverts the piece in gamma at the order alpha = 1 + e^u,
     # with the epsilon piece's slope and curvature in u at gamma_alpha(eps).
     # Write Phi(u, x) for the epsilon piece at rate x and R(u) for the
     # largest rate, Phi(u, R(u)) = eps.  Then R' = -Phi_u/Phi_x with
     # Phi_x > 0, so Phi_u has the sign of the negated rate's slope; and where
     # R' = 0, R'' = -Phi_uu/Phi_x, so there Phi_u/Phi_uu is its Newton step,
-    # all that _newton_invert uses
-    def piece(inverse, slopes):
-        def at(u: float) -> tuple[float, float, float]:
-            alpha = 1.0 + math.exp(u)
-            gamma = inverse(alpha, epsilon, delta)
-            _, first, second = slopes(alpha, gamma, delta)
-            return -gamma / alpha, first, second
+    # all that _newton_invert uses.  The chi piece's rate is never the larger
+    # at the maximum, as sampled, for the reason given at _epsilon_piece
+    def piece(u: float) -> tuple[float, float, float]:
+        alpha = 1.0 + math.exp(u)
+        gamma = _moment_gamma_piece(alpha, epsilon, delta)
+        _, first, second = _moment_epsilon_slopes(alpha, gamma, delta)
+        return -gamma / alpha, first, second
 
-        return at
-
-    return piece(_moment_gamma_piece, _moment_epsilon_slopes), piece(_chi_gamma_piece, _chi_epsilon_slopes)
+    return piece
 
 
 def _end_order(alpha: float, objective, delta: float) -> tuple[float, float]:
@@ -289,13 +299,14 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     order, so epsilon is the minimum over alpha in (1, 1/delta] of the
     conversion of that guarantee.  Closed-form mode minimizes
     epsilon_bound(alpha, rho T alpha, delta), which below alpha = 1/delta is
-    the smaller of its moment and chi pieces: each piece's minimum over the
-    orders is the crossing of its slope in u = log(alpha - 1) with 0 (the
-    moment piece is convex in alpha, the chi piece unimodal as sampled),
-    found by bracketed Newton steps from the moments accountant's order with
-    the piece's slope and curvature in closed form, to DEFAULT_ABS_TOL in u;
-    epsilon_bound is evaluated at the lower piece's order and at alpha =
-    1/delta.  About 9 piece evaluations an answer.
+    the smaller of its moment and chi pieces.  The chi piece's minimum lies
+    above the moment piece's (as sampled), so only the moment piece is
+    solved: its minimum over the orders is the crossing of its slope in
+    u = log(alpha - 1) with 0 (it is convex in alpha), found by bracketed
+    Newton steps from the moments accountant's order with the piece's slope
+    and curvature in closed form, to DEFAULT_ABS_TOL in u; epsilon_bound,
+    both pieces included, is evaluated at that order and at alpha = 1/delta.
+    About 4 piece evaluations an answer.
 
     Exact mode computes the same minimum for epsilon_exact through its dual:
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
@@ -321,10 +332,9 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     rho_T = rho * T
     _check_finite(rho_T, rho_T)
     bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
-    pieces = _epsilon_pieces(rho_T, delta)
-    # the solves start at the moments accountant's order, alpha - 1 = sqrt(L / rho_T)
+    # the solve starts at the moments accountant's order, alpha - 1 = sqrt(L / rho_T)
     start = 0.5 * (math.log(-math.log(delta)) - math.log(rho_T))
-    a_closed, _ = _solve_orders(pieces, lambda a: bound(a)[0], delta, start)
+    a_closed, _ = _solve_orders(_epsilon_piece(rho_T, delta), lambda a: bound(a)[0], delta, start)
     eps_closed, branch = bound(a_closed)
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
@@ -383,7 +393,7 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
         second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + r.value * c * (1.0 - a) / alpha) / alpha
         return -r.value / alpha, first, second
 
-    alpha, _ = _solve_orders((piece,), neg_rate, delta, math.log(centre - 1.0), 1e-6)
+    alpha, _ = _solve_orders(piece, neg_rate, delta, math.log(centre - 1.0), 1e-6)
     return alpha, solves[alpha]
 
 
@@ -392,23 +402,23 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     # attaining it.  Each conversion increases with gamma, so the budget is met
     # exactly when rho*T*alpha <= gamma_alpha(eps) at some order, where
     # gamma_alpha inverts the conversion at that order.  Below alpha = 1/delta
-    # the closed-form gamma_alpha is the larger of the two pieces' inverses,
-    # so -gamma_alpha/alpha is the smaller of two pieces, each solved on its
-    # own (unimodal as sampled; see _solve_orders) by Newton steps on the
-    # epsilon piece's slope at gamma_alpha(eps) (_rate_pieces).  The solves
-    # start at the moments accountant's order for its largest rate
+    # the closed-form gamma_alpha is the larger of the two pieces' inverses.
+    # The moment piece's attains the maximum over orders, as sampled, so only
+    # its rate is solved, by Newton steps on the moment epsilon piece's slope
+    # at gamma_alpha(eps) (_rate_piece), and the full gamma_alpha is compared
+    # at that order and at 1/delta.  The solve starts at the moments
+    # accountant's order for its largest rate
     # x = (sqrt(eps + L) - sqrt(L))^2, alpha - 1 = sqrt(L / x), in logs, which
     # underflow nowhere; but no higher than half a unit below the end, since
     # at large orders the moment piece's rate peaks where
     # L - log(alpha) = (1 + (alpha - 1) eps)/2 >= 1/2 (a start at the end
-    # costs a quarter of an evaluation more an answer).  Exact mode then
+    # costs 0.03 evaluations more a required_variance answer).  Exact mode then
     # solves for the order maximizing gamma_exact/alpha from the closed-form order
     big_l = -math.log(delta)
     log_x = 2.0 * (math.log(epsilon) - math.log(math.sqrt(epsilon + big_l) + math.sqrt(big_l)))
     start = min(0.5 * (math.log(big_l) - log_x), _order_range(delta)[1] - 0.5)
-    pieces = _rate_pieces(epsilon, delta)
     neg_rate = lambda a: -_gamma_of_epsilon_bound(a, epsilon, delta) / a
-    alpha, value = _solve_orders(pieces, neg_rate, delta, start)
+    alpha, value = _solve_orders(_rate_piece(epsilon, delta), neg_rate, delta, start)
     if mode == "closed_form":
         return -value, alpha
     alpha, r = _exact_rate(epsilon, delta, alpha)
@@ -499,11 +509,13 @@ def required_variance(T: float, epsilon: float, delta: float) -> RequiredVarianc
     closed-form accounted epsilon meets the budget: the maximum over orders
     alpha in (1, 1/delta] of gamma_alpha(eps) / alpha, where gamma_alpha
     inverts epsilon_bound in gamma.  gamma_alpha is the larger of the two
-    pieces' inverses, and each one's maximum over the orders is found on its
-    own by Newton steps in log(alpha - 1) on the slope and curvature of the
-    epsilon piece at gamma_alpha(eps), the formulas acct_epsilon steps on:
+    pieces' inverses, and the moment piece's inverse attains the maximum
+    (as sampled), so only its maximum over the orders is solved, by Newton
+    steps in log(alpha - 1) on the slope and curvature of the moment
+    epsilon piece at gamma_alpha(eps), the formula acct_epsilon steps on:
     that slope has the sign of the rate's, and at the maximum gives its
-    Newton step.  About 10 piece evaluations an answer.  Every positive
+    Newton step.  The full gamma_alpha is then taken at that order and at
+    alpha = 1/delta.  About 5 piece evaluations an answer.  Every positive
     budget is feasible.
     """
     _check_steps(T)

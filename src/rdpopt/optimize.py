@@ -12,16 +12,17 @@ stretch flat to rounding.  Every minimum is found by the same inversion, as the
 crossing of the objective's slope with 0.  The frontier of
 conversion.gamma_exact: its objective is the log of a sum of two convex
 perspectives (see there), so its slope crosses 0 once.  The accountant's
-minima over the order (see gaussian._solve_orders): each piece of the
-closed-form conversion comes with its slope and curvature in
-log(alpha - 1), and the same two, taken at the divergence an order allows
-a budget, steer the solve for the largest rate that piece allows (see
-gaussian._rate_pieces); exact mode's rate gamma_exact/alpha comes with
-its own, from the envelope and implicit-function theorems at the
-frontier's argmin.  The closed-form moment piece is proved convex in the
-order; the others are unimodal only as sampled: on thousands of random
-inputs none rises before its sampled minimum or falls after it beyond
-rounding.
+minima over the order (see gaussian._solve_orders), one solve an answer:
+the closed-form conversion's moment piece comes with its slope and
+curvature in log(alpha - 1), and the same two, taken at the divergence an
+order allows a budget, steer the solve for the largest rate it allows (see
+gaussian._rate_piece); exact mode's rate gamma_exact/alpha comes with its
+own, from the envelope and implicit-function theorems at the frontier's
+argmin.  The closed-form moment piece is proved convex in the order; the
+two rates are unimodal only as sampled: on thousands of random inputs
+neither rises before its sampled minimum or falls after it beyond
+rounding.  The conversion's chi piece is not solved: its minimum lies
+above the moment piece's, as sampled (see gaussian._epsilon_piece).
 
 A search's tolerance abs_tol is on the argument, not the value, in
 whatever the caller searches in: log(p - delta) for the frontier in

@@ -149,10 +149,12 @@ def _closed_form_inputs(rng: random.Random, n: int, rate_lo: float, rate_hi: flo
 
 
 def test_closed_form_pieces_are_unimodal_in_u():
-    # the closed-form order solves find each piece's minimum where its slope
-    # crosses 0, which is the minimum when the piece is unimodal in
+    # the closed-form order solves find the moment piece's minimum where its
+    # slope crosses 0, which is the minimum when the piece is unimodal in
     # u = log(alpha - 1): proved for the moment piece of epsilon_bound,
-    # sampled here for the chi piece and for the two pieces _largest_rate inverts
+    # sampled here for the moment piece _largest_rate inverts.  The chi
+    # pieces, which no solve steps on, are sampled too: the reference scans
+    # below, which check that the chi piece never wins, scan them as unimodal
     rng = random.Random(15)
     for rho_T, delta in _closed_form_inputs(rng, 240, 1e-12, 1e3, 1e-30, 0.99):
         eps = _log_uniform(rng, 1e-4, 100.0)
@@ -208,26 +210,26 @@ def _count_order_evaluations(monkeypatch) -> list[int]:
 
 
 def test_closed_form_accountant_takes_few_evaluations(monkeypatch):
-    # Newton's steps on each piece's slope from the moments accountant's
-    # order: about 9 evaluations an acct_epsilon answer and 10 a
-    # required_variance answer, where the 8-point grid refined by Brent's
-    # steps took about 57 and 63
+    # Newton's steps on the moment piece's slope from the moments
+    # accountant's order, one solve an answer: about 4 evaluations an
+    # acct_epsilon answer and 5 a required_variance answer, where the 8-point
+    # grid refined by Brent's steps on both pieces took about 57 and 63
     inputs = _closed_form_inputs(random.Random(17), 300, 1e-8, 50.0, 1e-12, 0.5)
     counts = _count_order_evaluations(monkeypatch)
     for rho_T, delta in inputs:
         acct_epsilon(rho_T, 1, delta)
-    assert len(counts) == 2 * len(inputs)
-    assert sum(counts) / len(inputs) <= 16.0, sum(counts) / len(inputs)
+    assert len(counts) == len(inputs)
+    assert sum(counts) / len(inputs) <= 6.0, sum(counts) / len(inputs)
     counts.clear()
     for k, (rho_T, delta) in enumerate(inputs):
         required_variance(1, 0.05 * 1.02**k, delta)  # budgets 0.05 to 18
-    assert len(counts) == 2 * len(inputs)
-    assert sum(counts) / len(inputs) <= 12.0, sum(counts) / len(inputs)
+    assert len(counts) == len(inputs)
+    assert sum(counts) / len(inputs) <= 7.0, sum(counts) / len(inputs)
 
 
-def _mp_order_pieces(rate: float, delta: float) -> tuple:
-    # the two pieces of epsilon_bound at gamma = rate alpha, alpha = 1 + e^u,
-    # in mpmath, the moment piece unclamped
+def _mp_order_piece(rate: float, delta: float):
+    # the moment piece of epsilon_bound at gamma = rate alpha, alpha = 1 + e^u,
+    # in mpmath, unclamped
     par, d = mpmath.mpf(rate), mpmath.mpf(delta)
     big_l = -mpmath.log(d)
 
@@ -235,15 +237,11 @@ def _mp_order_pieces(rate: float, delta: float) -> tuple:
         a = mpmath.exp(u)
         return par * (1 + a) + mpmath.log1p(-1 / (1 + a)) + (big_l - mpmath.log(1 + a)) / a
 
-    def chi_eps(u):
-        a = mpmath.exp(u)
-        return mpmath.log1p(mpmath.expm1(a * par * (1 + a)) / ((1 + a) * d)) / a
-
-    return moment_eps, chi_eps
+    return moment_eps
 
 
-def _mp_rate_pieces(eps: float, delta: float) -> tuple:
-    # the two pieces' negated largest rates -gamma_alpha(eps)/alpha, alpha = 1 + e^u, in mpmath
+def _mp_rate_piece(eps: float, delta: float):
+    # the moment piece's negated largest rate -gamma_alpha(eps)/alpha, alpha = 1 + e^u, in mpmath
     e, d = mpmath.mpf(eps), mpmath.mpf(delta)
     big_l = -mpmath.log(d)
 
@@ -251,11 +249,7 @@ def _mp_rate_pieces(eps: float, delta: float) -> tuple:
         a = mpmath.exp(u)
         return -(e - mpmath.log1p(-1 / (1 + a)) - (big_l - mpmath.log(1 + a)) / a) / (1 + a)
 
-    def chi_rate(u):
-        a = mpmath.exp(u)
-        return -mpmath.log1p((1 + a) * d * mpmath.expm1(a * e)) / (a * (1 + a))
-
-    return moment_rate, chi_rate
+    return moment_rate
 
 
 def _slope_inputs():
@@ -271,62 +265,60 @@ def _slope_inputs():
 
 
 def test_order_slopes_match_mpmath():
-    # value, slope and curvature in u of the two pieces the closed-form order
-    # solves of acct_epsilon take Newton steps on, against 40-digit
+    # value, slope and curvature in u of the moment piece the closed-form
+    # order solve of acct_epsilon takes Newton steps on, against 40-digit
     # derivatives across the order range.  Each agrees with mpmath to 1e-12
     # of the larger of the derivative and the piece's value, or to 1e-300
-    # where those underflow; orders where a piece overflows are skipped
+    # where those underflow; orders where the piece overflows are skipped
     checked = 0
     for par, delta, us in _slope_inputs():
-        pieces = zip(gaussian._epsilon_pieces(par, delta), _mp_order_pieces(par, delta), (True, False))
-        for piece, mp_piece, clamped in pieces:
-            for u in us:
-                got = piece(u)
-                if not all(math.isfinite(v) for v in got):
-                    continue
-                with mpmath.workdps(40):
-                    x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
-                    value = mp_piece(x)
-                    want = [max(value, 0) if clamped else value]
-                    want += [mpmath.diff(mp_piece, x, n) for n in (1, 2)]
-                for n, (g, w) in enumerate(zip(got, want)):
-                    bound = 1e-12 * max(abs(w), abs(value)) + 1e-300
-                    assert abs(g - w) <= bound, (mp_piece.__name__, par, delta, u, n, g, float(w))
-                checked += 1
-    assert checked >= 400, checked
+        piece, mp_piece = gaussian._epsilon_piece(par, delta), _mp_order_piece(par, delta)
+        for u in us:
+            got = piece(u)
+            if not all(math.isfinite(v) for v in got):
+                continue
+            with mpmath.workdps(40):
+                x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
+                value = mp_piece(x)
+                want = [max(value, 0)] + [mpmath.diff(mp_piece, x, n) for n in (1, 2)]
+            for n, (g, w) in enumerate(zip(got, want)):
+                bound = 1e-12 * max(abs(w), abs(value)) + 1e-300
+                assert abs(g - w) <= bound, (par, delta, u, n, g, float(w))
+            checked += 1
+    assert checked >= 200, checked
 
 
 def test_rate_pieces_steer_by_the_rate_slope():
-    # _largest_rate's pieces carry the epsilon pieces' slope and curvature in
-    # u at the divergence gamma_alpha(eps) each order allows.  The slope has
-    # the sign of the 40-digit derivative of -gamma_alpha(eps)/alpha wherever
-    # that derivative is above 1e-12 of the rate (below it the rate is flat to
-    # rounding), and 0.01 either side of each piece's maximum its Newton step
-    # agrees with that derivative's to 5%: the two differ by about 2% there,
-    # in proportion to the distance
+    # _largest_rate's piece carries the moment epsilon piece's slope and
+    # curvature in u at the divergence gamma_alpha(eps) each order allows.
+    # The slope has the sign of the 40-digit derivative of
+    # -gamma_alpha(eps)/alpha wherever that derivative is above 1e-12 of the
+    # rate (below it the rate is flat to rounding), and 0.01 either side of
+    # the piece's maximum its Newton step agrees with that derivative's to
+    # 5%: the two differ by about 2% there, in proportion to the distance
     checked = near = 0
     for eps, delta, us in _slope_inputs():
         u_lo, u_hi = gaussian._order_range(delta)
-        for piece, mp_piece in zip(gaussian._rate_pieces(eps, delta), _mp_rate_pieces(eps, delta)):
-            u_max = gaussian._newton_invert(lambda u: piece(u)[1:], 0.0, u_lo, u_hi, DEFAULT_ABS_TOL)
-            around = [u_max - 0.01, u_max + 0.01]
-            for u in us + around:
-                _, first, second = piece(u)
-                if not (u_lo <= u <= u_hi and math.isfinite(first)):
-                    continue
-                with mpmath.workdps(40):
-                    x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
-                    rate, *want = [mpmath.diff(mp_piece, x, n) for n in (0, 1, 2)]
-                if abs(want[0]) <= 1e-12 * abs(rate):
-                    continue
-                case = (mp_piece.__name__, eps, delta, u, first, float(want[0]))
-                assert first * want[0] > 0, case
-                checked += 1
-                if u in around:
-                    step, mp_step = first / second, want[0] / want[1]
-                    assert abs(step - mp_step) <= 0.05 * abs(mp_step), case + (step, float(mp_step))
-                    near += 1
-    assert checked >= 400 and near >= 100, (checked, near)
+        piece, mp_piece = gaussian._rate_piece(eps, delta), _mp_rate_piece(eps, delta)
+        u_max = gaussian._newton_invert(lambda u: piece(u)[1:], 0.0, u_lo, u_hi, DEFAULT_ABS_TOL)
+        around = [u_max - 0.01, u_max + 0.01]
+        for u in us + around:
+            _, first, second = piece(u)
+            if not (u_lo <= u <= u_hi and math.isfinite(first)):
+                continue
+            with mpmath.workdps(40):
+                x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
+                rate, *want = [mpmath.diff(mp_piece, x, n) for n in (0, 1, 2)]
+            if abs(want[0]) <= 1e-12 * abs(rate):
+                continue
+            case = (eps, delta, u, first, float(want[0]))
+            assert first * want[0] > 0, case
+            checked += 1
+            if u in around:
+                step, mp_step = first / second, want[0] / want[1]
+                assert abs(step - mp_step) <= 0.05 * abs(mp_step), case + (step, float(mp_step))
+                near += 1
+    assert checked >= 300 and near >= 100, (checked, near)
 
 
 def _unimodal_scan(pieces, objective, delta: float) -> tuple[float, float]:
@@ -348,10 +340,11 @@ def test_order_solves_are_no_worse_than_the_unimodal_scan(monkeypatch):
     # on the seeded inputs and on 20 000 extreme ones (total rate and budget
     # log-uniform in [1e-300, 1e300], delta in [1e-300, 0.999]), every
     # closed-form epsilon is finite and at most the reference scan's, and
-    # every largest rate at least its, to 1e-13 relative.  No solve comes near
-    # the iteration cap: the most evaluations any solve takes here is 51, by
-    # bisection where a piece's slope is rounding noise next to its terms,
-    # and the mean is 4.4
+    # every largest rate at least its, to 1e-13 relative.  The reference
+    # scans both pieces and the solves only the moment piece, so this is
+    # also the check that the chi piece never wins.  No solve comes near
+    # the iteration cap: the most evaluations any solve takes here is 20,
+    # and the mean is 2.7
     rng = random.Random(24)
     inputs = [(rho_T, _log_uniform(rng, 1e-4, 100.0), delta) for rho_T, delta in _closed_form_inputs(rng, 300, 1e-8, 50.0, 1e-30, 0.9)]
     for _ in range(20000):
@@ -372,20 +365,28 @@ def test_order_solves_are_no_worse_than_the_unimodal_scan(monkeypatch):
             delta,
         )
         assert rate >= -neg_rate * (1.0 - 1e-13), (eps, delta, rate, -neg_rate)
-    assert len(counts) == 4 * len(inputs)
-    assert max(counts) <= 60 < MAX_STEPS, max(counts)
+    assert len(counts) == 2 * len(inputs)
+    assert max(counts) <= 30 < MAX_STEPS, max(counts)
 
 
 def test_closed_form_answers_are_no_worse_than_a_fine_order_grid():
-    # the pieces scanned apart find the minimum over orders that a
-    # 4096-point grid of orders finds, and the largest rate its maximum
+    # the moment piece solved alone finds the minimum over orders of the
+    # whole epsilon_bound, both pieces, that a 4096-point grid of orders
+    # finds, and the largest rate its maximum: the check, with no assumption
+    # of unimodality, that the chi piece never wins by more than the grid
+    # resolves.  The last 60 draws are large total rates and budgets at
+    # small delta, where the chi piece's minimum sits only 4e-6 to 3e-3
+    # relative above the answer, within 0.01 in log(alpha - 1) of its order,
+    # and the chi rate's maximum as close below
     rng = random.Random(18)
-    for rho_T, delta in _closed_form_inputs(rng, 300, 1e-8, 50.0, 1e-30, 0.9):
+    inputs = [(rho_T, _log_uniform(rng, 1e-4, 100.0), delta) for rho_T, delta in _closed_form_inputs(rng, 300, 1e-8, 50.0, 1e-30, 0.9)]
+    for _ in range(60):
+        inputs.append((_log_uniform(rng, 1e2, 1e6), _log_uniform(rng, 1e2, 1e6), _log_uniform(rng, 1e-300, 1e-5)))
+    for rho_T, eps, delta in inputs:
         orders = [1.0 + float(x) for x in np.geomspace(1e-6, 1.0 / delta - 1.0, 4096)] + [1.0 / delta]
         r = acct_epsilon(rho_T, 1, delta)
         best = min(conversion._epsilon_bound(a, rho_T * a, delta)[0] for a in orders)
         assert r.epsilon <= best * (1.0 + 1e-12), (rho_T, delta, r.epsilon - best)
-        eps = _log_uniform(rng, 1e-4, 100.0)
         rate, _ = gaussian._largest_rate(eps, delta, "closed_form")
         best = max(conversion._gamma_of_epsilon_bound(a, eps, delta) / a for a in orders)
         assert rate >= best * (1.0 - 1e-12), (eps, delta, best - rate)
@@ -553,19 +554,16 @@ def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
 
 
 def _count_order_steps(monkeypatch) -> list[int]:
-    # the pieces the order solves evaluate, counted across every solve
+    # the piece evaluations of the order solves, counted across every solve
     steps = [0]
     real = gaussian._solve_orders
 
-    def counted(pieces, objective, delta, start, tol=DEFAULT_ABS_TOL):
-        def count(piece):
-            def step(u):
-                steps[0] += 1
-                return piece(u)
+    def counted(piece, objective, delta, start, tol=DEFAULT_ABS_TOL):
+        def step(u):
+            steps[0] += 1
+            return piece(u)
 
-            return step
-
-        return real(tuple(count(p) for p in pieces), objective, delta, start, tol)
+        return real(step, objective, delta, start, tol)
 
     monkeypatch.setattr(gaussian, "_solve_orders", counted)
     return steps
@@ -579,12 +577,12 @@ def test_order_solve_finds_minima_far_from_its_start(monkeypatch):
     bowl_at = lambda a: (math.log(a - 1.0) - 2.0) ** 2
     for start in (-5.0, 2.5):
         steps[0] = 0
-        alpha, _ = gaussian._solve_orders((bowl,), bowl_at, 1e-5, start)
+        alpha, _ = gaussian._solve_orders(bowl, bowl_at, 1e-5, start)
         assert math.isclose(alpha, 1.0 + math.exp(2.0), rel_tol=1e-5)
         assert steps[0] <= 3, (start, steps[0])
     # a minimum at 1/delta, where the piece still falls at the top of the range: the end wins
     fall = lambda u: (-1.0 - math.exp(u), -math.exp(u), -math.exp(u))
-    alpha, _ = gaussian._solve_orders((fall,), lambda a: -a, 0.25, math.log(3.0))
+    alpha, _ = gaussian._solve_orders(fall, lambda a: -a, 0.25, math.log(3.0))
     assert alpha == 4.0
     # exact mode's rate from both ends of the order range reaches the same
     # maximum.  At eps = 10, delta = 1e-20 gamma_exact rounds to 0 next to eps
