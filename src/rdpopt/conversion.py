@@ -25,7 +25,7 @@ import math
 import sys
 from typing import Callable, Literal, NamedTuple, Optional
 
-from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_positive
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative
 from .errors import _check_alpha_eps_delta, _check_alpha_gamma_delta, _check_alpha_gamma_eps
 from .optimize import DEFAULT_ABS_TOL, _newton_invert, log_add
 
@@ -107,17 +107,12 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[..., floa
     return objective
 
 
-def gamma_exact(
-    alpha: float,
-    epsilon: float,
-    delta: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> ConversionResult:
+def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     """Exact frontier value gamma(alpha, eps, delta) by numeric minimization.
 
     The interior search runs over t = log(p - delta), which resolves the
     minimizer relative to its distance from delta however small delta is,
-    so abs_tol applies to log(p - delta).  The objective F is unimodal
+    and stops at DEFAULT_ABS_TOL (1e-10) in t.  The objective F is unimodal
     in t with its minimizer between p = alpha * delta and p = 1, so Newton's
     steps from p = alpha * delta find the root of dF/dt there, with
     bisection wherever a step would leave the bracket: 1 to about 45
@@ -130,7 +125,6 @@ def gamma_exact(
     true infimum whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
-    _check_positive(abs_tol, "abs_tol")
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
@@ -164,7 +158,7 @@ def gamma_exact(
             m_interior, t = value, x
         return first, second
 
-    _newton_invert(slope, 0.0, t_lo, t_hi, abs_tol, start=t_lo)
+    _newton_invert(slope, 0.0, t_lo, t_hi, DEFAULT_ABS_TOL, start=t_lo)
     if (1.0 - alpha) * t_hi < m_interior:  # a tie reports the interior point
         return edge
     value = epsilon + m_interior / (alpha - 1.0)

@@ -49,12 +49,6 @@ from .optimize import DEFAULT_ABS_TOL, _newton_invert
 
 MODES = ("closed_form", "exact")
 
-# the gamma_exact solve at each order exact mode's order solve visits: every
-# order costs a frontier search, so it runs coarser than DEFAULT_ABS_TOL.  Each
-# solve takes gamma_exact's Newton steps on the frontier objective's slope,
-# which the objective's convexity makes cross 0 once, and stops at 1e-9
-_EXACT_INNER = 1e-9
-
 
 def rho_gaussian(sigma: float) -> float:
     """Renyi rate 1 / (2 sigma^2) at noise multiplier sigma; for sensitivity Delta, pass sigma / Delta."""
@@ -314,7 +308,7 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     the orders, and the step itself is Newton's, with the slope in epsilon
     from the envelope theorem at the winning order and p.  The maximum is
     the crossing of the rate's slope in log(alpha - 1) with 0, found by
-    bracketed Newton steps (to 1e-6, each frontier solve to 1e-9) with the
+    bracketed Newton steps (to 1e-6, each frontier solve to 1e-10) with the
     slope and curvature from the envelope and implicit-function theorems at
     the frontier's argmin, from the order the step before won (the
     closed-form argmin for the first step), then compared with
@@ -323,7 +317,8 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     at the closed-form answer, so exact mode is never worse than closed-form
     mode, and end, usually after two or three order solves of one to four
     frontier solves each (about 5 an answer), at an epsilon that gamma_exact
-    certifies at the reported order, within 1e-10 of the crossing.
+    certifies at the reported order, within 1e-10 of the crossing, or, where
+    it certified none, at the closed-form answer and order.
     """
     _check_positive(rho, "rho")
     _check_steps(T)
@@ -377,7 +372,7 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
 
     def solve(alpha: float) -> ConversionResult:
         if alpha not in solves:  # _end_order evaluates the winning order a second time
-            solves[alpha] = gamma_exact(alpha, epsilon, delta, _EXACT_INNER)
+            solves[alpha] = gamma_exact(alpha, epsilon, delta)
         return solves[alpha]
 
     def neg_rate(alpha: float) -> float:

@@ -46,7 +46,17 @@ _U_MAX = math.log((1.0 - _P_EDGE) / _P_EDGE)  # logit of the largest grid probab
 DEFAULT_SEED = 7
 REFINE_WINDOW = 0.02  # width of the p refinement window, as a share of the logit range
 CONTAINMENT_TOLERANCE = 1e-8  # a pair below the frontier by more than this is a violation
-_CONTAINMENT_SEARCH = 1e-8  # each frontier solve to 1e-8 in log(p - delta)
+
+
+def _grid_lam(alpha: float, epsilon: float, p_min: float) -> float:
+    # e^eps, for grids whose probabilities and their complements are at least
+    # p_min.  The kernels' alpha log x and (1 - alpha) log y, and their
+    # difference inside np.logaddexp, stay finite up to the order checked
+    # here.  The exponent is capped at 709, where e^eps q > 1 for every such q
+    # already, so that the hockey-stick divergence is 0 beyond, as it is exactly
+    if not math.isfinite(2.0 * alpha * math.log(p_min)):
+        raise DomainError(f"order alpha={alpha!r} is too large for the oracle's grids: 2 alpha log({p_min}) overflows")
+    return math.exp(min(epsilon, 709.0))
 
 
 def _check_count(value, name: str, least: int) -> None:
@@ -251,7 +261,7 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     grids densify; a grid minimum can never beat the true infimum.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
-    lam = math.exp(epsilon)
+    lam = _grid_lam(alpha, epsilon, _P_EDGE)
 
     def feasible(rows, p, one_m_p, q, one_m_q, out, scratch):
         np.greater_equal(_hockey_stick(p, one_m_p, q, one_m_q, lam, *scratch), delta, out=out)
@@ -284,13 +294,13 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
     _check_count(n_p, "n_p", 1)
-    lam = math.exp(epsilon)
+    lam = _grid_lam(alpha, epsilon, _P_EDGE)
     u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
     p_all = 1.0 / (1.0 + np.exp(-u_all))
     usable = p_all > delta + 2e-9 * lam  # need q_star on the grid's scale
     u_ps, p = u_all[usable], p_all[usable]
     if len(u_ps) == 0:
-        raise InfeasibleError(f"no usable p above delta={delta!r} on the grid")
+        raise InfeasibleError(f"no grid p has q* = (p - delta)/e^eps above 2e-9 at delta={delta!r}, eps={epsilon!r}")
     if len(u_ps) > n_p:
         idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
         u_ps, p = u_ps[idx], p[idx]
@@ -322,16 +332,16 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     _check_nonnegative(epsilon, "epsilon")
     _check_count(n_samples, "n_samples", 1)
     _check_count(seed, "seed", 0)
+    lam = _grid_lam(alpha, epsilon, 1e-12)
     rng = np.random.default_rng(seed)
     p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
-    lam = math.exp(epsilon)
     hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
     div = _renyi(alpha, np.log(p), np.log1p(-p), np.log(q), np.log1p(-q))
     violations = 0
     min_margin = math.inf
     for i in range(n_samples):
-        boundary = gamma_exact(alpha, epsilon, float(hs[i]), _CONTAINMENT_SEARCH).value
+        boundary = gamma_exact(alpha, epsilon, float(hs[i])).value
         margin = float(div[i]) - boundary
         if margin < min_margin:
             min_margin = margin

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdpopt import conversion, gaussian
+from rdpopt import conversion
 from rdpopt.conversion import (
     _f_lower_bound,
     _gamma_delta_slope,
@@ -32,7 +32,7 @@ from rdpopt.conversion import (
 )
 from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
-from rdpopt.optimize import DEFAULT_ABS_TOL, log_add
+from rdpopt.optimize import log_add
 
 from conftest import sample_small_delta_triples, sample_triples
 from reference_search import minimize_unimodal
@@ -325,9 +325,8 @@ def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
         triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
     for alpha, eps, delta in triples:
         want = float(_mpmath_gamma(alpha, eps, delta))
-        for abs_tol in (DEFAULT_ABS_TOL, gaussian._EXACT_INNER):
-            got = gamma_exact(alpha, eps, delta, abs_tol).value
-            assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, abs_tol, got - want)
+        got = gamma_exact(alpha, eps, delta).value
+        assert got <= want + 4.0 * math.ulp(eps), (alpha, eps, delta, got - want)
 
 
 def test_gamma_exact_keeps_its_digits_near_order_one():
@@ -338,9 +337,8 @@ def test_gamma_exact_keeps_its_digits_near_order_one():
     for a in (1e-8, 1e-6, 1e-4, 1e-2, 0.5):
         for eps, delta in [(0.0, 0.5), (1.0, 0.5), (0.05, 0.2), (0.5, 1e-3), (3.0, 0.3)]:
             want = float(_mpmath_gamma(1.0 + a, eps, delta))
-            for abs_tol in (DEFAULT_ABS_TOL, gaussian._EXACT_INNER):
-                got = gamma_exact(1.0 + a, eps, delta, abs_tol).value
-                assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, abs_tol, got - want)
+            got = gamma_exact(1.0 + a, eps, delta).value
+            assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, got - want)
 
 
 def _count_objective_evaluations(monkeypatch):
@@ -483,7 +481,7 @@ def test_gamma_order_slopes_match_mpmath(rng):
         if alpha * delta >= 1.0:
             continue
         eps = epsilon_bound(alpha, gamma, delta).value
-        r = gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER)
+        r = gamma_exact(alpha, eps, delta)
         if r.argmin_p is None:
             continue
         first, second = _gamma_order_slopes(alpha, eps, delta, r)
@@ -504,7 +502,7 @@ def test_gamma_exact_argmin_stays_inside_the_interval():
     one_up = math.nextafter(1.0, 2.0)
     inputs = [(one_up, 0.0, 0.9999999999999991), (one_up, 0.0, 3.4768916e-317), (1.0000000000000007, 0.0, 0.9999999999999992)]
     for alpha, eps, delta in inputs:
-        r = gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER)
+        r = gamma_exact(alpha, eps, delta)
         assert delta < r.argmin_p < 1.0, (alpha, eps, delta, r.argmin_p)
         assert math.isfinite(_gamma_slope(alpha, eps, delta, r.argmin_p))
         assert math.isfinite(_gamma_delta_slope(alpha, eps, delta, r.argmin_p))

@@ -432,11 +432,11 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # from the accountant's own scan: 64 points in log(alpha - 1), refined
     # between the best one's neighbours, plus alpha = 1/delta and the
     # closed-form argmin
-    abs_tol, rho_T = gaussian._EXACT_INNER, rho * T
+    rho_T = rho * T
 
     def eps_at(alpha: float) -> float:
         gamma = rho_T * alpha
-        frontier = lambda e: gamma_exact(alpha, e, delta, abs_tol).value
+        frontier = lambda e: gamma_exact(alpha, e, delta).value
         gamma_lo = frontier(0.0)
         if gamma_lo >= gamma:
             return 0.0
@@ -444,7 +444,7 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
         hi = max(bound, 1e-9) * (1.0 + 1e-9) + 1e-12
         while frontier(hi) < gamma:
             hi *= 2.0
-        return min(bisect_reference(frontier, gamma, 0.0, hi, abs_tol), bound)
+        return min(bisect_reference(frontier, gamma, 0.0, hi, 1e-9), bound)
 
     eps_at_u = lambda u: eps_at(1.0 + math.exp(u))
     us = np.linspace(*gaussian._order_range(delta), 64).tolist()
@@ -473,7 +473,7 @@ def test_exact_accountant_matches_the_primal_scan(monkeypatch):
         # up to 75; Newton steps on the rate's slope in the order take at most 9
         assert solves[0] <= 15, (rho, T, delta, solves[0])
         # certified at its order by the frontier the accountant searches
-        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta).value
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
         assert r.epsilon <= acct_epsilon(rho, T, delta).epsilon
         assert r.epsilon <= primal + 1e-9, (rho, T, delta, r.epsilon - primal)
@@ -490,8 +490,20 @@ def test_exact_answers_at_large_delta_take_few_solves(monkeypatch):
                 solves[0] = 0
                 r = acct_epsilon(rho_gaussian(sigma), T, delta, "exact")
                 assert solves[0] <= 40, (sigma, T, delta, solves[0])
-                certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+                certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta).value
                 assert certificate >= rho_gaussian(sigma) * T * r.argmin_alpha, (sigma, T, delta)
+
+
+def test_exact_answer_no_frontier_certifies_is_the_closed_form_one():
+    # no epsilon the Newton steps tried has a gamma_exact margin >= 0 here:
+    # gamma_exact at the closed-form answer and order falls about 2.8e-14
+    # short of rho*T*alpha.  Exact mode then returns the closed-form answer
+    # and order unchanged, which epsilon_bound certifies
+    rho, T, delta = rho_gaussian(0.7990054563043374), 130, 3.8046364219039405e-11
+    r, closed = acct_epsilon(rho, T, delta, "exact"), acct_epsilon(rho, T, delta)
+    assert (r.epsilon, r.argmin_alpha) == (closed.epsilon, closed.argmin_alpha)
+    assert math.isclose(r.epsilon, 198.7275032485034, rel_tol=1e-12)
+    assert epsilon_bound(r.argmin_alpha, rho * T * r.argmin_alpha, delta).value <= r.epsilon
 
 
 def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
@@ -502,7 +514,7 @@ def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
 
     def neg_rate(alpha: float) -> float:
         if alpha not in solves:
-            solves[alpha] = gamma_exact(alpha, epsilon, delta, gaussian._EXACT_INNER)
+            solves[alpha] = gamma_exact(alpha, epsilon, delta)
         return -solves[alpha].value / alpha
 
     u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta), 1e-6)
@@ -527,12 +539,12 @@ def test_order_solve_matches_the_global_scan(monkeypatch):
         best_rates = [gaussian._largest_rate(eps, d, "exact")[0] for eps, d in budgets]
     for (rho, T, delta), r, want in zip(inputs, solved, everywhere):
         assert r.epsilon <= want + 1e-9, (rho, T, delta, r.epsilon - want)
-        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta, gaussian._EXACT_INNER).value
+        certificate = gamma_exact(r.argmin_alpha, r.epsilon, delta).value
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
     for (eps, delta), (rate, alpha), (edge_alpha, edge), want in zip(budgets, rates, edge_rates, best_rates):
         assert rate >= want - 1e-9, (eps, delta, want - rate)
         assert edge.value / edge_alpha >= want - 1e-9, (eps, delta, want - edge.value / edge_alpha)
-        assert rate <= gamma_exact(alpha, eps, delta, gaussian._EXACT_INNER).value / alpha, (eps, delta)
+        assert rate <= gamma_exact(alpha, eps, delta).value / alpha, (eps, delta)
 
 
 def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
@@ -546,7 +558,7 @@ def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
     for k in range(40):
         eps = _log_uniform(rng, 1e-3, 30.0)
         delta = _log_uniform(rng, 1e-30, 0.01) if k % 2 else rng.uniform(0.01, 0.99)
-        neg_rate = lambda a: -gamma_exact(a, eps, delta, gaussian._EXACT_INNER).value / a
+        neg_rate = lambda a: -gamma_exact(a, eps, delta).value / a
         alpha, r = gaussian._exact_rate(eps, delta, gaussian._largest_rate(eps, delta, "closed_form")[1])
         value = -r.value / alpha
         sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta), 256).tolist())

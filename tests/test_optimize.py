@@ -17,13 +17,6 @@ from conftest import bisect_reference
 from reference_search import COARSE_GRID, minimize_unimodal
 
 
-def test_config_validation():
-    # a search tolerance must be finite and positive
-    for abs_tol in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="abs_tol"):
-            gamma_exact(2, 1, 0.1, abs_tol=abs_tol)
-
-
 def test_minimize_quadratic():
     x, v = minimize_unimodal(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
     assert abs(x - 2.0) <= 1e-8

@@ -1,6 +1,7 @@
 """Top-level API and import cost: names load on first use, and only the oracle loads numpy."""
 
 import copy
+import inspect
 import json
 import os
 import pickle
@@ -116,6 +117,14 @@ def test_names_are_cached_after_first_use():
         value = getattr(rdpopt, name)
         assert rdpopt.__dict__[name] is value, name
     assert "minimize_unimodal" not in rdpopt.__all__ and "ScalarSearchConfig" not in rdpopt.__all__
+
+
+def test_no_public_callable_takes_a_search_tolerance():
+    # the searches run at fixed tolerances, in the library as on the command line
+    for name in rdpopt.__all__:
+        value = getattr(rdpopt, name)
+        if callable(value) and not (isinstance(value, type) and issubclass(value, BaseException)):
+            assert not {"abs_tol", "tol", "cfg"} & set(inspect.signature(value).parameters), name
 
 
 def test_dir_lists_names_before_first_use():

@@ -28,6 +28,8 @@ _UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def _floats(value) -> list[float]:
+    if isinstance(value, dict):
+        value = list(value.values())
     if isinstance(value, (tuple, list)):
         return [x for item in value for x in _floats(item)]
     return [value] if isinstance(value, float) else []
@@ -43,12 +45,16 @@ def _check_finite_or_typed_error(name: str, args: tuple) -> None:
         assert _floats(result)[0] > 0.0, (name, args, result)
 
 
-# the mechanism entry points that are not a bare call of one public function
+# the entry points that are not a bare call of one public function; the
+# oracle's run on its smallest grids
 _MECHANISMS = {
     "GaussianConfig.rho": lambda sigma, q: rp.GaussianConfig(sigma, subsampling_q=q).rho,
     "privacy_curve": lambda sigma, q, delta, t_values: rp.privacy_curve(
         rp.GaussianConfig(sigma, subsampling_q=q), delta, t_values
     ),
+    "brute_force_gamma": lambda alpha, eps, delta: rp.brute_force_gamma(alpha, eps, delta, rp.GridSpec(64, 64)),
+    "verify_q_star": lambda alpha, eps, delta: rp.verify_q_star(alpha, eps, delta, rp.GridSpec(64, 64), n_p=16),
+    "joint_range_containment": lambda alpha, eps: rp.joint_range_containment(alpha, eps, n_samples=16),
 }
 
 
@@ -135,6 +141,19 @@ def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
 def test_exact_accountants_give_finite_fields_or_typed_errors(call):
     # fewer examples: each runs the numeric frontier at every order of a few order solves
     _check_finite_or_typed_error(*call)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow on the way is a failure too
+@pytest.mark.parametrize("name", ("brute_force_gamma", "verify_q_star", "joint_range_containment"))
+def test_oracle_gives_finite_fields_or_typed_errors(name):
+    # a fixed list of extremes, since each call scans a grid: orders up to
+    # DBL_MAX, where alpha log p overflows, and eps past log(DBL_MAX), where e^eps does
+    big = sys.float_info.max
+    deltas = (0.0, 5e-324, 1e-300, 1e-9, 0.1, 0.5, 1.0 - 2.0**-53) if name != "joint_range_containment" else (None,)
+    for alpha in (1.0 + 2.0**-52, 1.000001, 2.0, 1e6, 3e306, 5e306, 1e307, 1e308, big):
+        for eps in (0.0, 1e-300, 1.0, 30.0, 709.0, 710.0, 1e300, big):
+            for delta in deltas:
+                _check_finite_or_typed_error(name, (alpha, eps) if delta is None else (alpha, eps, delta))
 
 
 def test_budgets_near_dbl_max():
