@@ -11,14 +11,18 @@ endpoints where the optimizers live.  One blocked kernel, _row_scan, serves
 both grids: it takes the q-minimum of every p row over the cells a caller's
 rule admits, the hockey-stick constraint for the brute force and q <= q*(p)
 for the q* check.  Each row scans a shared q grid and then a fine window
-around its argmin.  The kernel computes every cell of both: it prunes
-nothing with the q* reduction or convexity, which would tie it to the path
-it checks.  What it saves is repeated work.  The q side of the divergences
-is tabulated once per distinct window (the shared grid, or a coarse point
-that polish windows are centred on), every block reuses one workspace, and
-the Renyi divergence is taken only on the cells the rule admits.  The
-hockey-stick values come from _hockey_stick, and the Renyi values from
-_renyi's operations, so they match it to the bit.
+around its argmin.  The kernel tests every cell of both for admission and
+gives each a lower bound on its divergence: it prunes nothing with the q*
+reduction or convexity, which would tie it to the path it checks.  What it
+saves is work whose result cannot change an answer.  The q side of the
+divergences is tabulated once per distinct window (the shared grid, or a
+coarse point that polish windows are centred on), and every block reuses
+one workspace.  The Renyi divergence is taken only on admitted cells, and on
+the shared grid only on those that can still hold their row's minimum: a
+band that follows from how np.logaddexp rounds, not from the rule, so it
+holds for any rule (see _row_scan).  The hockey-stick values come from
+_hockey_stick, and the Renyi values from _renyi's operations, so they match
+it to the bit.
 
 A scan shares its row blocks out among one worker per CPU the process may
 run on: the calling thread and plain threads, each on its own slice of the
@@ -115,9 +119,10 @@ _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
 # one allocation of 8 MiB, past the 4 MiB from which numpy asks Linux for
 # transparent huge pages, though each worker's share is 2 MiB.  The size
 # matters little: on two workers, a default-grid brute_force_gamma and
-# verify_q_star took 0.34-0.39 s and 3.3-3.9 k minor page faults a call at
-# this size, 0.36-0.39 s and 4.5 k at 1 << 17 (no huge pages), and
-# 0.38-0.40 s at 1 << 20 (2-vCPU Xeon, numpy 2.4)
+# verify_q_star took 0.20-0.21 s and 1.7-2.7 k minor page faults a call at
+# this size, 0.19-0.20 s and 4.9-6.3 k at 1 << 17 (no huge pages), and
+# 0.20-0.21 s at 1 << 20; a 128-row block of the shared grid takes about
+# 3.7 ms of one CPU (2-vCPU Xeon, numpy 2.4)
 _BLOCK_CELLS = 1 << 19
 
 
@@ -140,14 +145,24 @@ def _renyi(alpha, lp, l1p, lq, l1q):
 def _hockey_stick(p, one_m_p, q, one_m_q, lam, out=None, scratch=None):
     # hockey-stick divergence at lam of Bernoulli(p) from Bernoulli(q), written
     # to out, with scratch for the second atom's term.  out may be q itself and
-    # scratch one_m_q: each is read before the array holding it is written
-    hs = np.multiply(lam, q, out=out)
-    np.subtract(p, hs, out=hs)
+    # scratch one_m_q: each is read before the array holding it is written.
+    # lam q and lam (1 - q) are taken once per column when the block shares q
+    if np.ndim(q) < np.ndim(out):
+        lam_q, lam_one_m_q = lam * q, lam * one_m_q
+    else:
+        lam_q, lam_one_m_q = np.multiply(lam, q, out=out), np.multiply(lam, one_m_q, out=scratch)
+    hs = np.subtract(p, lam_q, out=out)
     np.maximum(hs, 0.0, out=hs)
-    second = np.multiply(lam, one_m_q, out=scratch)
-    np.subtract(one_m_p, second, out=second)
+    second = np.subtract(one_m_p, lam_one_m_q, out=scratch)
     hs += np.maximum(second, 0.0, out=second)
     return hs
+
+
+def _band_top(least, c):
+    # a bound past which every cell divides, as the divergence does, to more
+    # than the cap fl(fl(least + 1) / c): one float above the cap's successor
+    # times c.  Rows with no admitted cell (least = inf) get inf
+    return np.nextafter(np.nextafter((least + 1.0) / c, np.inf) * c, np.inf)
 
 
 def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
@@ -167,7 +182,22 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     (polish windows share the few coarse-grid points their rows landed on)
     and gathered per block, and every block reuses its worker's slice of one
     workspace.  The divergence, the costliest step, is taken on admitted
-    cells only.  Worker k of n scans blocks k, k + n, ...; worker 0 is the
+    cells only, and on the shared grid only in each row's band.  With
+    a = alpha log p + (1 - alpha) log q and b the same in 1 - p and 1 - q,
+    a cell's divergence is fl(logaddexp(a, b)/(alpha - 1)), and np.logaddexp
+    returns a value between max(a, b) and fl(max(a, b) + 1).  So, with m the
+    least bound max(a, b) over a row's admitted cells, any cell whose bound
+    divided by alpha - 1 exceeds fl(fl(m + 1)/(alpha - 1)) lies strictly
+    above the cell where m is attained, and the band is the admitted cells
+    that do not.  Cutting on the divided scale keeps the cells that division
+    may round onto the minimum, so the row minima and first-index argmins
+    are those of the divergence on every admitted cell, to the bit.  The
+    cut is made on the bounds themselves, at a top (_band_top) that keeps
+    every bound dividing to at most the cap and at most a few floats more,
+    which changes no minimum.  Polish windows skip the band, which there
+    holds nearly every cell.
+
+    Worker k of n scans blocks k, k + n, ...; worker 0 is the
     caller, the rest are threads, all joined before the scan returns, and the
     first error any of them raises is raised here.  feasible is called from
     every worker, so it may write only to out and scratch.
@@ -211,6 +241,14 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
                 # _renyi's operations, from the tables' terms in q
                 np.add(lp[sl, None], gather(tables[2], sl, div), out=div)
                 np.add(l1p[sl, None], gather(tables[3], sl, tail), out=tail)
+                if centers is None:
+                    # the band: every admitted cell whose bound max(a, b), divided
+                    # as the divergence is, is at most fl(fl(m + 1)/(alpha - 1));
+                    # then b again, on the band
+                    np.maximum(div, tail, out=tail)
+                    least = np.min(tail, axis=1, initial=np.inf, where=mask, keepdims=True)
+                    np.less_equal(tail, _band_top(least, alpha - 1.0), out=mask, where=mask)
+                    np.add(l1p[sl, None], tables[3], out=tail, where=mask)
                 np.logaddexp(div, tail, out=div, where=mask)
                 np.divide(div, alpha - 1.0, out=div, where=mask)
                 np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
@@ -267,6 +305,14 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
         np.greater_equal(_hockey_stick(p, one_m_p, q, one_m_q, lam, *scratch), delta, out=out)
 
     u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
+    # once e^eps times the grid's smallest probability reaches its largest,
+    # every grid pair, polish windows included, has hockey-stick divergence 0
+    x, one_m_x = _tables(1.0, u.copy())[:2]
+    if delta > 0.0 and lam * x.min() >= x.max() and lam * one_m_x.min() >= one_m_x.max():
+        raise InfeasibleError(
+            f"eps={epsilon!r} is past the oracle's grid of probabilities {_P_EDGE:g} to 1 - {_P_EDGE:g}: "
+            f"e^eps * {_P_EDGE:g} >= 1 - {_P_EDGE:g}, so every grid pair has hockey-stick divergence 0 < delta={delta!r}"
+        )
     row_min = _polished_rows(alpha, u, u, feasible, _N_POLISH)
     if not np.isfinite(row_min).any():
         raise InfeasibleError(

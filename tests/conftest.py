@@ -1,7 +1,18 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers for the test suite, and Hypothesis's literal pool pinned to empty."""
 
 import numpy as np
 import pytest
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
+
+# Hypothesis also draws literals that it collects from every local module
+# loaded so far, so a derandomized test's draws would depend on the rest of
+# the run and change with any literal anywhere.  The collector, which is
+# private, is replaced by one that returns an empty pool;
+# tests/test_robustness.py checks that this pin takes effect.
+collect_local_constants = providers._get_local_constants
+providers._get_local_constants = Constants
+providers.CONSTANTS_CACHE.cache.clear()
 
 
 @pytest.fixture

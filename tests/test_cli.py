@@ -199,6 +199,13 @@ def _accounting_argv(draw, commands=("compose", "max-t", "variance", "curve", "c
 @example(argv=["curve", "--sigma", "1e-154", "--delta", "1e-5", "--t-from", "1", "--t-to", "2"])
 @example(argv=["compose", "--sigma", "1e-154", "--T", "1000", "--delta", "1e-5"])
 @example(argv=["variance", "--T=1", "--eps=1.7976931348623157e+308", "--delta=0.5"])
+# draws that reached +-DBL_MAX or a subnormal through Hypothesis's literal pool, now pinned empty
+@example(argv=["curve", "--sigma=3.2004014013030756e+16", "--q=0.05", "--delta=1.420337404968221e+302", "--t-from=428",
+               "--t-to=430"])
+@example(argv=["max-t", "--sigma=2.2250738585072014e-308", "--q=3.7767731773100205e-195", "--eps=-20.0",
+               "--delta=4713623721396283.0"])
+@example(argv=["variance", "--T=44965", "--eps=0.0001", "--delta=-4.607501335119796e+302"])
+@example(argv=["variance", "--T=4800", "--eps=1e-08", "--delta=1.7976931348623155e+308"])
 def test_accounting_finite_inputs_give_clean_output_or_typed_errors(argv):
     # closed-form compose, max-t, variance and curve (CSV and JSON)
     _check_clean_output_or_typed_error(argv)

@@ -141,6 +141,137 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
         ), j
 
 
+def _reference_row_scan(alpha, u_p, u_q, feasible, centers=None):
+    # the kernel before its band: one block, the divergence on every admitted cell
+    p, one_m_p, lp, l1p = oracle._tables(alpha, u_p.copy())
+    u = u_q.copy() if centers is None else np.clip(np.add.outer(centers, u_q), -oracle._U_MAX, oracle._U_MAX)
+    q, one_m_q, lq, l1q = oracle._tables(1.0 - alpha, u)
+    shape = (len(u_p), len(u_q))
+    admitted = np.empty(shape, dtype=bool)
+    feasible(slice(0, len(u_p)), p[:, None], one_m_p[:, None], q, one_m_q, admitted,
+             (np.empty(shape), np.empty(shape)))
+    div = np.where(admitted, np.logaddexp(lp[:, None] + lq, l1p[:, None] + l1q) / (alpha - 1.0), np.inf)
+    row_arg = div.argmin(axis=1)
+    return div[np.arange(len(u_p)), row_arg], row_arg
+
+
+def _bounds(alpha, u_p, u_q):
+    # max(a, b) of every cell of a shared-grid scan, the kernel's lower bound
+    _, _, lp, l1p = oracle._tables(alpha, u_p.copy())
+    _, _, lq, l1q = oracle._tables(1.0 - alpha, u_q.copy())
+    return np.maximum(lp[:, None] + lq, l1p[:, None] + l1q)
+
+
+def _all_admitted(rows, p, one_m_p, q, one_m_q, out, scratch):
+    out[...] = True
+
+
+def test_row_scan_matches_the_reference_kernel():
+    # the band leaves every row minimum and first-index argmin in place, on
+    # the shared grid and in polish windows, for both rules
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    tied = np.concatenate([u[::-1], u])  # every q twice, so rows have tied minima
+    cases = [*_KERNEL_CASES, (1.000001, 1.0, 0.1), (2.0, 0.0, 1.0 - 1e-12)]
+    empty_rows = tied_rows = 0
+    for alpha, eps, delta in cases:
+        for rule, _ in _rules(u, eps, delta):
+            for q_grid, c in (*_scan_grids(u), (tied, None)):
+                m0, a0 = _reference_row_scan(alpha, u, q_grid, rule, c)
+                m1, a1 = oracle._row_scan(alpha, u, q_grid, rule, centers=c)
+                assert np.array_equal(m0, m1) and np.array_equal(a0, a1), (alpha, eps, delta)
+                empty_rows += np.isinf(m0).sum()
+                if q_grid is tied:  # the first of the two equal cells wins
+                    finite = np.isfinite(m0)
+                    assert np.all(a0[finite] < len(u))
+                    tied_rows += finite.sum()
+    assert empty_rows > 0 and tied_rows > 0
+    # at alpha - 1 = 1e-6 every bound lies within 1 of its row's least, so
+    # the band holds every cell
+    bounds = _bounds(1.000001, u, u)
+    assert np.all(bounds <= bounds.min(axis=1, keepdims=True) + 1.0)
+
+
+def test_row_scan_keeps_cells_that_division_rounds_onto_the_minimum():
+    # one row, its least bound m above 2^53, where m + 1 rounds to m; q steps
+    # down by one ulp of u.  Some orders put the row's first minimum on a cell
+    # whose bound exceeds fl(m + 1) but divides by alpha - 1 to the same
+    # value, which a band cut before the division would lose
+    u_p = np.array([-7.9463223608750315])
+    u_q = (1.9333761272867527 + np.arange(32) * 2.0**-52)[::-1].copy()
+    rounded_onto = 0
+    for k in range(40):
+        alpha = 8.869876166492475e17 * (1.0 + 0.005 * k)
+        m0, a0 = _reference_row_scan(alpha, u_p, u_q, _all_admitted)
+        m1, a1 = oracle._row_scan(alpha, u_p, u_q, _all_admitted)
+        assert np.array_equal(m0, m1) and np.array_equal(a0, a1), alpha
+        bounds = _bounds(alpha, u_p, u_q)[0]
+        least = bounds.min()
+        assert least > 2.0**53
+        rounded_onto += bool(least + 1.0 == least and bounds[a0[0]] > least)
+    assert rounded_onto > 0
+
+
+def test_logaddexp_lies_within_one_of_its_larger_argument():
+    # the band rests on max(a, b) <= logaddexp(a, b) <= fl(max(a, b) + 1)
+    big, tiny, normal = 1e308, 5e-324, 2.2250738585072014e-308
+    edges = [0.0, -0.0, tiny, -tiny, 3 * tiny, normal, -normal, 0.5, 1.0, -1.0, 37.0, -745.0, 709.0,
+             2.0**53, -(2.0**53), 2.0**53 + 2.0, 1e15, -1e300, big, -big, np.finfo(float).max, -np.finfo(float).max]
+    a, b = (x.ravel() for x in np.meshgrid(edges, edges))  # equal arguments and |a - b| up to 2 DBL_MAX
+    # and random pairs, of magnitudes spread from subnormal to 1e308, half of them equal
+    rng = np.random.default_rng(33)
+    x, y = rng.choice([-1.0, 1.0], size=(2, 100_000)) * 10.0 ** rng.uniform(-323, 308, size=(2, 100_000))
+    a, b = np.concatenate([a, x]), np.concatenate([b, np.where(rng.uniform(size=100_000) < 0.5, x, y)])
+    with np.errstate(over="ignore"):  # a - b overflows for a = -b = DBL_MAX
+        value = np.logaddexp(a, b)
+    top = np.maximum(a, b)
+    assert np.all(top <= value) and np.all(value <= top + 1.0)
+
+
+def test_band_top_keeps_every_bound_that_divides_to_the_cap():
+    # the band cut on the bounds keeps every cell with fl(bound / c) <=
+    # fl(fl(m + 1) / c), and, where that cap is a normal float, at most three
+    # floats more; a cap of 0 or a subnormal one keeps more, never fewer
+    rng = np.random.default_rng(34)
+    for c in (2.0**-52, 1e-6, 0.5, 1.0, 3.0, 48.0, 8.869876166492475e17, 4e306):
+        least = rng.standard_normal((256, 1)) * 10.0 ** rng.uniform(-3, 18, size=(256, 1))
+        least[::16] = np.inf  # rows with no admitted cell
+        least[1:3, 0] = -1.0, math.nextafter(-1.0, 0.0)  # caps of 0 and, for large c, subnormal
+        top = oracle._band_top(least, c)
+        cap = (least + 1.0) / c
+        finite = np.isfinite(cap)
+        assert np.all(top[finite] / c > cap[finite])
+        assert np.all(np.isinf(top[~finite]))
+        normal = finite & (np.abs(cap) >= np.finfo(float).tiny)
+        below = top[normal]
+        for _ in range(3):
+            below = np.nextafter(below, -np.inf)
+        assert np.all(below / c <= cap[normal]), c
+
+
+def test_kernel_terms_stay_finite_up_to_the_largest_order():
+    # a row holding a NaN cell would give NaN, and the band would drop it; the
+    # order check of _grid_lam keeps alpha log p and (1 - alpha) log q finite,
+    # their sums of opposite signs, and so every value the kernel takes
+    alpha = np.finfo(float).max / (2.0 * -math.log(oracle._P_EDGE))
+    while math.isfinite(2.0 * math.nextafter(alpha, math.inf) * math.log(oracle._P_EDGE)):
+        alpha = math.nextafter(alpha, math.inf)
+    while not math.isfinite(2.0 * alpha * math.log(oracle._P_EDGE)):
+        alpha = math.nextafter(alpha, 0.0)
+    oracle._grid_lam(alpha, 1.0, oracle._P_EDGE)
+    with pytest.raises(DomainError):
+        oracle._grid_lam(math.nextafter(alpha, math.inf), 1.0, oracle._P_EDGE)
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    for order in (alpha, 1.0 + 2.0**-52):
+        _, _, lp, l1p = oracle._tables(order, u.copy())
+        _, _, lq, l1q = oracle._tables(1.0 - order, u.copy())
+        a, b = lp[:, None] + lq, l1p[:, None] + l1q
+        assert np.isfinite(np.logaddexp(a, b) / (order - 1.0)).all()
+        for eps, delta in ((0.0, 0.0), (1.0, 0.1), (709.0, 0.0)):
+            for rule, _ in _rules(u, eps, delta):
+                for q_grid, c in _scan_grids(u):
+                    assert not np.isnan(oracle._row_scan(order, u, q_grid, rule, centers=c)[0]).any()
+
+
 def _counted_threads(monkeypatch):
     # every threading.Thread built from here on is appended to the returned list
     built = []
@@ -299,6 +430,44 @@ def test_brute_force_infeasible_constraint():
     # delta this close to 1 leaves no feasible q at the grid's edge resolution
     with pytest.raises(InfeasibleError):
         brute_force_gamma(2.0, 0.0, 1.0 - 1e-12, FAST)
+
+
+def _grid_limit_eps():
+    # the least eps at which e^eps times the grid's smallest probability
+    # reaches its largest; the grid's ends, and so this eps, do not depend on n
+    x = oracle._tables(1.0, oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64))[0]
+    lo, hi = 20.0, 21.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if math.exp(mid) * x.min() >= x.max() else (mid, hi)
+    return hi
+
+
+def test_brute_force_stops_at_the_grid_limit_before_any_scan(monkeypatch):
+    # from eps ~ 20.72 on, e^eps q >= p and e^eps (1 - q) >= 1 - p for every
+    # grid pair, so no pair meets a delta > 0; the error says so before any scan
+    limit = _grid_limit_eps()
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, FAST.n_coarse)
+    steps = [limit]
+    for _ in range(3):
+        steps = [math.nextafter(steps[0], 0.0), *steps, math.nextafter(steps[-1], math.inf)]
+    below, above = steps[:3], steps[3:]
+    for eps in below:  # the corner pair (1 - 1e-9, 1e-9) still has divergence > 0
+        assert math.isfinite(brute_force_gamma(2.0, eps, 5e-324, FAST))
+    for eps in above:
+        # the scan itself would admit no cell
+        row_min, _ = oracle._row_scan(2.0, u, u, _hockey_stick_rule(math.exp(eps), 5e-324))
+        assert np.isinf(row_min).all()
+    scans = []
+    real_scan = oracle._row_scan
+    monkeypatch.setattr(oracle, "_row_scan", lambda *args, **kwargs: scans.append(args) or real_scan(*args, **kwargs))
+    for eps in (*above, 30.0, 709.0, 1e300):
+        with pytest.raises(InfeasibleError, match=r"past the oracle's grid .* e\^eps \* 1e-09 >= 1 - 1e-09"):
+            brute_force_gamma(2.0, eps, 5e-324, FAST)
+    assert scans == []
+    # at delta = 0 every pair is admitted, and the scans run
+    assert brute_force_gamma(2.0, limit, 0.0, FAST) == 0.0
+    assert len(scans) == 4
 
 
 def test_brute_force_domain():

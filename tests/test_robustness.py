@@ -1,12 +1,15 @@
 """Robustness contract of the library: every finite input gives finite float
 fields or an AccountingError, never another exception, an inf or a NaN."""
 
+import importlib
 import math
 import sys
 
 import pytest
+from conftest import collect_local_constants
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 
 import rdpopt as rp
 
@@ -100,6 +103,25 @@ def _accountant_calls(draw, names, mode=None):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(call=_conversion_calls())
+# draws that reached 0, +-DBL_MAX, a subnormal or delta near 1 through Hypothesis's literal pool, now pinned empty
+@example(call=("baseline_delta", (1.0000000001077456, 6.797871965045391e+307, 139253.52826626372)))
+@example(call=("delta_bound", (3.7182546457766743, 0.0, 0.0)))
+@example(call=("baseline_epsilon", (55.598150033144236, 6.018818613815032e+307, 0.9999999999999997)))
+@example(call=("delta_exact", (2.000000002, 1.8700627844904391e+307, 0.0)))
+@example(call=("zero_epsilon_region", (3.718281828459045, 1.497963696778875e+307)))
+@example(call=("baseline_delta", (804470.7589603815, 0.0, 1.000000000000001)))
+@example(call=("epsilon_bound", (481203.6452644048, 0.0, 0.6321205588285577)))
+@example(call=("zero_epsilon_region", (667437.0999144452, 8.218407461554972e+307)))
+@example(call=("epsilon_exact", (1.0000000596046448, 0.0, 1.4068617124461467e-16)))
+@example(call=("epsilon_bound", (1.000000002, 0.0, 3.368548365210348e-135)))
+@example(call=("renyi_binary", (rp.BernoulliPair(p=1.386910859057998e-142, q=0.9999999999999999), 19418.95116284495)))
+@example(call=("baseline_delta", (294072.1904404665, 30.0, 1.7145618108067364e+308)))
+@example(call=("delta_bound", (463211.6606999663, 5.258302471208493e+16, 0.0)))
+@example(call=("gamma_bound", (17.0, 3.478683761315068e+307, 8.3741418159315e-122)))
+@example(call=("gamma_bound", (1.0000023890908567, 1.0202013400267558, 2.225073858507e-311)))
+@example(call=("baseline_delta", (1.0000000000000144, 3.4225498820720185e-89, 0.0)))
+@example(call=("gamma_bound", (5.0, 1.7976931348623155e+308, 0.9999999999999982)))
+@example(call=("boundary_objective", (0.7463602324309517, 1.0000000015672759, 0.0, 0.7411839106438283)))
 def test_conversions_give_finite_fields_or_typed_errors(call):
     # twice the examples of the seven conversions alone, for twice the entry points
     _check_finite_or_typed_error(*call)
@@ -122,6 +144,12 @@ def _mechanism_calls(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(call=_mechanism_calls())
+# draws that reached 0, +-DBL_MAX, a subnormal or delta near 1 through Hypothesis's literal pool, now pinned empty
+@example(call=("privacy_curve", (1.0059395449643493e+182, 0.9999999999999999, 0.716235886991667,
+                                   [999999999.9999957, 454568291.3449122, 32416133])))
+@example(call=("rho_subsampled", (1e-12, 0.9999999999999988)))
+@example(call=("privacy_curve", (1.5349017910462683e-177, 1.4068617124461467e-16, 0.9999999999999998, [760653747.996973])))
+@example(call=("privacy_curve", (5.082393856417887e+16, 0.9999999999999999, 0.4390874496055884, [605, 2147.156101507063])))
 def test_mechanisms_give_finite_fields_or_typed_errors(call):
     _check_finite_or_typed_error(*call)
 
@@ -130,6 +158,12 @@ def test_mechanisms_give_finite_fields_or_typed_errors(call):
 @given(call=_accountant_calls((
     "acct_epsilon", "ma_epsilon", "max_iterations", "ma_max_iterations", "required_variance", "ma_required_variance",
 )))
+# draws that reached 0, +-DBL_MAX, a subnormal or delta near 1 through Hypothesis's literal pool, now pinned empty
+@example(call=("max_iterations", (1e-12, 0.0, 0.8771350914517361)))
+@example(call=("ma_max_iterations", (709.0, 0.0, 0.10572299322919411)))
+@example(call=("acct_epsilon", (105.0, 1000000000.0, 0.9999999999997607)))
+@example(call=("acct_epsilon", (6.968529230365001e+51, 826344933.2544188, 0.999999999999)))
+@example(call=("ma_max_iterations", (1e-05, 2.356000358638826e+307, 0.05)))
 def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
     _check_finite_or_typed_error(*call)
 
@@ -138,6 +172,8 @@ def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
 @given(call=_accountant_calls(("acct_epsilon", "max_iterations"), "exact"))
 # orders up to alpha = 1/delta = 1.8e150, where alpha^3 overflows: the order slopes stay in bounded ratios
 @example(call=("acct_epsilon", (1e-300, 1, 5.421372662229435e-151, "exact")))
+# draws that reached 0, +-DBL_MAX, a subnormal or delta near 1 through Hypothesis's literal pool, now pinned empty
+@example(call=("max_iterations", (1.4277199034304217e-209, 0.0, 0.9999999979388464, "exact")))
 def test_exact_accountants_give_finite_fields_or_typed_errors(call):
     # fewer examples: each runs the numeric frontier at every order of a few order solves
     _check_finite_or_typed_error(*call)
@@ -154,6 +190,37 @@ def test_oracle_gives_finite_fields_or_typed_errors(name):
         for eps in (0.0, 1e-300, 1.0, 30.0, 709.0, 710.0, 1e300, big):
             for delta in deltas:
                 _check_finite_or_typed_error(name, (alpha, eps) if delta is None else (alpha, eps, delta))
+
+
+def test_draws_ignore_the_literals_of_loaded_modules(tmp_path, monkeypatch):
+    # tests/conftest.py pins Hypothesis's pool of local literals to empty.
+    # A literal of a newly loaded local module enters the pool that
+    # Hypothesis collects, and reaches a draw, only once the pin is lifted
+    (tmp_path / "literal_probe.py").write_text("PROBE = 123456.789\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setitem(sys.modules, "literal_probe", importlib.import_module("literal_probe"))
+
+    def draws():
+        seen = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(st.floats(123456.7, 123456.8))
+        def probe(x):
+            seen.append(x)
+
+        probe()
+        return seen
+
+    assert 123456.789 not in draws()
+    assert not providers._get_local_constants().floats
+    try:
+        monkeypatch.setattr(providers, "_get_local_constants", collect_local_constants)
+        assert 123456.789 in providers._get_local_constants().floats
+        assert 123456.789 in draws()
+    finally:
+        monkeypatch.undo()
+        providers.CONSTANTS_CACHE.cache.clear()
+    assert 123456.789 not in draws()
 
 
 def test_budgets_near_dbl_max():
