@@ -234,6 +234,8 @@ def _curve_rows(args: argparse.Namespace) -> tuple[list[dict], dict]:
         raise UsageError(f"empty sweep: --t-from {args.t_from} > --t-to {args.t_to}")
     if args.t_from < 1 or args.t_step < 1:
         raise UsageError("--t-from and --t-step must be >= 1")
+    if (args.t_to - args.t_from) // args.t_step >= sys.maxsize:  # no list holds the rows
+        raise UsageError(f"the sweep from --t-from {args.t_from} by --t-step {args.t_step} has more than sys.maxsize rows")
     exact = args.mode != "closed_form"  # exact or both
     t_values = range(args.t_from, args.t_to + 1, args.t_step)
     query = _flags(args, "fig", "sigma", "q", "delta", "t_from", "t_to", "t_step", "mode")
@@ -273,10 +275,14 @@ def cmd_curve(args: argparse.Namespace) -> None:
 def cmd_oracle_check(args: argparse.Namespace) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise UsageError(f"--tol must be finite and > 0, got {args.tol!r}")
-    # 64 is the fewest grid steps GridSpec takes
-    for flag, value, least in (("--seed", args.seed, 0), ("--samples", args.samples, 1), ("--grid-n", args.grid_n, 64)):
+    # 64 is the fewest grid steps GridSpec takes; counts past sys.maxsize have
+    # no numpy index, while a seed may be any size
+    for flag, value, least, most in (("--seed", args.seed, 0, math.inf), ("--samples", args.samples, 1, sys.maxsize),
+                                     ("--grid-n", args.grid_n, 64, sys.maxsize)):
         if value is not None and value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value!r}")
+        if value is not None and value > most:
+            raise UsageError(f"{flag} must be at most sys.maxsize = {sys.maxsize}, got a larger value")
     # the only subcommand that needs numpy, so the oracle is imported here; its
     # functions are looked up on the module, where a wrapper installed after
     # import sees the calls

@@ -71,10 +71,10 @@ def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> 
     _check_alpha_eps_delta(alpha, epsilon, delta)
     if not (delta < p < 1.0):
         raise DomainError(f"p must lie in (delta, 1) = ({delta!r}, 1), got {p!r}")
-    return _objective(alpha, epsilon, delta)(math.log(p - delta))
+    return _objective(alpha, epsilon, delta)(math.log(p - delta))[0]
 
 
-def _objective(alpha: float, epsilon: float, delta: float) -> Callable[..., float | tuple[float, float, float]]:
+def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
     # boundary_objective at t = log(p - delta), for arguments already checked:
     # a search builds it once and evaluates it hundreds of times.  The head
     # atom's log is alpha log(p) + (1 - alpha) t, the tail atom's
@@ -83,16 +83,15 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[..., floa
     # With s = e^t, log(p) = t + log1p(delta/s), so that no two large terms
     # cancel at tiny delta; log(1 - p) = log(1 - delta) + log1p(-s/(1 - delta)),
     # which stays finite for every s < 1 - delta; log_rest = eps + log1p(-s e^-eps).
-    # With parts=True it returns (objective, tail, log_rest): e^(tail -
-    # objective) is the tail's share of the objective, which the envelope
-    # slopes weigh
+    # It returns (objective, tail, log_rest): e^(tail - objective) is the
+    # tail's share of the objective, which the envelope slopes weigh
     exp, log1p = math.exp, math.log1p
     one_minus_alpha = 1.0 - alpha
     exp_neg_eps = exp(-epsilon)
     log_keep = log1p(-delta)
     keep = 1.0 - delta
 
-    def objective(t: float, parts: bool = False):
+    def objective(t: float) -> tuple[float, float, float]:
         s = exp(t)
         head = t + alpha * log1p(delta / s) if s > 0.0 else math.inf
         log_rest = epsilon + log1p(-s * exp_neg_eps)
@@ -101,8 +100,7 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[..., floa
         tail = alpha * (log_keep + log1p(-share)) + one_minus_alpha * log_rest if share < 1.0 else -math.inf
         # log_add(head, tail), inlined on this hot path; tail may be -inf, head +inf
         big, small = (head, tail) if head >= tail else (tail, head)
-        value = big + log1p(exp(small - big))
-        return (value, tail, log_rest) if parts else value
+        return big + log1p(exp(small - big)), tail, log_rest
 
     return objective
 
@@ -125,9 +123,16 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     true infimum whenever alpha * delta >= 1; no search runs there.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
+    return _frontier(alpha, epsilon, delta)[0]
+
+
+def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionResult, Optional[tuple]]:
+    # gamma_exact for arguments already checked, with the search's state at the
+    # minimum it kept for _envelope: (t, the objective there as gamma takes it,
+    # all _objective_slopes returned at t), or None for the edge and delta = 0
     if delta == 0.0:
-        return ConversionResult(0.0, "exact_numeric")
-    edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric")
+        return ConversionResult(0.0, "exact_numeric"), None
+    edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric"), None
     if alpha * delta >= 1.0:
         return edge
     # the objective is log S(p), with
@@ -146,17 +151,16 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     if not t_lo < t_hi:
         t_lo = t_hi - 1.0
     slopes = _objective_slopes(alpha, epsilon, delta)
-    m_interior, t = math.inf, t_hi
+    m_interior, t, kept = math.inf, t_hi, None
     near_one = alpha < 2.0  # where _objective_near_one can change a value
 
     def slope(x: float) -> tuple[float, float]:
-        nonlocal m_interior, t
-        value, first, second = slopes(x)
-        if near_one:
-            value = _objective_near_one(alpha, epsilon, delta, x, value)
+        nonlocal m_interior, t, kept
+        parts = slopes(x)
+        value = _objective_near_one(alpha, epsilon, delta, x, parts[0]) if near_one else parts[0]
         if value < m_interior:
-            m_interior, t = value, x
-        return first, second
+            m_interior, t, kept = value, x, parts
+        return parts[1], parts[2]
 
     _newton_invert(slope, 0.0, t_lo, t_hi, DEFAULT_ABS_TOL, start=t_lo)
     if (1.0 - alpha) * t_hi < m_interior:  # a tie reports the interior point
@@ -164,7 +168,7 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     value = epsilon + m_interior / (alpha - 1.0)
     # p = delta + e^t, kept inside (delta, 1) where the sum rounds onto an end
     argmin_p = min(max(delta + math.exp(t), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
-    return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p)
+    return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p), (t, m_interior, kept)
 
 
 def _objective_near_one(alpha: float, epsilon: float, delta: float, t: float, value: float) -> float:
@@ -205,45 +209,33 @@ def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[f
     # b = (alpha - 1) v - alpha u and curvature b + (alpha - 1) v^2 - alpha u^2.
     # With the tail's share w, F' = a + w (b - a) and
     # F'' = (1 - w) alpha r q + w (b + (alpha - 1) v^2 - alpha u^2) + w (1 - w) (a - b)^2.
-    # A vanished tail (w = 0) adds nothing.
-    #
-    # With orders=True it also returns F's derivatives in alpha at t.  Both
-    # atoms' logs are linear in alpha, with slopes H = log1p(delta/s) = -log r
-    # and T = log(1 - p) - log_rest = (tail - log_rest)/alpha, so with
-    # d = T - H, F_alpha = H + w d and F_alpha_alpha = w (1 - w) d^2; and
-    # H_t = -q, T_t = v - u and w_t = w (1 - w)(b - a) give
-    # F_alpha_t = -q (1 - w) + w (v - u) + w (1 - w) d (b - a)
+    # A vanished tail (w = 0) adds nothing.  After F, F' and F'' it returns,
+    # for _envelope, (tail, log_rest, r, q, w, u, v, b - a), u = v = b - a = 0
+    # where the tail vanished
     exp = math.exp
     objective = _objective(alpha, epsilon, delta)
     exp_neg_eps = exp(-epsilon)
     keep = 1.0 - delta
     log_delta = math.log(delta)
 
-    def slopes(t: float, orders: bool = False) -> tuple[float, ...]:
-        value, tail, log_rest = objective(t, parts=True)
+    def slopes(t: float) -> tuple[float, ...]:
+        value, tail, log_rest = objective(t)
         x = t - log_delta
         e = exp(-abs(x))
         k = 1.0 / (1.0 + e)
         r, q = (k, e * k) if x >= 0.0 else (e * k, k)
         a = r - (alpha - 1.0) * q
-        first, second = a, alpha * r * q
         w = exp(tail - value)
-        if w > 0.0:
-            s = exp(t)
-            z = s * exp_neg_eps
-            u, v = s / (keep - s), z / (1.0 - z)
-            b = (alpha - 1.0) * v - alpha * u
-            gap = b - a
-            first += w * gap
-            second = (1.0 - w) * second + w * (b + (alpha - 1.0) * v * v - alpha * u * u) + w * (1.0 - w) * gap * gap
-        if not orders:
-            return value, first, second
-        h = -math.log(r)
         if not w > 0.0:
-            return value, first, second, h, -q, 0.0
-        d = (tail - log_rest) / alpha - h
-        mix = w * (1.0 - w) * d
-        return value, first, second, h + w * d, -q * (1.0 - w) + w * (v - u) + mix * gap, mix * d
+            return value, a, alpha * r * q, tail, log_rest, r, q, w, 0.0, 0.0, 0.0
+        s = exp(t)
+        z = s * exp_neg_eps
+        u, v = s / (keep - s), z / (1.0 - z)
+        b = (alpha - 1.0) * v - alpha * u
+        gap = b - a
+        first = a + w * gap
+        second = (1.0 - w) * (alpha * r * q) + w * (b + (alpha - 1.0) * v * v - alpha * u * u) + w * (1.0 - w) * gap * gap
+        return value, first, second, tail, log_rest, r, q, w, u, v, gap
 
     return slopes
 
@@ -307,13 +299,13 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     top = 1.0 - 1e-12
 
     def frontier(d: float) -> tuple[float, float]:
-        r = gamma_exact(alpha, epsilon, d)
-        return r.value, _gamma_delta_slope(alpha, epsilon, d, r.argmin_p)
+        r, state = _frontier(alpha, epsilon, d)
+        return r.value, _envelope(alpha, epsilon, d, state)[1]
 
     hi = min(delta_bound(alpha, gamma, epsilon).value, top)
     d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi)
     if d == top:
-        gamma_top = gamma_exact(alpha, epsilon, top).value
+        gamma_top = _frontier(alpha, epsilon, top)[0].value
         if gamma_top < gamma:
             raise InfeasibleError(
                 f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
@@ -377,59 +369,48 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
         return ConversionResult(0.0, "exact_numeric")
 
     def frontier(e: float) -> tuple[float, float]:
-        r = gamma_exact(alpha, e, delta)
-        return r.value, _gamma_slope(alpha, e, delta, r.argmin_p)
+        r, state = _frontier(alpha, e, delta)
+        return r.value, _envelope(alpha, e, delta, state)[0]
 
     eps = _newton_invert(frontier, gamma, 0.0, _epsilon_bound(alpha, gamma, delta)[0], DEFAULT_ABS_TOL)
     return ConversionResult(eps, "exact_numeric")
 
 
-def _gamma_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
-    # d gamma_exact / d eps at the argmin_p it reports, by the envelope theorem.
-    # Only the tail atom's log(e^eps - p + delta) depends on eps, so the slope
-    # is 1 - w e^eps / (e^eps - p + delta).  The edge value eps - log(1 - delta)
-    # (argmin_p None) has slope 1
-    if argmin_p is None:
-        return 1.0
-    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(argmin_p - delta), parts=True)
-    return -math.expm1(tail + epsilon - log_rest - objective)
-
-
-def _gamma_delta_slope(alpha: float, epsilon: float, delta: float, argmin_p: Optional[float]) -> float:
-    # d gamma_exact / d delta at the argmin_p it reports, by the envelope
-    # theorem: delta enters both atoms, and the slope is
-    # (1 - w)/(p - delta) - w/(e^eps - p + delta).  The edge value
-    # eps - log(1 - delta) (argmin_p None, also at delta = 0) has slope 1/(1 - delta)
-    if argmin_p is None:
-        return 1.0 / (1.0 - delta)
-    objective, tail, log_rest = _objective(alpha, epsilon, delta)(math.log(argmin_p - delta), parts=True)
-    log_w = tail - objective
-    return -math.expm1(log_w) / (argmin_p - delta) - math.exp(log_w - log_rest)
-
-
-def _gamma_order_slopes(alpha: float, epsilon: float, delta: float, result: ConversionResult) -> tuple[float, float]:
-    # d gamma_exact / d alpha and d2 gamma_exact / d alpha2 at the argmin_p it
-    # reports.  gamma = eps + m/(alpha - 1) for the minimum m of the objective
-    # F over t; by the envelope theorem m' = F_alpha at the argmin, and by the
-    # implicit-function theorem m'' = F_alpha_alpha - F_alpha_t^2 / F_tt
-    # (_objective_slopes gives all five).  The solve stops up to its
-    # tolerance from the argmin, so m' is taken one Newton step on, at
-    # F_alpha - F_alpha_t F_t / F_tt, which leaves an error of the step's
-    # square.  With a = alpha - 1 and X = m' - m/a = a gamma', bounded where
-    # gamma is,
-    #     gamma' = X/a,  gamma'' = (m'' - 2 X/a)/a.
-    # The edge value eps - log(1 - delta) (argmin_p None) does not move with alpha
-    if result.argmin_p is None:
-        return 0.0, 0.0
-    t = math.log(result.argmin_p - delta)
-    m, f_t, f_tt, f_a, f_at, f_aa = _objective_slopes(alpha, epsilon, delta)(t, orders=True)
-    m = _objective_near_one(alpha, epsilon, delta, t, m)
+def _envelope(alpha: float, epsilon: float, delta: float, state: Optional[tuple]) -> tuple[float, float, float, float]:
+    # d gamma/d eps, d gamma/d delta, d gamma/d alpha and d2 gamma/d alpha2 at
+    # the minimum a frontier solve kept, from its state (_frontier), with no
+    # new evaluation; the edge value eps - log(1 - delta) (state None) has
+    # 1, 1/(1 - delta), 0 and 0.  With the tail's share w, by the envelope
+    # theorem gamma_eps = 1 - w e^eps/(e^eps - p + delta) and gamma_delta =
+    # (1 - w)/(p - delta) - w/(e^eps - p + delta).  In the order, gamma =
+    # eps + m/(alpha - 1), m the minimum of F over t.  Both atoms' logs are
+    # linear in alpha, with slopes H = -log r and T = (tail - log_rest)/alpha
+    # (see _objective_slopes); with d = T - H, F_alpha = H + w d,
+    # F_alpha_alpha = w (1 - w) d^2, and H_t = -q, T_t = v - u and
+    # w_t = w (1 - w)(b - a) give F_alpha_t = -q (1 - w) + w (v - u) + w (1 - w) d (b - a).
+    # m' = F_alpha (envelope theorem), taken one Newton step on from where the
+    # solve stopped, at F_alpha - F_alpha_t F_t/F_tt, which leaves the step's
+    # square; m'' = F_alpha_alpha - F_alpha_t^2/F_tt (implicit-function
+    # theorem).  With a = alpha - 1 and X = m' - m/a = a gamma', bounded where
+    # gamma is, gamma' = X/a and gamma'' = (m'' - 2 X/a)/a
+    if state is None:
+        return 1.0, 1.0 / (1.0 - delta), 0.0, 0.0
+    t, m, (value, f_t, f_tt, tail, log_rest, r, q, w, u, v, gap) = state
+    log_w = tail - value
+    slope_eps = -math.expm1(tail + epsilon - log_rest - value)
+    slope_delta = -math.expm1(log_w) / math.exp(t) - math.exp(log_w - log_rest)
+    h = -math.log(r)
+    f_a, f_at, f_aa = h, -q, 0.0
+    if w > 0.0:
+        d = (tail - log_rest) / alpha - h
+        mix = w * (1.0 - w) * d
+        f_a, f_at, f_aa = h + w * d, -q * (1.0 - w) + w * (v - u) + mix * gap, mix * d
     if f_tt > 0.0:
         f_a -= f_at * f_t / f_tt
         f_aa -= f_at * f_at / f_tt
     a = alpha - 1.0
     x = f_a - m / a
-    return x / a, (f_aa - 2.0 * x / a) / a
+    return slope_eps, slope_delta, x / a, (f_aa - 2.0 * x / a) / a
 
 
 def epsilon_bound(alpha: float, gamma: float, delta: float) -> ConversionResult:

@@ -22,8 +22,8 @@ gamma_exact and solves the dual: the smallest epsilon at which
 max over alpha of gamma_exact(alpha, epsilon, delta) / alpha reaches rho T,
 by Newton steps from the closed-form answer.  Each step finds that maximum
 by the same order solve, Newton steps on the rate's slope in log(alpha - 1)
-(conversion._gamma_order_slopes), from the order the step before won, the
-first from the closed-form argmin.
+from the order the step before won, the first from the closed-form argmin;
+each frontier solve hands back the slopes both searches take (conversion._envelope).
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .conversion import (
     Branch,
     ConversionResult,
+    _envelope,
     _epsilon_bound,
+    _frontier,
     _gamma_of_epsilon_bound,
-    _gamma_order_slopes,
-    _gamma_slope,
     _moment_epsilon_slopes,
     _moment_gamma_piece,
-    gamma_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
 from .optimize import DEFAULT_ABS_TOL, _newton_invert
@@ -128,8 +127,11 @@ def ma_epsilon(rho: float, T: float, delta: float) -> float:
 
 
 def _check_steps(T: float) -> None:
-    if not (math.isfinite(T) and T >= 1):
+    # compared, never converted: an integer T past DBL_MAX has no float form (nor, past 4 300 digits, a repr)
+    if not T >= 1:
         raise DomainError(f"T must be >= 1, got {T!r}")
+    if not T <= sys.float_info.max:
+        raise DomainError(f"T must be at most DBL_MAX = {sys.float_info.max!r}, got a larger value")
 
 
 def _check_finite(value: float, rho_T: float) -> float:
@@ -306,13 +308,13 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     the smallest epsilon at which gamma_exact(alpha, epsilon, delta) reaches
     rho T alpha at some order.  Each step maximizes gamma_exact / alpha over
     the orders, and the step itself is Newton's, with the slope in epsilon
-    from the envelope theorem at the winning order and p.  The maximum is
-    the crossing of the rate's slope in log(alpha - 1) with 0, found by
-    bracketed Newton steps (to 1e-6, each frontier solve to 1e-10) with the
-    slope and curvature from the envelope and implicit-function theorems at
-    the frontier's argmin, from the order the step before won (the
-    closed-form argmin for the first step), then compared with
-    alpha = 1/delta.  A margin at any order certifies epsilon, so a solve
+    from the envelope theorem at the winning order and p, read off that
+    order's frontier solve.  The maximum is the crossing of the rate's slope
+    in log(alpha - 1) with 0, found by bracketed Newton steps (to 1e-6, each
+    frontier solve to 1e-10) with the slope and curvature from the envelope
+    and implicit-function theorems at the frontier's argmin, from the order
+    the step before won (the closed-form argmin for the first step), then
+    compared with alpha = 1/delta.  A margin at any order certifies epsilon, so a solve
     that misses the maximum costs tightness, not soundness.  The steps start
     at the closed-form answer, so exact mode is never worse than closed-form
     mode, and end, usually after two or three order solves of one to four
@@ -343,24 +345,24 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
         # g(eps) - rho_T for the dual g = max over orders of gamma_exact / alpha,
         # its Newton step is g's, and a margin >= 0 certifies eps at alpha
         nonlocal centre
-        alpha, r = _exact_rate(eps, delta, centre)
+        alpha, r, slopes = _exact_rate(eps, delta, centre)
         centre = alpha
         value = r.value - rho_T * alpha
         if value >= 0.0:
             certified[eps] = alpha
-        return value, _gamma_slope(alpha, eps, delta, r.argmin_p)
+        return value, slopes[0]
 
     eps = _newton_invert(margin, 0.0, 0.0, eps_closed, DEFAULT_ABS_TOL)
     return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
 
 
-def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult]:
+def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult, tuple]:
     # the order maximizing gamma_exact(alpha, eps, delta) / alpha, solved from
-    # the order centre, and the frontier solve there, one per order the solve
-    # visits.  Any order gives a sound rate, so the solve costs only
-    # tightness if it misses the maximum.  The piece is f = -gamma/alpha in
+    # the order centre, with the frontier solve and its _envelope there, one per
+    # order the solve visits.  Any order gives a sound rate, so the solve costs
+    # only tightness if it misses the maximum.  The piece is f = -gamma/alpha in
     # u = log(alpha - 1): with a = alpha - 1, c = a/alpha and gamma_u = a gamma',
-    # gamma_uu = a gamma' + a^2 gamma'' from conversion._gamma_order_slopes,
+    # gamma_uu = a gamma' + a^2 gamma'' from the frontier's order slopes,
     #     f' = (gamma c - gamma_u)/alpha,
     #     f'' = -c (a gamma'') + (gamma_u (2c - 1) + gamma c (1 - a)/alpha)/alpha,
     # in ratios that stay bounded at every order (gamma/alpha^3 overflows at
@@ -368,28 +370,28 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
     # in u rather than DEFAULT_ABS_TOL's 1e-10: the slope carries
     # gamma_exact's rounding, which the curvature divides into steps of about
     # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5
-    solves: dict[float, ConversionResult] = {}
+    solves: dict[float, tuple[ConversionResult, tuple]] = {}
 
-    def solve(alpha: float) -> ConversionResult:
+    def solve(alpha: float) -> tuple[ConversionResult, tuple]:
         if alpha not in solves:  # _end_order evaluates the winning order a second time
-            solves[alpha] = gamma_exact(alpha, epsilon, delta)
+            r, state = _frontier(alpha, epsilon, delta)
+            solves[alpha] = r, _envelope(alpha, epsilon, delta, state)
         return solves[alpha]
 
     def neg_rate(alpha: float) -> float:
-        return -solve(alpha).value / alpha
+        return -solve(alpha)[0].value / alpha
 
     def piece(u: float) -> tuple[float, float, float]:
         alpha = 1.0 + math.exp(u)
         a = alpha - 1.0
-        r = solve(alpha)
-        slope, curvature = _gamma_order_slopes(alpha, epsilon, delta, r)
+        r, (_, _, slope, curvature) = solve(alpha)
         c, gamma_u = a / alpha, a * slope
         first = (r.value * c - gamma_u) / alpha
         second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + r.value * c * (1.0 - a) / alpha) / alpha
         return -r.value / alpha, first, second
 
     alpha, _ = _solve_orders(piece, neg_rate, delta, math.log(centre - 1.0), 1e-6)
-    return alpha, solves[alpha]
+    return (alpha, *solves[alpha])
 
 
 def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float]:
@@ -416,7 +418,7 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     alpha, value = _solve_orders(_rate_piece(epsilon, delta), neg_rate, delta, start)
     if mode == "closed_form":
         return -value, alpha
-    alpha, r = _exact_rate(epsilon, delta, alpha)
+    alpha, r, _ = _exact_rate(epsilon, delta, alpha)
     return r.value / alpha, alpha
 
 

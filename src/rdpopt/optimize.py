@@ -17,12 +17,13 @@ the closed-form conversion's moment piece comes with its slope and
 curvature in log(alpha - 1), and the same two, taken at the divergence an
 order allows a budget, steer the solve for the largest rate it allows (see
 gaussian._rate_piece); exact mode's rate gamma_exact/alpha comes with its
-own, from the envelope and implicit-function theorems at the frontier's
-argmin.  The closed-form moment piece is proved convex in the order; the
-two rates are unimodal only as sampled: on thousands of random inputs
-neither rises before its sampled minimum or falls after it beyond
-rounding.  The conversion's chi piece is not solved: its minimum lies
-above the moment piece's, as sampled (see gaussian._epsilon_piece).
+own, from the envelope and implicit-function theorems at the argmin each
+frontier solve keeps (conversion._envelope).  The closed-form moment piece
+is proved convex in the order; the two rates are unimodal only as sampled:
+on thousands of random inputs neither rises before its sampled minimum or
+falls after it beyond rounding.  The conversion's chi piece is not solved:
+its minimum lies above the moment piece's, as sampled (see
+gaussian._epsilon_piece).
 
 A search's tolerance abs_tol is on the argument, not the value, in
 whatever the caller searches in: log(p - delta) for the frontier in

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from typing import NamedTuple
 
@@ -57,15 +58,22 @@ def _grid_lam(alpha: float, epsilon: float, p_min: float) -> float:
     # p_min.  The kernels' alpha log x and (1 - alpha) log y, and their
     # difference inside np.logaddexp, stay finite up to the order checked
     # here.  The exponent is capped at 709, where e^eps q > 1 for every such q
-    # already, so that the hockey-stick divergence is 0 beyond, as it is exactly
+    # already, so that the hockey-stick divergence is 0 beyond, as it is exactly.
+    # Below alpha = 1 + 1e-7 the rounding of a log-sum divided by alpha - 1
+    # nears the containment tolerance (a seeded sweep: README, Validation)
     if not math.isfinite(2.0 * alpha * math.log(p_min)):
         raise DomainError(f"order alpha={alpha!r} is too large for the oracle's grids: 2 alpha log({p_min}) overflows")
+    if alpha < 1.0 + 1e-7:
+        raise DomainError(f"order alpha={alpha!r} is too close to 1 for the oracle, whose rounding is noise below 1 + 1e-7")
     return math.exp(min(epsilon, 709.0))
 
 
-def _check_count(value, name: str, least: int) -> None:
+def _check_count(value, name: str, least: int, most: float = sys.maxsize) -> None:
+    # a count past sys.maxsize has no numpy index; a seed passes most = inf
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > most:  # not echoed: an int of more than 4 300 digits has no repr
+        raise DomainError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got a larger value")
 
 
 class _GridSpec(NamedTuple):
@@ -377,7 +385,7 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
     _check_count(n_samples, "n_samples", 1)
-    _check_count(seed, "seed", 0)
+    _check_count(seed, "seed", 0, math.inf)
     lam = _grid_lam(alpha, epsilon, 1e-12)
     rng = np.random.default_rng(seed)
     p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)

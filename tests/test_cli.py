@@ -206,6 +206,11 @@ def _accounting_argv(draw, commands=("compose", "max-t", "variance", "curve", "c
                "--delta=4713623721396283.0"])
 @example(argv=["variance", "--T=44965", "--eps=0.0001", "--delta=-4.607501335119796e+302"])
 @example(argv=["variance", "--T=4800", "--eps=1e-08", "--delta=1.7976931348623155e+308"])
+# an integer T past DBL_MAX, and a sweep with more rows than sys.maxsize
+@example(argv=["compose", "--sigma=1", f"--T={10**400}", "--delta=1e-5"])
+@example(argv=["variance", f"--T={10**400}", "--eps=1", "--delta=1e-5"])
+@example(argv=["curve", "--sigma=1", "--delta=1e-5", f"--t-from={10**400}", f"--t-to={10**400}"])
+@example(argv=["curve", "--sigma=1", "--delta=1e-5", "--t-from=1", f"--t-to={10**400}"])
 def test_accounting_finite_inputs_give_clean_output_or_typed_errors(argv):
     # closed-form compose, max-t, variance and curve (CSV and JSON)
     _check_clean_output_or_typed_error(argv)
@@ -631,6 +636,27 @@ def test_oracle_check_rejects_too_few_samples_or_grid_steps(capsys, monkeypatch)
         code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1", f"{flag}={value}")
         assert code == 2 and out == "", (flag, value)
         assert f"usage error: {flag} must be >= {bound}, got {value}" in err, (flag, value)
+
+
+def test_oracle_check_rejects_counts_past_the_index_range(capsys, monkeypatch):
+    # rejected before any work, as counts that are too small are; a seed may be any size
+    monkeypatch.setattr(cli, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    for name in ("brute_force_gamma", "verify_q_star", "joint_range_containment"):
+        monkeypatch.setattr(oracle, name, lambda *args, **kwargs: pytest.fail("the oracle ran"))
+    for flag in ("--samples", "--grid-n"):
+        for value in (str(sys.maxsize + 1), "1" + "0" * 400):
+            code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
+                                     f"{flag}={value}")
+            assert code == 2 and out == "", (flag, value)
+            assert f"usage error: {flag} must be at most sys.maxsize" in err, (flag, value)
+
+
+def test_oracle_check_rejects_orders_below_its_floor(capsys):
+    # below alpha = 1 + 1e-7 the containment check gave false violations
+    code, out, err = run_cli(capsys, "oracle-check", "--alpha", "1.0000000001", "--eps", "0.5", "--delta", "0.1",
+                             "--samples", "2000")
+    assert code == 3 and out == ""
+    assert "domain error: order alpha=1.0000000001 is too close to 1" in err
 
 
 @pytest.mark.parametrize("tol, exit_code", [("1e-4", 0), ("1e-15", 5)])

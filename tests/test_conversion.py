@@ -12,10 +12,9 @@ import pytest
 
 from rdpopt import conversion
 from rdpopt.conversion import (
+    _envelope,
     _f_lower_bound,
-    _gamma_delta_slope,
-    _gamma_order_slopes,
-    _gamma_slope,
+    _frontier,
     _objective,
     balle_epsilon,
     baseline_delta,
@@ -76,8 +75,7 @@ def test_hoisted_objective_is_bit_identical():
         for p in np.linspace(delta, 1.0, 257)[1:-1].tolist():
             t = math.log(p - delta)
             want = _objective_reference(t, alpha, eps, delta)
-            assert objective(t) == want
-            assert objective(t, parts=True)[0] == want
+            assert objective(t)[0] == want
             assert boundary_objective(p, alpha, eps, delta) == want
     assert gamma_exact(2.0, 1.0, 0.1).value == 0.5465668663746012
 
@@ -86,13 +84,14 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
     # each inversion starts from a closed form and takes Newton steps; a
     # bisection to the same tolerance costs about 38 frontier solves an answer
     solves = 0
+    real = conversion._frontier
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         nonlocal solves
         solves += 1
-        return gamma_exact(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    monkeypatch.setattr(conversion, "_frontier", counted)
     eps_solves, delta_solves = [], []
     for alpha, gamma, delta in sample_small_delta_triples(rng, 40):
         solves = 0
@@ -109,6 +108,7 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
     # both take Newton steps from their closed-form bound (epsilon_exact about
     # 1.2 solves an answer here, 4.7 with secant steps; delta_exact about 1.3,
     # 4.0 with secant steps)
+    assert min(eps_solves) >= 1 and min(delta_solves) >= 1
     assert sum(eps_solves) / len(eps_solves) <= 3.0
     assert sum(delta_solves) / len(delta_solves) <= 3.0
 
@@ -119,22 +119,23 @@ def test_inversion_inside_its_tolerance_takes_few_solves(monkeypatch):
     # inversion evaluates its lower end once and stops, rather than bisecting
     # toward 0 until its iteration cap
     solves = 0
+    real = conversion._frontier
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         nonlocal solves
         solves += 1
-        return gamma_exact(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(conversion, "gamma_exact", counted)
+    monkeypatch.setattr(conversion, "_frontier", counted)
     alpha, gamma, delta = 2.0, 1e-300, 1.0528511515103283e-145
     eps = epsilon_exact(alpha, gamma, delta).value
-    assert solves <= 4, solves
+    assert 1 <= solves <= 4, solves
     assert 0.0 <= eps <= epsilon_bound(alpha, gamma, delta).value
     assert gamma_exact(alpha, eps, delta).value >= gamma
 
 
 def test_envelope_slope_matches_the_frontier_derivative(rng):
-    # _gamma_slope is d gamma_exact / d eps at the reported argmin_p: checked
+    # _envelope's first slope is d gamma_exact / d eps at the reported argmin_p: checked
     # against a central difference of gamma_exact itself (the envelope
     # theorem) and a 30-digit derivative of the objective at that p (the formula)
     h = 1e-5
@@ -142,9 +143,9 @@ def test_envelope_slope_matches_the_frontier_derivative(rng):
         alpha = 1.0 + 49.0 * rng.uniform(1e-3, 1.0)
         eps = rng.uniform(0.05, 5.0)
         delta = math.exp(rng.uniform(math.log(1e-9), math.log(min(0.5, 0.999 / alpha))))
-        r = gamma_exact(alpha, eps, delta)
+        r, state = _frontier(alpha, eps, delta)
         assert r.argmin_p is not None
-        slope = _gamma_slope(alpha, eps, delta, r.argmin_p)
+        slope = _envelope(alpha, eps, delta, state)[0]
         central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
         assert abs(slope - central) <= 1e-8, (alpha, eps, delta)
         with mpmath.workdps(30):
@@ -155,8 +156,8 @@ def test_envelope_slope_matches_the_frontier_derivative(rng):
         assert abs(slope - exact) <= 1e-13, (alpha, eps, delta)
     # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1
     for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (49.0, 4.0, 0.03)]:
-        r = gamma_exact(alpha, eps, delta)
-        assert r.argmin_p is None and _gamma_slope(alpha, eps, delta, r.argmin_p) == 1.0
+        r, state = _frontier(alpha, eps, delta)
+        assert r.argmin_p is None and _envelope(alpha, eps, delta, state)[0] == 1.0
         central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
         assert abs(central - 1.0) <= 1e-8
 
@@ -177,13 +178,13 @@ def _slope_triples(rng, n):
 
 
 def test_delta_slope_matches_the_frontier_derivative(rng):
-    # _gamma_delta_slope is d gamma_exact / d delta at the reported argmin_p:
+    # _envelope's second slope is d gamma_exact / d delta at the reported argmin_p:
     # checked against a central difference of gamma_exact itself (the envelope
     # theorem) and a 30-digit derivative of the objective at that p (the formula)
     for alpha, eps, delta in _slope_triples(rng, 30):
-        r = gamma_exact(alpha, eps, delta)
+        r, state = _frontier(alpha, eps, delta)
         assert r.argmin_p is not None
-        slope = _gamma_delta_slope(alpha, eps, delta, r.argmin_p)
+        slope = _envelope(alpha, eps, delta, state)[1]
         central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
         assert math.isclose(slope, central, rel_tol=1e-5), (alpha, eps, delta)
         with mpmath.workdps(30):
@@ -193,9 +194,9 @@ def test_delta_slope_matches_the_frontier_derivative(rng):
         assert math.isclose(slope, exact, rel_tol=1e-9), (alpha, eps, delta)
     # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1/(1 - delta)
     for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (1000.0, 2.0, 0.01), (2.0, 1000.0, 0.6)]:
-        r = gamma_exact(alpha, eps, delta)
+        r, state = _frontier(alpha, eps, delta)
         assert r.argmin_p is None
-        assert _gamma_delta_slope(alpha, eps, delta, r.argmin_p) == 1.0 / (1.0 - delta)
+        assert _envelope(alpha, eps, delta, state)[1] == 1.0 / (1.0 - delta)
         central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
         assert math.isclose(central, 1.0 / (1.0 - delta), rel_tol=1e-8)
 
@@ -213,8 +214,8 @@ def test_delta_slopes_are_finite_at_zero():
         for eps in (0.0, 1.0, 1000.0):
             value, slope = _f_lower_bound(alpha, eps, 0.0)
             assert value == 0.0 and 0.0 <= slope < math.inf
-            r = gamma_exact(alpha, eps, 0.0)
-            assert r.value == 0.0 and _gamma_delta_slope(alpha, eps, 0.0, r.argmin_p) == 1.0
+            r, state = _frontier(alpha, eps, 0.0)
+            assert r.value == 0.0 and _envelope(alpha, eps, 0.0, state)[1] == 1.0
 
 
 def test_objective_convexity_inside_log():
@@ -244,7 +245,7 @@ def test_frontier_objective_is_unimodal_in_t(rng):
         objective = _objective(alpha, eps, delta)
         # the inside of the t = log(p - delta) range that gamma_exact searches
         ts = np.linspace(math.log(alpha - 1.0) + math.log(delta) - 1.0, math.log1p(-delta), 514)[1:-1]
-        values = np.array([objective(float(t)) for t in ts])
+        values = np.array([objective(float(t))[0] for t in ts])
         i = int(values.argmin())
         steps = np.diff(values)
         tol = 1e-12 * max(1.0, float(np.abs(values).max()))
@@ -349,9 +350,9 @@ def _count_objective_evaluations(monkeypatch):
     def counted(alpha, epsilon, delta):
         objective = real(alpha, epsilon, delta)
 
-        def counted_objective(t, parts=False):
+        def counted_objective(t):
             evals[0] += 1
-            return objective(t, parts)
+            return objective(t)
 
         return counted_objective
 
@@ -408,9 +409,9 @@ def test_newton_frontier_matches_the_unimodal_search(monkeypatch):
                 continue
             counts.append(evals[0])
             objective = conversion._objective(alpha, eps, delta)
-            got = objective(math.log(r.argmin_p - delta))
+            got = objective(math.log(r.argmin_p - delta))[0]
             t_lo, t_hi = math.log(alpha - 1.0) + math.log(delta) - 1.0, math.log1p(-delta)
-            _, want = minimize_unimodal(objective, t_lo, t_hi)
+            _, want = minimize_unimodal(lambda t: objective(t)[0], t_lo, t_hi)
             assert got <= want + 4.0 * math.ulp(max(abs(want), 1.0)), (alpha, eps, delta, got, want)
         assert len(counts) >= 250, name
         mean = sum(counts) / len(counts)
@@ -428,7 +429,7 @@ def test_objective_slopes_match_mpmath(rng):
         t_lo, t_hi = math.log(alpha - 1.0) + math.log(delta), math.log1p(-delta)
         for frac in (0.0, 0.3, 0.7, 0.99):
             t = t_lo + frac * (t_hi - t_lo)
-            value, first, second = slopes(t)
+            value, first, second = slopes(t)[:3]
             with mpmath.workdps(40):
                 a, e, d = mpmath.mpf(alpha), mpmath.mpf(eps), mpmath.mpf(delta)
 
@@ -438,7 +439,7 @@ def test_objective_slopes_match_mpmath(rng):
 
                 x = mpmath.mpf(t)
                 want = [float(mpmath.diff(objective, x, k)) for k in (1, 2)]
-            assert value == conversion._objective(alpha, eps, delta)(t)
+            assert value == conversion._objective(alpha, eps, delta)(t)[0]
             scale = 1e-9 * max(1.0, alpha)
             assert abs(first - want[0]) <= scale * max(1.0, abs(want[0])), (alpha, eps, delta, t, first, want)
             assert abs(second - want[1]) <= scale * max(1.0, abs(want[1])), (alpha, eps, delta, t, second, want)
@@ -481,18 +482,18 @@ def test_gamma_order_slopes_match_mpmath(rng):
         if alpha * delta >= 1.0:
             continue
         eps = epsilon_bound(alpha, gamma, delta).value
-        r = gamma_exact(alpha, eps, delta)
+        r, state = _frontier(alpha, eps, delta)
         if r.argmin_p is None:
             continue
-        first, second = _gamma_order_slopes(alpha, eps, delta, r)
+        first, second = _envelope(alpha, eps, delta, state)[2:]
         want = _mpmath_order_slopes(alpha, eps, delta, math.log(r.argmin_p - delta))
         assert abs(first - want[0]) <= 1e-8 * abs(want[0]), (alpha, eps, delta, first, want)
         assert abs(second - want[1]) <= 1e-5 * abs(want[1]), (alpha, eps, delta, second, want)
         checked += 1
     # the edge value eps - log(1 - delta), at alpha delta >= 1 and where it wins below
     for alpha, eps, delta in [(4.0, 1.0, 0.25), (300.0, 2.0, 0.5), (1.000686631040069, 0.20955171347632695, 0.9806522240933073)]:
-        r = gamma_exact(alpha, eps, delta)
-        assert r.argmin_p is None and _gamma_order_slopes(alpha, eps, delta, r) == (0.0, 0.0)
+        r, state = _frontier(alpha, eps, delta)
+        assert r.argmin_p is None and _envelope(alpha, eps, delta, state)[2:] == (0.0, 0.0)
 
 
 def test_gamma_exact_argmin_stays_inside_the_interval():
@@ -502,10 +503,11 @@ def test_gamma_exact_argmin_stays_inside_the_interval():
     one_up = math.nextafter(1.0, 2.0)
     inputs = [(one_up, 0.0, 0.9999999999999991), (one_up, 0.0, 3.4768916e-317), (1.0000000000000007, 0.0, 0.9999999999999992)]
     for alpha, eps, delta in inputs:
-        r = gamma_exact(alpha, eps, delta)
+        r, state = _frontier(alpha, eps, delta)
         assert delta < r.argmin_p < 1.0, (alpha, eps, delta, r.argmin_p)
-        assert math.isfinite(_gamma_slope(alpha, eps, delta, r.argmin_p))
-        assert math.isfinite(_gamma_delta_slope(alpha, eps, delta, r.argmin_p))
+        slope_eps, slope_delta = _envelope(alpha, eps, delta, state)[:2]
+        assert math.isfinite(slope_eps)
+        assert math.isfinite(slope_delta)
 
 
 def test_gamma_bound_examples():

@@ -317,3 +317,18 @@ def test_invert_crosses_a_stretch_flat_to_rounding():
         assert x0 <= x <= x0 + abs_tol, (width, x - x0)
         assert _creeping_steps(points, target, abs_tol) <= 2, width
         assert len(points) <= 60 < MAX_STEPS, (width, len(points))
+
+
+def test_search_returns_hi_at_its_evaluation_cap():
+    # pins the MAX_STEPS exit as it stands: a slope that is never a number
+    # makes every step bisect, and a bracket [0, 1e308] with a tolerance of
+    # one subnormal is not closed in 200 halvings, so the search returns the
+    # upper end it last kept, nowhere near a crossing, and says nothing
+    evals = [0]
+
+    def fn(x):
+        evals[0] += 1
+        return 1.0, math.nan
+
+    assert _newton_invert(fn, 0.0, 0.0, 1e308, 5e-324) == 1.2446030555722284e+248
+    assert evals[0] == MAX_STEPS == 200

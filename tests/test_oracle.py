@@ -1,6 +1,7 @@
 """Brute-force certification of the frontier."""
 
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -592,6 +593,45 @@ def test_joint_range_containment_deterministic():
     a = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     b = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     assert a == b
+
+
+def test_counts_past_the_index_range_are_rejected_before_any_work(monkeypatch):
+    # a count above sys.maxsize has no numpy index; a seed may be any size
+    monkeypatch.setattr(oracle, "_polished_rows", lambda *args: pytest.fail("the scan ran"))
+    monkeypatch.setattr(oracle, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    GridSpec(n_coarse=sys.maxsize, n_refine=np.int64(sys.maxsize))
+    too_many = sys.maxsize + 1
+    for name, call in [
+        ("n_coarse", lambda: GridSpec(n_coarse=too_many)),
+        ("n_refine", lambda: GridSpec(n_refine=np.uint64(too_many))),
+        ("n_p", lambda: verify_q_star(2.0, 1.0, 0.1, FAST, n_p=10**400)),
+        ("n_samples", lambda: joint_range_containment(2.0, 1.0, n_samples=10**400)),
+    ]:
+        with pytest.raises(DomainError, match=f"{name} must be at most sys.maxsize"):
+            call()
+    monkeypatch.undo()
+    assert joint_range_containment(2.0, 1.0, n_samples=10, seed=10**400)["violations"] == 0
+
+
+def test_orders_below_the_floor_are_rejected(monkeypatch):
+    # below alpha = 1 + 1e-7 a divergence's rounding, divided by alpha - 1,
+    # reaches the containment tolerance: at 1 + 1e-9 and eps = 0 a 2 000-sample
+    # check found 7 violations.  Every entry point names the order before any work
+    floor = 1.0 + 1e-7
+    below = math.nextafter(floor, 1.0)
+    for alpha in (below, 1.0 + 1e-9, 1.0 + 2.0**-52):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_polished_rows", lambda *args: pytest.fail("the scan ran"))
+            m.setattr(oracle, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+            for call in (lambda: brute_force_gamma(alpha, 0.5, 0.1), lambda: verify_q_star(alpha, 0.5, 0.1),
+                         lambda: joint_range_containment(alpha, 0.5)):
+                with pytest.raises(DomainError, match=f"order alpha={alpha!r} is too close to 1"):
+                    call()
+    report = joint_range_containment(floor, 0.5, n_samples=2000)
+    assert report["violations"] == 0 and report["min_margin"] > -1e-9, report
+    exact = gamma_exact(floor, 0.5, 0.1).value
+    assert abs(brute_force_gamma(floor, 0.5, 0.1, FAST) - exact) <= 1e-4
+    assert verify_q_star(floor, 0.5, 0.1, FAST, n_p=64)["max_gap"] <= 1e-4
 
 
 def test_containment_seed_must_be_a_nonnegative_integer(monkeypatch):

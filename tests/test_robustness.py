@@ -150,6 +150,7 @@ def _mechanism_calls(draw):
 @example(call=("rho_subsampled", (1e-12, 0.9999999999999988)))
 @example(call=("privacy_curve", (1.5349017910462683e-177, 1.4068617124461467e-16, 0.9999999999999998, [760653747.996973])))
 @example(call=("privacy_curve", (5.082393856417887e+16, 0.9999999999999999, 0.4390874496055884, [605, 2147.156101507063])))
+@example(call=("privacy_curve", (1.0, None, 1e-5, [10**400])))
 def test_mechanisms_give_finite_fields_or_typed_errors(call):
     _check_finite_or_typed_error(*call)
 
@@ -164,6 +165,11 @@ def test_mechanisms_give_finite_fields_or_typed_errors(call):
 @example(call=("acct_epsilon", (105.0, 1000000000.0, 0.9999999999997607)))
 @example(call=("acct_epsilon", (6.968529230365001e+51, 826344933.2544188, 0.999999999999)))
 @example(call=("ma_max_iterations", (1e-05, 2.356000358638826e+307, 0.05)))
+# an integer T past DBL_MAX, which has no float form
+@example(call=("acct_epsilon", (0.01, 10**400, 1e-5)))
+@example(call=("ma_epsilon", (0.01, 10**400, 1e-5)))
+@example(call=("required_variance", (10**400, 1.0, 1e-5)))
+@example(call=("ma_required_variance", (10**400, 1.0, 1e-5)))
 def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
     _check_finite_or_typed_error(*call)
 
@@ -174,6 +180,7 @@ def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
 @example(call=("acct_epsilon", (1e-300, 1, 5.421372662229435e-151, "exact")))
 # draws that reached 0, +-DBL_MAX, a subnormal or delta near 1 through Hypothesis's literal pool, now pinned empty
 @example(call=("max_iterations", (1.4277199034304217e-209, 0.0, 0.9999999979388464, "exact")))
+@example(call=("acct_epsilon", (0.01, 10**400, 1e-5, "exact")))
 def test_exact_accountants_give_finite_fields_or_typed_errors(call):
     # fewer examples: each runs the numeric frontier at every order of a few order solves
     _check_finite_or_typed_error(*call)
