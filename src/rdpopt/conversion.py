@@ -297,20 +297,20 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
+    solved = {}  # frontier value by delta: an answer of top was the search's first point
 
     def frontier(d: float) -> tuple[float, float]:
         r, state = _frontier(alpha, epsilon, d)
+        solved[d] = r.value
         return r.value, _envelope(alpha, epsilon, d, state)[1]
 
     hi = min(delta_bound(alpha, gamma, epsilon).value, top)
     d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi)
-    if d == top:
-        gamma_top = _frontier(alpha, epsilon, top)[0].value
-        if gamma_top < gamma:
-            raise InfeasibleError(
-                f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
-                f"(frontier tops out near {gamma_top!r})"
-            )
+    if d == top and solved[top] < gamma:
+        raise InfeasibleError(
+            f"no delta < 1 reaches gamma={gamma!r} at eps={epsilon!r} "
+            f"(frontier tops out near {solved[top]!r})"
+        )
     return ConversionResult(d, "exact_numeric")
 
 

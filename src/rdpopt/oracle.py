@@ -17,12 +17,12 @@ reduction or convexity, which would tie it to the path it checks.  What it
 saves is work whose result cannot change an answer.  The q side of the
 divergences is tabulated once per distinct window (the shared grid, or a
 coarse point that polish windows are centred on), and every block reuses
-one workspace.  The Renyi divergence is taken only on admitted cells, and on
-the shared grid only on those that can still hold their row's minimum: a
-band that follows from how np.logaddexp rounds, not from the rule, so it
-holds for any rule (see _row_scan).  The hockey-stick values come from
-_hockey_stick, and the Renyi values from _renyi's operations, so they match
-it to the bit.
+one workspace.  The Renyi divergence is taken only in each row's band, the
+admitted cells that can still hold the row's minimum, on the shared grid
+and in polish windows alike: a band that follows from np.logaddexp never
+falling below its larger argument, not from the rule, so it holds for any
+rule (see _row_scan).  The hockey-stick values come from _hockey_stick, and
+the Renyi values from _renyi's operations, so they match it to the bit.
 
 A scan shares its row blocks out among one worker per CPU the process may
 run on: the calling thread and plain threads, each on its own slice of the
@@ -120,18 +120,20 @@ def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
-# (p, q) cells in a scan's workspace, one bool and two float arrays split
+# (p, q) cells in a scan's workspace, one bool and three float arrays split
 # evenly among its workers.  A block is at least this many cells over the
-# worker count: at one worker 128 rows of the 4097-point grid or 1023 of the
-# 513-point polish window, at two workers half that.  The float arrays are
-# one allocation of 8 MiB, past the 4 MiB from which numpy asks Linux for
-# transparent huge pages, though each worker's share is 2 MiB.  The size
-# matters little: on two workers, a default-grid brute_force_gamma and
-# verify_q_star took 0.20-0.21 s and 1.7-2.7 k minor page faults a call at
-# this size, 0.19-0.20 s and 4.9-6.3 k at 1 << 17 (no huge pages), and
-# 0.20-0.21 s at 1 << 20; a 128-row block of the shared grid takes about
-# 3.7 ms of one CPU (2-vCPU Xeon, numpy 2.4)
-_BLOCK_CELLS = 1 << 19
+# worker count: at one worker 32 rows of the 4097-point grid or 256 of the
+# 513-point polish window, at two workers half that.  Smaller blocks are
+# faster while a worker's share outgrows its L2 cache.  On a 2-vCPU Xeon
+# (2 MiB of L2 a core, numpy 2.4), default-grid brute_force_gamma and
+# verify_q_star calls at (alpha, eps, delta) = (2, 1, 0.1), (1.3471, 0.856,
+# 0.34), (1.05, 0.5, 0.2), (25, 2.5, 0.1) and (49, 4.8, 0.49), best of three
+# each, took 1.07-1.11 s in all at this size, 1.05-1.19 s at 1 << 18 and
+# 1.19-1.20 s at 1 << 19 on two workers, and 1.84-1.91, 2.05-2.11 and
+# 2.39 s on one.  At 1 << 16 two workers took 1.44-1.49 s, barely faster
+# than one, as their 8-row blocks spend their time in Python.  A 32-row
+# block of the shared grid takes about 0.8 ms of one CPU
+_BLOCK_CELLS = 1 << 17
 
 
 def _usable_cpus() -> int:
@@ -166,11 +168,10 @@ def _hockey_stick(p, one_m_p, q, one_m_q, lam, out=None, scratch=None):
     return hs
 
 
-def _band_top(least, c):
+def _band_top(cap, c):
     # a bound past which every cell divides, as the divergence does, to more
-    # than the cap fl(fl(least + 1) / c): one float above the cap's successor
-    # times c.  Rows with no admitted cell (least = inf) get inf
-    return np.nextafter(np.nextafter((least + 1.0) / c, np.inf) * c, np.inf)
+    # than cap: one float above the cap's successor times c
+    return np.nextafter(np.nextafter(cap, np.inf) * c, np.inf)
 
 
 def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
@@ -189,21 +190,22 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     q, 1 - q and the Renyi terms in q are computed once per distinct centre
     (polish windows share the few coarse-grid points their rows landed on)
     and gathered per block, and every block reuses its worker's slice of one
-    workspace.  The divergence, the costliest step, is taken on admitted
-    cells only, and on the shared grid only in each row's band.  With
-    a = alpha log p + (1 - alpha) log q and b the same in 1 - p and 1 - q,
-    a cell's divergence is fl(logaddexp(a, b)/(alpha - 1)), and np.logaddexp
-    returns a value between max(a, b) and fl(max(a, b) + 1).  So, with m the
-    least bound max(a, b) over a row's admitted cells, any cell whose bound
-    divided by alpha - 1 exceeds fl(fl(m + 1)/(alpha - 1)) lies strictly
-    above the cell where m is attained, and the band is the admitted cells
-    that do not.  Cutting on the divided scale keeps the cells that division
-    may round onto the minimum, so the row minima and first-index argmins
-    are those of the divergence on every admitted cell, to the bit.  The
-    cut is made on the bounds themselves, at a top (_band_top) that keeps
-    every bound dividing to at most the cap and at most a few floats more,
-    which changes no minimum.  Polish windows skip the band, which there
-    holds nearly every cell.
+    workspace.  The divergence, the costliest step, is taken only in each
+    row's band, on the shared grid and in polish windows alike.  With
+    a = alpha log p + (1 - alpha) log q and b the same in 1 - p and 1 - q, a
+    cell's divergence is fl(logaddexp(a, b)/(alpha - 1)), and np.logaddexp
+    returns at least max(a, b).  A row's cap is the divergence of its
+    admitted cell of least bound max(a, b), one logaddexp a row.  Division
+    by alpha - 1 > 0 is monotone, so any cell whose bound divided by
+    alpha - 1 exceeds the cap lies strictly above that cell, and the band is
+    the admitted cells that do not.  Cutting on the divided scale keeps the
+    cells that division may round onto the minimum, so the row minima and
+    first-index argmins are those of the divergence on every admitted cell,
+    to the bit.  The cut is made on the bounds themselves, at a top
+    (_band_top) that keeps every bound dividing to at most the cap and at
+    most a few floats more, which changes no minimum.  Cells off the band
+    keep their bound, divided like the rest, and so stay above the cap; a
+    row with no admitted cell has bound +inf throughout and takes no band.
 
     Worker k of n scans blocks k, k + n, ...; worker 0 is the
     caller, the rest are threads, all joined before the scan returns, and the
@@ -228,7 +230,7 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     n_workers = max(1, min(_usable_cpus(), -(-n_rows // -(-_BLOCK_CELLS // n_cols))))
     block_rows = -(-(_BLOCK_CELLS // n_workers) // n_cols)
     shape = (n_workers, min(block_rows, n_rows), n_cols)
-    div_ws, tail_ws = np.empty((2, *shape))
+    a_ws, b_ws, div_ws = np.empty((3, *shape))
     mask_ws = np.empty(shape, dtype=bool)
     row_min = np.empty(n_rows)
     row_arg = np.empty(n_rows, dtype=np.intp)
@@ -243,25 +245,23 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
                     return
                 sl = slice(start, min(start + block_rows, n_rows))
                 n = sl.stop - start
-                div, tail, mask = div_ws[k, :n], tail_ws[k, :n], mask_ws[k, :n]
-                feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, div), gather(tables[1], sl, tail), mask,
-                         (div, tail))
+                a, b, div, mask = a_ws[k, :n], b_ws[k, :n], div_ws[k, :n], mask_ws[k, :n]
+                feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, a), gather(tables[1], sl, b), mask, (a, b))
                 # _renyi's operations, from the tables' terms in q
-                np.add(lp[sl, None], gather(tables[2], sl, div), out=div)
-                np.add(l1p[sl, None], gather(tables[3], sl, tail), out=tail)
-                if centers is None:
-                    # the band: every admitted cell whose bound max(a, b), divided
-                    # as the divergence is, is at most fl(fl(m + 1)/(alpha - 1));
-                    # then b again, on the band
-                    np.maximum(div, tail, out=tail)
-                    least = np.min(tail, axis=1, initial=np.inf, where=mask, keepdims=True)
-                    np.less_equal(tail, _band_top(least, alpha - 1.0), out=mask, where=mask)
-                    np.add(l1p[sl, None], tables[3], out=tail, where=mask)
-                np.logaddexp(div, tail, out=div, where=mask)
-                np.divide(div, alpha - 1.0, out=div, where=mask)
+                np.add(lp[sl, None], gather(tables[2], sl, a), out=a)
+                np.add(l1p[sl, None], gather(tables[3], sl, b), out=b)
+                # the bounds, +inf off the admitted cells, and the band under
+                # the divergence of each row's least-bound cell
+                np.maximum(a, b, out=div)
                 np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
+                rows = np.arange(n)
+                least = div.argmin(axis=1)
+                cap = np.logaddexp(a[rows, least], b[rows, least]) / (alpha - 1.0)
+                np.less_equal(div, _band_top(cap, alpha - 1.0)[:, None], out=mask)
+                np.logaddexp(a, b, out=div, where=mask)
+                div /= alpha - 1.0
                 row_arg[sl] = div.argmin(axis=1)
-                row_min[sl] = div[np.arange(n), row_arg[sl]]
+                row_min[sl] = div[rows, row_arg[sl]]
         except BaseException as exc:
             errors.append(exc)
 

@@ -586,6 +586,18 @@ def test_delta_exact_infeasible_above_frontier_range():
         delta_exact(2.0, 50.0, 0.0)
 
 
+def test_infeasible_delta_takes_one_solve(monkeypatch):
+    # the search's first point is 1 - 1e-12, where the frontier falls short;
+    # the error quotes that solve rather than solving there again
+    solves = []
+    real = conversion._frontier
+    monkeypatch.setattr(conversion, "_frontier", lambda *args: solves.append(args) or real(*args))
+    with pytest.raises(InfeasibleError, match=r"^no delta < 1 reaches gamma=50 at eps=1 "
+                                              r"\(frontier tops out near 28\.63104323789336\)$"):
+        delta_exact(2, 50, 1)
+    assert solves == [(2, 1, 1.0 - 1e-12)]
+
+
 def test_an_underflowed_delta_is_not_a_pure_dp_claim(rng):
     # at eps = 1000 the moment piece zeta e^{-(alpha-1)(eps-gamma)} underflows;
     # the true delta lies below the smallest positive float, and 0 would claim

@@ -142,8 +142,8 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
         ), j
 
 
-def _reference_row_scan(alpha, u_p, u_q, feasible, centers=None):
-    # the kernel before its band: one block, the divergence on every admitted cell
+def _admitted(alpha, u_p, u_q, feasible, centers=None):
+    # the cells feasible admits, and the tables of one block of the scan
     p, one_m_p, lp, l1p = oracle._tables(alpha, u_p.copy())
     u = u_q.copy() if centers is None else np.clip(np.add.outer(centers, u_q), -oracle._U_MAX, oracle._U_MAX)
     q, one_m_q, lq, l1q = oracle._tables(1.0 - alpha, u)
@@ -151,6 +151,12 @@ def _reference_row_scan(alpha, u_p, u_q, feasible, centers=None):
     admitted = np.empty(shape, dtype=bool)
     feasible(slice(0, len(u_p)), p[:, None], one_m_p[:, None], q, one_m_q, admitted,
              (np.empty(shape), np.empty(shape)))
+    return admitted, lp, l1p, lq, l1q
+
+
+def _reference_row_scan(alpha, u_p, u_q, feasible, centers=None):
+    # the kernel before its band: one block, the divergence on every admitted cell
+    admitted, lp, l1p, lq, l1q = _admitted(alpha, u_p, u_q, feasible, centers)
     div = np.where(admitted, np.logaddexp(lp[:, None] + lq, l1p[:, None] + l1q) / (alpha - 1.0), np.inf)
     row_arg = div.argmin(axis=1)
     return div[np.arange(len(u_p)), row_arg], row_arg
@@ -167,17 +173,43 @@ def _all_admitted(rows, p, one_m_p, q, one_m_q, out, scratch):
     out[...] = True
 
 
-def test_row_scan_matches_the_reference_kernel():
+def _none_admitted(rows, p, one_m_p, q, one_m_q, out, scratch):
+    out[...] = False
+
+
+def _counted_logaddexp(monkeypatch):
+    # cells np.logaddexp is taken on, one (band?, cells) entry a call: a call
+    # with a where= mask is a band, one without takes the rows' caps
+    calls = []
+    real = np.logaddexp
+
+    def counted(x, y, out=None, where=True):
+        calls.append((where is not True, np.size(x) if where is True else int(np.count_nonzero(where))))
+        return real(x, y, out=out, where=where)
+
+    monkeypatch.setattr(oracle.np, "logaddexp", counted)
+    return calls
+
+
+def test_row_scan_matches_the_reference_kernel(monkeypatch):
     # the band leaves every row minimum and first-index argmin in place, on
-    # the shared grid and in polish windows, for both rules
+    # the shared grid and in polish windows, for both rules.  Besides the
+    # windows of _scan_grids, each row scans a window as wide as a
+    # default-grid polish window around its own shared-grid argmin, where
+    # the divergence is flattest and the band widest
+    calls = _counted_logaddexp(monkeypatch)
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
     tied = np.concatenate([u[::-1], u])  # every q twice, so rows have tied minima
-    cases = [*_KERNEL_CASES, (1.000001, 1.0, 0.1), (2.0, 0.0, 1.0 - 1e-12)]
-    empty_rows = tied_rows = 0
+    polish = (np.arange(33) / 32 - 0.5) * (2.0 * (2.0 * oracle._U_MAX / 4096))
+    # rows with no admitted cell, then the default grid's wide-band case
+    cases = [*_KERNEL_CASES, (1.000001, 1.0, 0.1), (2.0, 0.0, 1.0 - 1e-12), (1.3471, 0.856, 0.34)]
+    empty_rows = tied_rows = band_cells = admitted_cells = 0
     for alpha, eps, delta in cases:
         for rule, _ in _rules(u, eps, delta):
-            for q_grid, c in (*_scan_grids(u), (tied, None)):
+            own = u[_reference_row_scan(alpha, u, u, rule)[1]]
+            for q_grid, c in (*_scan_grids(u), (tied, None), (polish, own)):
                 m0, a0 = _reference_row_scan(alpha, u, q_grid, rule, c)
+                del calls[:]
                 m1, a1 = oracle._row_scan(alpha, u, q_grid, rule, centers=c)
                 assert np.array_equal(m0, m1) and np.array_equal(a0, a1), (alpha, eps, delta)
                 empty_rows += np.isinf(m0).sum()
@@ -185,11 +217,13 @@ def test_row_scan_matches_the_reference_kernel():
                     finite = np.isfinite(m0)
                     assert np.all(a0[finite] < len(u))
                     tied_rows += finite.sum()
+                if alpha == 1.3471 and c is own:
+                    band_cells += sum(cells for band, cells in calls if band)
+                    admitted_cells += _admitted(alpha, u, q_grid, rule, c)[0].sum()
     assert empty_rows > 0 and tied_rows > 0
-    # at alpha - 1 = 1e-6 every bound lies within 1 of its row's least, so
-    # the band holds every cell
-    bounds = _bounds(1.000001, u, u)
-    assert np.all(bounds <= bounds.min(axis=1, keepdims=True) + 1.0)
+    # on this grid the wide-band case's windows put about a quarter of their
+    # admitted cells in the band (57% in a default-grid brute force)
+    assert band_cells >= 0.15 * admitted_cells
 
 
 def test_row_scan_keeps_cells_that_division_rounds_onto_the_minimum():
@@ -212,8 +246,45 @@ def test_row_scan_keeps_cells_that_division_rounds_onto_the_minimum():
     assert rounded_onto > 0
 
 
+def test_band_takes_logaddexp_on_few_cells(monkeypatch):
+    # capped at fl(fl(m + 1)/(alpha - 1)) on the shared grid, with no band in
+    # the polish windows, a default-grid brute force at alpha = 25 took
+    # logaddexp on 2.52 M cells; capped at the divergence of each row's
+    # least-bound cell it takes 33 k, two a row in the windows
+    calls = _counted_logaddexp(monkeypatch)
+    windows = []  # (rows, cells) of each polish-window scan
+    real_scan = oracle._row_scan
+
+    def scan(alpha, u_p, u_q, feasible, centers=None):
+        start = len(calls)
+        result = real_scan(alpha, u_p, u_q, feasible, centers)
+        if centers is not None:
+            windows.append((len(u_p), sum(cells for _, cells in calls[start:])))
+        return result
+
+    monkeypatch.setattr(oracle, "_row_scan", scan)
+    brute_force_gamma(25, 2.5, 0.1)
+    assert sum(cells for _, cells in calls) <= 100_000
+    assert len(windows) == 2 and all(cells <= 3 * rows for rows, cells in windows), windows
+
+
+def test_rows_with_no_admitted_cell_take_no_band(monkeypatch):
+    # such a row's bounds are all +inf, above any cap: logaddexp takes its cap
+    # and nothing else, the row minimum is +inf at index 0, and no step warns
+    calls = _counted_logaddexp(monkeypatch)
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    for order in (1.0 + 1e-7, 2.0, 4e306):
+        for q_grid, c in _scan_grids(u):
+            del calls[:]
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                row_min, row_arg = oracle._row_scan(order, u, q_grid, _none_admitted, centers=c)
+            assert np.all(np.isinf(row_min)) and not row_arg.any()
+            assert calls and not any(band and cells for band, cells in calls)
+
+
 def test_logaddexp_lies_within_one_of_its_larger_argument():
-    # the band rests on max(a, b) <= logaddexp(a, b) <= fl(max(a, b) + 1)
+    # max(a, b) <= logaddexp(a, b) <= fl(max(a, b) + 1).  The band rests on the
+    # lower half only: a cell's bound max(a, b) never exceeds its divergence
     big, tiny, normal = 1e308, 5e-324, 2.2250738585072014e-308
     edges = [0.0, -0.0, tiny, -tiny, 3 * tiny, normal, -normal, 0.5, 1.0, -1.0, 37.0, -745.0, 709.0,
              2.0**53, -(2.0**53), 2.0**53 + 2.0, 1e15, -1e300, big, -big, np.finfo(float).max, -np.finfo(float).max]
@@ -229,20 +300,16 @@ def test_logaddexp_lies_within_one_of_its_larger_argument():
 
 
 def test_band_top_keeps_every_bound_that_divides_to_the_cap():
-    # the band cut on the bounds keeps every cell with fl(bound / c) <=
-    # fl(fl(m + 1) / c), and, where that cap is a normal float, at most three
-    # floats more; a cap of 0 or a subnormal one keeps more, never fewer
+    # the band cut on the bounds keeps every cell with fl(bound / c) <= cap,
+    # and, where the cap is a normal float, at most three floats more; a cap
+    # of 0 or a subnormal one keeps more, never fewer
     rng = np.random.default_rng(34)
     for c in (2.0**-52, 1e-6, 0.5, 1.0, 3.0, 48.0, 8.869876166492475e17, 4e306):
-        least = rng.standard_normal((256, 1)) * 10.0 ** rng.uniform(-3, 18, size=(256, 1))
-        least[::16] = np.inf  # rows with no admitted cell
-        least[1:3, 0] = -1.0, math.nextafter(-1.0, 0.0)  # caps of 0 and, for large c, subnormal
-        top = oracle._band_top(least, c)
-        cap = (least + 1.0) / c
-        finite = np.isfinite(cap)
-        assert np.all(top[finite] / c > cap[finite])
-        assert np.all(np.isinf(top[~finite]))
-        normal = finite & (np.abs(cap) >= np.finfo(float).tiny)
+        cap = rng.standard_normal(256) * 10.0 ** rng.uniform(-3, 18, size=256) / c
+        cap[1:5] = 0.0, -0.0, 5e-324, 2.0**-53 / c  # the last is subnormal for large c
+        top = oracle._band_top(cap, c)
+        assert np.all(np.isfinite(top)) and np.all(top / c > cap)
+        normal = np.abs(cap) >= np.finfo(float).tiny
         below = top[normal]
         for _ in range(3):
             below = np.nextafter(below, -np.inf)
@@ -389,10 +456,14 @@ def test_kernel_values_are_pinned():
 def test_kernel_peak_memory():
     # traced peak of one default-grid call, against 1.1 times the 33.0 MiB
     # (brute force) and 28.7 MiB (q* check) of the kernel that allocated
-    # its arrays block by block
+    # its arrays block by block; then against the README's 8.5 MiB (brute
+    # force, wide band) and 17.4 MiB (q* check) with half a MiB to spare,
+    # less than one float array of a one-worker block (1 MiB)
     for call, bound_mib in (
         (lambda: brute_force_gamma(11.82, 1.68, 0.245), 1.1 * 33.0),
         (lambda: verify_q_star(11.82, 1.68, 0.245), 1.1 * 28.7),
+        (lambda: brute_force_gamma(1.3471, 0.856, 0.34), 8.5 + 0.5),
+        (lambda: verify_q_star(2, 1, 0.1), 17.4 + 0.5),
     ):
         tracemalloc.start()
         try:
