@@ -2,11 +2,10 @@
 
 The package is organized bottom-up:
 
-  divergences   two-point hockey-stick and Renyi divergences
   optimize      bracketed Newton inversion, the one search, and log_add
   conversion    the exact conversion frontier and its closed-form bounds
   gaussian      T-fold Gaussian composition, ours versus moments accountant
-  oracle        brute-force grid validation of the frontier
+  oracle        two-point divergences and brute-force grid validation of the frontier
   cli           command-line front end (see `rdpopt --help`)
 
 Every public name, and the submodule that defines it, is loaded on first
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 _NAMES = {
     "AccountedEpsilon": "gaussian",
     "AccountingError": "errors",
-    "BernoulliPair": "divergences",
     "ConversionResult": "conversion",
     "CurvePoint": "gaussian",
     "DomainError": "errors",
@@ -43,7 +41,6 @@ _NAMES = {
     "epsilon_exact": "conversion",
     "gamma_bound": "conversion",
     "gamma_exact": "conversion",
-    "hockey_stick_binary": "divergences",
     "joint_range_containment": "oracle",
     "log_add": "optimize",
     "log_zeta": "conversion",
@@ -52,7 +49,6 @@ _NAMES = {
     "ma_required_variance": "gaussian",
     "max_iterations": "gaussian",
     "privacy_curve": "gaussian",
-    "renyi_binary": "divergences",
     "required_variance": "gaussian",
     "rho_gaussian": "gaussian",
     "rho_subsampled": "gaussian",

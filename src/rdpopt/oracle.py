@@ -21,8 +21,11 @@ one workspace.  The Renyi divergence is taken only in each row's band, the
 admitted cells that can still hold the row's minimum, on the shared grid
 and in polish windows alike: a band that follows from np.logaddexp never
 falling below its larger argument, not from the rule, so it holds for any
-rule (see _row_scan).  The hockey-stick values come from _hockey_stick, and
-the Renyi values from _renyi's operations, so they match it to the bit.
+rule (see _row_scan).  The hockey-stick values come from _hockey_stick and
+the Renyi values from _renyi, the one binary-Renyi formula of the package,
+which the q* check and the containment sample take too.  Below order 2 it
+sums the moment as its excess over 1, so that the order floor is set by the
+frontier checked, not by the oracle's own rounding (see _grid_lam).
 
 A scan shares its row blocks out among one worker per CPU the process may
 run on: the calling thread and plain threads, each on its own slice of the
@@ -42,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .conversion import gamma_exact
-from .divergences import BernoulliPair, renyi_binary
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_alpha_eps_delta, _check_nonnegative
 
 _P_EDGE = 1e-9
@@ -59,12 +61,13 @@ def _grid_lam(alpha: float, epsilon: float, p_min: float) -> float:
     # difference inside np.logaddexp, stay finite up to the order checked
     # here.  The exponent is capped at 709, where e^eps q > 1 for every such q
     # already, so that the hockey-stick divergence is 0 beyond, as it is exactly.
-    # Below alpha = 1 + 1e-7 the rounding of a log-sum divided by alpha - 1
-    # nears the containment tolerance (a seeded sweep: README, Validation)
+    # Below alpha = 1 + 1e-8 gamma_exact, the frontier checked, overshoots
+    # by more than the containment tolerance (a seeded sweep: README, Validation)
     if not math.isfinite(2.0 * alpha * math.log(p_min)):
         raise DomainError(f"order alpha={alpha!r} is too large for the oracle's grids: 2 alpha log({p_min}) overflows")
-    if alpha < 1.0 + 1e-7:
-        raise DomainError(f"order alpha={alpha!r} is too close to 1 for the oracle, whose rounding is noise below 1 + 1e-7")
+    if alpha < 1.0 + 1e-8:
+        raise DomainError(f"order alpha={alpha!r} is too close to 1 for the oracle: the frontier it checks "
+                          f"overshoots below 1 + 1e-8")
     return math.exp(min(epsilon, 709.0))
 
 
@@ -143,13 +146,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _renyi(alpha, lp, l1p, lq, l1q):
-    # order-alpha Renyi divergence of Bernoulli(p) from Bernoulli(q), given
-    # log p, log(1 - p), log q and log(1 - q)
-    div = alpha * lp + (1.0 - alpha) * lq
-    np.logaddexp(div, alpha * l1p + (1.0 - alpha) * l1q, out=div)
-    div /= alpha - 1.0
-    return div
+def _renyi(alpha, p, one_m_p, head, tail, out=None, where=True):
+    # order-alpha Renyi divergence of Bernoulli(p) from Bernoulli(q), written
+    # to out where `where` is set; all of out is then divided by alpha - 1.
+    # From alpha = 2, head = alpha log p + (1 - alpha) log q and tail, the
+    # same in 1 - p and 1 - q, are the log-moment's terms, and it is their
+    # log-sum.  Below 2 that log-sum's rounding, about 1e-16 absolute, would
+    # be divided by alpha - 1 < 1.  There head = log p - log q and tail =
+    # log(1 - p) - log(1 - q), both overwritten, and the log-moment is
+    # log1p(X), X = p expm1((alpha - 1) head) + (1 - p) expm1((alpha - 1) tail),
+    # the moment less 1, whose rounding shrinks with alpha - 1 as X does.  X is
+    # at least 0 for every pair, and above -1 in floats, as its terms are above
+    # -p and -(1 - p); so log1p keeps its digits wherever X falls, and no
+    # log-sum is needed
+    if alpha >= 2.0:
+        out = np.logaddexp(head, tail, out=out, where=where)
+    else:
+        for ell, weight in ((head, p), (tail, one_m_p)):
+            ell *= alpha - 1.0
+            np.expm1(ell, out=ell, where=where)
+            ell *= weight
+        head += tail
+        out = np.log1p(head, out=out, where=where)
+    out /= alpha - 1.0
+    return out
+
+
+def _pair_renyi(alpha, p, q):
+    # _renyi of each pair (p[i], q[i]) of two arrays
+    lp, l1p, lq, l1q = np.log(p), np.log1p(-p), np.log(q), np.log1p(-q)
+    if alpha < 2.0:
+        return _renyi(alpha, p, 1.0 - p, lp - lq, l1p - l1q)
+    return _renyi(alpha, p, 1.0 - p, alpha * lp + (1.0 - alpha) * lq, alpha * l1p + (1.0 - alpha) * l1q)
 
 
 def _hockey_stick(p, one_m_p, q, one_m_q, lam, out=None, scratch=None):
@@ -206,24 +234,44 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     most a few floats more, which changes no minimum.  Cells off the band
     keep their bound, divided like the rest, and so stay above the cap; a
     row with no admitted cell has bound +inf throughout and takes no band.
+    Below alpha = 2 the divergence is _renyi's near-one form, which rounds
+    apart from the bounds and may fall below its cell's bound by that
+    bound's rounding.  There the top is raised by 1e-12, over 100 times the
+    most a bound can round on grids within 1e-9 of 0 and 1: 9e-15, three
+    half-ulps of terms below 42 and 21 in size and their sum (3.7e-15 was
+    measured).  So the band keeps every cell whose divergence is at most
+    the cap, and the row minima and first-index argmins are again those of
+    every admitted cell, to the bit.  The near-one form's log p - log q and
+    log(1 - p) - log(1 - q) come from unscaled tables, as the scaled terms
+    would cancel to about 1e-16 absolute: the q tables then hold log q and
+    log(1 - q), and the terms are scaled per block, to the bits that scaled
+    tables hold.
 
     Worker k of n scans blocks k, k + n, ...; worker 0 is the
     caller, the rest are threads, all joined before the scan returns, and the
     first error any of them raises is raised here.  feasible is called from
     every worker, so it may write only to out and scratch.
     """
-    # p, 1 - p and the Renyi terms alpha log p and alpha log(1 - p), then the
-    # same for q with 1 - alpha
-    p, one_m_p, lp, l1p = _tables(alpha, u_p.copy())
-    p, one_m_p = p[:, None], one_m_p[:, None]
+    # p, 1 - p, log p and log(1 - p), and the Renyi terms alpha log p and
+    # alpha log(1 - p); then the same for q with 1 - alpha, its terms left
+    # unscaled below alpha = 2
+    near_one = alpha < 2.0
+    p, one_m_p, lp, l1p = _tables(1.0, u_p.copy())
+    p, one_m_p, ap, a1p = p[:, None], one_m_p[:, None], alpha * lp, alpha * l1p
+    q_scale = 1.0 if near_one else 1.0 - alpha
     if centers is None:
-        tables = _tables(1.0 - alpha, u_q.copy())
+        tables = _tables(q_scale, u_q.copy())
         gather = lambda table, rows, out: table
     else:
         centers, which = np.unique(centers, return_inverse=True)
-        tables = _tables(1.0 - alpha, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
+        tables = _tables(q_scale, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
         # every index is valid; mode="clip" keeps take from buffering out
         gather = lambda table, rows, out: np.take(table, which[rows], axis=0, out=out, mode="clip")
+    # a block's Renyi terms in q; below alpha = 2 they are scaled here, to the
+    # bits a scaled table holds
+    terms = gather
+    if near_one:
+        terms = lambda table, rows, out: np.multiply(gather(table, rows, out), 1.0 - alpha, out=out)
     n_rows, n_cols = len(u_p), len(u_q)
     # one worker per usable CPU, at most one per block of a single-worker
     # scan; the workers split one workspace of _BLOCK_CELLS cells
@@ -247,19 +295,24 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
                 n = sl.stop - start
                 a, b, div, mask = a_ws[k, :n], b_ws[k, :n], div_ws[k, :n], mask_ws[k, :n]
                 feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, a), gather(tables[1], sl, b), mask, (a, b))
-                # _renyi's operations, from the tables' terms in q
-                np.add(lp[sl, None], gather(tables[2], sl, a), out=a)
-                np.add(l1p[sl, None], gather(tables[3], sl, b), out=b)
+                # the log-moment's terms
+                np.add(ap[sl, None], terms(tables[2], sl, a), out=a)
+                np.add(a1p[sl, None], terms(tables[3], sl, b), out=b)
                 # the bounds, +inf off the admitted cells, and the band under
                 # the divergence of each row's least-bound cell
                 np.maximum(a, b, out=div)
                 np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
                 rows = np.arange(n)
                 least = div.argmin(axis=1)
-                cap = np.logaddexp(a[rows, least], b[rows, least]) / (alpha - 1.0)
-                np.less_equal(div, _band_top(cap, alpha - 1.0)[:, None], out=mask)
-                np.logaddexp(a, b, out=div, where=mask)
-                div /= alpha - 1.0
+                if near_one:
+                    np.subtract(lp[sl, None], gather(tables[2], sl, a), out=a)
+                    np.subtract(l1p[sl, None], gather(tables[3], sl, b), out=b)
+                cap = _renyi(alpha, p[sl, 0], one_m_p[sl, 0], a[rows, least], b[rows, least])
+                top = _band_top(cap, alpha - 1.0)
+                if near_one:
+                    top += 1e-12
+                np.less_equal(div, top[:, None], out=mask)
+                _renyi(alpha, p[sl], one_m_p[sl], a, b, out=div, where=mask)
                 row_arg[sl] = div.argmin(axis=1)
                 row_min[sl] = div[rows, row_arg[sl]]
         except BaseException as exc:
@@ -364,13 +417,12 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
                              lambda rows, p, one_m_p, q, one_m_q, out, scratch: np.less_equal(
                                  q, q_star[rows, None], out=out),
                              grid.n_refine)
-    exact = [renyi_binary(BernoulliPair(pi, qi), alpha) for pi, qi in zip(p.tolist(), q_star.tolist())]
     return {
         "alpha": alpha,
         "epsilon": epsilon,
         "delta": delta,
         "n_p_checked": len(p),
-        "max_gap": float(np.max(np.abs(row_min - exact))),
+        "max_gap": float(np.max(np.abs(row_min - _pair_renyi(alpha, p, q_star)))),
     }
 
 
@@ -391,7 +443,7 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
     hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
-    div = _renyi(alpha, np.log(p), np.log1p(-p), np.log(q), np.log1p(-q))
+    div = _pair_renyi(alpha, p, q)
     violations = 0
     min_margin = math.inf
     for i in range(n_samples):

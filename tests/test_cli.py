@@ -652,7 +652,7 @@ def test_oracle_check_rejects_counts_past_the_index_range(capsys, monkeypatch):
 
 
 def test_oracle_check_rejects_orders_below_its_floor(capsys):
-    # below alpha = 1 + 1e-7 the containment check gave false violations
+    # below alpha = 1 + 1e-8 the containment check gives false violations
     code, out, err = run_cli(capsys, "oracle-check", "--alpha", "1.0000000001", "--eps", "0.5", "--delta", "0.1",
                              "--samples", "2000")
     assert code == 3 and out == ""
@@ -671,9 +671,10 @@ def test_oracle_check_report_file_is_the_sorted_results(capsys, tmp_path, tol, e
 
 
 def test_oracle_check_flags_a_wrong_q_star(capsys, monkeypatch):
-    # shift the value at q* up, as if the first-atom reduction were wrong
-    true_renyi = oracle.renyi_binary
-    monkeypatch.setattr(oracle, "renyi_binary", lambda pair, alpha: true_renyi(pair, alpha) + 1e-3)
+    # shift the value at q* up, as if the first-atom reduction were wrong; the
+    # kernel's grid minima do not take _pair_renyi
+    true_renyi = oracle._pair_renyi
+    monkeypatch.setattr(oracle, "_pair_renyi", lambda alpha, p, q: true_renyi(alpha, p, q) + 1e-3)
     code, out, err = run_cli(capsys, *ORACLE_ARGS)
     assert code == 5
     assert "q_star max_gap" in err and "> 0.0001" in err

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdpopt import conversion
+from rdpopt import conversion, oracle
 from rdpopt.conversion import (
     _envelope,
     _f_lower_bound,
@@ -29,7 +29,6 @@ from rdpopt.conversion import (
     log_zeta,
     zero_epsilon_region,
 )
-from rdpopt.divergences import BernoulliPair, hockey_stick_binary, renyi_binary
 from rdpopt.errors import DomainError, InfeasibleError
 from rdpopt.optimize import log_add
 
@@ -269,14 +268,19 @@ def test_gamma_exact_examples():
     assert r.value == -math.log1p(-top) and r.argmin_p is None
 
 
+def _hockey_stick(p, q, lam):
+    # E_lam of Bernoulli(p) from Bernoulli(q)
+    return max(p - lam * q, 0.0) + max((1.0 - p) - lam * (1.0 - q), 0.0)
+
+
 def test_gamma_exact_witness_is_on_the_constraint():
     alpha, eps, delta = 2.0, 1.0, 0.1
     r = gamma_exact(alpha, eps, delta)
     p_star = r.argmin_p
     q_star = (p_star - delta) / math.exp(eps)
-    pair = BernoulliPair(p_star, q_star)
-    assert math.isclose(hockey_stick_binary(pair, math.exp(eps)), delta, abs_tol=1e-12)
-    assert math.isclose(renyi_binary(pair, alpha), r.value, abs_tol=1e-6)
+    assert math.isclose(_hockey_stick(p_star, q_star, math.exp(eps)), delta, abs_tol=1e-12)
+    renyi = oracle._pair_renyi(alpha, np.array([p_star]), np.array([q_star]))[0]
+    assert math.isclose(renyi, r.value, abs_tol=1e-6)
 
 
 def _mpmath_gamma(alpha, eps, delta):

@@ -147,9 +147,8 @@ def test_records_are_immutable():
         ),
         (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), ("sigma", "subsampling_q")),
         (rdpopt.GridSpec(), ("n_coarse", "n_refine")),
-        (rdpopt.BernoulliPair(0.6, 0.4), ("p", "q")),
     ]
-    assert len({type(record) for record, _ in records}) == 8
+    assert len({type(record) for record, _ in records}) == 7
     for record, fields in records:
         for name in (*fields, "no_such_field"):
             with pytest.raises(AttributeError):
@@ -159,7 +158,7 @@ def test_records_are_immutable():
 
 def test_validated_inputs_check_every_construction():
     # a copy, an unpickled value and a _replace result pass the same checks as a new value
-    inputs = (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), rdpopt.GridSpec(64, 128), rdpopt.BernoulliPair(0.6, 0.4))
+    inputs = (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), rdpopt.GridSpec(64, 128))
     for record in inputs:
         assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
         assert type(pickle.loads(pickle.dumps(record))) is type(record)
@@ -168,7 +167,6 @@ def test_validated_inputs_check_every_construction():
         lambda: rdpopt.GaussianConfig(sigma=4.0)._replace(sigma=0.0),
         lambda: rdpopt.GaussianConfig(sigma=4.0)._replace(subsampling_q=1.0),
         lambda: rdpopt.GridSpec()._replace(n_refine=63),
-        lambda: rdpopt.BernoulliPair(0.6, 0.4)._replace(p=1.0),
     ):
         with pytest.raises(rdpopt.DomainError):
             bad()

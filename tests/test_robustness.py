@@ -66,17 +66,13 @@ def _conversion_calls(draw):
     name = draw(st.sampled_from((
         "gamma_exact", "gamma_bound", "epsilon_exact", "epsilon_bound", "delta_exact", "delta_bound",
         "zero_epsilon_region", "baseline_epsilon", "baseline_delta", "balle_epsilon", "log_zeta",
-        "boundary_objective", "renyi_binary", "hockey_stick_binary",
+        "boundary_objective",
     )))
     alpha, budget = draw(_ALPHA), draw(_BUDGET)
     if name == "log_zeta":
         return name, (alpha,)
     if name == "zero_epsilon_region":
         return name, (alpha, budget)
-    if name.endswith("binary"):
-        # renyi_binary(pair, alpha), hockey_stick_binary(pair, lam) at lam = 1 + budget
-        pair = rp.BernoulliPair(draw(_DELTA), draw(_DELTA))
-        return name, (pair, alpha if name.startswith("renyi") else 1.0 + budget)
     delta = draw(_DELTA)
     if name == "boundary_objective":
         # p in (delta, 1); below delta = 1 - 2^-52 a float lies between them
@@ -114,7 +110,6 @@ def _accountant_calls(draw, names, mode=None):
 @example(call=("zero_epsilon_region", (667437.0999144452, 8.218407461554972e+307)))
 @example(call=("epsilon_exact", (1.0000000596046448, 0.0, 1.4068617124461467e-16)))
 @example(call=("epsilon_bound", (1.000000002, 0.0, 3.368548365210348e-135)))
-@example(call=("renyi_binary", (rp.BernoulliPair(p=1.386910859057998e-142, q=0.9999999999999999), 19418.95116284495)))
 @example(call=("baseline_delta", (294072.1904404665, 30.0, 1.7145618108067364e+308)))
 @example(call=("delta_bound", (463211.6606999663, 5.258302471208493e+16, 0.0)))
 @example(call=("gamma_bound", (17.0, 3.478683761315068e+307, 8.3741418159315e-122)))
@@ -123,7 +118,7 @@ def _accountant_calls(draw, names, mode=None):
 @example(call=("gamma_bound", (5.0, 1.7976931348623155e+308, 0.9999999999999982)))
 @example(call=("boundary_objective", (0.7463602324309517, 1.0000000015672759, 0.0, 0.7411839106438283)))
 def test_conversions_give_finite_fields_or_typed_errors(call):
-    # twice the examples of the seven conversions alone, for twice the entry points
+    # 600 examples for the twelve entry points, 50 each on average
     _check_finite_or_typed_error(*call)
 
 
