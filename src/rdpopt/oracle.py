@@ -15,17 +15,18 @@ around its argmin.  The kernel tests every cell of both for admission and
 gives each a lower bound on its divergence: it prunes nothing with the q*
 reduction or convexity, which would tie it to the path it checks.  What it
 saves is work whose result cannot change an answer.  The q side of the
-divergences is tabulated once per distinct window (the shared grid, or a
-coarse point that polish windows are centred on), and every block reuses
-one workspace.  The Renyi divergence is taken only in each row's band, the
-admitted cells that can still hold the row's minimum, on the shared grid
-and in polish windows alike: a band that follows from np.logaddexp never
-falling below its larger argument, not from the rule, so it holds for any
-rule (see _row_scan).  The hockey-stick values come from _hockey_stick and
-the Renyi values from _renyi, the one binary-Renyi formula of the package,
-which the q* check and the containment sample take too.  Below order 2 it
-sums the moment as its excess over 1, so that the order floor is set by the
-frontier checked, not by the oracle's own rounding (see _grid_lam).
+divergences is tabulated once per scan on the shared grid, and per row
+block in polish windows, once for each coarse point that the block's rows
+are centred on; every block reuses one workspace.  The Renyi divergence is
+taken only in each row's band, the admitted cells that can still hold the
+row's minimum, on the shared grid and in polish windows alike: a band that
+follows from np.logaddexp never falling below its larger argument, not from
+the rule, so it holds for any rule (see _row_scan).  The hockey-stick values
+come from _hockey_stick and the Renyi values from _renyi, the one
+binary-Renyi formula of the package, which the q* check and the containment
+sample take too.  Below order 2 it sums the moment as its excess over 1, so
+that the order floor is set by the frontier checked, not by the oracle's
+own rounding (see _grid_lam).
 
 A scan shares its row blocks out among one worker per CPU the process may
 run on: the calling thread and plain threads, each on its own slice of the
@@ -36,6 +37,7 @@ count; on one CPU no thread is started.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -77,6 +79,17 @@ def _check_count(value, name: str, least: int, most: float = sys.maxsize) -> Non
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     if value > most:  # not echoed: an int of more than 4 300 digits has no repr
         raise DomainError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got a larger value")
+
+
+@contextlib.contextmanager
+def _fits_in_memory(counts: str):
+    # arrays that the counts size past what can be allocated make a domain
+    # error that names the counts, not a traceback
+    try:
+        yield
+    except MemoryError as exc:
+        raise DomainError(f"{counts} is too large: the oracle's arrays for it do not fit in memory"
+                          + (f" ({exc})" if str(exc) else "")) from None
 
 
 class _GridSpec(NamedTuple):
@@ -126,7 +139,11 @@ _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
 # (p, q) cells in a scan's workspace, one bool and three float arrays split
 # evenly among its workers.  A block is at least this many cells over the
 # worker count: at one worker 32 rows of the 4097-point grid or 256 of the
-# 513-point polish window, at two workers half that.  Smaller blocks are
+# 513-point polish window, at two workers half that.  In a polish scan each
+# worker also holds its block's q tables, four float arrays of at most a
+# block's cells (one row per distinct centre), so a scan's arrays come to at
+# most one bool and seven float arrays of this many cells (about 7.1 MiB;
+# the most traced for a default-grid call is 7.8 MiB).  Smaller blocks are
 # faster while a worker's share outgrows its L2 cache.  On a 2-vCPU Xeon
 # (2 MiB of L2 a core, numpy 2.4), default-grid brute_force_gamma and
 # verify_q_star calls at (alpha, eps, delta) = (2, 1, 0.1), (1.3471, 0.856,
@@ -215,10 +232,11 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     one_m_q themselves.  Returns (row minima, argmin index into the row's q
     grid); rows with no feasible q get +inf.
 
-    q, 1 - q and the Renyi terms in q are computed once per distinct centre
-    (polish windows share the few coarse-grid points their rows landed on)
-    and gathered per block, and every block reuses its worker's slice of one
-    workspace.  The divergence, the costliest step, is taken only in each
+    q, 1 - q and the Renyi terms in q are computed once on the shared grid,
+    or, in polish windows, per block, from the block's own centres (its rows
+    share the few coarse-grid points they landed on), so a scan holds no
+    table of every centre at once; every block reuses its worker's slice of
+    one workspace.  The divergence, the costliest step, is taken only in each
     row's band, on the shared grid and in polish windows alike.  With
     a = alpha log p + (1 - alpha) log q and b the same in 1 - p and 1 - q, a
     cell's divergence is fl(logaddexp(a, b)/(alpha - 1)), and np.logaddexp
@@ -259,19 +277,7 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     p, one_m_p, lp, l1p = _tables(1.0, u_p.copy())
     p, one_m_p, ap, a1p = p[:, None], one_m_p[:, None], alpha * lp, alpha * l1p
     q_scale = 1.0 if near_one else 1.0 - alpha
-    if centers is None:
-        tables = _tables(q_scale, u_q.copy())
-        gather = lambda table, rows, out: table
-    else:
-        centers, which = np.unique(centers, return_inverse=True)
-        tables = _tables(q_scale, np.clip(np.add.outer(centers, u_q), -_U_MAX, _U_MAX))
-        # every index is valid; mode="clip" keeps take from buffering out
-        gather = lambda table, rows, out: np.take(table, which[rows], axis=0, out=out, mode="clip")
-    # a block's Renyi terms in q; below alpha = 2 they are scaled here, to the
-    # bits a scaled table holds
-    terms = gather
-    if near_one:
-        terms = lambda table, rows, out: np.multiply(gather(table, rows, out), 1.0 - alpha, out=out)
+    shared = _tables(q_scale, u_q.copy()) if centers is None else None
     n_rows, n_cols = len(u_p), len(u_q)
     # one worker per usable CPU, at most one per block of a single-worker
     # scan; the workers split one workspace of _BLOCK_CELLS cells
@@ -284,6 +290,48 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     row_arg = np.empty(n_rows, dtype=np.intp)
     errors = []
 
+    def scan_block(k, sl):
+        # rows sl in worker k's workspace.  gather(table, out) gives each row
+        # its row of a q table: the shared grid's one row, or the window of
+        # the row's centre, tabulated once per distinct centre of the block;
+        # the block's tables go when it returns
+        n = sl.stop - sl.start
+        a, b, div, mask = a_ws[k, :n], b_ws[k, :n], div_ws[k, :n], mask_ws[k, :n]
+        if centers is None:
+            (q, one_m_q, lq, l1q), gather = shared, lambda table, out: table
+        else:
+            block_centers, which = np.unique(centers[sl], return_inverse=True)
+            windows = np.add.outer(block_centers, u_q)
+            q, one_m_q, lq, l1q = _tables(q_scale, np.clip(windows, -_U_MAX, _U_MAX, out=windows))
+            # every index is valid; mode="clip" keeps take from buffering out
+            gather = lambda table, out: np.take(table, which, axis=0, out=out, mode="clip")
+        feasible(sl, p[sl], one_m_p[sl], gather(q, a), gather(one_m_q, b), mask, (a, b))
+        # the log-moment's terms; below alpha = 2 the q terms are scaled here,
+        # to the bits a scaled table holds
+        terms_q, terms_1q = gather(lq, a), gather(l1q, b)
+        if near_one:
+            terms_q = np.multiply(terms_q, 1.0 - alpha, out=a)
+            terms_1q = np.multiply(terms_1q, 1.0 - alpha, out=b)
+        np.add(ap[sl, None], terms_q, out=a)
+        np.add(a1p[sl, None], terms_1q, out=b)
+        # the bounds, +inf off the admitted cells, and the band under the
+        # divergence of each row's least-bound cell
+        np.maximum(a, b, out=div)
+        np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
+        rows = np.arange(n)
+        least = div.argmin(axis=1)
+        if near_one:
+            np.subtract(lp[sl, None], gather(lq, a), out=a)
+            np.subtract(l1p[sl, None], gather(l1q, b), out=b)
+        cap = _renyi(alpha, p[sl, 0], one_m_p[sl, 0], a[rows, least], b[rows, least])
+        top = _band_top(cap, alpha - 1.0)
+        if near_one:
+            top += 1e-12
+        np.less_equal(div, top[:, None], out=mask)
+        _renyi(alpha, p[sl], one_m_p[sl], a, b, out=div, where=mask)
+        row_arg[sl] = div.argmin(axis=1)
+        row_min[sl] = div[rows, row_arg[sl]]
+
     def scan_share(k):
         # blocks k, k + n_workers, ... in worker k's workspace; a share stops
         # at its next block once any share has failed
@@ -291,30 +339,7 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
             for start in range(k * block_rows, n_rows, n_workers * block_rows):
                 if errors:
                     return
-                sl = slice(start, min(start + block_rows, n_rows))
-                n = sl.stop - start
-                a, b, div, mask = a_ws[k, :n], b_ws[k, :n], div_ws[k, :n], mask_ws[k, :n]
-                feasible(sl, p[sl], one_m_p[sl], gather(tables[0], sl, a), gather(tables[1], sl, b), mask, (a, b))
-                # the log-moment's terms
-                np.add(ap[sl, None], terms(tables[2], sl, a), out=a)
-                np.add(a1p[sl, None], terms(tables[3], sl, b), out=b)
-                # the bounds, +inf off the admitted cells, and the band under
-                # the divergence of each row's least-bound cell
-                np.maximum(a, b, out=div)
-                np.copyto(div, np.inf, where=np.logical_not(mask, out=mask))
-                rows = np.arange(n)
-                least = div.argmin(axis=1)
-                if near_one:
-                    np.subtract(lp[sl, None], gather(tables[2], sl, a), out=a)
-                    np.subtract(l1p[sl, None], gather(tables[3], sl, b), out=b)
-                cap = _renyi(alpha, p[sl, 0], one_m_p[sl, 0], a[rows, least], b[rows, least])
-                top = _band_top(cap, alpha - 1.0)
-                if near_one:
-                    top += 1e-12
-                np.less_equal(div, top[:, None], out=mask)
-                _renyi(alpha, p[sl], one_m_p[sl], a, b, out=div, where=mask)
-                row_arg[sl] = div.argmin(axis=1)
-                row_min[sl] = div[rows, row_arg[sl]]
+                scan_block(k, slice(start, min(start + block_rows, n_rows)))
         except BaseException as exc:
             errors.append(exc)
 
@@ -365,26 +390,27 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
     def feasible(rows, p, one_m_p, q, one_m_q, out, scratch):
         np.greater_equal(_hockey_stick(p, one_m_p, q, one_m_q, lam, *scratch), delta, out=out)
 
-    u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
-    # once e^eps times the grid's smallest probability reaches its largest,
-    # every grid pair, polish windows included, has hockey-stick divergence 0
-    x, one_m_x = _tables(1.0, u.copy())[:2]
-    if delta > 0.0 and lam * x.min() >= x.max() and lam * one_m_x.min() >= one_m_x.max():
-        raise InfeasibleError(
-            f"eps={epsilon!r} is past the oracle's grid of probabilities {_P_EDGE:g} to 1 - {_P_EDGE:g}: "
-            f"e^eps * {_P_EDGE:g} >= 1 - {_P_EDGE:g}, so every grid pair has hockey-stick divergence 0 < delta={delta!r}"
-        )
-    row_min = _polished_rows(alpha, u, u, feasible, _N_POLISH)
-    if not np.isfinite(row_min).any():
-        raise InfeasibleError(
-            f"no grid pair attains hockey-stick divergence >= {delta!r} at eps={epsilon!r}"
-        )
-    best_row = int(np.argmin(row_min))
-    coarse_value = float(row_min[best_row])
-    half = 0.5 * REFINE_WINDOW * (2.0 * _U_MAX)
-    u_center = float(u[best_row])
-    fine_p = _logit_grid(max(u_center - half, -_U_MAX), min(u_center + half, _U_MAX), grid.n_refine)
-    refined_value = float(_polished_rows(alpha, fine_p, u, feasible, _N_POLISH).min())
+    with _fits_in_memory(repr(grid)):
+        u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
+        # once e^eps times the grid's smallest probability reaches its largest,
+        # every grid pair, polish windows included, has hockey-stick divergence 0
+        x, one_m_x = _tables(1.0, u.copy())[:2]
+        if delta > 0.0 and lam * x.min() >= x.max() and lam * one_m_x.min() >= one_m_x.max():
+            raise InfeasibleError(
+                f"eps={epsilon!r} is past the oracle's grid of probabilities {_P_EDGE:g} to 1 - {_P_EDGE:g}: "
+                f"e^eps * {_P_EDGE:g} >= 1 - {_P_EDGE:g}, so every grid pair has hockey-stick divergence 0 < delta={delta!r}"
+            )
+        row_min = _polished_rows(alpha, u, u, feasible, _N_POLISH)
+        if not np.isfinite(row_min).any():
+            raise InfeasibleError(
+                f"no grid pair attains hockey-stick divergence >= {delta!r} at eps={epsilon!r}"
+            )
+        best_row = int(np.argmin(row_min))
+        coarse_value = float(row_min[best_row])
+        half = 0.5 * REFINE_WINDOW * (2.0 * _U_MAX)
+        u_center = float(u[best_row])
+        fine_p = _logit_grid(max(u_center - half, -_U_MAX), min(u_center + half, _U_MAX), grid.n_refine)
+        refined_value = float(_polished_rows(alpha, fine_p, u, feasible, _N_POLISH).min())
     return max(min(coarse_value, refined_value), 0.0)
 
 
@@ -402,27 +428,30 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     _check_alpha_eps_delta(alpha, epsilon, delta)
     _check_count(n_p, "n_p", 1)
     lam = _grid_lam(alpha, epsilon, _P_EDGE)
-    u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
-    p_all = 1.0 / (1.0 + np.exp(-u_all))
-    usable = p_all > delta + 2e-9 * lam  # need q_star on the grid's scale
-    u_ps, p = u_all[usable], p_all[usable]
-    if len(u_ps) == 0:
-        raise InfeasibleError(f"no grid p has q* = (p - delta)/e^eps above 2e-9 at delta={delta!r}, eps={epsilon!r}")
-    if len(u_ps) > n_p:
-        idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
-        u_ps, p = u_ps[idx], p[idx]
-    # every row has a feasible q: q_star > 2e-9 exceeds the smallest grid q, _P_EDGE
-    q_star = (p - delta) / lam
-    row_min = _polished_rows(alpha, u_ps, u_all,
-                             lambda rows, p, one_m_p, q, one_m_q, out, scratch: np.less_equal(
-                                 q, q_star[rows, None], out=out),
-                             grid.n_refine)
+    with _fits_in_memory(repr(grid)):
+        u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
+        p_all = 1.0 / (1.0 + np.exp(-u_all))
+        usable = p_all > delta + 2e-9 * lam  # need q_star on the grid's scale
+        u_ps, p = u_all[usable], p_all[usable]
+        if len(u_ps) == 0:
+            raise InfeasibleError(f"no grid p has q* = (p - delta)/e^eps above 2e-9 "
+                                  f"at delta={delta!r}, eps={epsilon!r}")
+        if len(u_ps) > n_p:
+            idx = np.linspace(0, len(u_ps) - 1, n_p).round().astype(int)
+            u_ps, p = u_ps[idx], p[idx]
+        # every row has a feasible q: q_star > 2e-9 exceeds the smallest grid q, _P_EDGE
+        q_star = (p - delta) / lam
+        row_min = _polished_rows(alpha, u_ps, u_all,
+                                 lambda rows, p, one_m_p, q, one_m_q, out, scratch: np.less_equal(
+                                     q, q_star[rows, None], out=out),
+                                 grid.n_refine)
+        max_gap = float(np.max(np.abs(row_min - _pair_renyi(alpha, p, q_star))))
     return {
         "alpha": alpha,
         "epsilon": epsilon,
         "delta": delta,
         "n_p_checked": len(p),
-        "max_gap": float(np.max(np.abs(row_min - _pair_renyi(alpha, p, q_star)))),
+        "max_gap": max_gap,
     }
 
 
@@ -439,11 +468,12 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     _check_count(n_samples, "n_samples", 1)
     _check_count(seed, "seed", 0, math.inf)
     lam = _grid_lam(alpha, epsilon, 1e-12)
-    rng = np.random.default_rng(seed)
-    p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
-    q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
-    hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
-    div = _pair_renyi(alpha, p, q)
+    with _fits_in_memory(f"n_samples={n_samples}"):
+        rng = np.random.default_rng(seed)
+        p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
+        q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
+        hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
+        div = _pair_renyi(alpha, p, q)
     violations = 0
     min_margin = math.inf
     for i in range(n_samples):

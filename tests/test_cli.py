@@ -651,6 +651,29 @@ def test_oracle_check_rejects_counts_past_the_index_range(capsys, monkeypatch):
             assert f"usage error: {flag} must be at most sys.maxsize" in err, (flag, value)
 
 
+def test_oracle_check_counts_it_cannot_allocate_are_domain_errors(capsys, monkeypatch):
+    # numpy's allocation failure for a huge --grid-n or --samples, raised here
+    # without allocating, is a domain error naming the count, not a traceback
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64")
+
+    class Generator:
+        uniform = staticmethod(unallocatable)
+
+    monkeypatch.setattr(oracle, "_logit_grid", unallocatable)
+    code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
+                             "--grid-n", "1000000000000")
+    assert code == 3 and out == ""
+    assert ("domain error: GridSpec(n_coarse=1000000000000, n_refine=1000000000000) is too large: "
+            "the oracle's arrays for it do not fit in memory (Unable to allocate 7.28 TiB") in err
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle.np.random, "default_rng", lambda seed: Generator())
+    code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
+                             "--grid-n", "64", "--samples", "1000000000000")
+    assert code == 3 and out == ""
+    assert "domain error: n_samples=1000000000000 is too large: the oracle's arrays for it do not fit" in err
+
+
 def test_oracle_check_rejects_orders_below_its_floor(capsys):
     # below alpha = 1 + 1e-8 the containment check gives false violations
     code, out, err = run_cli(capsys, "oracle-check", "--alpha", "1.0000000001", "--eps", "0.5", "--delta", "0.1",

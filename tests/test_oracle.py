@@ -507,17 +507,24 @@ def test_kernel_values_are_pinned():
     assert verify_q_star(2, 1, 0.1)["max_gap"] == 3.423267383118045e-06
 
 
-def test_kernel_peak_memory():
-    # traced peak of one default-grid call, against 1.1 times the 33.0 MiB
-    # (brute force) and 28.7 MiB (q* check) of the kernel that allocated
-    # its arrays block by block; then against the README's 8.5 MiB (brute
-    # force, wide band) and 17.4 MiB (q* check) with half a MiB to spare,
-    # less than one float array of a one-worker block (1 MiB)
+def test_kernel_peak_memory(monkeypatch):
+    # traced peak of one default-grid call on two workers, against the peak
+    # of a call whose polish blocks have as many centres as rows (delta = 0:
+    # 7.8 MiB for the brute force, 7.3 MiB for the q* check), with half a MiB
+    # to spare, less than one float array of a one-worker block (1 MiB).  A
+    # scan that held the windows of all its centres at once would take 8.6
+    # to 67.9 MiB on all but the first call.  The worker count is fixed, as
+    # blocks round up to whole rows: at 16 workers the brute force at
+    # delta = 0 traces 8.3 MiB
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    brute, q_star = 7.8 + 0.5, 7.3 + 0.5
     for call, bound_mib in (
-        (lambda: brute_force_gamma(11.82, 1.68, 0.245), 1.1 * 33.0),
-        (lambda: verify_q_star(11.82, 1.68, 0.245), 1.1 * 28.7),
-        (lambda: brute_force_gamma(1.3471, 0.856, 0.34), 8.5 + 0.5),
-        (lambda: verify_q_star(2, 1, 0.1), 17.4 + 0.5),
+        (lambda: brute_force_gamma(11.82, 1.68, 0.245), brute),
+        (lambda: verify_q_star(11.82, 1.68, 0.245), q_star),
+        (lambda: brute_force_gamma(1.3471, 0.856, 0.34), brute),
+        (lambda: verify_q_star(2, 1, 0.1), q_star),
+        (lambda: brute_force_gamma(1.5, 2.0, 0.0), brute),
+        (lambda: verify_q_star(1.5, 2.0, 0.0), q_star),
     ):
         tracemalloc.start()
         try:
@@ -526,6 +533,30 @@ def test_kernel_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20, (peak / 2**20, bound_mib)
+
+
+def test_polish_tables_hold_only_their_blocks_centres(monkeypatch):
+    # a polish scan tabulates the windows of each block's own centres, so no
+    # window table has more rows than a block.  The scans below have more
+    # centres than a block has rows: 113 of 4 097-point windows in the q*
+    # check, against 32-row blocks, and at delta = 0, where each row is its
+    # own centre, as many as the brute force has finite rows
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    real_tables = oracle._tables
+    shapes = []
+
+    def tables(scale, u):
+        if u.ndim == 2:  # one window a row; the shared grid and p are 1-D
+            shapes.append(u.shape)
+        return real_tables(scale, u)
+
+    monkeypatch.setattr(oracle, "_tables", tables)
+    for call in (lambda: verify_q_star(2, 1, 0.1), lambda: brute_force_gamma(1.5, 2.0, 0.0)):
+        shapes.clear()
+        call()
+        assert shapes
+        for n_centres, n_cols in shapes:
+            assert n_centres <= -(-oracle._BLOCK_CELLS // n_cols), (n_centres, n_cols)
 
 
 def test_brute_force_delta_zero_is_zero():
