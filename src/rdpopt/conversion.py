@@ -74,33 +74,83 @@ def boundary_objective(p: float, alpha: float, epsilon: float, delta: float) -> 
     return _objective(alpha, epsilon, delta)(math.log(p - delta))[0]
 
 
-def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, float, float]]:
-    # boundary_objective at t = log(p - delta), for arguments already checked:
-    # a search builds it once and evaluates it hundreds of times.  The head
-    # atom's log is alpha log(p) + (1 - alpha) t, the tail atom's
-    # tail = alpha log(1 - p) + (1 - alpha) log_rest with
-    # log_rest = log(e^eps - p + delta), and the objective is their log-sum.
-    # With s = e^t, log(p) = t + log1p(delta/s), so that no two large terms
-    # cancel at tiny delta; log(1 - p) = log(1 - delta) + log1p(-s/(1 - delta)),
-    # which stays finite for every s < 1 - delta; log_rest = eps + log1p(-s e^-eps).
-    # It returns (objective, tail, log_rest): e^(tail - objective) is the
-    # tail's share of the objective, which the envelope slopes weigh
-    exp, log1p = math.exp, math.log1p
-    one_minus_alpha = 1.0 - alpha
+def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, ...]]:
+    # boundary_objective at t = log(p - delta) for arguments already checked,
+    # with its slopes and its near-one form, all from the same terms: a search
+    # builds it once and evaluates it hundreds of times.  With s = e^t and
+    # H = log1p(delta/s), the head atom's log is head = t + alpha H, so that
+    # no two large terms cancel at tiny delta, and the tail atom's is
+    # tail = alpha log(1 - p) + (1 - alpha) log_rest, with
+    # log(1 - p) = log(1 - delta) + log1p(-s/(1 - delta)), finite for every
+    # s < 1 - delta, and log_rest = log(e^eps - s) = eps + log1p(-z),
+    # z = s e^-eps.  F is their log-sum.
+    # Slopes: with p = delta + s, r = s/p and q = delta/p (the logistic of
+    # t - log(delta), exact to rounding however small delta and s are), the
+    # head atom's log has slope a = 1 - alpha q = r - (alpha - 1) q, which
+    # keeps its digits as alpha approaches 1, and curvature alpha r q.  With
+    # u = s/(1 - delta - s) and v = z/(1 - z), the tail atom's log has slope
+    # b = (alpha - 1) v - alpha u and curvature b + (alpha - 1) v^2 - alpha u^2.
+    # With the tail's share w = e^(tail - F), F' = a + w (b - a) and
+    # F'' = (1 - w) alpha r q + w (b + (alpha - 1) v^2 - alpha u^2) + w (1 - w) (a - b)^2;
+    # a vanished tail (w = 0) adds nothing.
+    # Near one: F rounds to about 1e-16 absolute, which gamma =
+    # eps + F/(alpha - 1) divides by alpha - 1.  With c = alpha - 1, head =
+    # log p + c H and tail = log(1 - p) + c T, T = log((1 - p)/(e^eps - s)) < 0,
+    # so F = log1p(X), X = p expm1(c H) + (1 - p) expm1(c T), whose terms lie
+    # in [0, 1) and (-1, 0] on the search's range (H <= log1p(1/c) there): X
+    # keeps its digits as c -> 0.  So for 1e-12 <= c < 1 gamma takes log1p(X),
+    # exact to rounding relative to itself, except where X <= -1/2: there F
+    # is at least log 2 in size and the log-sum is as good.  Below c = 1e-12
+    # F's slope in t, of size c, is lost in its own rounding, so no search
+    # places the argmin.
+    # Returns (F, F', F'', tail, log_rest, r, q, w, u, v, b - a, F as gamma
+    # takes it); _envelope reads the middle parts, u = v = b - a = 0 where
+    # the tail vanished
+    exp, log1p, expm1 = math.exp, math.log1p, math.expm1
+    c = alpha - 1.0
     exp_neg_eps = exp(-epsilon)
     log_keep = log1p(-delta)
     keep = 1.0 - delta
+    log_delta = math.log(delta) if delta > 0.0 else -math.inf
+    near_one = 1e-12 <= c < 1.0
 
-    def objective(t: float) -> tuple[float, float, float]:
+    def objective(t: float) -> tuple[float, ...]:
         s = exp(t)
-        head = t + alpha * log1p(delta / s) if s > 0.0 else math.inf
-        log_rest = epsilon + log1p(-s * exp_neg_eps)
+        h = log1p(delta / s) if s > 0.0 else math.inf
+        head = t + alpha * h
+        z = s * exp_neg_eps
+        log_z = log1p(-z)
+        log_rest = epsilon + log_z
         share = s / keep
         # at s = 1 - delta the tail atom (1 - p)^alpha vanishes
-        tail = alpha * (log_keep + log1p(-share)) + one_minus_alpha * log_rest if share < 1.0 else -math.inf
+        l1p = log_keep + log1p(-share) if share < 1.0 else -math.inf
+        tail = alpha * l1p - c * log_rest if share < 1.0 else -math.inf
         # log_add(head, tail), inlined on this hot path; tail may be -inf, head +inf
         big, small = (head, tail) if head >= tail else (tail, head)
-        return big + log1p(exp(small - big)), tail, log_rest
+        value = big + log1p(exp(small - big))
+        odds = t - log_delta
+        e = exp(-abs(odds))
+        k = 1.0 / (1.0 + e)
+        r, q = (k, e * k) if odds >= 0.0 else (e * k, k)
+        a = r - c * q
+        w = exp(tail - value)
+        if w > 0.0:
+            u, v = s / (keep - s), z / (1.0 - z)
+            b = c * v - alpha * u
+            gap = b - a
+            first = a + w * gap
+            second = (1.0 - w) * (alpha * r * q) + w * (b + c * v * v - alpha * u * u) + w * (1.0 - w) * gap * gap
+        else:
+            u = v = gap = 0.0
+            first, second = a, alpha * r * q
+        near = value
+        if near_one:
+            x = (delta + s) * expm1(c * h)
+            if share < 1.0:
+                x += (keep - s) * expm1(c * (l1p - epsilon - log_z))
+            if x > -0.5:
+                near = log1p(x)
+        return value, first, second, tail, log_rest, r, q, w, u, v, gap, near
 
     return objective
 
@@ -118,7 +168,7 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     deltas down to 1e-30.  The value is the smallest F evaluated; for
     1e-12 <= alpha - 1 < 1 each F is taken exact to rounding relative to
     itself, since gamma = eps + F/(alpha - 1) divides F's rounding by
-    alpha - 1 (see _objective_near_one).  The interior minimum is compared
+    alpha - 1 (see _objective).  The interior minimum is compared
     against the p -> 1 boundary value eps - log(1 - delta), which is the
     true infimum whenever alpha * delta >= 1; no search runs there.
     """
@@ -128,8 +178,8 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
 
 def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionResult, Optional[tuple]]:
     # gamma_exact for arguments already checked, with the search's state at the
-    # minimum it kept for _envelope: (t, the objective there as gamma takes it,
-    # all _objective_slopes returned at t), or None for the edge and delta = 0
+    # minimum it kept for _envelope, (t, all _objective returned at t), or
+    # None for the edge and delta = 0
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric"), None
     edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric"), None
@@ -150,16 +200,14 @@ def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionRes
     t_lo = max(math.log(alpha - 1.0) + math.log(delta), _LOG_TINY)
     if not t_lo < t_hi:
         t_lo = t_hi - 1.0
-    slopes = _objective_slopes(alpha, epsilon, delta)
+    objective = _objective(alpha, epsilon, delta)
     m_interior, t, kept = math.inf, t_hi, None
-    near_one = alpha < 2.0  # where _objective_near_one can change a value
 
     def slope(x: float) -> tuple[float, float]:
         nonlocal m_interior, t, kept
-        parts = slopes(x)
-        value = _objective_near_one(alpha, epsilon, delta, x, parts[0]) if near_one else parts[0]
-        if value < m_interior:
-            m_interior, t, kept = value, x, parts
+        parts = objective(x)
+        if parts[-1] < m_interior:
+            m_interior, t, kept = parts[-1], x, parts
         return parts[1], parts[2]
 
     _newton_invert(slope, 0.0, t_lo, t_hi, DEFAULT_ABS_TOL, start=t_lo)
@@ -168,76 +216,7 @@ def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionRes
     value = epsilon + m_interior / (alpha - 1.0)
     # p = delta + e^t, kept inside (delta, 1) where the sum rounds onto an end
     argmin_p = min(max(delta + math.exp(t), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
-    return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p), (t, m_interior, kept)
-
-
-def _objective_near_one(alpha: float, epsilon: float, delta: float, t: float, value: float) -> float:
-    # the objective at t, given as value, the log-sum of _objective, made exact
-    # to rounding relative to itself for 1e-12 <= alpha - 1 < 1.  The log-sum
-    # rounds to about 1e-16 absolute, which gamma = eps + m/(alpha - 1) divides
-    # by alpha - 1, so that near alpha = 1 gamma would wiggle by far more than
-    # its own rounding.  Both atoms' logs are linear in alpha: with
-    # a = alpha - 1, head = log p + a H and tail = log(1 - p) + a T, where
-    # H = log1p(delta/s) is at most log1p(1/a) on the search's range and
-    # T = log((1 - p)/(e^eps - s)) < 0.  So the objective is log1p(X),
-    # X = p expm1(a H) + (1 - p) expm1(a T), whose two terms lie in [0, 1) and
-    # (-1, 0], and X keeps its digits as a -> 0.  Where X <= -1/2 the
-    # objective is at least log 2 in size, and value is as good.  Below
-    # a = 1e-12 the objective's slope in t, of size a, is lost in its own
-    # rounding, so no search places the argmin; value stays, noise as it is
-    a = alpha - 1.0
-    if not 1e-12 <= a < 1.0:
-        return value
-    s = math.exp(t)
-    keep = 1.0 - delta
-    x = (delta + s) * math.expm1(a * math.log1p(delta / s))
-    if s < keep:  # at s = 1 - delta the tail atom vanishes
-        t_alpha = math.log1p(-delta) + math.log1p(-s / keep) - epsilon - math.log1p(-s * math.exp(-epsilon))
-        x += (keep - s) * math.expm1(a * t_alpha)
-    return math.log1p(x) if x > -0.5 else value
-
-
-def _objective_slopes(alpha: float, epsilon: float, delta: float) -> Callable[[float], tuple[float, ...]]:
-    # the objective F of _objective at t, with dF/dt and d2F/dt2, from its
-    # parts in ratios bounded by the search range.  With s = e^t, p = delta + s,
-    # r = s/p and q = delta/p, the head atom's log has slope
-    # a = 1 - alpha q = r - (alpha - 1) q and curvature alpha r q.  r and q
-    # are the logistic of t - log(delta), exact to rounding however small
-    # delta and s are, and a in its second form keeps its digits as alpha
-    # approaches 1.  With u = s/(1 - delta - s) and v = s/(e^eps - s) =
-    # z/(1 - z), z = s e^-eps, the tail atom's log has slope
-    # b = (alpha - 1) v - alpha u and curvature b + (alpha - 1) v^2 - alpha u^2.
-    # With the tail's share w, F' = a + w (b - a) and
-    # F'' = (1 - w) alpha r q + w (b + (alpha - 1) v^2 - alpha u^2) + w (1 - w) (a - b)^2.
-    # A vanished tail (w = 0) adds nothing.  After F, F' and F'' it returns,
-    # for _envelope, (tail, log_rest, r, q, w, u, v, b - a), u = v = b - a = 0
-    # where the tail vanished
-    exp = math.exp
-    objective = _objective(alpha, epsilon, delta)
-    exp_neg_eps = exp(-epsilon)
-    keep = 1.0 - delta
-    log_delta = math.log(delta)
-
-    def slopes(t: float) -> tuple[float, ...]:
-        value, tail, log_rest = objective(t)
-        x = t - log_delta
-        e = exp(-abs(x))
-        k = 1.0 / (1.0 + e)
-        r, q = (k, e * k) if x >= 0.0 else (e * k, k)
-        a = r - (alpha - 1.0) * q
-        w = exp(tail - value)
-        if not w > 0.0:
-            return value, a, alpha * r * q, tail, log_rest, r, q, w, 0.0, 0.0, 0.0
-        s = exp(t)
-        z = s * exp_neg_eps
-        u, v = s / (keep - s), z / (1.0 - z)
-        b = (alpha - 1.0) * v - alpha * u
-        gap = b - a
-        first = a + w * gap
-        second = (1.0 - w) * (alpha * r * q) + w * (b + (alpha - 1.0) * v * v - alpha * u * u) + w * (1.0 - w) * gap * gap
-        return value, first, second, tail, log_rest, r, q, w, u, v, gap
-
-    return slopes
+    return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p), (t, kept)
 
 
 def _f_lower_bound(alpha: float, epsilon: float, delta: float) -> tuple[float, float]:
@@ -385,7 +364,7 @@ def _envelope(alpha: float, epsilon: float, delta: float, state: Optional[tuple]
     # (1 - w)/(p - delta) - w/(e^eps - p + delta).  In the order, gamma =
     # eps + m/(alpha - 1), m the minimum of F over t.  Both atoms' logs are
     # linear in alpha, with slopes H = -log r and T = (tail - log_rest)/alpha
-    # (see _objective_slopes); with d = T - H, F_alpha = H + w d,
+    # (see _objective); with d = T - H, F_alpha = H + w d,
     # F_alpha_alpha = w (1 - w) d^2, and H_t = -q, T_t = v - u and
     # w_t = w (1 - w)(b - a) give F_alpha_t = -q (1 - w) + w (v - u) + w (1 - w) d (b - a).
     # m' = F_alpha (envelope theorem), taken one Newton step on from where the
@@ -395,7 +374,7 @@ def _envelope(alpha: float, epsilon: float, delta: float, state: Optional[tuple]
     # gamma is, gamma' = X/a and gamma'' = (m'' - 2 X/a)/a
     if state is None:
         return 1.0, 1.0 / (1.0 - delta), 0.0, 0.0
-    t, m, (value, f_t, f_tt, tail, log_rest, r, q, w, u, v, gap) = state
+    t, (value, f_t, f_tt, tail, log_rest, r, q, w, u, v, gap, m) = state
     log_w = tail - value
     slope_eps = -math.expm1(tail + epsilon - log_rest - value)
     slope_delta = -math.expm1(log_w) / math.exp(t) - math.exp(log_w - log_rest)

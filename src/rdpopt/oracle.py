@@ -136,23 +136,23 @@ def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
-# (p, q) cells in a scan's workspace, one bool and three float arrays split
-# evenly among its workers.  A block is at least this many cells over the
-# worker count: at one worker 32 rows of the 4097-point grid or 256 of the
-# 513-point polish window, at two workers half that.  In a polish scan each
+# (p, q) cells in a scan's workspace, one bool and three float arrays of a
+# one-worker block, this many cells rounded up to whole rows, which the
+# workers split: 32 rows of the 4097-point grid or 256 of the 513-point
+# polish window, at two workers 16 and 128 each.  In a polish scan each
 # worker also holds its block's q tables, four float arrays of at most a
 # block's cells (one row per distinct centre), so a scan's arrays come to at
-# most one bool and seven float arrays of this many cells (about 7.1 MiB;
-# the most traced for a default-grid call is 7.8 MiB).  Smaller blocks are
-# faster while a worker's share outgrows its L2 cache.  On a 2-vCPU Xeon
-# (2 MiB of L2 a core, numpy 2.4), default-grid brute_force_gamma and
-# verify_q_star calls at (alpha, eps, delta) = (2, 1, 0.1), (1.3471, 0.856,
-# 0.34), (1.05, 0.5, 0.2), (25, 2.5, 0.1) and (49, 4.8, 0.49), best of three
-# each, took 1.07-1.11 s in all at this size, 1.05-1.19 s at 1 << 18 and
-# 1.19-1.20 s at 1 << 19 on two workers, and 1.84-1.91, 2.05-2.11 and
-# 2.39 s on one.  At 1 << 16 two workers took 1.44-1.49 s, barely faster
-# than one, as their 8-row blocks spend their time in Python.  A 32-row
-# block of the shared grid takes about 0.8 ms of one CPU
+# most one bool and seven float arrays of a one-worker block (about 7.1 MiB;
+# the most traced for a default-grid call is 7.8 MiB on two workers and
+# 8.4 MiB on 31 or 64).  Smaller blocks are faster while a worker's share
+# outgrows its L2 cache.  On a 2-vCPU Xeon (2 MiB of L2 a core, numpy 2.4),
+# default-grid brute_force_gamma and verify_q_star calls at (alpha, eps,
+# delta) = (2, 1, 0.1), (1.3471, 0.856, 0.34), (1.05, 0.5, 0.2), (25, 2.5,
+# 0.1) and (49, 4.8, 0.49), best of three each, took 1.07-1.11 s in all at
+# this size, 1.05-1.19 s at 1 << 18 and 1.19-1.20 s at 1 << 19 on two workers,
+# and 1.84-1.91, 2.05-2.11 and 2.39 s on one.  At 1 << 16 two workers took
+# 1.44-1.49 s, barely faster than one, as their 8-row blocks spend their time
+# in Python.  A 32-row block of the shared grid takes about 0.8 ms of one CPU
 _BLOCK_CELLS = 1 << 17
 
 
@@ -279,10 +279,11 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     q_scale = 1.0 if near_one else 1.0 - alpha
     shared = _tables(q_scale, u_q.copy()) if centers is None else None
     n_rows, n_cols = len(u_p), len(u_q)
-    # one worker per usable CPU, at most one per block of a single-worker
-    # scan; the workers split one workspace of _BLOCK_CELLS cells
-    n_workers = max(1, min(_usable_cpus(), -(-n_rows // -(-_BLOCK_CELLS // n_cols))))
-    block_rows = -(-(_BLOCK_CELLS // n_workers) // n_cols)
+    # one worker per usable CPU, but no more than the rows of a one-worker
+    # block or such blocks in the scan; the workers split that block's rows
+    rows = -(-_BLOCK_CELLS // n_cols)
+    n_workers = max(1, min(_usable_cpus(), rows, -(-n_rows // rows)))
+    block_rows = rows // n_workers
     shape = (n_workers, min(block_rows, n_rows), n_cols)
     a_ws, b_ws, div_ws = np.empty((3, *shape))
     mask_ws = np.empty(shape, dtype=bool)

@@ -429,7 +429,7 @@ def test_objective_slopes_match_mpmath(rng):
     # dF/dt and d2F/dt2 of the frontier objective against 40-digit
     # derivatives, across the search range, at tiny and large delta and orders
     for alpha, eps, delta in _extreme_triples(rng, 40) + [(2.0, 1.0, 0.1), (1.5, 0.0, 0.3), (300.0, 0.0, 1e-4)]:
-        slopes = conversion._objective_slopes(alpha, eps, delta)
+        slopes = conversion._objective(alpha, eps, delta)
         t_lo, t_hi = math.log(alpha - 1.0) + math.log(delta), math.log1p(-delta)
         for frac in (0.0, 0.3, 0.7, 0.99):
             t = t_lo + frac * (t_hi - t_lo)

@@ -1,6 +1,7 @@
 """Newton inversion, stable log-add, and the tests' reference minimizer."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdpopt import conversion
+from rdpopt import conversion, gaussian
 from rdpopt.conversion import delta_bound, delta_exact, epsilon_exact, gamma_exact
-from rdpopt.errors import DomainError, InfeasibleError
+from rdpopt.errors import AccountingError, DomainError, InfeasibleError
+from rdpopt.gaussian import acct_epsilon, rho_gaussian
 from rdpopt.optimize import MAX_STEPS, _newton_invert, log_add
 
 from conftest import bisect_reference
@@ -319,16 +321,109 @@ def test_invert_crosses_a_stretch_flat_to_rounding():
         assert len(points) <= 60 < MAX_STEPS, (width, len(points))
 
 
-def test_search_returns_hi_at_its_evaluation_cap():
-    # pins the MAX_STEPS exit as it stands: a slope that is never a number
-    # makes every step bisect, and a bracket [0, 1e308] with a tolerance of
-    # one subnormal is not closed in 200 halvings, so the search returns the
-    # upper end it last kept, nowhere near a crossing, and says nothing
+def test_wide_bracket_search_finds_its_crossing_within_the_cap():
+    # a slope that is never a number makes every step bisect.  Arithmetic
+    # halving of [0, 1e308] to a tolerance of one subnormal takes about 2 100
+    # steps, and the search returned the upper end it kept at the cap,
+    # 1.2446030555722284e+248.  Halving at the geometric middle takes 6
+    # steps to a bracket within 2^64 tolerances, and arithmetic halving 33
+    # more.  Every point meets the target, so the crossing is 0
     evals = [0]
 
     def fn(x):
         evals[0] += 1
         return 1.0, math.nan
 
-    assert _newton_invert(fn, 0.0, 0.0, 1e308, 5e-324) == 1.2446030555722284e+248
+    assert _newton_invert(fn, 0.0, 0.0, 1e308, 5e-324) == 0.0
+    assert evals[0] == 41 < MAX_STEPS
+    evals[0] = 0
+
+    def shifted(x):
+        evals[0] += 1
+        return x - 3e-200, math.nan
+
+    x = _newton_invert(shifted, 0.0, 0.0, 1e308, 1e-210)
+    assert 3e-200 <= x <= 3e-200 + 1e-210, x
+    assert evals[0] == 60 < MAX_STEPS
+
+
+def test_search_raises_at_its_evaluation_cap():
+    # a bracket with a negative end is halved arithmetically, and
+    # [-1e300, 1e300] at a tolerance of one subnormal, around a crossing at
+    # 0, is not closed in MAX_STEPS halvings: the search says so instead of
+    # returning an end
+    evals = [0]
+
+    def fn(x):
+        evals[0] += 1
+        return x, math.nan
+
+    with pytest.raises(AccountingError, match=r"200 evaluations: bracket \[-.*, 0\.0\], tolerance 5e-324"):
+        _newton_invert(fn, 0.0, -1e300, 1e300, 5e-324)
     assert evals[0] == MAX_STEPS == 200
+
+
+def test_invert_stops_where_the_correction_is_lost_in_rounding():
+    # a slope overstated fourfold gives, one float above the crossing near
+    # 1.2e7 (floats 1.9e-9 apart), a Newton correction of 4.7e-10: above
+    # abs_tol = 1e-10, yet x minus it rounds back to x.  The search stops
+    # there after one evaluation; without that stop it bisected down to the
+    # adjacent floats, 37 evaluations in all.  From hi it takes 45
+    x0 = 12060724.1
+    for start, want, n_evals in ((math.nextafter(x0, math.inf), math.nextafter(x0, math.inf), 1),
+                                 (None, math.nextafter(x0, math.inf), 45)):
+        evals = [0]
+
+        def fn(x):
+            evals[0] += 1
+            return x - x0, 4.0
+
+        assert _newton_invert(fn, 0.0, 12060724.0, 12060725.0, 1e-10, start=start) == want
+        assert evals[0] == n_evals, (start, evals[0])
+
+
+def test_no_package_search_comes_near_its_cap(monkeypatch):
+    # every search the package runs, each counted on its own (an inversion's
+    # frontier solves are searches of their own), on extreme inputs: alpha - 1
+    # log-uniform in [1e-9, 1e3], delta in [1e-300, 0.5], eps 0 or in
+    # [1e-6, 50], gamma in [1e-14, 30]; exact accounting and the largest rate
+    # at sigma 0.5-30, T 1-1e5, delta 1e-12-0.5, budgets eps 0.1-10.  At most
+    # 90 evaluations were measured over about 950 000 such searches, 87 over
+    # the 47 000 here, far below MAX_STEPS
+    counts = []
+
+    def counted(fn, *args, **kwargs):
+        n = [0]
+
+        def fn_counted(x):
+            n[0] += 1
+            return fn(x)
+
+        try:
+            return _newton_invert(fn_counted, *args, **kwargs)
+        finally:
+            counts.append(n[0])
+
+    monkeypatch.setattr(conversion, "_newton_invert", counted)
+    monkeypatch.setattr(gaussian, "_newton_invert", counted)
+    rng = random.Random(38)
+    for _ in range(1200):
+        alpha = 1.0 + 10.0 ** rng.uniform(-9.0, 3.0)
+        delta = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+        eps = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-6.0, math.log10(50.0))
+        gamma = 10.0 ** rng.uniform(-14.0, math.log10(30.0))
+        gamma_exact(alpha, eps, delta)
+        epsilon_exact(alpha, gamma, delta)
+        delta_bound(alpha, gamma, eps)
+        try:
+            delta_exact(alpha, gamma, eps)
+        except InfeasibleError:
+            pass
+    for _ in range(40):
+        sigma, T = rng.uniform(0.5, 30.0), round(10.0 ** rng.uniform(0.0, 5.0))
+        delta = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        acct_epsilon(rho_gaussian(sigma), T, delta, "exact")
+        for mode in ("closed_form", "exact"):
+            gaussian._largest_rate(10.0 ** rng.uniform(-1.0, 1.0), delta, mode)
+    assert len(counts) > 40000
+    assert max(counts) <= 100 < MAX_STEPS, max(counts)

@@ -410,7 +410,8 @@ def _counted_threads(monkeypatch):
 def test_parallel_scan_is_bit_identical_on_any_worker_count(monkeypatch):
     # blocks of 6 shared-grid rows (11 blocks) and of 12 window rows (6
     # blocks) at one worker; 2 and 3 workers split that workspace, and a
-    # count of 64 CPUs is capped at 11 and 6 workers
+    # count of 64 CPUs is capped at 6 workers in each scan: one a row of the
+    # shared grid's 6-row block, and one a block of the windows
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
     built = _counted_threads(monkeypatch)
@@ -428,13 +429,39 @@ def test_parallel_scan_is_bit_identical_on_any_worker_count(monkeypatch):
     one_rows, one_polished, none = scans(1)
     assert none == 0
     # one thread for every worker but the caller, in each of the three scans
-    for cpus, threads_per_case in ((2, 1 + 1 + 1), (3, 2 + 2 + 2), (64, 10 + 5 + 5)):
+    for cpus, threads_per_case in ((2, 1 + 1 + 1), (3, 2 + 2 + 2), (64, 5 + 5 + 5)):
         rows, polished, threads = scans(cpus)
         assert threads == len(cases) * threads_per_case, (cpus, threads)
         for (m0, a0), (m1, a1) in zip(one_rows, rows):
             assert np.array_equal(m0, m1) and np.array_equal(a0, a1), cpus
         for w0, w1 in zip(one_polished, polished):
             assert np.array_equal(w0, w1), cpus
+
+
+def test_workspace_holds_no_more_than_a_one_worker_block(monkeypatch):
+    # the workers split a one-worker block of whole rows.  On the 4 097-point
+    # grid, where one worker holds 32 rows, 31 workers that each rounded
+    # their share up to whole rows would hold 62, and 64 CPUs, a worker for
+    # each of the 33 blocks of the 1 025 rows scanned here, 33; the 513-point
+    # polish windows 260 where one worker holds 256
+    shapes = []
+    real_empty = np.empty
+
+    def empty(shape, dtype=float):
+        shapes.append(shape)
+        return real_empty(shape, dtype=dtype)
+
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, GridSpec().n_coarse)
+    rule = _hockey_stick_rule(math.e, 0.1)
+    monkeypatch.setattr(oracle.np, "empty", empty)
+    for cpus in (31, 64):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        shapes.clear()
+        oracle._polished_rows(2.0, u[::4], u, rule, oracle._N_POLISH)
+        workspaces = [s[-3:] for s in shapes if isinstance(s, tuple) and len(s) >= 3]
+        assert {n_cols for _, _, n_cols in workspaces} == {len(u), oracle._N_POLISH + 1}
+        for n_workers, block_rows, n_cols in workspaces:
+            assert n_workers * block_rows <= -(-oracle._BLOCK_CELLS // n_cols), (cpus, n_workers, block_rows, n_cols)
 
 
 def test_a_worker_error_leaves_no_thread_behind(monkeypatch):
