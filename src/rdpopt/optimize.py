@@ -6,9 +6,8 @@ minimization.  _newton_invert is the one search for both.  Inversion takes
 the map's slope with its value (for a minimum, from the envelope theorem)
 and runs Newton steps from a start in a bracket whose upper end is
 trusted, keeping a bracket around the crossing and falling back to
-bisection whenever a step leaves the bracket or fails to halve the step
-before it, and to probes of growing length where steps only creep up a
-stretch flat to rounding.  Every minimum is found by the same inversion, as the
+bisection whenever a move leaves the bracket or fails to halve the move
+before it.  Every minimum is found by the same inversion, as the
 crossing of the objective's slope with 0.  The frontier of
 conversion.gamma_exact: its objective is the log of a sum of two convex
 perspectives (see there), so its slope crosses 0 once.  The accountant's
@@ -38,7 +37,7 @@ sqrt(max(lo, abs_tol) hi), which halves log(hi / max(lo, abs_tol)), at most
 factor of 2, which 64 arithmetic ones close.  The package's other brackets,
 log(p - delta), log(alpha - 1) and [0, 1], close in at most 43 halvings at
 1e-10.  So a search that only bisects ends within about 80 evaluations; Newton
-steps, kept only while each is at most half the one before, have no bound
+moves, kept only while each is at most half the one before, have no bound
 beyond that.  The most measured is 90 evaluations, over about 950 000
 searches of extreme inputs, which tests/test_optimize.py keeps sampling.
 """
@@ -81,22 +80,21 @@ def _newton_invert(
     # it is returned as it is when fn(hi) falls short of the target, and the
     # answer never exceeds it.  fn(lo) is evaluated only at the start, when a
     # step reaches lo, or once the bracket is no wider than abs_tol, where lo
-    # is returned if it reaches the target and hi otherwise.  A step that
-    # leaves the bracket [lo, hi], has no finite positive slope or fails to
-    # halve the step before it is replaced by bisection.  Every Newton
+    # is returned if it reaches the target and hi otherwise.  Every Newton
     # estimate is moved up by the shift abs_tol / 16, so that an estimate
-    # exact to rounding reaches the target and the search ends there.  Where
-    # fn is flat to rounding just below the target, the shift alone would
-    # move each step: after two steps in a row from below the target whose
-    # Newton correction is no larger than the shift, the next step probes
-    # half a tolerance above lo and each further one twice as far, so a flat
-    # stretch of any width takes logarithmically many steps, and a probe past
-    # hi bisects.  Stops at a point that reaches the target once the Newton
+    # exact to rounding reaches the target and the search ends there.  A
+    # move that leaves the bracket [lo, hi], has no finite positive slope or
+    # is more than half the move before it is replaced by bisection.  That
+    # one rule also covers a stretch flat to rounding just below the target,
+    # where each move would be the shift alone: the second such move fails
+    # it.  Stops at a point that reaches the target once the Newton
     # correction there is at most abs_tol or lost in rounding, or once the
     # bracket is no wider than abs_tol; raises AccountingError after MAX_STEPS
     # evaluations.  Wide brackets from lo >= 0 bisect at the geometric middle
     # (see above), unless abs_tol is 0: a relative tolerance that underflowed,
-    # on a bracket of subnormals, which 53 arithmetic halvings close.
+    # on a bracket of subnormals, which 53 arithmetic halvings close.  Other
+    # brackets bisect at the arithmetic middle, halving each end first only
+    # where their sum overflows.
     # A start below hi that meets the target exactly with a 0.0 slope is read
     # as below it, and the search goes on towards hi: fn may be flat at the
     # target there, as a rate that rounds to 0 is, rather than crossing it
@@ -104,9 +102,8 @@ def _newton_invert(
         return hi
     x = hi if start is None else start
     lo_known = False  # fn(lo) < target has been seen, or lo is such a start
-    last = math.inf  # length of the previous step
+    last = math.inf  # length of the previous move
     shift = abs_tol / 16.0
-    creeping = 0  # points in a row below the target with a correction no larger than the shift
     for i in range(MAX_STEPS):
         value, slope = fn(x)
         flat_start = i == 0 and value == target and slope == 0.0 and x < hi
@@ -119,18 +116,19 @@ def _newton_invert(
         step = (value - target) / slope if 0.0 < slope < math.inf else math.nan
         if value >= target and (step <= abs_tol or x - step == x):
             return x
-        creeping = creeping + 1 if value < target and -step <= shift else 0
         if hi - lo <= abs_tol:
             if lo_known:
                 return hi
             nxt = lo
         else:
-            nxt = x - step + shift if creeping <= 2 else lo + abs_tol * 2.0 ** (creeping - 4)
+            nxt = x - step + shift
             if nxt <= lo and not lo_known:
                 nxt = lo
-            elif not (lo < nxt < hi and abs(step) <= 0.5 * last):
+            elif not (lo < nxt < hi and abs(nxt - x) <= 0.5 * last):
                 wide = 0.0 <= lo and 0.0 < abs_tol * 2.0**64 < hi - lo
                 nxt = math.sqrt(max(lo, abs_tol)) * math.sqrt(hi) if wide else 0.5 * (lo + hi)
+                if math.isinf(nxt):
+                    nxt = 0.5 * lo + 0.5 * hi
                 if not lo < nxt < hi:
                     return hi  # adjacent floats
         last = abs(nxt - x)

@@ -1,5 +1,6 @@
-"""Shared sampling helpers for the test suite, and Hypothesis's literal pool pinned to empty."""
+"""Shared sampling helpers for the test suite, Hypothesis's literal pool pinned to empty, and mpmath's precision guarded."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis.internal.conjecture import providers
@@ -13,6 +14,20 @@ from hypothesis.internal.constants_ast import Constants
 collect_local_constants = providers._get_local_constants
 providers._get_local_constants = Constants
 providers.CONSTANTS_CACHE.cache.clear()
+
+
+@pytest.fixture(autouse=True)
+def _mpmath_precision_kept():
+    # mpmath's working precision is global: a test that sets mp.dps hands its
+    # digits to every later reference, so a file checks different digits
+    # alone and in the full suite.  Tests take precision by mpmath.workdps;
+    # one that leaves it changed fails, and the precision is restored
+    dps = mpmath.mp.dps
+    yield
+    if mpmath.mp.dps != dps:
+        left = mpmath.mp.dps
+        mpmath.mp.dps = dps
+        pytest.fail(f"the test left mpmath.mp.dps at {left}, not {dps}; use mpmath.workdps")
 
 
 @pytest.fixture

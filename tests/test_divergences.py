@@ -87,10 +87,10 @@ def test_log_domain_survives_large_alpha():
     # path must still match an arbitrary-precision evaluation
     alpha = 350.0
     got = renyi(0.9, 0.1, alpha)
-    mp.mp.dps = 60
-    a = mp.mpf(alpha)
-    p, q = mp.mpf("0.9"), mp.mpf("0.1")
-    want = mp.log(p**a * q ** (1 - a) + (1 - p) ** a * (1 - q) ** (1 - a)) / (a - 1)
+    with mp.workdps(60):
+        a = mp.mpf(alpha)
+        p, q = mp.mpf("0.9"), mp.mpf("0.1")
+        want = mp.log(p**a * q ** (1 - a) + (1 - p) ** a * (1 - q) ** (1 - a)) / (a - 1)
     assert math.isclose(got, float(want), rel_tol=1e-12)
 
 

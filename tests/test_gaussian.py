@@ -272,12 +272,13 @@ def test_order_slopes_match_mpmath():
     # where those underflow; orders where the piece overflows are skipped
     checked = 0
     for par, delta, us in _slope_inputs():
-        piece, mp_piece = gaussian._epsilon_piece(par, delta), _mp_order_piece(par, delta)
+        piece = gaussian._epsilon_piece(par, delta)
         for u in us:
             got = piece(u)
             if not all(math.isfinite(v) for v in got):
                 continue
             with mpmath.workdps(40):
+                mp_piece = _mp_order_piece(par, delta)
                 x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
                 value = mp_piece(x)
                 want = [max(value, 0)] + [mpmath.diff(mp_piece, x, n) for n in (1, 2)]
@@ -299,7 +300,7 @@ def test_rate_pieces_steer_by_the_rate_slope():
     checked = near = 0
     for eps, delta, us in _slope_inputs():
         u_lo, u_hi = gaussian._order_range(delta)
-        piece, mp_piece = gaussian._rate_piece(eps, delta), _mp_rate_piece(eps, delta)
+        piece = gaussian._rate_piece(eps, delta)
         u_max = gaussian._newton_invert(lambda u: piece(u)[1:], 0.0, u_lo, u_hi, DEFAULT_ABS_TOL)
         around = [u_max - 0.01, u_max + 0.01]
         for u in us + around:
@@ -307,6 +308,7 @@ def test_rate_pieces_steer_by_the_rate_slope():
             if not (u_lo <= u <= u_hi and math.isfinite(first)):
                 continue
             with mpmath.workdps(40):
+                mp_piece = _mp_rate_piece(eps, delta)
                 x = mpmath.log(mpmath.mpf(1.0 + math.exp(u)) - 1)
                 rate, *want = [mpmath.diff(mp_piece, x, n) for n in (0, 1, 2)]
             if abs(want[0]) <= 1e-12 * abs(rate):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpopt import conversion, gaussian
-from rdpopt.conversion import delta_bound, delta_exact, epsilon_exact, gamma_exact
+from rdpopt.conversion import delta_bound, delta_exact, epsilon_bound, epsilon_exact, gamma_exact
 from rdpopt.errors import AccountingError, DomainError, InfeasibleError
 from rdpopt.gaussian import acct_epsilon, rho_gaussian
 from rdpopt.optimize import MAX_STEPS, _newton_invert, log_add
@@ -214,8 +214,8 @@ def test_invert_matches_bisection_reference_on_frontier_round_trips():
 )
 @settings(max_examples=300, deadline=None)
 def test_log_add_matches_arbitrary_precision(a, b):
-    mp.mp.dps = 40
-    want = float(mp.log(mp.e**mp.mpf(a) + mp.e**mp.mpf(b)))
+    with mp.workdps(40):
+        want = float(mp.log(mp.e**mp.mpf(a) + mp.e**mp.mpf(b)))
     assert math.isclose(log_add(a, b), want, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -279,8 +279,8 @@ def _creeping_steps(points, target, abs_tol):
 
 def test_invert_stops_creeping_on_the_tangent_piece(monkeypatch):
     # delta_bound inverts the tangent piece, which is flat to rounding 8.6e-13
-    # below gamma here: five steps crept up by the shift alone before the
-    # guard, which probes half a tolerance up after the second such step
+    # below gamma here: five steps crept up by the shift alone before any
+    # guard; the second such move fails to halve the one before and bisects
     searches = []
 
     def traced(fn, target, lo, hi, abs_tol, start=None):
@@ -304,7 +304,8 @@ def test_invert_stops_creeping_on_the_tangent_piece(monkeypatch):
 def test_invert_crosses_a_stretch_flat_to_rounding():
     # values 1e-15 below the target: steps moved by the shift alone took 16 a
     # tolerance, so a stretch wider than 12.5 tolerances ran to the cap and
-    # returned hi.  The probes double, so even 1e8 tolerances take few steps
+    # returned hi.  The second such move fails to halve the one before, and
+    # bisection crosses even 1e8 tolerances in few steps
     abs_tol, target = 1e-10, 1.0
     for width in (20.0, 1e3, 1e8):
         x0 = 0.5 + width * abs_tol
@@ -363,6 +364,26 @@ def test_search_raises_at_its_evaluation_cap():
     assert evals[0] == MAX_STEPS == 200
 
 
+def test_bisection_middle_survives_an_overflowing_sum():
+    # [-1e308, 1e308] with NaN slopes is halved arithmetically towards lo.
+    # Once both ends pass -DBL_MAX/2 their sum overflows to -inf, and the
+    # search read that as adjacent floats and returned -8.75e307 after 5
+    # evaluations.  Every point meets the target, so the crossing is lo; at
+    # a tolerance below the floats' spacing there, 2e292, the search ends on
+    # adjacent floats, one float above it
+    evals = [0]
+
+    def fn(x):
+        evals[0] += 1
+        return 1.0, math.nan
+
+    assert _newton_invert(fn, 0.0, -1e308, 1e308, 1e300) == -1e308
+    assert evals[0] == 30
+    evals[0] = 0
+    assert _newton_invert(fn, 0.0, -1e308, 1e308, 5e-324) == math.nextafter(-1e308, 0.0)
+    assert evals[0] == 54
+
+
 def test_invert_stops_where_the_correction_is_lost_in_rounding():
     # a slope overstated fourfold gives, one float above the crossing near
     # 1.2e7 (floats 1.9e-9 apart), a Newton correction of 4.7e-10: above
@@ -389,7 +410,8 @@ def test_no_package_search_comes_near_its_cap(monkeypatch):
     # [1e-6, 50], gamma in [1e-14, 30]; exact accounting and the largest rate
     # at sigma 0.5-30, T 1-1e5, delta 1e-12-0.5, budgets eps 0.1-10.  At most
     # 90 evaluations were measured over about 950 000 such searches, 87 over
-    # the 47 000 here, far below MAX_STEPS
+    # the 50 000 here (the soundness checks' frontier solves included), far
+    # below MAX_STEPS
     counts = []
 
     def counted(fn, *args, **kwargs):
@@ -413,12 +435,17 @@ def test_no_package_search_comes_near_its_cap(monkeypatch):
         eps = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-6.0, math.log10(50.0))
         gamma = 10.0 ** rng.uniform(-14.0, math.log10(30.0))
         gamma_exact(alpha, eps, delta)
-        epsilon_exact(alpha, gamma, delta)
+        e = epsilon_exact(alpha, gamma, delta).value
+        # each answer reaches gamma, or is the closed-form start the search
+        # returns as it is where the frontier there falls short by rounding
+        assert gamma_exact(alpha, e, delta).value >= gamma or e == epsilon_bound(alpha, gamma, delta).value, (alpha, gamma, delta, e)
         delta_bound(alpha, gamma, eps)
         try:
-            delta_exact(alpha, gamma, eps)
+            d = delta_exact(alpha, gamma, eps).value
         except InfeasibleError:
-            pass
+            continue
+        top = min(delta_bound(alpha, gamma, eps).value, 1.0 - 1e-12)
+        assert gamma_exact(alpha, eps, d).value >= gamma or d == top, (alpha, gamma, eps, d)
     for _ in range(40):
         sigma, T = rng.uniform(0.5, 30.0), round(10.0 ** rng.uniform(0.0, 5.0))
         delta = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
