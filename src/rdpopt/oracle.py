@@ -15,18 +15,20 @@ around its argmin.  The kernel tests every cell of both for admission and
 gives each a lower bound on its divergence: it prunes nothing with the q*
 reduction or convexity, which would tie it to the path it checks.  What it
 saves is work whose result cannot change an answer.  The q side of the
-divergences is tabulated once per scan on the shared grid, and per row
-block in polish windows, once for each coarse point that the block's rows
-are centred on; every block reuses one workspace.  The Renyi divergence is
-taken only in each row's band, the admitted cells that can still hold the
-row's minimum, on the shared grid and in polish windows alike: a band that
-follows from np.logaddexp never falling below its larger argument, not from
-the rule, so it holds for any rule (see _row_scan).  The hockey-stick values
-come from _hockey_stick and the Renyi values from _renyi, the one
-binary-Renyi formula of the package, which the q* check and the containment
-sample take too.  Below order 2 it sums the moment as its excess over 1, so
-that the order floor is set by the frontier checked, not by the oracle's
-own rounding (see _grid_lam).
+divergences is tabulated once per scan on the shared grid, and per row block
+in polish windows, as log q and log(1 - q) alone, once for each coarse point
+that the block's rows are centred on; every block reuses one workspace,
+which also takes the windows' q and 1 - q.  The Renyi divergence is taken
+only in each row's band, the admitted cells that can still hold the row's
+minimum, on the shared grid and in polish windows alike: a band that follows
+from np.logaddexp never falling below its larger argument, not from the
+rule, so it holds for any rule (see _row_scan).  The hockey-stick values come
+from _hockey_stick and the Renyi values from _renyi, the one binary-Renyi
+formula of the package, which the q* check and the containment sample take
+too.  Below order 2 it sums the moment as its excess over 1, so that the
+order floor is set by the frontier checked, not by the oracle's own rounding
+(see _grid_lam).  The containment sample is drawn from Python's
+random.Random, so no oracle call imports numpy.random.
 
 A scan shares its row blocks out among one worker per CPU the process may
 run on: the calling thread and plain threads, each on its own slice of the
@@ -39,7 +41,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
+import random
 import sys
 import threading
 from typing import NamedTuple
@@ -118,10 +122,10 @@ def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(n + 1) / n)
 
 
-def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # x, 1 - x, scale log x and scale log(1 - x) for x = sigmoid(u), built in
-    # four arrays of u's shape, the last of them u itself.  The logs are
-    # -log1p(exp(-u)) and -log1p(exp(u)), which avoid the 1 - x cancellation
+def _log_tables(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # log x and log(1 - x) for x = sigmoid(u), the second built in u itself,
+    # as -log1p(exp(-u)) and -log1p(exp(u)), which avoid the 1 - x
+    # cancellation; x and 1 - x are their exponentials
     lx = np.negative(u)
     np.exp(lx, out=lx)
     np.log1p(lx, out=lx)
@@ -129,22 +133,19 @@ def _tables(scale: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     l1x = np.exp(u, out=u)
     np.log1p(l1x, out=l1x)
     np.negative(l1x, out=l1x)
-    x, one_m_x = np.exp(lx), np.exp(l1x)
-    lx *= scale
-    l1x *= scale
-    return x, one_m_x, lx, l1x
+    return lx, l1x
 
 
 _N_POLISH = 512  # per-row q refinement; fixed so grid-doubling only adds rows
 # (p, q) cells in a scan's workspace, one bool and three float arrays of a
 # one-worker block, this many cells rounded up to whole rows, which the
-# workers split: 32 rows of the 4097-point grid or 256 of the 513-point
-# polish window, at two workers 16 and 128 each.  In a polish scan each
-# worker also holds its block's q tables, four float arrays of at most a
-# block's cells (one row per distinct centre), so a scan's arrays come to at
-# most one bool and seven float arrays of a one-worker block (about 7.1 MiB;
-# the most traced for a default-grid call is 7.8 MiB on two workers and
-# 8.4 MiB on 31 or 64).  Smaller blocks are faster while a worker's share
+# workers split: 32 rows of the 4097-point grid or 256 of the 513-point polish
+# window, at two workers 16 and 128 each.  In a polish scan each worker also
+# holds its block's q tables, log q and log(1 - q), two float arrays of at
+# most a block's cells (one row per distinct centre), so a scan's arrays come
+# to at most one bool and five float arrays of a one-worker block (about
+# 5.1 MiB; the most traced for a default-grid call is 5.8 MiB on two workers and
+# 6.4 MiB on 16 to 64).  Smaller blocks are faster while a worker's share
 # outgrows its L2 cache.  On a 2-vCPU Xeon (2 MiB of L2 a core, numpy 2.4),
 # default-grid brute_force_gamma and verify_q_star calls at (alpha, eps,
 # delta) = (2, 1, 0.1), (1.3471, 0.856, 0.34), (1.05, 0.5, 0.2), (25, 2.5,
@@ -232,12 +233,15 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     one_m_q themselves.  Returns (row minima, argmin index into the row's q
     grid); rows with no feasible q get +inf.
 
-    q, 1 - q and the Renyi terms in q are computed once on the shared grid,
-    or, in polish windows, per block, from the block's own centres (its rows
-    share the few coarse-grid points they landed on), so a scan holds no
-    table of every centre at once; every block reuses its worker's slice of
-    one workspace.  The divergence, the costliest step, is taken only in each
-    row's band, on the shared grid and in polish windows alike.  With
+    q, 1 - q and the Renyi terms in q are computed once on the shared grid.
+    In polish windows each block tabulates only log q and log(1 - q), once
+    per distinct centre of its rows (they share the few coarse-grid points
+    they landed on), and exponentiates them into the free first rows of its
+    workspace, from which each row takes its q and 1 - q.  So a scan holds
+    no table of every centre at once, and a block two tables of its own;
+    every block reuses its worker's slice of one workspace.  The divergence,
+    the costliest step, is taken only in each row's band, on the shared grid
+    and in polish windows alike.  With
     a = alpha log p + (1 - alpha) log q and b the same in 1 - p and 1 - q, a
     cell's divergence is fl(logaddexp(a, b)/(alpha - 1)), and np.logaddexp
     returns at least max(a, b).  A row's cap is the divergence of its
@@ -274,10 +278,12 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     # alpha log(1 - p); then the same for q with 1 - alpha, its terms left
     # unscaled below alpha = 2
     near_one = alpha < 2.0
-    p, one_m_p, lp, l1p = _tables(1.0, u_p.copy())
-    p, one_m_p, ap, a1p = p[:, None], one_m_p[:, None], alpha * lp, alpha * l1p
+    lp, l1p = _log_tables(u_p.copy())
+    p, one_m_p, ap, a1p = np.exp(lp)[:, None], np.exp(l1p)[:, None], alpha * lp, alpha * l1p
     q_scale = 1.0 if near_one else 1.0 - alpha
-    shared = _tables(q_scale, u_q.copy()) if centers is None else None
+    if centers is None:
+        lq, l1q = _log_tables(u_q.copy())
+        shared = np.exp(lq), np.exp(l1q), lq * q_scale, l1q * q_scale
     n_rows, n_cols = len(u_p), len(u_q)
     # one worker per usable CPU, but no more than the rows of a one-worker
     # block or such blocks in the scan; the workers split that block's rows
@@ -303,10 +309,17 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
         else:
             block_centers, which = np.unique(centers[sl], return_inverse=True)
             windows = np.add.outer(block_centers, u_q)
-            q, one_m_q, lq, l1q = _tables(q_scale, np.clip(windows, -_U_MAX, _U_MAX, out=windows))
+            lq, l1q = _log_tables(np.clip(windows, -_U_MAX, _U_MAX, out=windows))
             # every index is valid; mode="clip" keeps take from buffering out
             gather = lambda table, out: np.take(table, which, axis=0, out=out, mode="clip")
-        feasible(sl, p[sl], one_m_p[sl], gather(q, a), gather(one_m_q, b), mask, (a, b))
+            # q and 1 - q are taken once per centre, in rows of div that are
+            # free until the bounds, and gathered into a and b
+            per_centre = div[:len(block_centers)]
+            q = gather(np.exp(lq, out=per_centre), a)
+            one_m_q = gather(np.exp(l1q, out=per_centre), b)
+            lq *= q_scale
+            l1q *= q_scale
+        feasible(sl, p[sl], one_m_p[sl], q, one_m_q, mask, (a, b))
         # the log-moment's terms; below alpha = 2 the q terms are scaled here,
         # to the bits a scaled table holds
         terms_q, terms_1q = gather(lq, a), gather(l1q, b)
@@ -395,7 +408,7 @@ def brute_force_gamma(alpha: float, epsilon: float, delta: float, grid: GridSpec
         u = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
         # once e^eps times the grid's smallest probability reaches its largest,
         # every grid pair, polish windows included, has hockey-stick divergence 0
-        x, one_m_x = _tables(1.0, u.copy())[:2]
+        x, one_m_x = np.exp(_log_tables(u.copy()))
         if delta > 0.0 and lam * x.min() >= x.max() and lam * one_m_x.min() >= one_m_x.max():
             raise InfeasibleError(
                 f"eps={epsilon!r} is past the oracle's grid of probabilities {_P_EDGE:g} to 1 - {_P_EDGE:g}: "
@@ -431,7 +444,7 @@ def verify_q_star(alpha: float, epsilon: float, delta: float, grid: GridSpec = G
     lam = _grid_lam(alpha, epsilon, _P_EDGE)
     with _fits_in_memory(repr(grid)):
         u_all = _logit_grid(-_U_MAX, _U_MAX, grid.n_coarse)
-        p_all = 1.0 / (1.0 + np.exp(-u_all))
+        p_all = np.exp(_log_tables(u_all.copy())[0])  # the p of the kernel's rows, to the bit
         usable = p_all > delta + 2e-9 * lam  # need q_star on the grid's scale
         u_ps, p = u_all[usable], p_all[usable]
         if len(u_ps) == 0:
@@ -463,6 +476,8 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     Every pair's (hockey-stick, Renyi) divergence point must lie on or
     above the curve delta -> gamma_exact(alpha, eps, delta); the comparison
     is made on the Renyi scale, where both sides stay finite for any order.
+    The pairs are drawn from random.Random(seed), so a seed always draws the
+    same pairs.
     """
     _check_alpha(alpha)
     _check_nonnegative(epsilon, "epsilon")
@@ -470,9 +485,10 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     _check_count(seed, "seed", 0, math.inf)
     lam = _grid_lam(alpha, epsilon, 1e-12)
     with _fits_in_memory(f"n_samples={n_samples}"):
-        rng = np.random.default_rng(seed)
-        p = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
-        q = np.clip(rng.uniform(size=n_samples), 1e-12, 1.0 - 1e-12)
+        # p from the first n draws and q from the next n; fromiter allocates
+        # its count before it takes the first draw
+        draws = np.fromiter(iter(random.Random(operator.index(seed)).random, None), float, count=2 * n_samples)
+        p, q = np.clip(draws, 1e-12, 1.0 - 1e-12, out=draws).reshape(2, n_samples)
         hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)
         div = _pair_renyi(alpha, p, q)
     violations = 0

@@ -657,9 +657,6 @@ def test_oracle_check_counts_it_cannot_allocate_are_domain_errors(capsys, monkey
     def unallocatable(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64")
 
-    class Generator:
-        uniform = staticmethod(unallocatable)
-
     monkeypatch.setattr(oracle, "_logit_grid", unallocatable)
     code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
                              "--grid-n", "1000000000000")
@@ -667,7 +664,8 @@ def test_oracle_check_counts_it_cannot_allocate_are_domain_errors(capsys, monkey
     assert ("domain error: GridSpec(n_coarse=1000000000000, n_refine=1000000000000) is too large: "
             "the oracle's arrays for it do not fit in memory (Unable to allocate 7.28 TiB") in err
     monkeypatch.undo()
-    monkeypatch.setattr(oracle.np.random, "default_rng", lambda seed: Generator())
+    # the sample's draws fill one array allocated before the first draw
+    monkeypatch.setattr(oracle.np, "fromiter", unallocatable)
     code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
                              "--grid-n", "64", "--samples", "1000000000000")
     assert code == 3 and out == ""

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import sys
 import threading
 import tracemalloc
@@ -45,7 +46,7 @@ def test_q_star_check_row_count_is_a_positive_integer(monkeypatch, n_p):
 
 @pytest.mark.parametrize("n_samples", [0, -1, 2.5, True, float("nan")])
 def test_containment_sample_count_is_a_positive_integer(monkeypatch, n_samples):
-    monkeypatch.setattr(oracle.np.random, "default_rng", lambda *args: pytest.fail("the oracle ran"))
+    monkeypatch.setattr(oracle.random, "Random", lambda *args: pytest.fail("the oracle ran"))
     with pytest.raises(DomainError, match="n_samples must be an integer >= 1"):
         joint_range_containment(2.0, 1.0, n_samples=n_samples)
 
@@ -164,10 +165,11 @@ def test_row_scan_blocking_is_bit_identical(monkeypatch):
 def _admitted(alpha, u_p, u_q, feasible, centers=None):
     # the cells feasible admits, p and 1 - p as columns, and the unscaled log
     # tables of one block of the scan
-    p, one_m_p, lp, l1p = oracle._tables(1.0, u_p.copy())
+    lp, l1p = oracle._log_tables(u_p.copy())
     u = u_q.copy() if centers is None else np.clip(np.add.outer(centers, u_q), -oracle._U_MAX, oracle._U_MAX)
-    q, one_m_q, lq, l1q = oracle._tables(1.0, u)
-    p, one_m_p, lp, l1p = p[:, None], one_m_p[:, None], lp[:, None], l1p[:, None]
+    lq, l1q = oracle._log_tables(u)
+    q, one_m_q = np.exp(lq), np.exp(l1q)
+    p, one_m_p, lp, l1p = np.exp(lp)[:, None], np.exp(l1p)[:, None], lp[:, None], l1p[:, None]
     shape = (len(u_p), len(u_q))
     admitted = np.empty(shape, dtype=bool)
     feasible(slice(0, len(u_p)), p, one_m_p, q, one_m_q, admitted, (np.empty(shape), np.empty(shape)))
@@ -185,9 +187,9 @@ def _reference_row_scan(alpha, u_p, u_q, feasible, centers=None):
 
 def _bounds(alpha, u_p, u_q):
     # max(a, b) of every cell of a shared-grid scan, the kernel's lower bound
-    _, _, lp, l1p = oracle._tables(alpha, u_p.copy())
-    _, _, lq, l1q = oracle._tables(1.0 - alpha, u_q.copy())
-    return np.maximum(lp[:, None] + lq, l1p[:, None] + l1q)
+    lp, l1p = oracle._log_tables(u_p.copy())
+    lq, l1q = oracle._log_tables(u_q.copy())
+    return np.maximum((alpha * lp)[:, None] + (1.0 - alpha) * lq, (alpha * l1p)[:, None] + (1.0 - alpha) * l1q)
 
 
 def _all_admitted(rows, p, one_m_p, q, one_m_q, out, scratch):
@@ -384,9 +386,9 @@ def test_kernel_terms_stay_finite_up_to_the_largest_order():
         oracle._grid_lam(math.nextafter(alpha, math.inf), 1.0, oracle._P_EDGE)
     u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
     for order in (alpha, 1.0 + 2.0**-52):
-        _, _, lp, l1p = oracle._tables(order, u.copy())
-        _, _, lq, l1q = oracle._tables(1.0 - order, u.copy())
-        a, b = lp[:, None] + lq, l1p[:, None] + l1q
+        lx, l1x = oracle._log_tables(u.copy())
+        a = (order * lx)[:, None] + (1.0 - order) * lx
+        b = (order * l1x)[:, None] + (1.0 - order) * l1x
         assert np.isfinite(np.logaddexp(a, b) / (order - 1.0)).all()
         for eps, delta in ((0.0, 0.0), (1.0, 0.1), (709.0, 0.0)):
             for rule, _ in _rules(u, eps, delta):
@@ -528,23 +530,39 @@ def test_polished_rows_keep_their_own_rule():
 
 def test_kernel_values_are_pinned():
     # values of the kernel before it reused a workspace and per-centre tables;
-    # the rewrite must leave every bit in place
+    # the rewrite must leave every bit in place.  The q* gap is the one taken
+    # at the p of the kernel's rows (3.423267383118045e-06 at 1/(1 + e^-u))
     assert brute_force_gamma(2, 1, 0.1) == 0.5465683757695481
     assert brute_force_gamma(25, 2.5, 0.49) == 3.1733612290412467
-    assert verify_q_star(2, 1, 0.1)["max_gap"] == 3.423267383118045e-06
+    assert verify_q_star(2, 1, 0.1)["max_gap"] == 3.4232673833400895e-06
+
+
+def test_value_at_q_star_is_taken_at_the_p_the_kernel_scans(monkeypatch):
+    # q* and the divergence there are taken at the p of the kernel's rows, to
+    # the bit: 1/(1 + e^-u) differs from it on most grid points
+    seen = []
+    real_rows, real_renyi = oracle._polished_rows, oracle._pair_renyi
+    monkeypatch.setattr(oracle, "_polished_rows",
+                        lambda alpha, u_p, *args: seen.append(u_p) or real_rows(alpha, u_p, *args))
+    monkeypatch.setattr(oracle, "_pair_renyi", lambda alpha, p, q: seen.append(p) or real_renyi(alpha, p, q))
+    verify_q_star(2.0, 1.0, 0.1, FAST, n_p=64)
+    u_p, p = seen
+    assert np.array_equal(p, np.exp(oracle._log_tables(u_p.copy())[0]))
+    assert not np.array_equal(p, 1.0 / (1.0 + np.exp(-u_p)))
 
 
 def test_kernel_peak_memory(monkeypatch):
     # traced peak of one default-grid call on two workers, against the peak
     # of a call whose polish blocks have as many centres as rows (delta = 0:
-    # 7.8 MiB for the brute force, 7.3 MiB for the q* check), with half a MiB
-    # to spare, less than one float array of a one-worker block (1 MiB).  A
-    # scan that held the windows of all its centres at once would take 8.6
-    # to 67.9 MiB on all but the first call.  The worker count is fixed, as
-    # blocks round up to whole rows: at 16 workers the brute force at
-    # delta = 0 traces 8.3 MiB
+    # 5.8 MiB for the brute force, 5.3 MiB for the q* check), with half a MiB
+    # to spare, less than one float array of a one-worker block (1 MiB).  So
+    # polish blocks that tabulated q and 1 - q beside their logs fail it (7.8
+    # and 7.3 MiB), as does a scan that held the windows of all its centres
+    # at once (8.6 to 67.9 MiB on all but the first call).  The
+    # worker count is fixed, as blocks round up to whole rows: at 16 workers
+    # the brute force at delta = 0 traces 6.4 MiB
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
-    brute, q_star = 7.8 + 0.5, 7.3 + 0.5
+    brute, q_star = 5.8 + 0.5, 5.3 + 0.5
     for call, bound_mib in (
         (lambda: brute_force_gamma(11.82, 1.68, 0.245), brute),
         (lambda: verify_q_star(11.82, 1.68, 0.245), q_star),
@@ -569,15 +587,15 @@ def test_polish_tables_hold_only_their_blocks_centres(monkeypatch):
     # check, against 32-row blocks, and at delta = 0, where each row is its
     # own centre, as many as the brute force has finite rows
     monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
-    real_tables = oracle._tables
+    real_tables = oracle._log_tables
     shapes = []
 
-    def tables(scale, u):
+    def tables(u):
         if u.ndim == 2:  # one window a row; the shared grid and p are 1-D
             shapes.append(u.shape)
-        return real_tables(scale, u)
+        return real_tables(u)
 
-    monkeypatch.setattr(oracle, "_tables", tables)
+    monkeypatch.setattr(oracle, "_log_tables", tables)
     for call in (lambda: verify_q_star(2, 1, 0.1), lambda: brute_force_gamma(1.5, 2.0, 0.0)):
         shapes.clear()
         call()
@@ -619,7 +637,7 @@ def test_brute_force_infeasible_constraint():
 def _grid_limit_eps():
     # the least eps at which e^eps times the grid's smallest probability
     # reaches its largest; the grid's ends, and so this eps, do not depend on n
-    x = oracle._tables(1.0, oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64))[0]
+    x = np.exp(oracle._log_tables(oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64))[0])
     lo, hi = 20.0, 21.0
     while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
@@ -773,10 +791,33 @@ def test_joint_range_containment_counts_pairs_below_the_frontier(monkeypatch):
     assert report["min_margin"] < -oracle.CONTAINMENT_TOLERANCE
 
 
-def test_joint_range_containment_deterministic():
+def test_joint_range_containment_deterministic(monkeypatch):
+    # the pairs are random.Random(seed)'s draws, p the first n and q the next
+    # n, for a numpy integer seed too
     a = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     b = joint_range_containment(2.0, 0.5, n_samples=500, seed=11)
     assert a == b
+    pairs = []
+    real_renyi = oracle._pair_renyi
+    monkeypatch.setattr(oracle, "_pair_renyi", lambda alpha, p, q: pairs.append((p, q)) or real_renyi(alpha, p, q))
+    assert joint_range_containment(2.0, 0.5, n_samples=500, seed=np.int64(11)) == a
+    rng = random.Random(11)
+    draws = [rng.random() for _ in range(1000)]
+    [(p, q)] = pairs
+    assert p.tolist() == draws[:500] and q.tolist() == draws[500:]
+
+
+def test_containment_sample_is_allocated_before_it_is_drawn(monkeypatch):
+    # a sample too large to hold is a domain error before its first draw: the
+    # 2**62 bytes of 2**58 pairs' draws exceed any 64-bit address space
+    class Undrawable(random.Random):
+        def random(self):
+            pytest.fail("a sample was drawn")
+
+    monkeypatch.setattr(oracle.random, "Random", Undrawable)
+    monkeypatch.setattr(oracle, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
+    with pytest.raises(DomainError, match=f"n_samples={2**58} is too large: the oracle's arrays for it do not fit"):
+        joint_range_containment(2.0, 1.0, n_samples=2**58)
 
 
 def test_counts_past_the_index_range_are_rejected_before_any_work(monkeypatch):
@@ -801,7 +842,7 @@ def test_orders_below_the_floor_are_rejected(monkeypatch):
     # below alpha = 1 + 1e-8 gamma_exact, the frontier checked, overshoots by
     # more than the containment tolerance: at 1 + 1e-9, eps = 0 and delta =
     # 1.91e-4 it is 156% above the 50-digit frontier, and a seeded 2 000-sample
-    # sweep found violations in 2 of 64 runs.  Every entry point names the
+    # sweep found violations in 3 of 64 runs.  Every entry point names the
     # order before any work; at the floor all three run
     floor = 1.0 + 1e-8
     below = math.nextafter(floor, 1.0)
@@ -823,7 +864,7 @@ def test_orders_below_the_floor_are_rejected(monkeypatch):
 def test_containment_seed_must_be_a_nonnegative_integer(monkeypatch):
     # checked before any work: no generator is built and no frontier is solved
     monkeypatch.setattr(oracle, "gamma_exact", lambda *args: pytest.fail("the oracle ran"))
-    monkeypatch.setattr(oracle.np.random, "default_rng", lambda *args: pytest.fail("the oracle ran"))
+    monkeypatch.setattr(oracle.random, "Random", lambda *args: pytest.fail("the oracle ran"))
     for seed in (-1, -(2**63), 1.5, 7.0, True, "7", None):
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             joint_range_containment(2.0, 1.0, n_samples=10, seed=seed)

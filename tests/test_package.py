@@ -1,4 +1,4 @@
-"""Top-level API and import cost: names load on first use, and only the oracle loads numpy."""
+"""Top-level API and import cost: names load on first use, only the oracle loads numpy, and nothing numpy.random."""
 
 import copy
 import inspect
@@ -15,16 +15,16 @@ from rdpopt import oracle
 
 ORACLE_NAMES = ("GridSpec", "brute_force_gamma", "verify_q_star", "joint_range_containment")
 
-# a fresh interpreter reports, after each step, whether numpy is loaded and
-# which of csv, dataclasses and inspect it loaded since before importing the
-# package (a site hook may load one earlier), and which rdpopt submodules
-# importing the package loaded
+# a fresh interpreter reports, after each step, whether numpy and
+# numpy.random are loaded and which of csv, dataclasses and inspect it loaded
+# since before importing the package (a site hook may load one earlier), and
+# which rdpopt submodules importing the package loaded
 _CHILD = """
 import contextlib, io, json, sys
 preloaded = set(sys.modules)
 seen, loaded = [], []
 def record(step, code):
-    seen.append([step, code, "numpy" in sys.modules])
+    seen.append([step, code, "numpy" in sys.modules, "numpy.random" in sys.modules])
     loaded.append([name for name in ("csv", "dataclasses", "inspect") if name in sys.modules and name not in preloaded])
 import rdpopt
 record("import rdpopt", None)
@@ -67,12 +67,13 @@ def test_only_oracle_check_imports_numpy():
     report = _child_report(_NUMPY_FREE + [_ORACLE_CHECK])
     assert report["submodules"] == []
     seen = report["seen"]
-    assert [step for step, _, _ in seen] == ["import rdpopt", "import rdpopt.cli"] + [
+    assert [step for step, *_ in seen] == ["import rdpopt", "import rdpopt.cli"] + [
         argv[0] for argv in _NUMPY_FREE + [_ORACLE_CHECK]
     ]
-    for step, code, numpy_loaded in seen[:-1]:
+    for step, code, numpy_loaded, _ in seen[:-1]:
         assert code in (None, 0) and not numpy_loaded, step
-    assert seen[-1] == ["oracle-check", 0, True]
+    # the brute force, the q* check and the containment sample, without numpy.random
+    assert seen[-1] == ["oracle-check", 0, True, False]
     # the submodule is an attribute of the package before anything imports it
     proc = subprocess.run(
         [sys.executable, "-c", "import rdpopt; print(rdpopt.oracle.__name__)"],
@@ -85,7 +86,7 @@ def test_cold_subcommands_load_no_dataclasses_or_inspect():
     # the records are named tuples, and only a CSV table needs the csv module;
     # the curve step, the last, writes one
     report = _child_report(_NUMPY_FREE)
-    assert [step for step, _, _ in report["seen"]][-1] == "curve"
+    assert [step for step, *_ in report["seen"]][-1] == "curve"
     assert report["loaded"] == [[]] * (len(report["seen"]) - 1) + [["csv"]]
 
 
