@@ -96,6 +96,15 @@ def _fits_in_memory(counts: str):
                           + (f" ({exc})" if str(exc) else "")) from None
 
 
+def _check_floats(count: int) -> None:
+    # numpy sizes an array in bytes as a signed index, so past sys.maxsize
+    # bytes it raises ValueError or OverflowError or wraps the count, where
+    # an array it can size but not allocate raises MemoryError; this raises
+    # that MemoryError before numpy is asked
+    if count * 8 > sys.maxsize:
+        raise MemoryError(f"{count} floats take more than sys.maxsize = {sys.maxsize} bytes")
+
+
 class _GridSpec(NamedTuple):
     n_coarse: int
     n_refine: int
@@ -116,10 +125,16 @@ class GridSpec(_GridSpec):
         return cls(*iterable)
 
 
+def _unit_steps(n: int) -> np.ndarray:
+    # the n + 1 points k/n of [0, 1]; doubling n keeps every existing point
+    # (arange(2k)/(2n) reproduces arange(k)/n exactly)
+    _check_floats(n + 1)
+    return np.arange(n + 1) / n
+
+
 def _logit_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    # n counts steps, so the grid has n + 1 points and doubling n keeps
-    # every existing point (arange(2k)/(2n) reproduces arange(k)/n exactly)
-    return lo + (hi - lo) * (np.arange(n + 1) / n)
+    # n counts steps, so the grid has n + 1 points
+    return lo + (hi - lo) * _unit_steps(n)
 
 
 def _log_tables(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +398,7 @@ def _polished_rows(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible, n_p
     ok = np.flatnonzero(np.isfinite(row_min))
     if len(ok):
         q_step = 2.0 * _U_MAX / (len(u_q) - 1)
-        offsets = ((np.arange(n_polish + 1) / n_polish) - 0.5) * (2.0 * q_step)
+        offsets = (_unit_steps(n_polish) - 0.5) * (2.0 * q_step)
         fine, _ = _row_scan(alpha, u_p[ok], offsets, lambda rows, *logs: feasible(ok[rows], *logs),
                             centers=u_q[row_arg[ok]])
         row_min[ok] = np.minimum(row_min[ok], fine)
@@ -487,6 +502,7 @@ def joint_range_containment(alpha: float, epsilon: float, n_samples: int = 10000
     with _fits_in_memory(f"n_samples={n_samples}"):
         # p from the first n draws and q from the next n; fromiter allocates
         # its count before it takes the first draw
+        _check_floats(2 * n_samples)
         draws = np.fromiter(iter(random.Random(operator.index(seed)).random, None), float, count=2 * n_samples)
         p, q = np.clip(draws, 1e-12, 1.0 - 1e-12, out=draws).reshape(2, n_samples)
         hs = _hockey_stick(p, 1.0 - p, q, 1.0 - q, lam)

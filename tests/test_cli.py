@@ -672,6 +672,28 @@ def test_oracle_check_counts_it_cannot_allocate_are_domain_errors(capsys, monkey
     assert "domain error: n_samples=1000000000000 is too large: the oracle's arrays for it do not fit" in err
 
 
+def test_oracle_check_counts_numpy_cannot_size_are_domain_errors(capsys, monkeypatch):
+    # numpy raises ValueError or OverflowError, or wraps, for arrays of more
+    # than sys.maxsize bytes: each count is refused before its array is
+    # allocated, with a domain error naming it
+    def unallocated(*args, **kwargs):
+        pytest.fail("the array was allocated")
+
+    big = str(sys.maxsize)
+    for flag, value, allocator, counts, floats in [
+        ("--samples", big, "fromiter", f"n_samples={big}", 2 * sys.maxsize),
+        ("--samples", str(2**60), "fromiter", f"n_samples={2**60}", 2**61),
+        ("--grid-n", big, "arange", f"GridSpec(n_coarse={big}, n_refine={big})", sys.maxsize + 1),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(oracle.np, allocator, unallocated)
+            code, out, err = run_cli(capsys, "oracle-check", "--alpha", "2", "--eps", "1", "--delta", "0.1",
+                                     "--grid-n", "64", f"{flag}={value}")
+        assert code == 3 and out == "", (flag, value, err)
+        assert (f"domain error: {counts} is too large: the oracle's arrays for it do not fit in memory "
+                f"({floats} floats take more than sys.maxsize = {sys.maxsize} bytes)") in err, (flag, value)
+
+
 def test_oracle_check_rejects_orders_below_its_floor(capsys):
     # below alpha = 1 + 1e-8 the containment check gives false violations
     code, out, err = run_cli(capsys, "oracle-check", "--alpha", "1.0000000001", "--eps", "0.5", "--delta", "0.1",

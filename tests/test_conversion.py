@@ -30,7 +30,7 @@ from rdpopt.conversion import (
     zero_epsilon_region,
 )
 from rdpopt.errors import DomainError, InfeasibleError
-from rdpopt.optimize import log_add
+from rdpopt.optimize import DEFAULT_ABS_TOL, _newton_invert, log_add
 
 from conftest import sample_small_delta_triples, sample_triples
 from reference_search import minimize_unimodal
@@ -635,6 +635,84 @@ def test_delta_bound_examples():
     big = delta_bound(4.0, 8.0, 1.0)  # forced into the exact regime
     assert big.active_branch == "alpha_delta_ge_1"
     assert math.isclose(big.value, -math.expm1(1.0 - 8.0), rel_tol=1e-12)
+
+
+def _full_tangent_delta_bound(alpha, gamma, eps, tangent=_f_lower_bound):
+    # delta_bound as it was when the tangent search ran wherever the piece
+    # reaches gamma by cap, whether or not its answer could beat d_g
+    d_closed = -math.expm1(min(eps - gamma, 0.0))
+    if d_closed >= 1.0 / alpha:
+        return d_closed, "alpha_delta_ge_1"
+    d_g = math.exp(conversion._log_zeta(alpha) - (alpha - 1.0) * (eps - gamma))
+    cap = (1.0 / alpha) * (1.0 - 1e-12)
+    if gamma <= tangent(alpha, eps, cap)[0]:
+        d_f = _newton_invert(lambda t: tangent(alpha, eps, t), gamma, 0.0, cap, DEFAULT_ABS_TOL)
+    else:
+        d_f = 1.0 / alpha
+    branch = "g_bound" if d_g <= d_f else "f_bound"
+    return conversion._no_false_zero(min(d_g, d_f, 1.0 - 1e-15), gamma), branch
+
+
+def _counted(fn, counts):
+    def wrapped(*args):
+        counts.append(args)
+        return fn(*args)
+
+    return wrapped
+
+
+def test_delta_bound_skips_a_tangent_search_that_cannot_win(monkeypatch):
+    # the tangent piece is below gamma at the moment piece's answer d_g and
+    # increases in delta, so its inverse cannot beat d_g: one evaluation of
+    # the piece, where the full search took 35 and 32, and the same answer
+    calls = []
+    monkeypatch.setattr(conversion, "_f_lower_bound", _counted(_f_lower_bound, calls))
+    for args, value in [((7.467166795494337, 0.20308779150216447, 3.5904709658411975), 1.618201068630174e-11),
+                        ((37.32923655099326, 0.2364410762766095, 0.8032109049806111), 1.1409480791670443e-11)]:
+        calls.clear()
+        r = delta_bound(*args)
+        assert (r.value, r.active_branch) == (value, "g_bound"), args
+        assert len(calls) == 1, args
+        assert _full_tangent_delta_bound(*args) == (value, "g_bound")
+
+
+def test_delta_bound_matches_the_full_tangent_search(monkeypatch):
+    # the same value and branch as the search run wherever the piece reaches
+    # gamma, on the exact workload's delta ranges and on extremes; on the
+    # first, a fifth of the evaluations of the piece or fewer.  With eps and
+    # gamma both below about 1e-15 the piece is rounding noise (it is exactly
+    # 0 at eps = 0) and need not increase: there a skipped search may leave
+    # d_g, which is never below the full search's answer
+    rng = np.random.default_rng(41)
+    calls, ref_calls = [], []
+    monkeypatch.setattr(conversion, "_f_lower_bound", _counted(_f_lower_bound, calls))
+    reference = _counted(_f_lower_bound, ref_calls)
+    n = 3000
+    sets = {
+        "workload": zip(1.0 + 49.0 * rng.uniform(1e-6, 1.0, n), 5.0 * rng.uniform(1e-9, 1.0, n),
+                        5.0 * rng.uniform(1e-9, 1.0, n)),
+        "extremes": zip(1.0 + 10.0 ** rng.uniform(-9.0, 4.0, n), 10.0 ** rng.uniform(-15.0, 2.0, n),
+                        np.where(rng.uniform(size=n) < 0.1, 0.0, 10.0 ** rng.uniform(-8.0, 3.0, n))),
+        "corner": zip(1.0 + 10.0 ** rng.uniform(-9.0, 4.0, n), 10.0 ** rng.uniform(-20.0, -15.0, n),
+                      np.where(rng.uniform(size=n) < 0.2, 0.0, 10.0 ** rng.uniform(-20.0, -15.0, n))),
+    }
+    moved = 0
+    for name, draws in sets.items():
+        calls.clear()
+        ref_calls.clear()
+        for args in draws:
+            alpha, gamma, eps = args = tuple(map(float, args))
+            r = delta_bound(*args)
+            ref = _full_tangent_delta_bound(*args, tangent=reference)
+            if name == "corner" and (r.value, r.active_branch) != ref:
+                moved += 1
+                d_g = math.exp(conversion._log_zeta(alpha) - (alpha - 1.0) * (eps - gamma))
+                assert (r.value, r.active_branch) == (d_g, "g_bound") and r.value >= ref[0], (args, r, ref)
+            else:
+                assert (r.value, r.active_branch) == ref, args
+        if name == "workload":
+            assert 5 * len(calls) <= len(ref_calls), (len(calls), len(ref_calls))
+    assert moved <= n // 10, moved
 
 
 def test_conversion_dominance_chains(rng):

@@ -820,6 +820,30 @@ def test_containment_sample_is_allocated_before_it_is_drawn(monkeypatch):
         joint_range_containment(2.0, 1.0, n_samples=2**58)
 
 
+def test_arrays_numpy_cannot_size_are_refused_before_allocation(monkeypatch):
+    # past sys.maxsize bytes numpy raises ValueError or OverflowError, or its
+    # count wraps: a refined grid of n_refine + 1 floats, a polish window of
+    # n_refine + 1 and a sample of 2 n_samples are each refused before numpy
+    # is asked (tests/test_cli.py pins the coarse grid through oracle-check)
+    real_arange = np.arange
+
+    def small_arange(*args):
+        assert max(args) <= 4097, "the array was allocated"
+        return real_arange(*args)
+
+    monkeypatch.setattr(oracle.np, "arange", small_arange)
+    monkeypatch.setattr(oracle.np, "fromiter", lambda *args, **kwargs: pytest.fail("the array was allocated"))
+    big = sys.maxsize
+    grids = [(GridSpec(64, big), big + 1, brute_force_gamma), (GridSpec(64, 2**60), 2**60 + 1, verify_q_star)]
+    cases = [(repr(grid), floats, functools.partial(fn, 2.0, 1.0, 0.1, grid)) for grid, floats, fn in grids]
+    cases.append((f"n_samples={2**62}", 2**63, functools.partial(joint_range_containment, 2.0, 1.0, n_samples=2**62)))
+    for counts, floats, call in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == (f"{counts} is too large: the oracle's arrays for it do not fit in memory "
+                                   f"({floats} floats take more than sys.maxsize = {big} bytes)")
+
+
 def test_counts_past_the_index_range_are_rejected_before_any_work(monkeypatch):
     # a count above sys.maxsize has no numpy index; a seed may be any size
     monkeypatch.setattr(oracle, "_polished_rows", lambda *args: pytest.fail("the scan ran"))

@@ -194,6 +194,31 @@ def test_oracle_gives_finite_fields_or_typed_errors(name):
                 _check_finite_or_typed_error(name, (alpha, eps) if delta is None else (alpha, eps, delta))
 
 
+# counts from 2**54 on size arrays of at least 2**57 bytes, past any 64-bit
+# address space, so that no draw allocates; up to 2**63, past sys.maxsize
+_HUGE_COUNT = st.integers(2**54, 2**63)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(("brute_force_gamma", "verify_q_star", "joint_range_containment")),
+       counts=st.tuples(st.one_of(st.integers(64, 96), _HUGE_COUNT), st.one_of(st.integers(64, 96), _HUGE_COUNT)))
+@example(name="joint_range_containment", counts=(sys.maxsize, 64))
+@example(name="joint_range_containment", counts=(2**60, 64))
+@example(name="brute_force_gamma", counts=(sys.maxsize, sys.maxsize))
+@example(name="verify_q_star", counts=(64, 2**60))
+def test_oracle_counts_give_finite_fields_or_typed_errors(name, counts):
+    # grid steps or sample sizes on the smallest grids and up to 2**63
+    if name == "joint_range_containment":
+        call = lambda: rp.joint_range_containment(2.0, 1.0, n_samples=counts[0])
+    else:
+        call = lambda: getattr(rp, name)(2.0, 1.0, 0.1, rp.GridSpec(*counts))
+    try:
+        result = call()
+    except rp.AccountingError:
+        return
+    assert all(math.isfinite(x) for x in _floats(result)), (name, counts, result)
+
+
 def test_draws_ignore_the_literals_of_loaded_modules(tmp_path, monkeypatch):
     # tests/conftest.py pins Hypothesis's pool of local literals to empty.
     # A literal of a newly loaded local module enters the pool that
