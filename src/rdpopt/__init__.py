@@ -27,6 +27,7 @@ _NAMES = {
     "GaussianConfig": "gaussian",
     "GridSpec": "oracle",
     "InfeasibleError": "errors",
+    "RenyiCurve": "gaussian",
     "RequiredVariance": "gaussian",
     "ZeroEpsilonRegion": "conversion",
     "acct_epsilon": "gaussian",

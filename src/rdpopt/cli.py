@@ -141,18 +141,20 @@ def _mechanism(args: argparse.Namespace) -> GaussianConfig:
 def cmd_compose(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.T < 1:
         raise UsageError(f"--T must be >= 1, got {args.T}")
-    rho = _mechanism(args).rho
-    ours = acct_epsilon(rho, args.T, args.delta, args.mode)
-    eps_ma = ma_epsilon(rho, args.T, args.delta)
-    results = {"rho": rho, "eps_ma": eps_ma, "eps_ours": ours._asdict(), "gap": eps_ma - ours.epsilon}
+    config = _mechanism(args)
+    curve = config.curve
+    ours = acct_epsilon(curve, args.T, args.delta, args.mode)
+    eps_ma = ma_epsilon(curve, args.T, args.delta)
+    results = {"rho": config.rho, "eps_ma": eps_ma, "eps_ours": ours._asdict(), "gap": eps_ma - ours.epsilon}
     return _flags(args, "sigma", "q", "T", "delta", "mode"), results
 
 
 def cmd_max_t(args: argparse.Namespace) -> tuple[dict, dict]:
-    rho = _mechanism(args).rho
-    t_ours = max_iterations(rho, args.eps, args.delta, args.mode)
-    t_ma = ma_max_iterations(rho, args.eps, args.delta)
-    results = {"rho": rho, "T_ours": t_ours, "T_ma": t_ma, "advantage": t_ours - t_ma}
+    config = _mechanism(args)
+    curve = config.curve
+    t_ours = max_iterations(curve, args.eps, args.delta, args.mode)
+    t_ma = ma_max_iterations(curve, args.eps, args.delta)
+    results = {"rho": config.rho, "T_ours": t_ours, "T_ma": t_ma, "advantage": t_ours - t_ma}
     if args.q is not None:
         results["epochs_ours"] = args.q * t_ours
         results["epochs_ma"] = args.q * t_ma

@@ -435,7 +435,13 @@ def _epsilon_bound(alpha: float, gamma: float, delta: float) -> tuple[float, Opt
 def _moment_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     # (gamma + log(zeta(alpha)/delta)/(alpha-1))_+, Balle et al.'s conversion
     # clamped at 0; for alpha * delta < 1
-    return max(gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0), 0.0)
+    return max(gamma + _moment_shift(alpha, delta), 0.0)
+
+
+def _moment_shift(alpha: float, delta: float) -> float:
+    # log(zeta(alpha)/delta)/(alpha - 1), the moment piece's shift of gamma:
+    # Balle et al.'s conversion adds it, its inverse in gamma subtracts it
+    return (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
 
 
 def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
@@ -470,7 +476,7 @@ def _moment_epsilon_slopes(alpha: float, gamma: float, delta: float) -> tuple[fl
 def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
     # the moment piece inverted in gamma: the largest gamma at which it is at
     # most epsilon > 0, and gamma_bound's moment piece of the frontier
-    return epsilon - (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
+    return epsilon - _moment_shift(alpha, delta)
 
 
 def _chi_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
@@ -520,7 +526,7 @@ def balle_epsilon(alpha: float, gamma: float, delta: float) -> float:
     clamp at zero.
     """
     _check_alpha_gamma_delta(alpha, gamma, delta)
-    return gamma + (_log_zeta(alpha) - math.log(delta)) / (alpha - 1.0)
+    return gamma + _moment_shift(alpha, delta)
 
 
 class ZeroEpsilonRegion(NamedTuple):

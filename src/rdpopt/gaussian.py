@@ -5,6 +5,14 @@ A Gaussian step satisfies (alpha, rho * alpha)-Renyi DP for every alpha > 1
 with rate rho = 1 / (2 sigma^2); T-fold composition multiplies the rate by T.
 Poisson-subsampled steps use the rate rho = q^2 / ((1-q) sigma^2).
 
+The accountants take a per-step Renyi curve D: T steps satisfy
+(alpha, T D(alpha))-Renyi DP at every order alpha the curve holds at.  A
+float is the linear curve D(alpha) = rho alpha on (1, infinity), the rate
+itself; a RenyiCurve holds at a finite set of orders, such as a mechanism's
+divergences at integer orders.  GaussianConfig.curve is its mechanism's
+curve, the one every caller passes on.  Everything below up to "On a finite
+curve" is about the linear curve.
+
 The moments-accountant baseline converts via delta = e^{-(alpha-1)(eps -
 alpha rho T)}, whose optimized closed form is
 
@@ -24,6 +32,15 @@ by Newton steps from the closed-form answer.  Each step finds that maximum
 by the same order solve, Newton steps on the rate's slope in log(alpha - 1)
 from the order the step before won, the first from the closed-form argmin;
 each frontier solve hands back the slopes both searches take (conversion._envelope).
+
+On a finite curve there is no slope to step on, so one scan serves both
+accountants: the minimum over the curve's orders of one conversion of
+(alpha, T D(alpha)), epsilon_bound in closed-form mode, epsilon_exact in
+exact mode and the baseline gamma + log(1/delta)/(alpha - 1) for the moments
+accountant, skipping orders where T D(alpha) overflows.  The largest T
+within a budget is estimated as the most steps any order allows, the
+conversion inverted in gamma at that order over D(alpha), and checked like
+the linear curve's.
 """
 
 from __future__ import annotations
@@ -42,8 +59,10 @@ from .conversion import (
     _gamma_of_epsilon_bound,
     _moment_epsilon_slopes,
     _moment_gamma_piece,
+    baseline_epsilon,
+    epsilon_exact,
 )
-from .errors import DomainError, InfeasibleError, _check_positive, _check_unit
+from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_positive, _check_unit
 from .optimize import DEFAULT_ABS_TOL, _newton_invert
 
 MODES = ("closed_form", "exact")
@@ -66,15 +85,62 @@ def rho_subsampled(sigma: float, q: float) -> float:
     """
     _check_positive(sigma, "sigma")
     _check_unit(q, "sampling rate q")
-    return _rate(q * q, (1.0 - q) * sigma * sigma, sigma)
+    return _rate(q * q, (1.0 - q) * sigma * sigma, sigma, q)
 
 
-def _rate(numerator: float, denominator: float, sigma: float) -> float:
-    # a tiny finite sigma squares to 0.0, or to a subnormal whose reciprocal overflows
+def _rate(numerator: float, denominator: float, sigma: float, q: Optional[float] = None) -> float:
+    # a tiny finite sigma squares to 0.0, or to a subnormal whose reciprocal
+    # overflows; a huge sigma squares to inf, and a tiny q to 0.0, where the rate underflows
     rate = numerator / denominator if denominator > 0.0 else math.inf
     if math.isinf(rate):
         raise DomainError(f"Renyi rate is not finite at sigma = {sigma!r}: {numerator!r} / {denominator!r}")
+    if rate == 0.0:
+        at = f"sigma = {sigma!r}" if q is None else f"sigma = {sigma!r}, q = {q!r}"
+        raise DomainError(f"Renyi rate underflows to 0 at {at}: {numerator!r} / {denominator!r}")
     return rate
+
+
+def _floats(values: Iterable[float], name: str) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a sequence of real numbers") from None
+
+
+class _RenyiCurve(NamedTuple):
+    orders: tuple[float, ...]
+    divergences: tuple[float, ...]
+
+
+class RenyiCurve(_RenyiCurve):
+    """A per-step Renyi curve known at finitely many orders.
+
+    One step satisfies (alpha, D(alpha))-Renyi DP at each alpha in orders,
+    with D(alpha) the divergence at the same position.  The orders are
+    finite, > 1 and strictly increasing; the divergences are finite, >= 0
+    and one per order.  The accountants take it wherever they take a rate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, orders: Iterable[float], divergences: Iterable[float]):
+        orders, divergences = _floats(orders, "orders"), _floats(divergences, "divergences")
+        if not orders or len(orders) != len(divergences):
+            raise DomainError(
+                f"a curve needs at least one order and one divergence per order, "
+                f"got {len(orders)} orders and {len(divergences)} divergences"
+            )
+        for alpha, d in zip(orders, divergences):
+            _check_alpha(alpha)
+            _check_nonnegative(d, "divergence D(alpha)")
+        for lo, hi in zip(orders, orders[1:]):
+            if not lo < hi:
+                raise DomainError(f"orders must be strictly increasing, got {lo!r} then {hi!r}")
+        return super().__new__(cls, orders, divergences)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
 
 class _GaussianConfig(NamedTuple):
@@ -86,7 +152,8 @@ class GaussianConfig(_GaussianConfig):
     """Noise multiplier sigma (for sensitivity Delta, pass sigma / Delta), optional sampling rate q; rho is derived.
 
     With a sampling rate, rho is rho_subsampled's linear model, whose
-    accounted epsilon can be optimistic (see there).
+    accounted epsilon can be optimistic (see there).  curve is what every
+    accountant call takes; rho is the rate a record reports.
     """
 
     __slots__ = ()
@@ -112,13 +179,25 @@ class GaussianConfig(_GaussianConfig):
             return rho_subsampled(self.sigma, self.subsampling_q)
         return rho_gaussian(self.sigma)
 
+    @property
+    def curve(self) -> float:
+        """The per-step Renyi curve the accountants take: the linear curve at rate rho."""
+        return self.rho
 
-def ma_epsilon(rho: float, T: float, delta: float) -> float:
-    """Moments-accountant epsilon: rho*T + sqrt(4*rho*T*log(1/delta)).
+
+def ma_epsilon(curve: float | RenyiCurve, T: float, delta: float) -> float:
+    """Moments-accountant epsilon: rho*T + sqrt(4*rho*T*log(1/delta)) at rate rho.
 
     This is the closed form of min over alpha > 1 of
-    alpha*rho*T - log(delta)/(alpha - 1).
+    alpha*rho*T - log(delta)/(alpha - 1).  On a finite curve it is the
+    minimum over its orders of the same conversion,
+    T D(alpha) + log(1/delta)/(alpha - 1) (baseline_epsilon).
     """
+    if isinstance(curve, RenyiCurve):
+        _check_steps(T)
+        _check_delta(delta)
+        return _scan(curve, T, lambda a, g: (baseline_epsilon(a, g, delta), None))[0]
+    rho = curve
     _check_positive(rho, "rho")
     _check_steps(T)
     _check_delta(delta)
@@ -134,11 +213,11 @@ def _check_steps(T: float) -> None:
         raise DomainError(f"T must be at most DBL_MAX = {sys.float_info.max!r}, got a larger value")
 
 
-def _check_finite(value: float, rho_T: float) -> float:
-    # a total rate or an answer that overflowed; rho_T is the total rate behind it.
+def _check_finite(value: float, rho_T: float, name: str = "rho*T") -> float:
+    # a total rate or an answer that overflowed; rho_T is the total rate behind it, by name.
     # acct_epsilon checks rho_T alone: its order scan keeps only finite values
     if not math.isfinite(value):
-        raise DomainError(f"the accounting is not finite at rho*T = {rho_T!r}")
+        raise DomainError(f"the accounting is not finite at {name} = {rho_T!r}")
     return value
 
 
@@ -288,8 +367,42 @@ def _end_order(alpha: float, objective, delta: float) -> tuple[float, float]:
     return (alpha_end, v_end) if v_end < value else (alpha, value)
 
 
-def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
-    """Epsilon after T compositions at rate rho, via the conversion frontier.
+def _scan(curve: RenyiCurve, T: float, convert) -> tuple[float, Optional[Branch], float]:
+    # the smallest value of convert(alpha, T D(alpha)), a (value, branch) pair,
+    # over a finite curve's orders, with its branch and its order (the lowest
+    # on a tie).  An order whose T D(alpha) overflows is skipped; if every one
+    # does, the accounting is not finite
+    best = (math.inf, None, math.inf)
+    for alpha, d in zip(curve.orders, curve.divergences):
+        gamma = T * d
+        if gamma < math.inf:
+            value, branch = convert(alpha, gamma)
+            if value < best[0]:
+                best = (value, branch, alpha)
+    _check_finite(best[0], math.inf, "T*D(alpha)")
+    return best
+
+
+def _most_steps(curve: RenyiCurve, gamma_at) -> float:
+    # the most steps any order of a finite curve allows, gamma_at(alpha)/D(alpha),
+    # where gamma_at inverts a conversion in gamma at the budget.  An order with
+    # D(alpha) = 0 allows any number if its conversion of 0 meets the budget, none otherwise
+    steps = -math.inf
+    for alpha, d in zip(curve.orders, curve.divergences):
+        gamma = gamma_at(alpha)
+        steps = max(steps, gamma / d if d > 0.0 else math.copysign(math.inf, gamma))
+    return steps
+
+
+def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = "closed_form") -> AccountedEpsilon:
+    """Epsilon after T compositions on a per-step curve, via the conversion frontier.
+
+    On a finite curve (RenyiCurve) the answer is the minimum over its orders
+    of epsilon_bound(alpha, T D(alpha), delta) in closed-form mode and of
+    epsilon_exact in exact mode, with the order attaining it; orders where
+    T D(alpha) overflows are skipped.  An order at or above 1/delta takes
+    the conversions' alpha delta >= 1 edge value.  The rest is about a
+    float rate rho, the linear curve.
 
     The T-fold composition satisfies (alpha, rho T alpha)-Renyi DP at every
     order, so epsilon is the minimum over alpha in (1, 1/delta] of the
@@ -322,6 +435,17 @@ def acct_epsilon(rho: float, T: float, delta: float, mode: str = "closed_form") 
     certifies at the reported order, within 1e-10 of the crossing, or, where
     it certified none, at the closed-form answer and order.
     """
+    if isinstance(curve, RenyiCurve):
+        _check_steps(T)
+        _check_delta(delta)
+        _check_mode(mode)
+        if mode == "closed_form":
+            convert = lambda a, g: _epsilon_bound(a, g, delta)
+        else:
+            convert = lambda a, g: (epsilon_exact(a, g, delta).value, None)
+        eps, branch, alpha = _scan(curve, T, convert)
+        return AccountedEpsilon(eps, alpha, branch, mode)
+    rho = curve
     _check_positive(rho, "rho")
     _check_steps(T)
     _check_delta(delta)
@@ -422,27 +546,40 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     return r.value / alpha, alpha
 
 
-def max_iterations(rho: float, epsilon: float, delta: float, mode: str = "closed_form") -> int:
+def max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float, mode: str = "closed_form") -> int:
     """Largest integer T whose accounted epsilon stays within the budget.
 
     The largest total rate rho*T that meets the budget, a maximum over orders
-    of the inverse conversion, estimates T.  acct_epsilon in the given mode
+    of the inverse conversion, estimates T.  On a finite curve the estimate
+    is the maximum over its orders of the closed-form inverse
+    gamma_alpha(eps)/D(alpha), in either mode.  acct_epsilon in the given mode
     then checks the integers around the estimate, so the answer satisfies
     acct_epsilon(T) <= epsilon < acct_epsilon(T + 1).
     """
     _check_budget(epsilon, delta)
+    if isinstance(curve, RenyiCurve):
+        _check_mode(mode)
+        steps = _most_steps(curve, lambda a: _gamma_of_epsilon_bound(a, epsilon, delta))
+        return _largest_T(lambda T: acct_epsilon(curve, T, delta, mode).epsilon, epsilon, steps)
+    rho = curve
     _check_positive(rho, "rho")
     _check_mode(mode)
     rho_T, _ = _largest_rate(epsilon, delta, mode)
     return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode).epsilon, epsilon, rho_T / rho)
 
 
-def ma_max_iterations(rho: float, epsilon: float, delta: float) -> int:
+def ma_max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float) -> int:
     """Largest integer T whose moments-accountant epsilon stays within the budget.
 
-    Estimated from the root of ma_epsilon in rho*T, then checked like max_iterations.
+    Estimated from the root of ma_epsilon in rho*T, or on a finite curve from
+    the maximum over its orders of (eps - log(1/delta)/(alpha - 1))/D(alpha),
+    then checked like max_iterations.
     """
     _check_budget(epsilon, delta)
+    if isinstance(curve, RenyiCurve):
+        steps = _most_steps(curve, lambda a: epsilon + math.log(delta) / (a - 1.0))
+        return _largest_T(lambda T: ma_epsilon(curve, T, delta), epsilon, steps)
+    rho = curve
     _check_positive(rho, "rho")
     return _largest_T(lambda T: ma_epsilon(rho, T, delta), epsilon, _ma_rate(epsilon, delta) / rho)
 
@@ -547,11 +684,11 @@ def privacy_curve(
     t_list = list(T_values)
     if not t_list:
         raise DomainError("T_values must be non-empty")
-    rho = config.rho
+    curve = config.curve
     rows = []
     for T in t_list:
-        ma = ma_epsilon(rho, T, delta)
-        ours = acct_epsilon(rho, T, delta, "closed_form").epsilon
-        exact_value = acct_epsilon(rho, T, delta, "exact").epsilon if exact else None
+        ma = ma_epsilon(curve, T, delta)
+        ours = acct_epsilon(curve, T, delta, "closed_form").epsilon
+        exact_value = acct_epsilon(curve, T, delta, "exact").epsilon if exact else None
         rows.append(CurvePoint(T=T, eps_ma=ma, eps_ours=ours, eps_ours_exact=exact_value, gap=ma - ours))
     return rows

@@ -331,6 +331,16 @@ def test_tiny_sigma_domain_error(capsys):
         assert code == 3 and "domain error" in err and out == ""
 
 
+def test_huge_sigma_names_sigma(capsys):
+    # sigma^2 overflows and the rate underflows to 0: the error names the flags given, not rho
+    code, out, err = run_cli(capsys, "max-t", "--sigma", "1e200", "--eps", "1", "--delta", "1e-5")
+    assert code == 3 and out == ""
+    assert "domain error: Renyi rate underflows to 0 at sigma = 1e+200" in err and "rho" not in err
+    code, out, err = run_cli(capsys, "compose", "--sigma", "20", "--q", "1e-200", "--T", "10", "--delta", "1e-5")
+    assert code == 3 and out == ""
+    assert "domain error: Renyi rate underflows to 0 at sigma = 20.0, q = 1e-200" in err
+
+
 def test_max_t_matches_library(capsys):
     code, out, _ = run_cli(capsys, "max-t", "--sigma", "20", "--eps", "6", "--delta", "1e-5")
     assert code == 0

@@ -1,7 +1,10 @@
 """Gaussian-mechanism composition accounting."""
 
+import copy
 import math
+import pickle
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from rdpopt.errors import DomainError, InfeasibleError
 from rdpopt.gaussian import (
     AccountedEpsilon,
     GaussianConfig,
+    RenyiCurve,
     acct_epsilon,
     ma_epsilon,
     ma_max_iterations,
@@ -38,6 +42,9 @@ def test_rho_gaussian():
     for sigma in (1e-200, 1e-160):  # sigma^2 underflows to 0, or to a subnormal with no finite reciprocal
         with pytest.raises(DomainError):
             rho_gaussian(sigma)
+    for sigma in (1e155, 1e200):  # sigma^2 overflows, and the rate underflows to 0: the error names sigma, not rho
+        with pytest.raises(DomainError, match=re.escape(f"Renyi rate underflows to 0 at sigma = {sigma!r}: ")):
+            rho_gaussian(sigma)
 
 
 def test_rho_subsampled():
@@ -51,6 +58,11 @@ def test_rho_subsampled():
         rho_subsampled(-1.0, 0.5)
     with pytest.raises(DomainError):
         rho_subsampled(1e-200, 0.01)
+    # q^2 underflows, or sigma^2 overflows: the rate underflows to 0, and the error names sigma and q
+    with pytest.raises(DomainError, match=r"Renyi rate underflows to 0 at sigma = 1\.0, q = 1e-200: "):
+        rho_subsampled(1.0, 1e-200)
+    with pytest.raises(DomainError, match=r"Renyi rate underflows to 0 at sigma = 1e\+200, q = 0\.5: "):
+        rho_subsampled(1e200, 0.5)
 
 
 def test_gaussian_config():
@@ -889,6 +901,110 @@ def test_privacy_curve_validation():
         privacy_curve(config, 1e-5, [])
     with pytest.raises(DomainError):
         privacy_curve(config, 0.0, [10.0])
+
+
+def _gaussian_orders(sigma: float) -> RenyiCurve:
+    # the plain Gaussian's curve alpha/(2 sigma^2) at the integer orders 2-256
+    rho = rho_gaussian(sigma)
+    return RenyiCurve(range(2, 257), [rho * alpha for alpha in range(2, 257)])
+
+
+def test_renyi_curve_validation():
+    curve = RenyiCurve([2, 3.5], [0, 1.0])
+    assert curve.orders == (2.0, 3.5) and curve.divergences == (0.0, 1.0)
+    assert pickle.loads(pickle.dumps(curve)) == curve and copy.deepcopy(curve) == curve
+    for orders, divergences in (
+        ([], []), ([2.0], []), ([2.0, 3.0], [1.0]), (2.0, [1.0]),  # empty, unmatched, not a sequence
+        ([3.0, 2.0], [1.0, 1.0]), ([2.0, 2.0], [1.0, 1.0]),  # unsorted, duplicated
+        ([1.0], [1.0]), ([0.5], [1.0]), ([math.inf], [1.0]), ([math.nan], [1.0]), ([10**400], [1.0]),
+        ([2.0], [-1.0]), ([2.0], [math.nan]), ([2.0], [math.inf]), ([2.0], [-math.inf]),
+    ):
+        with pytest.raises(DomainError):
+            RenyiCurve(orders, divergences)
+    with pytest.raises(DomainError):  # _replace builds through the same checks
+        curve._replace(orders=(3.0, 2.0))
+    # the accountants take the linear curve as the rate itself; a rate that underflows is refused when built
+    assert GaussianConfig(sigma=20.0).curve == 0.00125
+    with pytest.raises(DomainError, match="underflows"):
+        GaussianConfig(sigma=1e200)
+
+
+@pytest.mark.parametrize(
+    "sigma, T, delta",
+    [(20.0, 1000, 1e-5), (1.0, 1, 1e-5), (4.0, 10**5, 1e-9), (50.0, 7, 0.1), (0.7, 300, 1e-3), (2.0, 10**6, 1e-12)],
+)
+def test_finite_curve_is_the_order_minimum(sigma, T, delta):
+    # on the plain Gaussian at integer orders, each accountant is the minimum
+    # over the orders of its own conversion of (alpha, T D(alpha)), at the
+    # lowest order on a tie; orders at or above 1/delta = 10 take the edge branch
+    curve = _gaussian_orders(sigma)
+    totals = [(alpha, T * d) for alpha, d in zip(curve.orders, curve.divergences)]
+    closed = acct_epsilon(curve, T, delta)
+    brute = min((epsilon_bound(a, g, delta).value, a) for a, g in totals)
+    assert (closed.epsilon, closed.argmin_alpha) == brute
+    assert closed.active_branch == epsilon_bound(brute[1], T * (rho_gaussian(sigma) * brute[1]), delta).active_branch
+    assert closed.mode == "closed_form"
+    assert ma_epsilon(curve, T, delta) == min(conversion.baseline_epsilon(a, g, delta) for a, g in totals)
+    # integer orders cannot beat the minimum over every order, which the rate's solve finds
+    continuous = acct_epsilon(rho_gaussian(sigma), T, delta).epsilon
+    assert closed.epsilon >= continuous * (1.0 - 1e-12)
+    assert closed.epsilon <= ma_epsilon(curve, T, delta)
+    exact = acct_epsilon(curve, T, delta, "exact")
+    assert (exact.epsilon, exact.argmin_alpha) == min((conversion.epsilon_exact(a, g, delta).value, a) for a, g in totals)
+    assert exact.epsilon <= closed.epsilon and exact.active_branch is None and exact.mode == "exact"
+    optimal = float(_gaussian_optimal_epsilon(math.sqrt(T) / sigma, delta))
+    assert exact.epsilon >= optimal
+
+
+def test_finite_curve_loses_to_the_continuous_order():
+    # sigma = 20, T = 1000, delta = 1e-5: the continuous minimum lies at alpha = 3.85
+    curve = _gaussian_orders(20.0)
+    closed = acct_epsilon(curve, 1000, 1e-5)
+    assert closed.argmin_alpha == 4.0 and closed.active_branch == "g_bound"
+    assert round(closed.epsilon, 4) == 8.0879 and round(acct_epsilon(0.00125, 1000, 1e-5).epsilon, 4) == 8.0784
+
+
+@pytest.mark.parametrize("sigma, delta", [(20.0, 1e-5), (1.0, 1e-5), (4.0, 1e-9), (50.0, 0.1)])
+def test_finite_curve_max_iterations(sigma, delta):
+    curve = _gaussian_orders(sigma)
+    for budget, modes in ((0.5, ("closed_form", "exact")), (6.0, ("closed_form", "exact")), (20.0, ("closed_form",))):
+        T_ma = ma_max_iterations(curve, budget, delta)
+        assert T_ma == 0 or ma_epsilon(curve, T_ma, delta) <= budget
+        assert ma_epsilon(curve, T_ma + 1, delta) > budget
+        for mode in modes:
+            T = max_iterations(curve, budget, delta, mode)
+            assert T == 0 or acct_epsilon(curve, T, delta, mode).epsilon <= budget
+            assert acct_epsilon(curve, T + 1, delta, mode).epsilon > budget
+            assert T >= T_ma
+
+
+def test_finite_curve_skips_orders_that_overflow():
+    curve = RenyiCurve([2.0, 3.0], [1.0, 1e308])
+    r = acct_epsilon(curve, 10, 1e-5)
+    assert r.argmin_alpha == 2.0 and r.epsilon == epsilon_bound(2.0, 10.0, 1e-5).value
+    assert ma_epsilon(curve, 10, 1e-5) == conversion.baseline_epsilon(2.0, 10.0, 1e-5)
+    # every order overflows
+    curve = RenyiCurve([2.0, 3.0], [1e10, 1e308])
+    for call in (
+        lambda: acct_epsilon(curve, 10**300, 1e-5),
+        lambda: acct_epsilon(curve, 10**300, 1e-5, "exact"),
+        lambda: ma_epsilon(curve, 10**300, 1e-5),
+    ):
+        with pytest.raises(DomainError, match=r"not finite at T\*D\(alpha\) = inf"):
+            call()
+
+
+def test_finite_curve_of_zero_divergence():
+    # no privacy loss at all: epsilon 0 at the lowest order, and every T meets a budget
+    curve = RenyiCurve([2.0, 8.0], [0.0, 0.0])
+    assert acct_epsilon(curve, 10**9, 1e-5) == AccountedEpsilon(0.0, 2.0, None, "closed_form")
+    assert acct_epsilon(curve, 10**9, 1e-5, "exact").epsilon == 0.0
+    with pytest.raises(InfeasibleError):
+        max_iterations(curve, 1.0, 1e-5)
+    # the baseline's conversion of 0 is log(1/delta)/(alpha - 1): no step fits a smaller budget
+    assert ma_max_iterations(curve, 1.0, 1e-5) == 0
+    with pytest.raises(InfeasibleError):
+        ma_max_iterations(curve, 2.0, 1e-5)
 
 
 _RHO = 0.00125  # sigma = 20

@@ -58,6 +58,8 @@ _MECHANISMS = {
     "brute_force_gamma": lambda alpha, eps, delta: rp.brute_force_gamma(alpha, eps, delta, rp.GridSpec(64, 64)),
     "verify_q_star": lambda alpha, eps, delta: rp.verify_q_star(alpha, eps, delta, rp.GridSpec(64, 64), n_p=16),
     "joint_range_containment": lambda alpha, eps: rp.joint_range_containment(alpha, eps, n_samples=16),
+    # an accountant on a finite curve, built in the call so that a curve refused when built counts too
+    "RenyiCurve": lambda name, orders, divergences, *args: getattr(rp, name)(rp.RenyiCurve(orders, divergences), *args),
 }
 
 
@@ -179,6 +181,55 @@ def test_closed_form_accountants_give_finite_fields_or_typed_errors(call):
 def test_exact_accountants_give_finite_fields_or_typed_errors(call):
     # fewer examples: each runs the numeric frontier at every order of a few order solves
     _check_finite_or_typed_error(*call)
+
+
+_BAD_ORDER = st.sampled_from((math.nan, math.inf, -math.inf, 1.0, 0.5, -2.0))
+_BAD_DIVERGENCE = st.sampled_from((math.nan, math.inf, -math.inf, -1.0, -5e-324))
+# divergences mostly positive: one D(alpha) = 0 lets any number of steps meet a budget the order's conversion of 0 meets
+_DIVERGENCE = st.one_of(_log_uniform(1e-300, 1e6), _BUDGET)
+
+
+@st.composite
+def _curve_calls(draw):
+    # one of the four accountants on a finite curve: mostly a valid one, with
+    # divergences up to DBL_MAX, where T D(alpha) overflows; otherwise one flaw:
+    # no orders, unsorted or duplicated orders, a bad value, or a divergence too few or too many
+    orders = sorted(set(draw(st.lists(_ALPHA, min_size=1, max_size=6))))
+    divergences = draw(st.lists(_DIVERGENCE, min_size=len(orders), max_size=len(orders)))
+    flaw = draw(st.sampled_from((None,) * 6 + ("empty", "unsorted", "duplicated", "order", "divergence", "length")))
+    at = draw(st.integers(0, len(orders) - 1))
+    if flaw == "empty":
+        orders, divergences = [], []
+    elif flaw == "unsorted":
+        orders, divergences = [*orders, 0.5 * (orders[0] + 1.0)], [*divergences, divergences[0]]
+    elif flaw == "duplicated":
+        orders, divergences = [*orders, orders[-1]], [*divergences, divergences[-1]]
+    elif flaw == "order":
+        orders[at] = draw(_BAD_ORDER)
+    elif flaw == "divergence":
+        divergences[at] = draw(_BAD_DIVERGENCE)
+    elif flaw == "length":
+        divergences = divergences[1:] if draw(st.booleans()) else [*divergences, 1.0]
+    name = draw(st.sampled_from(("acct_epsilon", "ma_epsilon", "max_iterations", "ma_max_iterations")))
+    # more budgets and deltas inside the accountants' domain than _BUDGET and _DELTA give, where the scan runs
+    budget = st.one_of(_log_uniform(1e-3, 1e3), _BUDGET)
+    args = (draw(_STEPS if name.endswith("epsilon") else budget), draw(st.one_of(_log_uniform(1e-300, 0.5), _DELTA)))
+    if not name.startswith("ma_"):
+        args = (*args, draw(st.sampled_from(("closed_form", "exact"))))
+    return name, orders, divergences, *args
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(call=_curve_calls())
+# every order's T D(alpha) overflows; zero divergences; subnormal ones, whose step estimate
+# overflows at a budget of DBL_MAX; no orders; a NaN divergence
+@example(call=("acct_epsilon", [2.0, 3.0], [1e300, 1e308], 10**9, 1e-5, "exact"))
+@example(call=("max_iterations", [2.0, 64.0], [0.0, 0.0], 1.0, 1e-5, "exact"))
+@example(call=("ma_max_iterations", [2.0, 1e6], [5e-324, 5e-324], sys.float_info.max, 0.5))
+@example(call=("ma_epsilon", [], [], 10, 1e-5))
+@example(call=("max_iterations", [2.0], [math.nan], 1.0, 1e-5, "closed_form"))
+def test_curve_accountants_give_finite_fields_or_typed_errors(call):
+    _check_finite_or_typed_error("RenyiCurve", call)
 
 
 @pytest.mark.filterwarnings("error")  # a numpy overflow on the way is a failure too
