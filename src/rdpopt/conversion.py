@@ -182,7 +182,7 @@ def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionRes
     # None for the edge and delta = 0
     if delta == 0.0:
         return ConversionResult(0.0, "exact_numeric"), None
-    edge = ConversionResult(max(epsilon - math.log1p(-delta), 0.0), "exact_numeric"), None
+    edge = ConversionResult(epsilon - math.log1p(-delta), "exact_numeric"), None
     if alpha * delta >= 1.0:
         return edge
     # the objective is log S(p), with
@@ -446,15 +446,15 @@ def _moment_shift(alpha: float, delta: float) -> float:
 
 def _chi_epsilon_piece(alpha: float, gamma: float, delta: float) -> float:
     # (1/(alpha-1)) log(1 + (e^{(alpha-1)gamma} - 1)/(alpha delta)),
-    # x = (alpha-1)gamma, c = alpha delta; log1p keeps expm1(x) << c exact, and
-    # where expm1(x)/c overflows c is negligible next to expm1(x)
+    # x = (alpha-1)gamma, c = alpha delta < 1.  Below x = 30 log1p keeps
+    # expm1(x) << c exact, and where expm1(x)/c overflows c is negligible next
+    # to expm1(x); from 30 on it is x + log1p((c - 1) e^-x) - log c, whose
+    # log1p term past x = 709 is below ulp(x)/2, x = inf included
     x = (alpha - 1.0) * gamma
     c = alpha * delta
     if x < 30.0:
         e = math.expm1(x)
         return (math.log1p(e / c) if e / c < math.inf else math.log(e) - math.log(c)) / (alpha - 1.0)
-    if x > 709.0:
-        return (x - math.log(c)) / (alpha - 1.0)
     return (x + math.log1p((c - 1.0) * math.exp(-x)) - math.log(c)) / (alpha - 1.0)
 
 

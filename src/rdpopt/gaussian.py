@@ -193,16 +193,26 @@ def ma_epsilon(curve: float | RenyiCurve, T: float, delta: float) -> float:
     minimum over its orders of the same conversion,
     T D(alpha) + log(1/delta)/(alpha - 1) (baseline_epsilon).
     """
-    if isinstance(curve, RenyiCurve):
-        _check_steps(T)
-        _check_delta(delta)
-        return _scan(curve, T, lambda a, g: (baseline_epsilon(a, g, delta), None))[0]
-    rho = curve
-    _check_positive(rho, "rho")
+    rho = _linear_rate(curve)
     _check_steps(T)
     _check_delta(delta)
+    if rho is None:
+        return _scan(curve, T, lambda a, g: (baseline_epsilon(a, g, delta), None))[0]
     s = rho * T
-    return _check_finite(s + math.sqrt(4.0 * s * math.log(1.0 / delta)), s)
+    big_l = math.log(1.0 / delta)
+    # 4 s L overflows from s near DBL_MAX/(4 L) on, where the root, taken in two parts, is still finite
+    root = math.sqrt(4.0 * s * big_l)
+    if root == math.inf:
+        root = math.sqrt(s) * math.sqrt(4.0 * big_l)
+    return _check_finite(s + root, s)
+
+
+def _linear_rate(curve: float | RenyiCurve) -> Optional[float]:
+    # the one kind check of an accountant call: None for a finite curve, else the rate, validated
+    if isinstance(curve, RenyiCurve):
+        return None
+    _check_positive(curve, "rho")
+    return curve
 
 
 def _check_steps(T: float) -> None:
@@ -435,21 +445,17 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
     certifies at the reported order, within 1e-10 of the crossing, or, where
     it certified none, at the closed-form answer and order.
     """
-    if isinstance(curve, RenyiCurve):
-        _check_steps(T)
-        _check_delta(delta)
-        _check_mode(mode)
+    rho = _linear_rate(curve)
+    _check_steps(T)
+    _check_delta(delta)
+    _check_mode(mode)
+    if rho is None:
         if mode == "closed_form":
             convert = lambda a, g: _epsilon_bound(a, g, delta)
         else:
             convert = lambda a, g: (epsilon_exact(a, g, delta).value, None)
         eps, branch, alpha = _scan(curve, T, convert)
         return AccountedEpsilon(eps, alpha, branch, mode)
-    rho = curve
-    _check_positive(rho, "rho")
-    _check_steps(T)
-    _check_delta(delta)
-    _check_mode(mode)
     rho_T = rho * T
     _check_finite(rho_T, rho_T)
     bound = lambda a: _epsilon_bound(a, rho_T * a, delta)
@@ -557,15 +563,13 @@ def max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float, mode
     acct_epsilon(T) <= epsilon < acct_epsilon(T + 1).
     """
     _check_budget(epsilon, delta)
-    if isinstance(curve, RenyiCurve):
-        _check_mode(mode)
-        steps = _most_steps(curve, lambda a: _gamma_of_epsilon_bound(a, epsilon, delta))
-        return _largest_T(lambda T: acct_epsilon(curve, T, delta, mode).epsilon, epsilon, steps)
-    rho = curve
-    _check_positive(rho, "rho")
+    rho = _linear_rate(curve)
     _check_mode(mode)
-    rho_T, _ = _largest_rate(epsilon, delta, mode)
-    return _largest_T(lambda T: acct_epsilon(rho, T, delta, mode).epsilon, epsilon, rho_T / rho)
+    if rho is None:
+        steps = _most_steps(curve, lambda a: _gamma_of_epsilon_bound(a, epsilon, delta))
+    else:
+        steps = _largest_rate(epsilon, delta, mode)[0] / rho
+    return _largest_T(lambda T: acct_epsilon(curve, T, delta, mode).epsilon, epsilon, steps)
 
 
 def ma_max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float) -> int:
@@ -576,12 +580,12 @@ def ma_max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float) -
     then checked like max_iterations.
     """
     _check_budget(epsilon, delta)
-    if isinstance(curve, RenyiCurve):
+    rho = _linear_rate(curve)
+    if rho is None:
         steps = _most_steps(curve, lambda a: epsilon + math.log(delta) / (a - 1.0))
-        return _largest_T(lambda T: ma_epsilon(curve, T, delta), epsilon, steps)
-    rho = curve
-    _check_positive(rho, "rho")
-    return _largest_T(lambda T: ma_epsilon(rho, T, delta), epsilon, _ma_rate(epsilon, delta) / rho)
+    else:
+        steps = _ma_rate(epsilon, delta) / rho
+    return _largest_T(lambda T: ma_epsilon(curve, T, delta), epsilon, steps)
 
 
 def _largest_T(eps_at, budget: float, estimate: float) -> int:

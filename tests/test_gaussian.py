@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -91,6 +92,14 @@ def test_ma_epsilon_limits():
     assert math.isclose(ma_epsilon(0.00125, 1000.0, 1.0 - 1e-12), 1.25, rel_tol=1e-5)
     # just above 1/DBL_MAX, log(1/delta) is still finite
     assert math.isfinite(ma_epsilon(0.00125, 1000.0, 1e-308))
+    # past rho*T = DBL_MAX/(4 log(1/delta)), about 3.9e306 at delta = 1e-5,
+    # 4 rho*T log(1/delta) overflows but the answer does not
+    assert ma_epsilon(4e307, 1, 1e-5) == 4e307
+    assert ma_epsilon(1.7e308, 1, 1e-5) == 1.7e308
+    big_l = math.log(1e5)
+    for s in (sys.float_info.max / (4.0 * big_l) * 0.999, sys.float_info.max / (4.0 * big_l) * 1.001):
+        want = s + math.sqrt(4.0 * s) * math.sqrt(big_l)
+        assert math.isclose(ma_epsilon(s, 1, 1e-5), want, rel_tol=1e-15), s
     with pytest.raises(DomainError):
         ma_epsilon(0.0, 10.0, 1e-5)
     with pytest.raises(DomainError):
@@ -696,6 +705,10 @@ def test_max_iterations_edge_cases():
     assert max_iterations(10.0, 1e-6, 1e-5) == 0
     counts = [ma_max_iterations(1.0 / 800.0, b, 1e-5) for b in (0.5, 1.0, 2.0, 4.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+    # a budget whose gallop passes rho*T = DBL_MAX/(4 log(1/delta))
+    T_ma = ma_max_iterations(5e299, 1e308, 1e-5)
+    assert T_ma == 200_000_000
+    assert ma_epsilon(5e299, T_ma, 1e-5) <= 1e308 < ma_epsilon(5e299, T_ma + 1, 1e-5)
     with pytest.raises(DomainError):
         max_iterations(0.001, 0.0, 1e-5)
 
@@ -782,18 +795,19 @@ def test_max_iterations_beyond_two_to_the_62():
 
 
 def test_total_rate_overflow_is_a_domain_error():
-    rho = rho_gaussian(1e-154)  # 5e307: finite, but rho * T overflows, or the answer does
+    rho = rho_gaussian(1e-154)  # 5e307: finite, but rho * T overflows
     for call in (
         lambda: acct_epsilon(rho, 1000, 1e-5),
         lambda: acct_epsilon(rho, 1000, 1e-5, "exact"),
         lambda: ma_epsilon(rho, 1000, 1e-5),
-        lambda: ma_epsilon(rho, 1, 1e-5),
-        lambda: privacy_curve(GaussianConfig(sigma=1e-154), 1e-5, [1, 2]),
+        lambda: privacy_curve(GaussianConfig(sigma=1e-154), 1e-5, [1, 2, 4]),
     ):
         with pytest.raises(DomainError, match=r"not finite at rho\*T = "):
             call()
     # every finite total rate still gets an answer
     assert math.isfinite(acct_epsilon(rho, 1, 1e-5).epsilon)
+    assert ma_epsilon(rho, 1, 1e-5) == 5e307
+    assert [row.eps_ma for row in privacy_curve(GaussianConfig(sigma=1e-154), 1e-5, [1, 2])] == [5e307, 1e308]
 
 
 def test_ma_required_variance():
@@ -1005,6 +1019,55 @@ def test_finite_curve_of_zero_divergence():
     assert ma_max_iterations(curve, 1.0, 1e-5) == 0
     with pytest.raises(InfeasibleError):
         ma_max_iterations(curve, 2.0, 1e-5)
+
+
+def test_accountants_check_arguments_in_order():
+    # each call has two or more bad arguments, so its first message fixes the
+    # order of the checks: ma_epsilon and acct_epsilon check the curve, T,
+    # delta and then the mode; max_iterations the budget, the curve and then
+    # the mode; ma_max_iterations the budget and then the curve.  A finite
+    # curve skips only the rate's check
+    curve = RenyiCurve([2.0], [1.0])
+    cases = [
+        (lambda: ma_epsilon(0.0, 0, 2.0), "rho must be finite and > 0, got 0.0"),
+        (lambda: ma_epsilon(1.0, 0, 2.0), "T must be >= 1, got 0"),
+        (lambda: ma_epsilon(curve, 0, 2.0), "T must be >= 1, got 0"),
+        (lambda: ma_epsilon(1.0, 1, 2.0), "delta must lie in (0, 1), got 2.0"),
+        (lambda: ma_epsilon(curve, 1, 2.0), "delta must lie in (0, 1), got 2.0"),
+        (lambda: acct_epsilon(0.0, 0, 2.0, "x"), "rho must be finite and > 0, got 0.0"),
+        (lambda: acct_epsilon(curve, 0, 2.0, "x"), "T must be >= 1, got 0"),
+        (lambda: acct_epsilon(1.0, 10**400, 0.0, "x"), "T must be at most DBL_MAX"),
+        (lambda: acct_epsilon(curve, 10**400, 0.0, "x"), "T must be at most DBL_MAX"),
+        (lambda: acct_epsilon(1.0, 1, 1e-310, "x"), "delta must be at least 1/DBL_MAX"),
+        (lambda: acct_epsilon(curve, 1, 2.0, "x"), "delta must lie in (0, 1), got 2.0"),
+        (lambda: acct_epsilon(1.0, 1, 1e-5, "x"), "mode must be one of"),
+        (lambda: acct_epsilon(curve, 1, 1e-5, "x"), "mode must be one of"),
+        (lambda: max_iterations(0.0, 0.0, 1e-5, "x"), "epsilon budget must be finite and > 0, got 0.0"),
+        (lambda: max_iterations(curve, 0.0, 2.0, "x"), "epsilon budget must be finite and > 0, got 0.0"),
+        (lambda: max_iterations(0.0, 1.0, 2.0, "x"), "delta must lie in (0, 1), got 2.0"),
+        (lambda: max_iterations(curve, 1.0, 1e-310, "x"), "delta must be at least 1/DBL_MAX"),
+        (lambda: max_iterations(0.0, 1.0, 1e-5, "x"), "rho must be finite and > 0, got 0.0"),
+        (lambda: max_iterations(curve, 1.0, 1e-5, "x"), "mode must be one of"),
+        (lambda: ma_max_iterations(0.0, 0.0, 0.0), "epsilon budget must be finite and > 0, got 0.0"),
+        (lambda: ma_max_iterations(curve, 0.0, 0.0), "epsilon budget must be finite and > 0, got 0.0"),
+        (lambda: ma_max_iterations(0.0, 1.0, 0.0), "delta must lie in (0, 1), got 0.0"),
+        (lambda: ma_max_iterations(curve, 1.0, 0.0), "delta must lie in (0, 1), got 0.0"),
+        (lambda: ma_max_iterations(math.nan, 1.0, 1e-5), "rho must be finite and > 0, got nan"),
+    ]
+    for call, first in cases:
+        with pytest.raises(DomainError, match=re.escape(first)):
+            call()
+    # a rate that is not a number at all is a TypeError, where a bad rate is named
+    for call in (
+        lambda: ma_epsilon("x", 0, 2.0),
+        lambda: acct_epsilon("x", 0, 2.0, "x"),
+        lambda: max_iterations("x", 1.0, 1e-5, "x"),
+        lambda: ma_max_iterations("x", 1.0, 1e-5),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(DomainError, match="epsilon budget"):
+        max_iterations("x", 0.0, 1e-5, "x")
 
 
 _RHO = 0.00125  # sigma = 20

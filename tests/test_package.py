@@ -148,8 +148,9 @@ def test_records_are_immutable():
         ),
         (rdpopt.GaussianConfig(sigma=4.0, subsampling_q=0.01), ("sigma", "subsampling_q")),
         (rdpopt.GridSpec(), ("n_coarse", "n_refine")),
+        (rdpopt.RenyiCurve([2.0, 3.0], [0.5, 0.75]), ("orders", "divergences")),
     ]
-    assert len({type(record) for record, _ in records}) == 7
+    assert len({type(record) for record, _ in records}) == 8
     for record, fields in records:
         for name in (*fields, "no_such_field"):
             with pytest.raises(AttributeError):
