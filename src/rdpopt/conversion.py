@@ -271,11 +271,28 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     gamma_exact's default search, and delta is found to within
     DEFAULT_ABS_TOL relative to the bound, so small deltas keep
     their digits.
+
+    No frontier solve runs where a closed-form tail bound certifies the
+    bound.  Where its moment piece d_g wins, the frontier there lies in
+    [g, g + eta], with g = eps - log(zeta(alpha)/d_g)/(alpha - 1) = gamma
+    the moment piece and eta = log1p(r)/(alpha - 1), r the tail atom over the
+    head atom at p = alpha d_g: the head atom alone is least at that p, where
+    it gives g, and both atoms there bound the minimum from above.  The
+    frontier's slope in delta there is about 1/((alpha - 1) d_g), so where
+    (alpha - 1) eta <= DEFAULT_ABS_TOL/16 the search's first step is within
+    its tolerance, and d_g is returned as the search would return it.
+    Soundness does not rest on this: d_g is delta_bound, an upper bound
+    wherever it is returned.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
+    bound, branch = _delta_bound(alpha, gamma, epsilon)
+    # the tail bound needs alpha * bound < 1; a bound above top is searched from top
+    if branch == "g_bound" and alpha * bound < 1.0 and bound < top:
+        if (alpha - 1.0) * _tail_excess(alpha, epsilon, bound) <= DEFAULT_ABS_TOL / 16.0:
+            return ConversionResult(bound, "exact_numeric")
     solved = {}  # frontier value by delta: an answer of top was the search's first point
 
     def frontier(d: float) -> tuple[float, float]:
@@ -283,7 +300,7 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         solved[d] = r.value
         return r.value, _envelope(alpha, epsilon, d, state)[1]
 
-    hi = min(delta_bound(alpha, gamma, epsilon).value, top)
+    hi = min(bound, top)
     d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi)
     if d == top and solved[top] < gamma:
         raise InfeasibleError(
@@ -314,11 +331,17 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     positive float.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
+    value, branch = _delta_bound(alpha, gamma, epsilon)
+    return ConversionResult(value, "closed_form_bound", active_branch=branch)
+
+
+def _delta_bound(alpha: float, gamma: float, epsilon: float) -> tuple[float, Branch]:
+    # delta_bound's value and winning branch, for arguments already checked.
     # 1 - e^(eps - gamma), which can reach 1/alpha only when eps < gamma; the
     # exponent is capped at 0 so that a large eps - gamma does not overflow
     d_closed = -math.expm1(min(epsilon - gamma, 0.0))
     if d_closed >= 1.0 / alpha:
-        return ConversionResult(d_closed, "closed_form_bound", active_branch="alpha_delta_ge_1")
+        return d_closed, "alpha_delta_ge_1"
     d_g = math.exp(_log_zeta(alpha) - (alpha - 1.0) * (epsilon - gamma))
     cap = (1.0 / alpha) * (1.0 - 1e-12)
     if gamma <= _f_lower_bound(alpha, epsilon, min(cap, d_g))[0]:
@@ -334,8 +357,7 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
         d_f = 1.0 / alpha
     value = min(d_g, d_f)
     branch: Branch = "g_bound" if d_g <= d_f else "f_bound"
-    value = _no_false_zero(min(value, 1.0 - 1e-15), gamma)
-    return ConversionResult(value, "closed_form_bound", active_branch=branch)
+    return _no_false_zero(min(value, 1.0 - 1e-15), gamma), branch
 
 
 def _no_false_zero(delta: float, gamma: float) -> float:
@@ -354,18 +376,31 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     dominates gamma, and the bound itself when the frontier there falls
     short of gamma by rounding, so the answer never exceeds epsilon_bound.
     Each frontier solve is gamma_exact's default search, and epsilon is
-    found to DEFAULT_ABS_TOL: one frontier solve an answer where the
-    bound is tight, usually two to four elsewhere.
+    found to DEFAULT_ABS_TOL: none where a closed-form tail bound certifies
+    the bound, usually two to four elsewhere.  Where the bound's moment
+    piece wins, at eps_b = gamma + log(zeta(alpha)/delta)/(alpha - 1), the
+    frontier lies in [g, g + eta], with g = eps_b - log(zeta(alpha)/delta)/(alpha - 1)
+    = gamma the moment piece and eta = log1p(r)/(alpha - 1), r the tail atom
+    over the head atom at p = alpha delta: the head atom alone is least at
+    that p, where it gives g, and both atoms there bound the minimum from
+    above.  Where eta <= DEFAULT_ABS_TOL/16 the frontier at eps_b exceeds
+    gamma by less than the search's tolerance, its slope in eps being about
+    1 where the tail atom is that small, so the search would stop at its
+    first point, and eps_b is returned with no solve.  Soundness does not
+    rest on this: eps_b is an upper bound wherever it is returned.
     """
     _check_alpha_gamma_delta(alpha, gamma, delta)
     if gamma == 0.0:
         return ConversionResult(0.0, "exact_numeric")
+    bound, branch = _epsilon_bound(alpha, gamma, delta)
+    if branch == "g_bound" and _tail_excess(alpha, bound, delta) <= DEFAULT_ABS_TOL / 16.0:
+        return ConversionResult(bound, "exact_numeric")
 
     def frontier(e: float) -> tuple[float, float]:
         r, state = _frontier(alpha, e, delta)
         return r.value, _envelope(alpha, e, delta, state)[0]
 
-    eps = _newton_invert(frontier, gamma, 0.0, _epsilon_bound(alpha, gamma, delta)[0], DEFAULT_ABS_TOL)
+    eps = _newton_invert(frontier, gamma, 0.0, bound, DEFAULT_ABS_TOL)
     return ConversionResult(eps, "exact_numeric")
 
 
@@ -477,6 +512,22 @@ def _moment_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:
     # the moment piece inverted in gamma: the largest gamma at which it is at
     # most epsilon > 0, and gamma_bound's moment piece of the frontier
     return epsilon - _moment_shift(alpha, delta)
+
+
+def _tail_excess(alpha: float, epsilon: float, delta: float) -> float:
+    # eta = log1p(r)/(alpha - 1), r the tail atom of _objective over its head
+    # atom at p = alpha delta < 1, t = log((alpha - 1) delta): the frontier
+    # lies in [g, g + eta], g = _moment_gamma_piece.  The head atom is least
+    # there, at delta/zeta(alpha), so g is the minimum with the tail dropped,
+    # and the two atoms' sum there is an upper bound
+    c = alpha - 1.0
+    log_r = (
+        alpha * math.log1p(-alpha * delta)
+        - c * (epsilon + math.log1p(-c * delta * math.exp(-epsilon)))
+        - math.log(delta)
+        + _log_zeta(alpha)
+    )
+    return log_add(0.0, log_r) / c
 
 
 def _chi_gamma_piece(alpha: float, epsilon: float, delta: float) -> float:

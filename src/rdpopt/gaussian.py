@@ -270,24 +270,37 @@ class AccountedEpsilon(NamedTuple):
     mode: str
 
 
-def _order_range(delta: float) -> tuple[float, float]:
+# The lowest u = log(alpha - 1) an order solve searches.  1 + e^u rounds to
+# 1 below u = log(2^-53) = -36.7, and just above it to 1 + 2^-52, the lowest
+# float order above 1.  The moment piece, its slopes and its inverse in
+# gamma stay within 1.3 ulps of 60-digit mpmath at the float order down to
+# that lowest order (400 seeded points near the optimum, alpha - 1 from 2^-52
+# to 3e-5), so the closed-form solves search down to it.  Exact mode's
+# rate stops at alpha - 1 = 1e-6: see _exact_rate
+_FLOAT_FLOOR = -36.5
+_EXACT_FLOOR = math.log(1e-6)
+
+
+def _order_range(delta: float, floor: float = _FLOAT_FLOOR) -> tuple[float, float]:
     # the range of u = log(alpha - 1) that the order scans search, alpha in
     # (1, 1/delta): in log(alpha - 1), orders near 1 and near 1/delta get
-    # comparable resolution.  1 + e^u rounds to 1 below u = log(2^-53) = -36.7,
-    # which the scan would reach within a few ulps of delta = 1, where
-    # u_hi >= log(2^-52) = -36.04
+    # comparable resolution.  It starts at floor, or one unit below u_hi
+    # where delta is so near 1 that that is lower, but never below
+    # _FLOAT_FLOOR, which u_hi >= log(2^-52) = -36.04 stays above
     u_hi = math.log(1.0 / delta - 1.0)
-    return max(min(math.log(1e-6), u_hi - 1.0), -36.5), u_hi
+    return max(min(floor, u_hi - 1.0), _FLOAT_FLOOR), u_hi
 
 
-def _solve_orders(piece, objective, delta: float, start: float, tol: float = DEFAULT_ABS_TOL) -> tuple[float, float]:
+def _solve_orders(
+    piece, objective, delta: float, start: float, tol: float = DEFAULT_ABS_TOL, floor: float = _FLOAT_FLOOR
+) -> tuple[float, float]:
     # minimize over alpha in (1, 1/delta] an objective that below alpha =
     # 1/delta is at most piece, a function of u = log(alpha - 1) returning its
     # value and its first and second derivatives in u, or a positive multiple
     # of the slope with a curvature that gives the same Newton step at the
     # minimum (_rate_piece).  The piece's minimum is the crossing of its slope
     # with 0, found by _newton_invert's bracketed Newton steps from the order
-    # start over _order_range, to tol in u; the order of the smallest value
+    # start over _order_range from floor, to tol in u; the order of the smallest value
     # any step evaluated is compared with the end under objective, as in
     # _end_order.  A piece still falling at the top of the range loses to the
     # end, where each conversion's edge value is at most the piece's limit.
@@ -311,15 +324,23 @@ def _solve_orders(piece, objective, delta: float, start: float, tol: float = DEF
     # whole ranges, and tests/test_gaussian.py keeps sampling them, exact
     # mode's rate against a 256-order sample.  Where a piece's curvature is
     # not positive, the Newton step bisects instead
-    u_lo, u_hi = _order_range(delta)
+    u_lo, u_hi = _order_range(delta, floor)
     start = min(max(start, u_lo), u_hi)
     best, best_u = math.inf, start
+    # float orders near 1 lie 2^-52 apart, so below alpha - 1 = 2^-51/tol two
+    # of them span more than tol in u, and a Newton step may never get within
+    # tol.  There a step within two float orders ends the search: the order it
+    # would reach is within one of the order evaluated, where the piece, near
+    # quadratic in alpha, differs by about 2^-52 relative at most
+    u_coarse = math.log(2.0**-51 / tol)
 
     def slope(u: float) -> tuple[float, float]:
         nonlocal best, best_u
         value, first, second = piece(u)
         if value < best:
             best, best_u = value, u
+        if u < u_coarse and abs(first) * math.exp(u) <= 2.0**-51 * second:
+            return 0.0, second
         return first, second
 
     _newton_invert(slope, 0.0, u_lo, u_hi, tol, start=start)
@@ -499,7 +520,9 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
     # alpha = 1/delta for delta below about 2e-103).  The solve stops at 1e-6
     # in u rather than DEFAULT_ABS_TOL's 1e-10: the slope carries
     # gamma_exact's rounding, which the curvature divides into steps of about
-    # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5
+    # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5.
+    # It searches no order below alpha - 1 = 1e-6 (_EXACT_FLOOR): nearer 1,
+    # gamma_exact is rounding noise wherever gamma (alpha - 1) nears 1e-16
     solves: dict[float, tuple[ConversionResult, tuple]] = {}
 
     def solve(alpha: float) -> tuple[ConversionResult, tuple]:
@@ -520,7 +543,7 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
         second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + r.value * c * (1.0 - a) / alpha) / alpha
         return -r.value / alpha, first, second
 
-    alpha, _ = _solve_orders(piece, neg_rate, delta, math.log(centre - 1.0), 1e-6)
+    alpha, _ = _solve_orders(piece, neg_rate, delta, math.log(centre - 1.0), 1e-6, _EXACT_FLOOR)
     return (alpha, *solves[alpha])
 
 

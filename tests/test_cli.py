@@ -301,6 +301,17 @@ def test_compose_record(capsys):
     assert results["gap"] > 0.7
 
 
+def test_compose_tiny_sigma_beats_the_moments_accountant(capsys):
+    # the moments accountant's order alpha - 1 = sqrt(log(1/delta)/rho T) is
+    # 4.8e-7 here, below exact mode's floor of 1e-6, where the closed-form
+    # order solve once stopped and printed gap -13 527 651.5
+    code, out, _ = run_cli(capsys, "compose", "--sigma", "1e-7", "--T", "1", "--delta", "1e-5")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["gap"] >= 0.0
+    assert results["eps_ours"]["argmin_alpha"] - 1.0 < 1e-6
+
+
 def test_compose_subsampled(capsys):
     code, out, _ = run_cli(capsys, "compose", "--sigma", "4", "--q", "0.001", "--T", "1000", "--delta", "1e-5")
     assert code == 0

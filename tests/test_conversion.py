@@ -81,7 +81,9 @@ def test_hoisted_objective_is_bit_identical():
 
 def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
     # each inversion starts from a closed form and takes Newton steps; a
-    # bisection to the same tolerance costs about 38 frontier solves an answer
+    # bisection to the same tolerance costs about 38 frontier solves an answer.
+    # Where the tail bound certifies the moment piece none runs, and the answer
+    # is the closed-form bound, which reaches gamma
     solves = 0
     real = conversion._frontier
 
@@ -91,25 +93,92 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(conversion, "_frontier", counted)
-    eps_solves, delta_solves = [], []
+    eps_solves, delta_solves, unsolved = [], [], []
     for alpha, gamma, delta in sample_small_delta_triples(rng, 40):
         solves = 0
-        epsilon_exact(alpha, gamma, delta)
+        e = epsilon_exact(alpha, gamma, delta).value
         eps_solves.append(solves)
+        if not solves:
+            unsolved.append((alpha, gamma, e, delta, e == epsilon_bound(alpha, gamma, delta).value))
     for alpha, eps, delta in sample_triples(rng, 40):
         gamma = gamma_exact(alpha, eps, delta).value
         solves = 0
-        epsilon_exact(alpha, gamma, delta)
+        e = epsilon_exact(alpha, gamma, delta).value
         eps_solves.append(solves)
+        if not solves:
+            unsolved.append((alpha, gamma, e, delta, e == epsilon_bound(alpha, gamma, delta).value))
         solves = 0
-        delta_exact(alpha, gamma, eps)
+        d = delta_exact(alpha, gamma, eps).value
         delta_solves.append(solves)
+        if not solves:
+            unsolved.append((alpha, gamma, eps, d, d == delta_bound(alpha, gamma, eps).value))
     # both take Newton steps from their closed-form bound (epsilon_exact about
-    # 1.2 solves an answer here, 4.7 with secant steps; delta_exact about 1.3,
-    # 4.0 with secant steps)
-    assert min(eps_solves) >= 1 and min(delta_solves) >= 1
+    # 0.7 solves an answer here, none on 38 of 80, 4.7 with secant steps;
+    # delta_exact about 1.05, none on 6 of 40, 4.0 with secant steps)
+    assert unsolved
+    for alpha, gamma, eps, delta, at_bound in unsolved:
+        assert at_bound and gamma_exact(alpha, eps, delta).value >= gamma, (alpha, gamma, eps, delta)
     assert sum(eps_solves) / len(eps_solves) <= 3.0
     assert sum(delta_solves) / len(delta_solves) <= 3.0
+
+
+def _inversion_inputs(rng, n):
+    # n (alpha, gamma, delta) for epsilon_exact and n (alpha, gamma, eps) for
+    # delta_exact from the exact workload's ranges (alpha in (1, 50], gamma
+    # and eps in [0, 5], delta below min(0.5, 0.999/alpha)), and as many from
+    # the extreme ranges of tests/test_optimize.py: alpha - 1 in [1e-9, 1e3],
+    # delta in [1e-300, 0.5], eps 0 or in [1e-6, 50], gamma in [1e-14, 30]
+    eps_args, delta_args = [], []
+    for _ in range(n):
+        alpha = 1.0 + 49.0 * max(rng.uniform(), 1e-6)
+        delta = (1e-8 + (1.0 - 1e-8) * rng.uniform()) * min(0.5, 0.999 / alpha)
+        eps_args.append((alpha, 5.0 * rng.uniform(), delta))
+        delta_args.append((1.0 + 49.0 * max(rng.uniform(), 1e-6), 5.0 * rng.uniform(), 5.0 * rng.uniform()))
+        alpha = 1.0 + 10.0 ** rng.uniform(-9.0, 3.0)
+        delta = 10.0 ** rng.uniform(-300.0, math.log10(0.5))
+        eps = 0.0 if rng.uniform() < 0.5 else 10.0 ** rng.uniform(-6.0, math.log10(50.0))
+        gamma = 10.0 ** rng.uniform(-14.0, math.log10(30.0))
+        eps_args.append((alpha, gamma, delta))
+        delta_args.append((alpha, gamma, eps))
+    return eps_args, delta_args
+
+
+def test_tail_certificate_changes_no_answer(monkeypatch):
+    # where the tail bound certifies the moment piece, epsilon_exact and
+    # delta_exact return their closed-form bound with no frontier solve: the
+    # answer the search would have stopped at on its first point.  With the
+    # certificate never holding they solve as before and give the same bits
+    eps_args, delta_args = _inversion_inputs(np.random.default_rng(45), 1500)
+    solves = 0
+    real = conversion._frontier
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return real(*args)
+
+    def answers(fn, args):
+        nonlocal solves
+        out, unsolved = [], 0
+        for a in args:
+            solves = 0
+            try:
+                out.append(fn(*a).value)
+            except InfeasibleError as e:
+                out.append(str(e))
+            unsolved += solves == 0
+        return out, unsolved
+
+    monkeypatch.setattr(conversion, "_frontier", counted)
+    eps_got, eps_unsolved = answers(epsilon_exact, eps_args)
+    delta_got, delta_unsolved = answers(delta_exact, delta_args)
+    monkeypatch.setattr(conversion, "_tail_excess", lambda *args: math.inf)
+    assert answers(epsilon_exact, eps_args)[0] == eps_got
+    assert answers(delta_exact, delta_args)[0] == delta_got
+    # 1 221 of the 3 000 epsilon_exact answers took no solve here (16 of them
+    # take none without the certificate either), and 422 of the 3 000
+    # delta_exact answers
+    assert eps_unsolved >= 1000 and delta_unsolved >= 300, (eps_unsolved, delta_unsolved)
 
 
 def test_inversion_inside_its_tolerance_takes_few_solves(monkeypatch):
@@ -344,6 +413,31 @@ def test_gamma_exact_keeps_its_digits_near_order_one():
             want = float(_mpmath_gamma(1.0 + a, eps, delta))
             got = gamma_exact(1.0 + a, eps, delta).value
             assert abs(got - want) <= 1e-13 * max(eps, want), (a, eps, delta, got - want)
+
+
+def test_frontier_lies_within_the_tail_bound_of_the_moment_piece():
+    # dropping the tail atom leaves the moment piece g, whose head atom is
+    # least at p = alpha delta, and the two atoms there bound the minimum from
+    # above: g <= gamma <= g + eta (conversion._tail_excess).  Half the points
+    # take eps from Balle et al.'s conversion of a gamma in (0, 30], where
+    # epsilon_exact reads eta, and half eps in [0, 5], where delta_exact does.
+    # The bound is tight where eta <= 1e-10, below the searches' tolerance
+    rng = np.random.default_rng(44)
+    tight = 0
+    for k in range(48):
+        alpha = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(49.0))
+        delta = 10.0 ** rng.uniform(-30.0, math.log10(0.5 / alpha))
+        if k % 2:
+            eps = 5.0 * rng.uniform()
+        else:
+            eps = balle_epsilon(alpha, 30.0 * rng.uniform(0.01, 1.0), delta)
+        g = conversion._moment_gamma_piece(alpha, eps, delta)
+        eta = conversion._tail_excess(alpha, eps, delta)
+        want = float(_mpmath_gamma(alpha, eps, delta))
+        slack = 4.0 * math.ulp(max(eps, abs(g), eta))
+        assert g - slack <= want <= g + eta + slack, (alpha, eps, delta, want - g, eta)
+        tight += eta <= 1e-10
+    assert tight >= 10, tight  # 13 here
 
 
 def _count_objective_evaluations(monkeypatch):

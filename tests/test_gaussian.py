@@ -273,15 +273,15 @@ def _mp_rate_piece(eps: float, delta: float):
     return moment_rate
 
 
-def _slope_inputs():
+def _slope_inputs(floor=gaussian._FLOAT_FLOOR):
     # 60 seeded (rate or budget, delta), half moderate and half from 1e+-100
-    # with delta down to 1e-300, and four orders across the range each
+    # with delta down to 1e-300, and four orders across the range from floor each
     rng = random.Random(24)
     for k in range(60):
         wide = k % 2
         par = _log_uniform(rng, 1e-100, 1e100) if wide else _log_uniform(rng, 1e-8, 50.0)
         delta = _log_uniform(rng, 1e-300 if wide else 1e-30, 0.9)
-        u_lo, u_hi = gaussian._order_range(delta)
+        u_lo, u_hi = gaussian._order_range(delta, floor)
         yield par, delta, [u_lo + frac * (u_hi - u_lo) for frac in (0.0, 0.3, 0.7, 0.99)]
 
 
@@ -317,10 +317,12 @@ def test_rate_pieces_steer_by_the_rate_slope():
     # -gamma_alpha(eps)/alpha wherever that derivative is above 1e-12 of the
     # rate (below it the rate is flat to rounding), and 0.01 either side of
     # the piece's maximum its Newton step agrees with that derivative's to
-    # 5%: the two differ by about 2% there, in proportion to the distance
+    # 5%: the two differ by about 2% there, in proportion to the distance.
+    # Orders from alpha - 1 = 1e-6: below it the maxima of huge budgets are
+    # flat to 1e-12 of the rate, where neither check applies
     checked = near = 0
-    for eps, delta, us in _slope_inputs():
-        u_lo, u_hi = gaussian._order_range(delta)
+    for eps, delta, us in _slope_inputs(gaussian._EXACT_FLOOR):
+        u_lo, u_hi = gaussian._order_range(delta, gaussian._EXACT_FLOOR)
         piece = gaussian._rate_piece(eps, delta)
         u_max = gaussian._newton_invert(lambda u: piece(u)[1:], 0.0, u_lo, u_hi, DEFAULT_ABS_TOL)
         around = [u_max - 0.01, u_max + 0.01]
@@ -422,6 +424,29 @@ def test_acct_epsilon_beats_ma_baseline():
     assert acct_epsilon(1.0 / 800.0, 100.0, 1e-5).epsilon <= 2.5242629560940406
 
 
+def test_closed_form_orders_reach_the_lowest_float_order():
+    # from rho T = L 1e12 on, L = log(1/delta), the moments accountant's order
+    # alpha - 1 = sqrt(L / rho T) lies below exact mode's floor of 1e-6.  The
+    # closed-form solves search down to alpha - 1 = 2^-52, so closed form stays
+    # at the moments accountant or below it; with the floor at 1e-6 this gave
+    # 46 000 057 512 910.65
+    r = acct_epsilon(1.0, 4.6e13, 1e-5)
+    assert r.epsilon <= ma_epsilon(1.0, 4.6e13, 1e-5) == 46000046025843.67
+    assert r.argmin_alpha - 1.0 < 1e-6
+    # on a sweep up to rho T = 1e300 the two agree to rounding, 4 ulps at most:
+    # the moment piece lies below the moments accountant's conversion by
+    # about log(1/(alpha - 1)), a few ulps of rho T, and past rho T = L 2^104
+    # the accountant's order lies nearer 1 than 1 + 2^-52.  The same holds for
+    # the largest rate and its variance
+    rng = random.Random(44)
+    for _ in range(300):
+        delta = _log_uniform(rng, 1e-300, 0.5)
+        rho_T = _log_uniform(rng, 1e12, 1e300)
+        assert acct_epsilon(rho_T, 1, delta).epsilon <= ma_epsilon(rho_T, 1, delta) * (1.0 + 2.0**-50), (rho_T, delta)
+        sigma_sq = required_variance(1, rho_T, delta).sigma_sq
+        assert sigma_sq <= ma_required_variance(1, rho_T, delta) * (1.0 + 2.0**-50), (rho_T, delta)
+
+
 def test_acct_epsilon_negligible_rate():
     assert acct_epsilon(1e-15, 1.0, 0.5).epsilon <= 1e-9
 
@@ -471,7 +496,7 @@ def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
         return min(bisect_reference(frontier, gamma, 0.0, hi, 1e-9), bound)
 
     eps_at_u = lambda u: eps_at(1.0 + math.exp(u))
-    us = np.linspace(*gaussian._order_range(delta), 64).tolist()
+    us = np.linspace(*gaussian._order_range(delta, gaussian._EXACT_FLOOR), 64).tolist()
     values = [eps_at_u(u) for u in us]
     i = int(np.argmin(values))
     _, refined = minimize_unimodal(eps_at_u, us[max(i - 1, 0)], us[min(i + 1, 63)], 1e-6)
@@ -545,7 +570,7 @@ def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
             solves[alpha] = conversion._frontier(alpha, epsilon, delta)
         return -solves[alpha][0].value / alpha
 
-    u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta), 1e-6)
+    u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta, gaussian._EXACT_FLOOR), 1e-6)
     alpha, _ = gaussian._end_order(1.0 + math.exp(u), neg_rate, delta)
     r, state = solves[alpha]
     return alpha, r, conversion._envelope(alpha, epsilon, delta, state)
@@ -590,7 +615,7 @@ def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
         neg_rate = lambda a: -gamma_exact(a, eps, delta).value / a
         alpha, r, _ = gaussian._exact_rate(eps, delta, gaussian._largest_rate(eps, delta, "closed_form")[1])
         value = -r.value / alpha
-        sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta), 256).tolist())
+        sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta, gaussian._EXACT_FLOOR), 256).tolist())
         assert value <= sample + 1e-9 * abs(sample), (eps, delta, value - sample)
 
 
@@ -599,12 +624,12 @@ def _count_order_steps(monkeypatch) -> list[int]:
     steps = [0]
     real = gaussian._solve_orders
 
-    def counted(piece, objective, delta, start, tol=DEFAULT_ABS_TOL):
+    def counted(piece, objective, delta, start, *rest):
         def step(u):
             steps[0] += 1
             return piece(u)
 
-        return real(step, objective, delta, start, tol)
+        return real(step, objective, delta, start, *rest)
 
     monkeypatch.setattr(gaussian, "_solve_orders", counted)
     return steps
