@@ -29,8 +29,6 @@ from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegati
 from .errors import _check_alpha_eps_delta, _check_alpha_gamma_delta, _check_alpha_gamma_eps
 from .optimize import DEFAULT_ABS_TOL, _newton_invert, log_add
 
-_LOG_TINY = math.log(math.ulp(0.0))  # the smallest t with e^t > 0
-
 Method = Literal["exact_numeric", "closed_form_bound"]
 Branch = Literal["alpha_delta_ge_1", "g_bound", "f_bound", "chi_bound"]
 
@@ -79,7 +77,9 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], 
     # with its slopes and its near-one form, all from the same terms: a search
     # builds it once and evaluates it hundreds of times.  With s = e^t and
     # H = log1p(delta/s), the head atom's log is head = t + alpha H, so that
-    # no two large terms cancel at tiny delta, and the tail atom's is
+    # no two large terms cancel at tiny delta; where s is subnormal or 0, and
+    # so has lost its digits, H = log1p(e^-(t - log delta)) from t itself.
+    # The tail atom's log is
     # tail = alpha log(1 - p) + (1 - alpha) log_rest, with
     # log(1 - p) = log(1 - delta) + log1p(-s/(1 - delta)), finite for every
     # s < 1 - delta, and log_rest = log(e^eps - s) = eps + log1p(-z),
@@ -112,11 +112,17 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], 
     log_keep = log1p(-delta)
     keep = 1.0 - delta
     log_delta = math.log(delta) if delta > 0.0 else -math.inf
+    tiny = sys.float_info.min
     near_one = 1e-12 <= c < 1.0
 
     def objective(t: float) -> tuple[float, ...]:
         s = exp(t)
-        h = log1p(delta / s) if s > 0.0 else math.inf
+        odds = t - log_delta
+        e = exp(-abs(odds))
+        if s >= tiny:
+            h = log1p(delta / s)
+        else:
+            h = log1p(e) - odds if odds < 0.0 else log1p(e)
         head = t + alpha * h
         z = s * exp_neg_eps
         log_z = log1p(-z)
@@ -128,8 +134,6 @@ def _objective(alpha: float, epsilon: float, delta: float) -> Callable[[float], 
         # log_add(head, tail), inlined on this hot path; tail may be -inf, head +inf
         big, small = (head, tail) if head >= tail else (tail, head)
         value = big + log1p(exp(small - big))
-        odds = t - log_delta
-        e = exp(-abs(odds))
         k = 1.0 / (1.0 + e)
         r, q = (k, e * k) if odds >= 0.0 else (e * k, k)
         a = r - c * q
@@ -160,7 +164,8 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
 
     The interior search runs over t = log(p - delta), which resolves the
     minimizer relative to its distance from delta however small delta is,
-    and stops at DEFAULT_ABS_TOL (1e-10) in t.  The objective F is unimodal
+    subnormal deltas included, where p - delta itself may underflow, and
+    stops at DEFAULT_ABS_TOL (1e-10) in t.  The objective F is unimodal
     in t with its minimizer between p = alpha * delta and p = 1, so Newton's
     steps from p = alpha * delta find the root of dF/dt there, with
     bisection wherever a step would leave the bracket: 1 to about 45
@@ -171,18 +176,27 @@ def gamma_exact(alpha: float, epsilon: float, delta: float) -> ConversionResult:
     alpha - 1 (see _objective).  The interior minimum is compared
     against the p -> 1 boundary value eps - log(1 - delta), which is the
     true infimum whenever alpha * delta >= 1; no search runs there.
+    argmin_p is delta + e^t at the minimum kept, held inside (delta, 1)
+    where that sum rounds onto an end.  The searches that invert the
+    frontier (epsilon_exact, delta_exact and the accountant's exact mode)
+    read the same solve's value as a float and build no record of it.
     """
     _check_alpha_eps_delta(alpha, epsilon, delta)
-    return _frontier(alpha, epsilon, delta)[0]
+    gamma, state = _frontier(alpha, epsilon, delta)
+    if state is None:
+        return ConversionResult(gamma, "exact_numeric")
+    # p = delta + e^t, kept inside (delta, 1) where the sum rounds onto an end
+    argmin_p = min(max(delta + math.exp(state[0]), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
+    return ConversionResult(gamma, "exact_numeric", argmin_p=argmin_p)
 
 
-def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionResult, Optional[tuple]]:
-    # gamma_exact for arguments already checked, with the search's state at the
-    # minimum it kept for _envelope, (t, all _objective returned at t), or
-    # None for the edge and delta = 0
+def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[float, Optional[tuple]]:
+    # gamma_exact's value for arguments already checked, with the search's
+    # state at the minimum it kept for _envelope, (t, all _objective returned
+    # at t), or None for the edge and delta = 0
     if delta == 0.0:
-        return ConversionResult(0.0, "exact_numeric"), None
-    edge = ConversionResult(epsilon - math.log1p(-delta), "exact_numeric"), None
+        return 0.0, None
+    edge = epsilon - math.log1p(-delta), None
     if alpha * delta >= 1.0:
         return edge
     # the objective is log S(p), with
@@ -193,11 +207,12 @@ def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionRes
     # slope in t is negative at p = alpha * delta, where the head atom is
     # stationary and the tail atom falls, and 1 - alpha delta > 0 at p = 1,
     # where the tail atom vanishes; so the minimizer lies between, and the
-    # slope crosses 0 there once.  Below t = log(5e-324) every p - delta
-    # rounds to 0 and the objective to +inf, so the bracket starts no lower;
-    # where its two ends round together it starts one unit of t lower
+    # slope crosses 0 there once.  The objective takes H from t itself where
+    # p - delta = e^t is subnormal or 0, so the bracket starts at
+    # p = alpha * delta however small delta is; where its two ends round
+    # together it starts one unit of t lower
     t_hi = math.log1p(-delta)
-    t_lo = max(math.log(alpha - 1.0) + math.log(delta), _LOG_TINY)
+    t_lo = math.log(alpha - 1.0) + math.log(delta)
     if not t_lo < t_hi:
         t_lo = t_hi - 1.0
     objective = _objective(alpha, epsilon, delta)
@@ -213,10 +228,7 @@ def _frontier(alpha: float, epsilon: float, delta: float) -> tuple[ConversionRes
     _newton_invert(slope, 0.0, t_lo, t_hi, DEFAULT_ABS_TOL, start=t_lo)
     if (1.0 - alpha) * t_hi < m_interior:  # a tie reports the interior point
         return edge
-    value = epsilon + m_interior / (alpha - 1.0)
-    # p = delta + e^t, kept inside (delta, 1) where the sum rounds onto an end
-    argmin_p = min(max(delta + math.exp(t), math.nextafter(delta, 1.0)), math.nextafter(1.0, 0.0))
-    return ConversionResult(max(value, 0.0), "exact_numeric", argmin_p=argmin_p), (t, kept)
+    return max(epsilon + m_interior / (alpha - 1.0), 0.0), (t, kept)
 
 
 def _f_lower_bound(alpha: float, epsilon: float, delta: float) -> tuple[float, float]:
@@ -296,9 +308,9 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     solved = {}  # frontier value by delta: an answer of top was the search's first point
 
     def frontier(d: float) -> tuple[float, float]:
-        r, state = _frontier(alpha, epsilon, d)
-        solved[d] = r.value
-        return r.value, _envelope(alpha, epsilon, d, state)[1]
+        gamma_d, state = _frontier(alpha, epsilon, d)
+        solved[d] = gamma_d
+        return gamma_d, _envelope(alpha, epsilon, d, state)[1]
 
     hi = min(bound, top)
     d = _newton_invert(frontier, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi)
@@ -390,18 +402,23 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     rest on this: eps_b is an upper bound wherever it is returned.
     """
     _check_alpha_gamma_delta(alpha, gamma, delta)
+    return ConversionResult(_epsilon_exact(alpha, gamma, delta), "exact_numeric")
+
+
+def _epsilon_exact(alpha: float, gamma: float, delta: float) -> float:
+    # epsilon_exact's value, for arguments already checked; the accountant
+    # scans it over a curve's orders without re-validating each one
     if gamma == 0.0:
-        return ConversionResult(0.0, "exact_numeric")
+        return 0.0
     bound, branch = _epsilon_bound(alpha, gamma, delta)
     if branch == "g_bound" and _tail_excess(alpha, bound, delta) <= DEFAULT_ABS_TOL / 16.0:
-        return ConversionResult(bound, "exact_numeric")
+        return bound
 
     def frontier(e: float) -> tuple[float, float]:
-        r, state = _frontier(alpha, e, delta)
-        return r.value, _envelope(alpha, e, delta, state)[0]
+        gamma_e, state = _frontier(alpha, e, delta)
+        return gamma_e, _envelope(alpha, e, delta, state)[0]
 
-    eps = _newton_invert(frontier, gamma, 0.0, bound, DEFAULT_ABS_TOL)
-    return ConversionResult(eps, "exact_numeric")
+    return _newton_invert(frontier, gamma, 0.0, bound, DEFAULT_ABS_TOL)
 
 
 def _envelope(alpha: float, epsilon: float, delta: float, state: Optional[tuple]) -> tuple[float, float, float, float]:
@@ -426,7 +443,15 @@ def _envelope(alpha: float, epsilon: float, delta: float, state: Optional[tuple]
     t, (value, f_t, f_tt, tail, log_rest, r, q, w, u, v, gap, m) = state
     log_w = tail - value
     slope_eps = -math.expm1(tail + epsilon - log_rest - value)
-    slope_delta = -math.expm1(log_w) / math.exp(t) - math.exp(log_w - log_rest)
+    # the head atom's share 1 - w over p - delta = e^t; where e^t is subnormal
+    # or 0 it has lost its digits, and the ratio is taken in logs from t
+    # itself, capped where it would overflow
+    s = math.exp(t)
+    if s >= sys.float_info.min:
+        head_slope = -math.expm1(log_w) / s
+    else:
+        head_slope = math.exp(min(math.log(-math.expm1(log_w)) - t, 709.0)) if log_w < 0.0 else 0.0
+    slope_delta = head_slope - math.exp(log_w - log_rest)
     h = -math.log(r)
     f_a, f_at, f_aa = h, -q, 0.0
     if w > 0.0:

@@ -52,15 +52,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .conversion import (
     Branch,
-    ConversionResult,
     _envelope,
     _epsilon_bound,
+    _epsilon_exact,
     _frontier,
     _gamma_of_epsilon_bound,
     _moment_epsilon_slopes,
     _moment_gamma_piece,
     baseline_epsilon,
-    epsilon_exact,
 )
 from .errors import DomainError, InfeasibleError, _check_alpha, _check_nonnegative, _check_positive, _check_unit
 from .optimize import DEFAULT_ABS_TOL, _newton_invert
@@ -474,7 +473,7 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
         if mode == "closed_form":
             convert = lambda a, g: _epsilon_bound(a, g, delta)
         else:
-            convert = lambda a, g: (epsilon_exact(a, g, delta).value, None)
+            convert = lambda a, g: (_epsilon_exact(a, g, delta), None)
         eps, branch, alpha = _scan(curve, T, convert)
         return AccountedEpsilon(eps, alpha, branch, mode)
     rho_T = rho * T
@@ -496,9 +495,9 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
         # g(eps) - rho_T for the dual g = max over orders of gamma_exact / alpha,
         # its Newton step is g's, and a margin >= 0 certifies eps at alpha
         nonlocal centre
-        alpha, r, slopes = _exact_rate(eps, delta, centre)
+        alpha, gamma, slopes = _exact_rate(eps, delta, centre)
         centre = alpha
-        value = r.value - rho_T * alpha
+        value = gamma - rho_T * alpha
         if value >= 0.0:
             certified[eps] = alpha
         return value, slopes[0]
@@ -507,10 +506,10 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
     return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
 
 
-def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, ConversionResult, tuple]:
+def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, float, tuple]:
     # the order maximizing gamma_exact(alpha, eps, delta) / alpha, solved from
-    # the order centre, with the frontier solve and its _envelope there, one per
-    # order the solve visits.  Any order gives a sound rate, so the solve costs
+    # the order centre, with the frontier value and its _envelope there, one
+    # frontier solve per order visited.  Any order gives a sound rate, so the solve costs
     # only tightness if it misses the maximum.  The piece is f = -gamma/alpha in
     # u = log(alpha - 1): with a = alpha - 1, c = a/alpha and gamma_u = a gamma',
     # gamma_uu = a gamma' + a^2 gamma'' from the frontier's order slopes,
@@ -523,25 +522,25 @@ def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, Con
     # 1e-9 near the maximum, where the rate is flat to rounding within 1e-5.
     # It searches no order below alpha - 1 = 1e-6 (_EXACT_FLOOR): nearer 1,
     # gamma_exact is rounding noise wherever gamma (alpha - 1) nears 1e-16
-    solves: dict[float, tuple[ConversionResult, tuple]] = {}
+    solves: dict[float, tuple[float, tuple]] = {}
 
-    def solve(alpha: float) -> tuple[ConversionResult, tuple]:
+    def solve(alpha: float) -> tuple[float, tuple]:
         if alpha not in solves:  # _end_order evaluates the winning order a second time
-            r, state = _frontier(alpha, epsilon, delta)
-            solves[alpha] = r, _envelope(alpha, epsilon, delta, state)
+            gamma, state = _frontier(alpha, epsilon, delta)
+            solves[alpha] = gamma, _envelope(alpha, epsilon, delta, state)
         return solves[alpha]
 
     def neg_rate(alpha: float) -> float:
-        return -solve(alpha)[0].value / alpha
+        return -solve(alpha)[0] / alpha
 
     def piece(u: float) -> tuple[float, float, float]:
         alpha = 1.0 + math.exp(u)
         a = alpha - 1.0
-        r, (_, _, slope, curvature) = solve(alpha)
+        gamma, (_, _, slope, curvature) = solve(alpha)
         c, gamma_u = a / alpha, a * slope
-        first = (r.value * c - gamma_u) / alpha
-        second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + r.value * c * (1.0 - a) / alpha) / alpha
-        return -r.value / alpha, first, second
+        first = (gamma * c - gamma_u) / alpha
+        second = -c * (a * curvature) + (gamma_u * (2.0 * c - 1.0) + gamma * c * (1.0 - a) / alpha) / alpha
+        return -gamma / alpha, first, second
 
     alpha, _ = _solve_orders(piece, neg_rate, delta, math.log(centre - 1.0), 1e-6, _EXACT_FLOOR)
     return (alpha, *solves[alpha])
@@ -571,8 +570,8 @@ def _largest_rate(epsilon: float, delta: float, mode: str) -> tuple[float, float
     alpha, value = _solve_orders(_rate_piece(epsilon, delta), neg_rate, delta, start)
     if mode == "closed_form":
         return -value, alpha
-    alpha, r, _ = _exact_rate(epsilon, delta, alpha)
-    return r.value / alpha, alpha
+    alpha, gamma, _ = _exact_rate(epsilon, delta, alpha)
+    return gamma / alpha, alpha
 
 
 def max_iterations(curve: float | RenyiCurve, epsilon: float, delta: float, mode: str = "closed_form") -> int:

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rdpopt import conversion, oracle
+from rdpopt import conversion, gaussian, oracle
 from rdpopt.conversion import (
     _envelope,
     _f_lower_bound,
@@ -122,6 +122,42 @@ def test_exact_inversions_solve_few_frontiers(rng, monkeypatch):
     assert sum(delta_solves) / len(delta_solves) <= 3.0
 
 
+def test_searches_build_no_records(monkeypatch):
+    # a frontier solve hands its search a float: each public conversion builds
+    # one ConversionResult, however many solves it runs, and an exact
+    # accountant call, whose record is its AccountedEpsilon, builds none
+    built, solves = [0], [0]
+
+    class Counted(conversion.ConversionResult):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built[0] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    real = conversion._frontier
+
+    def counted(*args):
+        solves[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(conversion, "ConversionResult", Counted)
+    monkeypatch.setattr(conversion, "_frontier", counted)
+    monkeypatch.setattr(gaussian, "_frontier", counted)
+    calls = [(epsilon_exact, args) for args in [(2.0, 0.5, 0.1), (1.5, 0.01, 0.3), (5.0, 2.0, 0.05)]]
+    calls += [(delta_exact, args) for args in [(2.0, 1.0, 2.0), (1.5, 0.3, 0.05), (30.0, 2.0, 1.0)]]
+    for fn, args in calls:
+        built[0] = solves[0] = 0
+        assert isinstance(fn(*args), Counted)
+        assert solves[0] >= 1 and built[0] == 1, (fn.__name__, args, solves[0], built[0])
+    orders = [1.0 + k / 4.0 for k in range(1, 256)]
+    rho = gaussian.rho_gaussian(20.0)
+    for curve in (rho, gaussian.RenyiCurve(orders, [rho * a for a in orders])):
+        built[0] = solves[0] = 0
+        assert isinstance(gaussian.acct_epsilon(curve, 1000, 1e-5, "exact"), gaussian.AccountedEpsilon)
+        assert solves[0] >= 1 and built[0] == 0, (type(curve).__name__, solves[0], built[0])
+
+
 def _inversion_inputs(rng, n):
     # n (alpha, gamma, delta) for epsilon_exact and n (alpha, gamma, eps) for
     # delta_exact from the exact workload's ranges (alpha in (1, 50], gamma
@@ -211,21 +247,22 @@ def test_envelope_slope_matches_the_frontier_derivative(rng):
         alpha = 1.0 + 49.0 * rng.uniform(1e-3, 1.0)
         eps = rng.uniform(0.05, 5.0)
         delta = math.exp(rng.uniform(math.log(1e-9), math.log(min(0.5, 0.999 / alpha))))
-        r, state = _frontier(alpha, eps, delta)
-        assert r.argmin_p is not None
+        _, state = _frontier(alpha, eps, delta)
+        argmin_p = gamma_exact(alpha, eps, delta).argmin_p
+        assert state is not None and argmin_p is not None
         slope = _envelope(alpha, eps, delta, state)[0]
         central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
         assert abs(slope - central) <= 1e-8, (alpha, eps, delta)
         with mpmath.workdps(30):
-            a, d, p = mpmath.mpf(alpha), mpmath.mpf(delta), mpmath.mpf(r.argmin_p)
+            a, d, p = mpmath.mpf(alpha), mpmath.mpf(delta), mpmath.mpf(argmin_p)
             head = p**a * (p - d) ** (1 - a)
             at_p = lambda e: e + mpmath.log(head + (1 - p) ** a * (mpmath.exp(e) - p + d) ** (1 - a)) / (a - 1)
             exact = float(mpmath.diff(at_p, mpmath.mpf(eps)))
         assert abs(slope - exact) <= 1e-13, (alpha, eps, delta)
     # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1
     for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (49.0, 4.0, 0.03)]:
-        r, state = _frontier(alpha, eps, delta)
-        assert r.argmin_p is None and _envelope(alpha, eps, delta, state)[0] == 1.0
+        _, state = _frontier(alpha, eps, delta)
+        assert state is None and _envelope(alpha, eps, delta, state)[0] == 1.0
         central = (gamma_exact(alpha, eps + h, delta).value - gamma_exact(alpha, eps - h, delta).value) / (2.0 * h)
         assert abs(central - 1.0) <= 1e-8
 
@@ -250,20 +287,21 @@ def test_delta_slope_matches_the_frontier_derivative(rng):
     # checked against a central difference of gamma_exact itself (the envelope
     # theorem) and a 30-digit derivative of the objective at that p (the formula)
     for alpha, eps, delta in _slope_triples(rng, 30):
-        r, state = _frontier(alpha, eps, delta)
-        assert r.argmin_p is not None
+        _, state = _frontier(alpha, eps, delta)
+        argmin_p = gamma_exact(alpha, eps, delta).argmin_p
+        assert state is not None and argmin_p is not None
         slope = _envelope(alpha, eps, delta, state)[1]
         central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
         assert math.isclose(slope, central, rel_tol=1e-5), (alpha, eps, delta)
         with mpmath.workdps(30):
-            a, e, p = mpmath.mpf(alpha), mpmath.mpf(eps), mpmath.mpf(r.argmin_p)
+            a, e, p = mpmath.mpf(alpha), mpmath.mpf(eps), mpmath.mpf(argmin_p)
             at_p = lambda d: mpmath.log(p**a * (p - d) ** (1 - a) + (1 - p) ** a * (mpmath.exp(e) - p + d) ** (1 - a))
             exact = float(mpmath.diff(at_p, mpmath.mpf(delta)) / (a - 1))
         assert math.isclose(slope, exact, rel_tol=1e-9), (alpha, eps, delta)
     # alpha * delta >= 1: the edge value eps - log(1 - delta) wins, slope 1/(1 - delta)
     for alpha, eps, delta in [(20.0, 1.0, 0.1), (3.0, 0.5, 0.4), (1000.0, 2.0, 0.01), (2.0, 1000.0, 0.6)]:
-        r, state = _frontier(alpha, eps, delta)
-        assert r.argmin_p is None
+        _, state = _frontier(alpha, eps, delta)
+        assert state is None
         assert _envelope(alpha, eps, delta, state)[1] == 1.0 / (1.0 - delta)
         central = _central(lambda t: gamma_exact(alpha, eps, t).value, delta, 1e-5 * delta)
         assert math.isclose(central, 1.0 / (1.0 - delta), rel_tol=1e-8)
@@ -282,8 +320,8 @@ def test_delta_slopes_are_finite_at_zero():
         for eps in (0.0, 1.0, 1000.0):
             value, slope = _f_lower_bound(alpha, eps, 0.0)
             assert value == 0.0 and 0.0 <= slope < math.inf
-            r, state = _frontier(alpha, eps, 0.0)
-            assert r.value == 0.0 and _envelope(alpha, eps, 0.0, state)[1] == 1.0
+            gamma, state = _frontier(alpha, eps, 0.0)
+            assert gamma == 0.0 and _envelope(alpha, eps, 0.0, state)[1] == 1.0
 
 
 def test_objective_convexity_inside_log():
@@ -394,6 +432,12 @@ def test_gamma_exact_is_never_above_the_mpmath_minimum(rng):
         (681.0798903589191, 0.0, 2.356286919110547e-10),
         (511.38973896712054, 1.0226747867044639e-07, 1.2643578136028717e-07),
     ]
+    # at the smallest subnormal delta the head atom's minimum lies at
+    # p - delta = e^t below 5e-324, which the search once could not reach: it
+    # overshot to 700.0000000000061, where the frontier is 699.8301
+    alpha, eps, delta = 1.5, 2186.8007023010887, 5e-324
+    want = float(_mpmath_gamma(alpha, eps, delta))
+    assert abs(gamma_exact(alpha, eps, delta).value - want) <= 4.0 * math.ulp(want), want
     for _ in range(36):
         alpha = 1.0 + 10.0 ** rng.uniform(-3.0, math.log10(49.0))
         triples.append((alpha, 5.0 * rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-30.0, math.log10(0.5))))
@@ -580,32 +624,37 @@ def test_gamma_order_slopes_match_mpmath(rng):
         if alpha * delta >= 1.0:
             continue
         eps = epsilon_bound(alpha, gamma, delta).value
-        r, state = _frontier(alpha, eps, delta)
-        if r.argmin_p is None:
+        _, state = _frontier(alpha, eps, delta)
+        argmin_p = gamma_exact(alpha, eps, delta).argmin_p
+        if argmin_p is None:
             continue
         first, second = _envelope(alpha, eps, delta, state)[2:]
-        want = _mpmath_order_slopes(alpha, eps, delta, math.log(r.argmin_p - delta))
+        want = _mpmath_order_slopes(alpha, eps, delta, math.log(argmin_p - delta))
         assert abs(first - want[0]) <= 1e-8 * abs(want[0]), (alpha, eps, delta, first, want)
         assert abs(second - want[1]) <= 1e-5 * abs(want[1]), (alpha, eps, delta, second, want)
         checked += 1
     # the edge value eps - log(1 - delta), at alpha delta >= 1 and where it wins below
     for alpha, eps, delta in [(4.0, 1.0, 0.25), (300.0, 2.0, 0.5), (1.000686631040069, 0.20955171347632695, 0.9806522240933073)]:
-        r, state = _frontier(alpha, eps, delta)
-        assert r.argmin_p is None and _envelope(alpha, eps, delta, state)[2:] == (0.0, 0.0)
+        _, state = _frontier(alpha, eps, delta)
+        assert state is None and _envelope(alpha, eps, delta, state)[2:] == (0.0, 0.0)
 
 
 def test_gamma_exact_argmin_stays_inside_the_interval():
     # p = delta + e^t rounds onto 1 when delta is within a few ulps of 1, and
     # onto delta when delta is subnormal; the reported argmin stays inside
-    # (delta, 1), where both envelope slopes are defined
+    # (delta, 1), where both envelope slopes are defined.  At the last input
+    # the argmin's e^t underflows to 0
     one_up = math.nextafter(1.0, 2.0)
     inputs = [(one_up, 0.0, 0.9999999999999991), (one_up, 0.0, 3.4768916e-317), (1.0000000000000007, 0.0, 0.9999999999999992)]
+    inputs.append((1.1, 0.0, 5e-324))
     for alpha, eps, delta in inputs:
-        r, state = _frontier(alpha, eps, delta)
-        assert delta < r.argmin_p < 1.0, (alpha, eps, delta, r.argmin_p)
+        _, state = _frontier(alpha, eps, delta)
+        argmin_p = gamma_exact(alpha, eps, delta).argmin_p
+        assert delta < argmin_p < 1.0, (alpha, eps, delta, argmin_p)
         slope_eps, slope_delta = _envelope(alpha, eps, delta, state)[:2]
         assert math.isfinite(slope_eps)
         assert math.isfinite(slope_delta)
+    assert math.exp(state[0]) == 0.0
 
 
 def test_gamma_bound_examples():

@@ -568,12 +568,12 @@ def _scanned_exact_rate(epsilon: float, delta: float, centre: float):
     def neg_rate(alpha: float) -> float:
         if alpha not in solves:
             solves[alpha] = conversion._frontier(alpha, epsilon, delta)
-        return -solves[alpha][0].value / alpha
+        return -solves[alpha][0] / alpha
 
     u, _ = minimize_unimodal(lambda u: neg_rate(1.0 + math.exp(u)), *gaussian._order_range(delta, gaussian._EXACT_FLOOR), 1e-6)
     alpha, _ = gaussian._end_order(1.0 + math.exp(u), neg_rate, delta)
-    r, state = solves[alpha]
-    return alpha, r, conversion._envelope(alpha, epsilon, delta, state)
+    gamma, state = solves[alpha]
+    return alpha, gamma, conversion._envelope(alpha, epsilon, delta, state)
 
 
 def test_order_solve_matches_the_global_scan(monkeypatch):
@@ -597,7 +597,7 @@ def test_order_solve_matches_the_global_scan(monkeypatch):
         assert certificate >= rho * T * r.argmin_alpha, (rho, T, delta)
     for (eps, delta), (rate, alpha), (edge_alpha, edge, _), want in zip(budgets, rates, edge_rates, best_rates):
         assert rate >= want - 1e-9, (eps, delta, want - rate)
-        assert edge.value / edge_alpha >= want - 1e-9, (eps, delta, want - edge.value / edge_alpha)
+        assert edge / edge_alpha >= want - 1e-9, (eps, delta, want - edge / edge_alpha)
         assert rate <= gamma_exact(alpha, eps, delta).value / alpha, (eps, delta)
 
 
@@ -613,8 +613,8 @@ def test_exact_scan_of_all_orders_is_no_worse_than_a_256_order_sample():
         eps = _log_uniform(rng, 1e-3, 30.0)
         delta = _log_uniform(rng, 1e-30, 0.01) if k % 2 else rng.uniform(0.01, 0.99)
         neg_rate = lambda a: -gamma_exact(a, eps, delta).value / a
-        alpha, r, _ = gaussian._exact_rate(eps, delta, gaussian._largest_rate(eps, delta, "closed_form")[1])
-        value = -r.value / alpha
+        alpha, gamma, _ = gaussian._exact_rate(eps, delta, gaussian._largest_rate(eps, delta, "closed_form")[1])
+        value = -gamma / alpha
         sample = min(neg_rate(1.0 + math.exp(u)) for u in np.linspace(*gaussian._order_range(delta, gaussian._EXACT_FLOOR), 256).tolist())
         assert value <= sample + 1e-9 * abs(sample), (eps, delta, value - sample)
 
@@ -658,8 +658,8 @@ def test_order_solve_finds_minima_far_from_its_start(monkeypatch):
     for eps, delta in [(1.0, 1e-5), (3.0, 1e-9), (0.3, 1e-3), (6.0, 0.01), (0.5, 0.1), (1.0, 0.3), (0.05, 0.5), (10.0, 1e-20)]:
         rates = []
         for centre in (1.0 + 1e-6, 1.0 / delta):
-            alpha, r, _ = gaussian._exact_rate(eps, delta, centre)
-            rates.append(r.value / alpha)
+            alpha, gamma, _ = gaussian._exact_rate(eps, delta, centre)
+            rates.append(gamma / alpha)
         assert abs(rates[0] - rates[1]) <= 1e-9 * max(rates), (eps, delta, rates)
 
 
@@ -674,9 +674,9 @@ def test_order_solve_follows_the_last_winning_order(monkeypatch):
 
     def recorded(eps: float, delta: float, centre: float):
         centres.append(centre)
-        alpha, r, slopes = real(eps, delta, centre)
+        alpha, gamma, slopes = real(eps, delta, centre)
         won.append(alpha)
-        return alpha, r, slopes
+        return alpha, gamma, slopes
 
     monkeypatch.setattr(gaussian, "_exact_rate", recorded)
     for rho, T, delta in inputs:
