@@ -339,16 +339,19 @@ def delta_bound(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     270, where ulp(eps)/(alpha - 1) is 3.4e-8.  Soundness does not depend
     on it: d_g and 1/alpha are upper bounds by themselves, so a skipped
     search can only leave a looser bound, never an optimistic one.
-    For gamma > 0 a delta that underflows to 0 is reported as the smallest
-    positive float.
+    At gamma = 0 it is 0 with no branch, as delta_exact is.  For gamma > 0
+    a delta that underflows to 0 is reported as the smallest positive float.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
     value, branch = _delta_bound(alpha, gamma, epsilon)
     return ConversionResult(value, "closed_form_bound", active_branch=branch)
 
 
-def _delta_bound(alpha: float, gamma: float, epsilon: float) -> tuple[float, Branch]:
-    # delta_bound's value and winning branch, for arguments already checked.
+def _delta_bound(alpha: float, gamma: float, epsilon: float) -> tuple[float, Optional[Branch]]:
+    # delta_bound's value and winning branch, for arguments already checked;
+    # gamma = 0 makes the pair identical, so delta is 0
+    if gamma == 0.0:
+        return 0.0, None
     # 1 - e^(eps - gamma), which can reach 1/alpha only when eps < gamma; the
     # exponent is capped at 0 so that a large eps - gamma does not overflow
     d_closed = -math.expm1(min(epsilon - gamma, 0.0))

@@ -17,13 +17,15 @@ reduction or convexity, which would tie it to the path it checks.  What it
 saves is work whose result cannot change an answer.  The q side of the
 divergences is tabulated once per scan on the shared grid, and per row block
 in polish windows, as log q and log(1 - q) alone, once for each coarse point
-that the block's rows are centred on; every block reuses one workspace,
-which also takes the windows' q and 1 - q.  The Renyi divergence is taken
-only in each row's band, the admitted cells that can still hold the row's
-minimum, on the shared grid and in polish windows alike: a band that follows
-from np.logaddexp never falling below its larger argument, not from the
-rule, so it holds for any rule (see _row_scan).  The hockey-stick values come
-from _hockey_stick and the Renyi values from _renyi, the one binary-Renyi
+that the block's rows are centred on.  The tables are unscaled at every
+order, and each block scales them by 1 - alpha before its rows gather them;
+every block reuses one workspace, which also takes the windows' q and 1 - q
+and the scaled tables.  The Renyi divergence is taken only in each row's
+band, the admitted cells that can still hold the row's minimum, on the
+shared grid and in polish windows alike: a band that follows from
+np.logaddexp never falling below its larger argument, not from the rule, so
+it holds for any rule (see _row_scan).  The hockey-stick values come from
+_hockey_stick and the Renyi values from _renyi, the one binary-Renyi
 formula of the package, which the q* check and the containment sample take
 too.  Below order 2 it sums the moment as its excess over 1, so that the
 order floor is set by the frontier checked, not by the oracle's own rounding
@@ -216,12 +218,8 @@ def _pair_renyi(alpha, p, q):
 def _hockey_stick(p, one_m_p, q, one_m_q, lam, out=None, scratch=None):
     # hockey-stick divergence at lam of Bernoulli(p) from Bernoulli(q), written
     # to out, with scratch for the second atom's term.  out may be q itself and
-    # scratch one_m_q: each is read before the array holding it is written.
-    # lam q and lam (1 - q) are taken once per column when the block shares q
-    if np.ndim(q) < np.ndim(out):
-        lam_q, lam_one_m_q = lam * q, lam * one_m_q
-    else:
-        lam_q, lam_one_m_q = np.multiply(lam, q, out=out), np.multiply(lam, one_m_q, out=scratch)
+    # scratch one_m_q: each is read before the array holding it is written
+    lam_q, lam_one_m_q = np.multiply(lam, q, out=out), np.multiply(lam, one_m_q, out=scratch)
     hs = np.subtract(p, lam_q, out=out)
     np.maximum(hs, 0.0, out=hs)
     second = np.subtract(one_m_p, lam_one_m_q, out=scratch)
@@ -248,7 +246,7 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     one_m_q themselves.  Returns (row minima, argmin index into the row's q
     grid); rows with no feasible q get +inf.
 
-    q, 1 - q and the Renyi terms in q are computed once on the shared grid.
+    q, 1 - q, log q and log(1 - q) are computed once on the shared grid.
     In polish windows each block tabulates only log q and log(1 - q), once
     per distinct centre of its rows (they share the few coarse-grid points
     they landed on), and exponentiates them into the free first rows of its
@@ -280,9 +278,11 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     the cap, and the row minima and first-index argmins are again those of
     every admitted cell, to the bit.  The near-one form's log p - log q and
     log(1 - p) - log(1 - q) come from unscaled tables, as the scaled terms
-    would cancel to about 1e-16 absolute: the q tables then hold log q and
-    log(1 - q), and the terms are scaled per block, to the bits that scaled
-    tables hold.
+    would cancel to about 1e-16 absolute.  So the q tables hold log q and
+    log(1 - q) at every order, on both grids, and each block scales them by
+    1 - alpha into free rows of its workspace, one row per table row, before
+    its rows gather them.  Scaling before the gather multiplies one row on
+    the shared grid, not the block's every row.
 
     Worker k of n scans blocks k, k + n, ...; worker 0 is the
     caller, the rest are threads, all joined before the scan returns, and the
@@ -290,15 +290,13 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
     every worker, so it may write only to out and scratch.
     """
     # p, 1 - p, log p and log(1 - p), and the Renyi terms alpha log p and
-    # alpha log(1 - p); then the same for q with 1 - alpha, its terms left
-    # unscaled below alpha = 2
+    # alpha log(1 - p); then q, 1 - q, log q and log(1 - q) on the shared grid
     near_one = alpha < 2.0
     lp, l1p = _log_tables(u_p.copy())
     p, one_m_p, ap, a1p = np.exp(lp)[:, None], np.exp(l1p)[:, None], alpha * lp, alpha * l1p
-    q_scale = 1.0 if near_one else 1.0 - alpha
     if centers is None:
-        lq, l1q = _log_tables(u_q.copy())
-        shared = np.exp(lq), np.exp(l1q), lq * q_scale, l1q * q_scale
+        lq, l1q = _log_tables(u_q[None, :].copy())
+        shared = np.exp(lq), np.exp(l1q), lq, l1q
     n_rows, n_cols = len(u_p), len(u_q)
     # one worker per usable CPU, but no more than the rows of a one-worker
     # block or such blocks in the scan; the workers split that block's rows
@@ -332,17 +330,12 @@ def _row_scan(alpha: float, u_p: np.ndarray, u_q: np.ndarray, feasible,
             per_centre = div[:len(block_centers)]
             q = gather(np.exp(lq, out=per_centre), a)
             one_m_q = gather(np.exp(l1q, out=per_centre), b)
-            lq *= q_scale
-            l1q *= q_scale
         feasible(sl, p[sl], one_m_p[sl], q, one_m_q, mask, (a, b))
-        # the log-moment's terms; below alpha = 2 the q terms are scaled here,
-        # to the bits a scaled table holds
-        terms_q, terms_1q = gather(lq, a), gather(l1q, b)
-        if near_one:
-            terms_q = np.multiply(terms_q, 1.0 - alpha, out=a)
-            terms_1q = np.multiply(terms_1q, 1.0 - alpha, out=b)
-        np.add(ap[sl, None], terms_q, out=a)
-        np.add(a1p[sl, None], terms_1q, out=b)
+        # the log-moment's terms: each q table is scaled by 1 - alpha into
+        # rows of div, free until the bounds, and gathered from there
+        for table, terms_p, out in ((lq, ap, a), (l1q, a1p, b)):
+            scaled = np.multiply(table, 1.0 - alpha, out=div[:len(table)])
+            np.add(terms_p[sl, None], gather(scaled, out), out=out)
         # the bounds, +inf off the admitted cells, and the band under the
         # divergence of each row's least-bound cell
         np.maximum(a, b, out=div)

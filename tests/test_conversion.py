@@ -774,10 +774,21 @@ def test_delta_bound_examples():
     # moment piece zeta(2) * e^{-1}, a factor zeta below the baseline
     assert math.isclose(r.value, 0.09196986029286058, rel_tol=1e-10)
     assert r.active_branch == "g_bound"
-    assert delta_bound(3.0, 0.0, 1.0).value <= 1e-9
+    assert delta_bound(3.0, 0.0, 1.0).value == 0.0
     big = delta_bound(4.0, 8.0, 1.0)  # forced into the exact regime
     assert big.active_branch == "alpha_delta_ge_1"
     assert math.isclose(big.value, -math.expm1(1.0 - 8.0), rel_tol=1e-12)
+
+
+def test_delta_bound_is_zero_at_gamma_zero():
+    # gamma = 0 makes the pair identical, so delta_bound is 0, as delta_exact
+    # is, with no branch: no piece is inverted, as at eps = 0 the tangent
+    # piece is 0 everywhere and its search would return zeta(alpha)
+    for alpha in (1.5, 2.0, 10.0):
+        for eps in (0.0, 0.3, 1.0):
+            r = delta_bound(alpha, 0.0, eps)
+            assert (r.value, r.active_branch) == (0.0, None), (alpha, eps, r)
+            assert delta_exact(alpha, 0.0, eps).value == 0.0
 
 
 def _full_tangent_delta_bound(alpha, gamma, eps, tangent=_f_lower_bound):

@@ -440,6 +440,25 @@ def test_parallel_scan_is_bit_identical_on_any_worker_count(monkeypatch):
             assert np.array_equal(w0, w1), cpus
 
 
+def test_shared_grid_matches_windows_centred_at_zero(monkeypatch):
+    # the shared grid and the polish windows tabulate q apart but form every
+    # cell by the same operations, so windows all centred at 0, which clip
+    # nothing, give the shared grid's minima and argmins to the bit; on one
+    # worker and on two, in blocks of 6 rows, at every kernel order and one
+    # within 1e-7 of 1
+    u = oracle._logit_grid(-oracle._U_MAX, oracle._U_MAX, 64)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 6 * len(u))
+    for cpus in (1, 2):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        for alpha, eps, delta in [*_KERNEL_CASES, (1.0 + 1e-7, 1.0, 0.1)]:
+            for rule, _ in _rules(u, eps, delta):
+                shared_min, shared_arg = oracle._row_scan(alpha, u, u, rule)
+                window_min, window_arg = oracle._row_scan(alpha, u, u, rule, centers=np.zeros(len(u)))
+                assert np.isfinite(shared_min).any(), (alpha, eps, delta)
+                assert np.array_equal(shared_min, window_min), (cpus, alpha, eps, delta)
+                assert np.array_equal(shared_arg, window_arg), (cpus, alpha, eps, delta)
+
+
 def test_workspace_holds_no_more_than_a_one_worker_block(monkeypatch):
     # the workers split a one-worker block of whole rows.  On the 4 097-point
     # grid, where one worker holds 32 rows, 31 workers that each rounded
