@@ -281,8 +281,8 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     answer never exceeds delta_bound; raises InfeasibleError when the
     frontier at 1 - 1e-12 does not reach gamma.  Each frontier solve is
     gamma_exact's default search, and delta is found to within
-    DEFAULT_ABS_TOL relative to the bound, so small deltas keep
-    their digits.
+    DEFAULT_ABS_TOL relative to the bound, so small deltas keep their
+    digits; at gamma = 0 the bound is 0, and so is the answer, with no solve.
 
     No frontier solve runs where a closed-form tail bound certifies the
     bound.  Where its moment piece d_g wins, the frontier there lies in
@@ -297,8 +297,6 @@ def delta_exact(alpha: float, gamma: float, epsilon: float) -> ConversionResult:
     wherever it is returned.
     """
     _check_alpha_gamma_eps(alpha, gamma, epsilon)
-    if gamma == 0.0:
-        return ConversionResult(0.0, "exact_numeric")
     top = 1.0 - 1e-12
     bound, branch = _delta_bound(alpha, gamma, epsilon)
     # the tail bound needs alpha * bound < 1; a bound above top is searched from top
@@ -389,7 +387,8 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
     from the envelope theorem at the frontier's argmin p, falling back to
     bisection on [0, bound].  Returns 0 when the frontier at eps = 0 already
     dominates gamma, and the bound itself when the frontier there falls
-    short of gamma by rounding, so the answer never exceeds epsilon_bound.
+    short of gamma by rounding, so the answer never exceeds epsilon_bound
+    (at gamma = 0 the bound is 0, and so is the answer, with no solve).
     Each frontier solve is gamma_exact's default search, and epsilon is
     found to DEFAULT_ABS_TOL: none where a closed-form tail bound certifies
     the bound, usually two to four elsewhere.  Where the bound's moment
@@ -411,8 +410,6 @@ def epsilon_exact(alpha: float, gamma: float, delta: float) -> ConversionResult:
 def _epsilon_exact(alpha: float, gamma: float, delta: float) -> float:
     # epsilon_exact's value, for arguments already checked; the accountant
     # scans it over a curve's orders without re-validating each one
-    if gamma == 0.0:
-        return 0.0
     bound, branch = _epsilon_bound(alpha, gamma, delta)
     if branch == "g_bound" and _tail_excess(alpha, bound, delta) <= DEFAULT_ABS_TOL / 16.0:
         return bound

@@ -461,9 +461,9 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
     that misses the maximum costs tightness, not soundness.  The steps start
     at the closed-form answer, so exact mode is never worse than closed-form
     mode, and end, usually after two or three order solves of one to four
-    frontier solves each (about 5 an answer), at an epsilon that gamma_exact
-    certifies at the reported order, within 1e-10 of the crossing, or, where
-    it certified none, at the closed-form answer and order.
+    frontier solves each (about 5 an answer), at the last epsilon gamma_exact
+    certified, within 1e-10 of the crossing, with the order that met the
+    budget there, or, where it certified none, at the closed-form answer and order.
     """
     rho = _linear_rate(curve)
     _check_steps(T)
@@ -486,24 +486,24 @@ def acct_epsilon(curve: float | RenyiCurve, T: float, delta: float, mode: str = 
     if mode == "closed_form":
         return AccountedEpsilon(eps_closed, a_closed, branch, mode)
 
-    certified = {}  # the order that meets the budget at each epsilon tried
     centre = a_closed  # the order the last scan won, around which the next one looks
+    certified = a_closed  # the order of the last margin >= 0, whose epsilon the search returns
 
     def margin(eps: float) -> tuple[float, float]:
         # gamma_exact - rho_T alpha at the order alpha maximizing gamma_exact / alpha,
         # and its slope in eps by the envelope theorem.  Its sign is that of
         # g(eps) - rho_T for the dual g = max over orders of gamma_exact / alpha,
         # its Newton step is g's, and a margin >= 0 certifies eps at alpha
-        nonlocal centre
+        nonlocal centre, certified
         alpha, gamma, slopes = _exact_rate(eps, delta, centre)
         centre = alpha
         value = gamma - rho_T * alpha
         if value >= 0.0:
-            certified[eps] = alpha
+            certified = alpha
         return value, slopes[0]
 
     eps = _newton_invert(margin, 0.0, 0.0, eps_closed, DEFAULT_ABS_TOL)
-    return AccountedEpsilon(eps, certified.get(eps, a_closed), None, mode)
+    return AccountedEpsilon(eps, certified, None, mode)
 
 
 def _exact_rate(epsilon: float, delta: float, centre: float) -> tuple[float, float, tuple]:

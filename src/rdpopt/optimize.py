@@ -76,25 +76,26 @@ def _newton_invert(
 ) -> float:
     # the smallest x in [lo, hi] with fn(x) >= target, for fn that returns
     # (value, slope) and crosses the target once, upwards, by Newton steps
-    # from start (hi by default).  hi is an answer the caller already trusts:
-    # it is returned as it is when fn(hi) falls short of the target, and the
-    # answer never exceeds it.  fn(lo) is evaluated only at the start, when a
-    # step reaches lo, or once the bracket is no wider than abs_tol, where lo
-    # is returned if it reaches the target and hi otherwise.  Every Newton
-    # estimate is moved up by the shift abs_tol / 16, so that an estimate
-    # exact to rounding reaches the target and the search ends there.  A
-    # move that leaves the bracket [lo, hi], has no finite positive slope or
-    # is more than half the move before it is replaced by bisection.  That
-    # one rule also covers a stretch flat to rounding just below the target,
-    # where each move would be the shift alone: the second such move fails
-    # it.  Stops at a point that reaches the target once the Newton
-    # correction there is at most abs_tol or lost in rounding, or once the
-    # bracket is no wider than abs_tol; raises AccountingError after MAX_STEPS
-    # evaluations.  Wide brackets from lo >= 0 bisect at the geometric middle
-    # (see above), unless abs_tol is 0: a relative tolerance that underflowed,
-    # on a bracket of subnormals, which 53 arithmetic halvings close.  Other
-    # brackets bisect at the arithmetic middle, halving each end first only
-    # where their sum overflows.
+    # from start (hi by default).  hi is an answer the caller already trusts,
+    # and the answer never exceeds it: the answer is the last point evaluated
+    # that met the target (a flat start, below, apart), or hi unchanged if
+    # none did, so a caller can read what fn found there off its last such
+    # call.  fn(lo) is evaluated only at the start, when a step reaches lo, or
+    # once the bracket is no wider than abs_tol.  Every Newton estimate is
+    # moved up by the shift abs_tol / 16, so that an estimate exact to
+    # rounding reaches the target and the search ends there.  A move that
+    # leaves the bracket [lo, hi], has no finite positive slope or is more
+    # than half the move before it is replaced by bisection.  That one rule
+    # also covers a stretch flat to rounding just below the target, where each
+    # move would be the shift alone: the second such move fails it.  Stops at a
+    # point that reaches the target once the Newton correction there is at
+    # most abs_tol or lost in rounding, or once the bracket is no wider than
+    # abs_tol; raises AccountingError after MAX_STEPS evaluations.  Wide
+    # brackets from lo >= 0 bisect at the geometric middle (see above), unless
+    # abs_tol is 0: a relative tolerance that underflowed, on a bracket of
+    # subnormals, which 53 arithmetic halvings close.  Other brackets bisect at
+    # the arithmetic middle, halving each end first only where their sum
+    # overflows.
     # A start below hi that meets the target exactly with a 0.0 slope is read
     # as below it, and the search goes on towards hi: fn may be flat at the
     # target there, as a rate that rounds to 0 is, rather than crossing it

@@ -474,6 +474,20 @@ def _count_solves(monkeypatch) -> list[int]:
     return solves
 
 
+def test_gamma_zero_answers_take_no_frontier_solve(monkeypatch):
+    # the closed-form bounds are 0 at gamma = 0, and the exact searches return
+    # their bracket [0, 0] as it is: the answer is 0 with no frontier solve
+    solves = _count_solves(monkeypatch)
+    for alpha in (1.5, 2.0, 10.0):
+        for delta in (1e-300, 1e-9, 0.1, 0.6):
+            assert conversion.epsilon_exact(alpha, 0.0, delta).value == 0.0, (alpha, delta)
+        for eps in (0.0, 1.0, 1000.0):
+            assert conversion.delta_exact(alpha, 0.0, eps).value == 0.0, (alpha, eps)
+    r = acct_epsilon(RenyiCurve([2.0, 8.0], [0.0, 0.0]), 10, 1e-5, "exact")
+    assert (r.epsilon, r.argmin_alpha, r.active_branch) == (0.0, 2.0, None)
+    assert solves[0] == 0
+
+
 def _primal_exact_epsilon(rho: float, T: float, delta: float) -> float:
     # the reference: exact mode as a primal order scan, the minimum over orders
     # of the epsilon that inverts the frontier at rho*T*alpha, each found by

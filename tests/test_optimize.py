@@ -13,7 +13,7 @@ from rdpopt import conversion, gaussian
 from rdpopt.conversion import delta_bound, delta_exact, epsilon_bound, epsilon_exact, gamma_exact
 from rdpopt.errors import AccountingError, DomainError, InfeasibleError
 from rdpopt.gaussian import acct_epsilon, rho_gaussian
-from rdpopt.optimize import MAX_STEPS, _newton_invert, log_add
+from rdpopt.optimize import DEFAULT_ABS_TOL, MAX_STEPS, _newton_invert, log_add
 
 from conftest import bisect_reference
 from reference_search import COARSE_GRID, minimize_unimodal
@@ -206,6 +206,72 @@ def test_invert_matches_bisection_reference_on_frontier_round_trips():
         e = epsilon_exact(alpha, target, delta).value
         assert abs(e - bisect_reference(fn, target, 0.0, 20.0)) <= 1e-10
         assert fn(e) >= target
+
+
+def _returns_its_last_point_that_met(fn, target, lo, hi, abs_tol, start):
+    # runs the search, recording every evaluation, and checks its answer: the
+    # last point evaluated whose value met the target, a flat start apart
+    # (the first point, below hi, meeting it exactly with a 0.0 slope), or
+    # hi unchanged if none did.  Callers read what fn found at the answer
+    # off that last evaluation
+    seen = []
+
+    def recorded(x):
+        value, slope = fn(x)
+        seen.append((x, value, slope))
+        return value, slope
+
+    x = _newton_invert(recorded, target, lo, hi, abs_tol, start=start)
+    met = [
+        point
+        for i, (point, value, slope) in enumerate(seen)
+        if value >= target and not (i == 0 and value == target and slope == 0.0 and point < hi)
+    ]
+    assert x == (met[-1] if met else hi), (target, lo, hi, start, x, seen)
+    return len(seen)
+
+
+def test_search_returns_its_last_point_that_met_the_target():
+    # seeded increasing cubics, with slopes off by a factor to force
+    # bisections and targets on both sides of the bracket's values, and the
+    # two frontier inversions as epsilon_exact and delta_exact run them,
+    # each from hi or, half the time, from a start inside the bracket; and
+    # flat starts, which meet the target but are not answers
+    rng = random.Random(47)
+    start_in = lambda lo, hi: None if rng.random() < 0.5 else lo + rng.random() * (hi - lo)
+    evals = 0
+    for _ in range(1000):
+        c, scale = rng.uniform(0.1, 5.0), rng.choice((1.0, 0.3, 3.0))
+        lo, hi = -rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)
+        fn = lambda x: (x**3 + c * x, scale * (3.0 * x * x + c))
+        target = rng.uniform(fn(lo)[0] - 1.0, fn(hi)[0] + 1.0)
+        evals += _returns_its_last_point_that_met(fn, target, lo, hi, 1e-10, start_in(lo, hi))
+    for _ in range(500):
+        alpha = 1.0 + 10.0 ** rng.uniform(-3.0, 2.0)
+        delta = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        gamma = 10.0 ** rng.uniform(-3.0, 1.0)
+        bound = conversion._epsilon_bound(alpha, gamma, delta)[0]
+
+        def in_eps(e):
+            gamma_e, state = conversion._frontier(alpha, e, delta)
+            return gamma_e, conversion._envelope(alpha, e, delta, state)[0]
+
+        evals += _returns_its_last_point_that_met(in_eps, gamma, 0.0, bound, DEFAULT_ABS_TOL, start_in(0.0, bound))
+    for _ in range(500):
+        alpha = 1.0 + 10.0 ** rng.uniform(-3.0, 2.0)
+        eps = rng.uniform(0.0, 5.0)
+        gamma = 10.0 ** rng.uniform(-3.0, 1.0)
+        hi = min(conversion._delta_bound(alpha, gamma, eps)[0], 1.0 - 1e-12)
+
+        def in_delta(d):
+            gamma_d, state = conversion._frontier(alpha, eps, d)
+            return gamma_d, conversion._envelope(alpha, eps, d, state)[1]
+
+        evals += _returns_its_last_point_that_met(in_delta, gamma, 0.0, hi, DEFAULT_ABS_TOL * hi, start_in(0.0, hi))
+    flat = lambda x: (x - 1.0, 1.0) if x > 1.0 else (0.0, 0.0)
+    for start in (0.0, 0.5, 0.999):
+        evals += _returns_its_last_point_that_met(flat, 0.0, 0.0, 4.0, 1e-10, start)
+    assert evals >= 4000
 
 
 @given(
